@@ -9,7 +9,6 @@ and rejections are advisory.
 
 from .linalg import (
     DimensionError,
-    EigConvergenceError,
     HermitianTuple,
     Isometry,
     RankDeficiencyError,

@@ -7,10 +7,11 @@ canonical JSON (stdout or --out), so identical flags and seed give
 byte-identical bytes; `compute numrange --svg` adds a flat polyline
 rendering.
 
-Exit codes: 0 success / accepted; 2 unreadable or invalid input file;
-3 structural impossibility (dimensions, preconditions); 4 solver rejection
-or stage failure (advisory, not a proof of non-membership); 5 verify suite
-below its pass-rate threshold (report still written).
+Exit codes: 0 success / accepted; 2 unreadable or invalid input file, or an
+invalid command-line argument (one-line message); 3 structural
+impossibility (dimensions, preconditions); 4 solver rejection or stage
+failure (advisory, not a proof of non-membership); 5 verify suite below its
+pass-rate threshold (report still written).
 """
 
 from __future__ import annotations
@@ -60,6 +61,29 @@ EXIT_PARSE = 2
 EXIT_STRUCTURAL = 3
 EXIT_REJECTED = 4
 EXIT_THRESHOLD = 5
+
+
+class UsageError(Exception):
+    """An invalid command line; reported in one line with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
 
 
 def _emit(text: str, out_path) -> None:
@@ -312,16 +336,15 @@ def cmd_verify_perturbation(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--accept-tol", type=float, default=1e-8)
-    common.add_argument("--restarts", type=int, default=50)
+    common.add_argument("--restarts", type=positive_int, default=50)
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
-    parser = argparse.ArgumentParser(prog="matrange",
-                                     description="generalized numerical ranges "
-                                                 "with certificates")
+    parser = _Parser(prog="matrange",
+                     description="generalized numerical ranges with certificates")
     top = parser.add_subparsers(dest="group", required=True)
 
     compute = top.add_parser("compute").add_subparsers(dest="op", required=True)
@@ -334,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample = top.add_parser("sample").add_subparsers(dest="op", required=True)
     p = sample.add_parser("pq", parents=[common])
     p.add_argument("--input", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
+    p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_sample_pq)
@@ -343,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     construct = top.add_parser("construct").add_subparsers(dest="op", required=True)
     p = construct.add_parser("star-center", parents=[common])
     p.add_argument("--input", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
+    p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--matrix", action="store_true",
                    help="matrix-valued center at deep level instead of scalar")
     p.add_argument("--embed", action="store_true")
@@ -352,24 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = construct.add_parser("segment", parents=[common])
     p.add_argument("--input", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
+    p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_segment)
 
     p = construct.add_parser("tverberg", parents=[common])
     p.add_argument("--input", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
+    p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_tverberg)
 
     p = construct.add_parser("essential", parents=[common])
     p.add_argument("--input", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--n-dirs", type=int, default=64)
+    p.add_argument("--q", type=positive_int, required=True)
+    p.add_argument("--r-max", type=positive_int, required=True)
+    p.add_argument("--n-dirs", type=positive_int, default=64)
     p.add_argument("--n-free", type=int, default=4)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_essential)
@@ -378,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify.add_parser("star", parents=[common])
     p.add_argument("--input", default=None)
     p.add_argument("--planted", action="store_true")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--p", type=positive_int, default=1)
+    p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_verify_star)
 
@@ -392,39 +415,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--bound", choices=("general", "refined"), default="general")
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_bounds)
 
     p = verify.add_parser("inclusions", parents=[common])
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=18)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--p", type=positive_int, default=3)
+    p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--corners", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_inclusions)
 
     p = verify.add_parser("convexity", parents=[common])
     p.add_argument("--input", default=None)
     p.add_argument("--ensemble", choices=("pauli",), default=None)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--p", type=positive_int, default=1)
+    p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--floor", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_verify_convexity)
 
     p = verify.add_parser("perturbation", parents=[common])
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--p", type=positive_int, default=1)
+    p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_perturbation)
 
     return parser
@@ -432,7 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except FileNotFoundError as e:

@@ -60,7 +60,7 @@ class MatPoint:
         B = np.asarray(self.blocks, dtype=complex)
         if B.ndim != 3 or B.shape[1] != B.shape[2]:
             raise DimensionError(f"expected (m, q, q) array, got shape {B.shape}")
-        if not np.all(np.isfinite(B.view(float))):
+        if not np.isfinite(B).all():
             raise DimensionError("blocks must be finite")
         for j in range(B.shape[0]):
             d = herm_defect(B[j])
@@ -471,15 +471,15 @@ def _first_success(run_one, n_restarts: int, threads: int):
 
     With threads > 1 the restarts are evaluated in fixed-size batches and the
     smallest qualifying index still wins, so the answer does not depend on
-    the worker count.
+    the worker count.  Before any restart has run, the best residual is inf.
     """
-    best = None
+    best = (np.inf, None)
     if threads <= 1:
         for r in range(n_restarts):
             ok, payload = run_one(r)
             if ok:
-                return payload, None if best is None else best
-            if best is None or payload[0] < best[0]:
+                return payload, best
+            if payload[0] < best[0]:
                 best = payload
         return None, best
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -490,7 +490,7 @@ def _first_success(run_one, n_restarts: int, threads: int):
                 if ok:
                     return payload, best
             for _, payload in results:
-                if best is None or payload[0] < best[0]:
+                if payload[0] < best[0]:
                     best = payload
     return None, best
 

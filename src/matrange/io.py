@@ -97,7 +97,7 @@ def _matrix_parse(rows, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: entries must be [re, im] pairs") from None
     if arr.ndim != 2:
         raise SchemaError(f"{what}: not a matrix")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"{what}: non-finite entry")
     return arr
 

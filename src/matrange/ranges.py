@@ -49,13 +49,19 @@ class Boundary2D:
     degenerate: str = "full"  # "full" | "segment" | "point"
 
     def gap(self) -> float:
-        """Largest support slack of the inner polygon, a convergence measure."""
+        """Largest distance, along the mid-angle normal of two consecutive
+        supporting lines, from the inner vertex polygon out to the corner
+        where the lines meet; a convergence measure."""
         if len(self.angles) == 0 or self.degenerate == "point":
             return 0.0
-        inner = np.array([
-            np.max(np.real(np.exp(-1j * a) * self.vertices)) for a in self.angles
-        ])
-        return float(np.max(self.support - inner))
+        # the vertices follow the convex boundary, so at a mid-angle the inner
+        # polygon's support is attained at one of the two adjacent vertices
+        step = np.mod(np.roll(self.angles, -1) - self.angles, 2.0 * np.pi)
+        mid = np.exp(-1j * (self.angles + 0.5 * step))
+        outer = (self.support + np.roll(self.support, -1)) / (2.0 * np.cos(0.5 * step))
+        inner = np.maximum(np.real(mid * self.vertices),
+                           np.real(mid * np.roll(self.vertices, -1)))
+        return float(np.max(outer - inner))
 
 
 def hermitian_embed(T) -> HermitianTuple:
@@ -66,7 +72,7 @@ def hermitian_embed(T) -> HermitianTuple:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionError(f"expected (m, n, n) complex array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise DimensionError("matrix entries must be finite")
     m, n, _ = arr.shape
     out = np.empty((2 * m, n, n), dtype=complex)
@@ -129,31 +135,38 @@ def rank_k_interval(A, k: int) -> Interval:
     return Interval(lo=lo, hi=hi)
 
 
+STACK_ENTRIES = 2**20  # complex entries (16 MiB) per stack of angle matrices
+
+
 def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
     """Boundary of W(A) for a complex square matrix by supporting lines.
 
     For each angle the top eigenvector x of Re(exp(-i angle) A) contributes
-    the vertex x* A x and the support value (the top eigenvalue).  Degenerate
-    ranges are tagged: "point" for scalar-like matrices, "segment" when the
-    vertex polygon has vanishing area (normal matrices with collinear
-    eigenvalues, e.g. Hermitian A).
+    the vertex x* A x and the support value (the top eigenvalue); the angle
+    matrices are diagonalized in stacks of at most STACK_ENTRIES entries.
+    Degenerate ranges are tagged: "point" for scalar-like matrices,
+    "segment" when the vertex polygon has vanishing area (normal matrices
+    with collinear eigenvalues, e.g. Hermitian A).
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise DimensionError(f"expected a nonempty square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise DimensionError("matrix entries must be finite")
     if n_angles < 3:
         raise DimensionError("need at least 3 angles")
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     verts = np.empty(n_angles, dtype=complex)
     supp = np.empty(n_angles)
-    for i, th in enumerate(angles):
-        H = hermitize(np.exp(-1j * th) * A)
-        w, V = herm_eig(H)
-        x = V[:, 0]
-        verts[i] = np.conj(x) @ (A @ x)
-        supp[i] = w[0]
+    AH = np.conj(A.T)
+    chunk = max(1, STACK_ENTRIES // A.size)
+    for lo in range(0, n_angles, chunk):
+        ph = np.exp(-1j * angles[lo:lo + chunk])[:, None, None]
+        # H_t = Re(exp(-i angle_t) A), built exactly Hermitian
+        w, V = herm_eig(0.5 * (ph * A + np.conj(ph) * AH))
+        X = V[:, :, 0]
+        verts[lo:lo + chunk] = np.einsum("ti,ij,tj->t", np.conj(X), A, X)
+        supp[lo:lo + chunk] = w[:, 0]
     scale = max(1.0, frob(A))
     diam = 0.0
     if n_angles <= 1500:

@@ -315,6 +315,28 @@ class TestErrors:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--restarts", "0"],
+        ["sample", "pq", "--input", "{pair}", "--p", "0", "--q", "1"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "0"],
+        ["construct", "essential", "--input", "{pair}", "--q", "1", "--r-max", "0"],
+        ["construct", "essential", "--input", "{pair}", "--q", "1", "--r-max", "1",
+         "--n-dirs", "0"],
+        ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "1.5"],
+        ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "-0.1"],
+    ])
+    def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
+        path = tmp_path / "pair8.json"
+        save_tuple(gue(2, 8, 11), path)
+        out = tmp_path / "out.json"
+        rc = main([a.replace("{pair}", str(path)) for a in argv] + ["--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 

@@ -53,6 +53,22 @@ def random_matpoint(m, q, seed):
     return MatPoint(blocks)
 
 
+def test_matpoint_accepts_strided_input():
+    B = random_matpoint(2, 3, seed=4).blocks
+    view = B.conj().transpose(0, 2, 1)  # equal to B, last axis not contiguous
+    assert not view.flags.c_contiguous
+    assert np.allclose(MatPoint(view).blocks, B)
+
+
+def test_zero_restarts_reject_with_infinite_residual():
+    A = gue(2, 6, 3)
+    opts = SolverOptions(max_restarts=0)
+    for got in (solve_free(A, 1, 1, opts),
+                membership(A, random_matpoint(2, 1, seed=1), 1, opts)):
+        assert isinstance(got, Rejection)
+        assert got.best_residual == np.inf and got.restarts == 0
+
+
 # ---------------------------------------------------------------------------
 # flattening
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.linalg import (
     DimensionError,
@@ -68,6 +69,44 @@ def test_eig_agrees_with_lapack():
         w, _ = herm_eig(A)
         ref = np.sort(np.linalg.eigvalsh(A))[::-1]
         assert np.allclose(w, ref, atol=1e-10 * max(1, frob(A)))
+
+
+def test_eig_rejects_non_hermitian_slice_of_stack():
+    stack = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]).astype(complex)
+    with pytest.raises(DimensionError, match="slice"):
+        herm_eig(stack)
+
+
+def hermitian_stack(seed, shape, n, ties):
+    """Stack U diag(w) U* of Hermitian matrices; with ties, w repeats values."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    U, _ = np.linalg.qr(G)
+    if ties:
+        w = rng.integers(-2, 3, size=shape + (n,)).astype(float)
+    else:
+        w = rng.standard_normal(shape + (n,))
+    A = (U * w[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+       n=st.integers(1, 12), ties=st.booleans(),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_eig_stack_properties(seed, shape, n, ties, scale):
+    A = scale * hermitian_stack(seed, shape, n, ties)
+    w, V = herm_eig(A)
+    assert w.shape == shape + (n,) and V.shape == shape + (n, n)
+    assert np.all(np.diff(w, axis=-1) <= 0)
+    unit = np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    resid = np.linalg.norm(A @ V - V * w[..., None, :], axis=(-2, -1))
+    assert np.all(resid <= 1e-10 * unit)
+    VhV = np.conj(np.swapaxes(V, -1, -2)) @ V
+    assert np.all(np.linalg.norm(VhV - np.eye(n), axis=(-2, -1)) <= 1e-10)
+    ref = np.linalg.eigvalsh(A)[..., ::-1]
+    assert np.all(np.abs(w - ref) <= 1e-12 * unit[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +276,15 @@ def test_tuple_validation():
         HermitianTuple(bad)
     with pytest.raises(DimensionError):
         HermitianTuple(np.full((1, 2, 2), np.nan, dtype=complex))
+
+
+def test_tuple_accepts_strided_input():
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
+    H = (G + np.conj(np.transpose(G, (0, 2, 1)))) / 2
+    view = H.conj().transpose(0, 2, 1)  # equal to H, last axis not contiguous
+    assert not view.flags.c_contiguous
+    assert np.allclose(HermitianTuple(view).mats, H)
 
 
 def test_as_tuple_coercions():

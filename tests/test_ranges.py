@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.linalg import DimensionError, HermitianTuple, frob
 from matrange.ranges import (
+    STACK_ENTRIES,
     hermitian_embed,
     joint_numrange_sample,
     numrange_boundary,
@@ -58,6 +60,51 @@ def test_boundary_refinement_shrinks_gap():
     M = random_complex(6, rng)
     gaps = [numrange_boundary(M, n_angles=a).gap() for a in (8, 32, 128)]
     assert gaps[0] >= gaps[1] >= gaps[2] >= 0.0
+
+
+@pytest.mark.parametrize("n_angles", [8, 32, 256])
+def test_gap_of_disk_matches_closed_form(n_angles):
+    # W([[0, 2], [0, 0]]) is the unit disk: the supporting lines cut out a
+    # circumscribed regular polygon (corner support 1/cos(pi/N)) and the
+    # vertices form an inscribed one (mid-angle support cos(pi/N))
+    J = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    c = np.cos(np.pi / n_angles)
+    assert abs(numrange_boundary(J, n_angles=n_angles).gap() - (1 / c - c)) <= 1e-12
+
+
+def check_boundary_against_eigvalsh(M, n_angles):
+    """Supports equal a per-angle eigvalsh reference, and each vertex
+    attains its own supporting line."""
+    bd = numrange_boundary(M, n_angles=n_angles)
+    ref = np.array([
+        np.max(np.linalg.eigvalsh(0.5 * (np.exp(-1j * t) * M + np.exp(1j * t) * np.conj(M.T))))
+        for t in bd.angles
+    ])
+    tol = 1e-9 * max(1.0, frob(M))
+    assert np.all(np.abs(bd.support - ref) <= tol)
+    attained = np.real(np.exp(-1j * bd.angles) * bd.vertices)
+    assert np.all(np.abs(attained - bd.support) <= tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+       n_angles=st.integers(3, 80), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_boundary_supports_match_eigvalsh(seed, n, n_angles, scale):
+    check_boundary_against_eigvalsh(scale * random_complex(n, np.random.default_rng(seed)),
+                                    n_angles)
+
+
+def test_boundary_across_several_stacks():
+    n, n_angles = 64, 300
+    assert n_angles * n * n > STACK_ENTRIES  # more than one stack
+    check_boundary_against_eigvalsh(random_complex(n, np.random.default_rng(12)), n_angles)
+
+
+def test_boundary_accepts_strided_input():
+    M = random_complex(5, np.random.default_rng(14))
+    bd = numrange_boundary(M.T, n_angles=16)
+    ref = numrange_boundary(np.ascontiguousarray(M.T), n_angles=16)
+    assert np.allclose(bd.support, ref.support, atol=1e-12)
 
 
 def test_boundary_vertices_on_supporting_lines():
