@@ -72,11 +72,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
+
+
+positive_int = int_at_least(1)
 
 
 def unit_interval(text: str) -> float:
@@ -96,7 +103,7 @@ def _emit(text: str, out_path) -> None:
 
 def _opts(args) -> SolverOptions:
     return SolverOptions(accept_tol=args.accept_tol, max_restarts=args.restarts,
-                         seed=args.seed, threads=args.threads)
+                         seed=args.seed)
 
 
 def _load_hermitian(path, embed: bool) -> HermitianTuple:
@@ -340,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--accept-tol", type=float, default=1e-8)
     common.add_argument("--restarts", type=positive_int, default=50)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
     parser = _Parser(prog="matrange",
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--count", type=positive_int, default=16)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_sample_pq)
 
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--r-max", type=positive_int, required=True)
     p.add_argument("--n-dirs", type=positive_int, default=64)
-    p.add_argument("--n-free", type=int, default=4)
+    p.add_argument("--n-free", type=int_at_least(0), default=4)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_essential)
 
@@ -404,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=positive_int, default=1)
     p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--blocks", type=int_at_least(2), default=4)
+    p.add_argument("--points", type=positive_int, default=20)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.add_argument("--embed", action="store_true")
     p.set_defaults(func=cmd_verify_star)
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify.add_parser("bounds", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--bound", choices=("general", "refined"), default="general")
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_bounds)
@@ -424,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=positive_int, default=3)
     p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--corners", type=int, default=5)
+    p.add_argument("--trials", type=positive_int, default=10)
+    p.add_argument("--corners", type=positive_int, default=5)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_inclusions)
 
@@ -434,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=("pauli",), default=None)
     p.add_argument("--p", type=positive_int, default=1)
     p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=positive_int, default=10)
     p.add_argument("--floor", type=float, default=0.5)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.add_argument("--embed", action="store_true")
@@ -445,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=positive_int, default=1)
     p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=positive_int, default=10)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_perturbation)

@@ -54,6 +54,7 @@ from .linalg import (
     ISO_TOL,
     as_tuple,
     compress,
+    coordinate_isometry,
     frob,
     random_isometry,
 )
@@ -107,12 +108,9 @@ def corner_compress(A, corner: CornerSpec) -> HermitianTuple:
 
 def coordinate_corner(n: int, removed) -> CornerSpec:
     """The corner deleting the listed coordinates."""
-    removed = sorted(set(removed))
+    removed = set(removed)
     keep = [i for i in range(n) if i not in removed]
-    Y = np.zeros((n, len(keep)), dtype=complex)
-    for j, i in enumerate(keep):
-        Y[i, j] = 1.0
-    return CornerSpec(r=len(removed), complement=Isometry(Y))
+    return CornerSpec(r=len(removed), complement=coordinate_isometry(n, keep))
 
 
 def annihilating_corner(F) -> CornerSpec:
@@ -147,9 +145,10 @@ class StarCenter:
     restricted: Certificate
 
 
-def _restrict_scalar_certificate(A, cert: Certificate, p: int, q: int,
-                                 center: MatPoint) -> Certificate:
-    X = cert.witness.mat[:, : p * q]
+def _restrict_certificate(A, cert: Certificate, p: int,
+                          center: MatPoint) -> Certificate:
+    """Certify center at level p by the first p q columns of cert's witness."""
+    X = cert.witness.mat[:, : p * center.q]
     W = Isometry(X, tol=cert.witness.tol)
     return Certificate(point=center, p=p, witness=W,
                        residual=residual(A, W, p, center))
@@ -183,7 +182,7 @@ def star_center_scalar(A, p: int, q: int, opts: SolverOptions = SolverOptions())
     values, cert = out
     center = MatPoint.scalar(values, q)
     return StarCenter(center=center, p=p, q=q, certificate=cert,
-                      restricted=_restrict_scalar_certificate(A, cert, p, q, center))
+                      restricted=_restrict_certificate(A, cert, p, center))
 
 
 def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
@@ -205,13 +204,8 @@ def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions())
     out = solve_free(A, p_deep, q, opts)
     if isinstance(out, Rejection):
         return out
-    center = out.point
-    X = out.witness.mat[:, : p * q]
-    W = Isometry(X, tol=out.witness.tol)
-    restricted = Certificate(point=center, p=p, witness=W,
-                             residual=residual(A, W, p, center))
-    return StarCenter(center=center, p=p, q=q, certificate=out,
-                      restricted=restricted)
+    return StarCenter(center=out.point, p=p, q=q, certificate=out,
+                      restricted=_restrict_certificate(A, out, p, out.point))
 
 
 def star_center_complex(T, p: int, q: int, opts: SolverOptions = SolverOptions()):

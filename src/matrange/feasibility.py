@@ -20,7 +20,6 @@ in the closed set fattened by accept_tol.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +32,22 @@ from .linalg import (
     frob,
     herm_defect,
     hermitize,
+    _inflate,
     _qr_fix,
     random_isometry,
 )
+
+# Armijo line search: first step, shrink factor, sufficient-decrease slope, cap
+ARMIJO_INIT = 1.0
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 1e-4
+ARMIJO_MAX_BACKTRACKS = 60
+# descent stops when the objective drops less than STAGNATION_TOL over
+# STAGNATION_WINDOW accepted steps
+STAGNATION_WINDOW = 50
+STAGNATION_TOL = 1e-16
+SUPPORT_KICK = 1e-5  # tangent kick between support penalty stages
+POLISH_ITERS = 20  # Gauss-Newton steps after descent stalls above accept_tol
 
 
 class StructuralInfeasibility(ValueError):
@@ -187,21 +199,11 @@ class SolverOptions:
     max_restarts: int = 50
     max_iters: int = 2000
     seed: int = 0
-    armijo_init: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    armijo_max_backtracks: int = 60
-    stagnation_window: int = 50
-    stagnation_tol: float = 1e-16
-    threads: int = 1
-    # support-directed solves: penalty schedule and saddle-escape kicks
+    # support-directed solves: penalty schedule and restart count
     support_stages: int = 9
     support_growth: float = 8.0
     support_stage_iters: int = 150
     support_restarts: int = 2
-    support_kick: float = 1e-5
-    # Gauss-Newton tail applied when first-order descent stalls; 0 disables
-    polish_iters: int = 20
 
     def replace(self, **kw) -> "SolverOptions":
         return dataclasses.replace(self, **kw)
@@ -244,15 +246,6 @@ class PointCloud:
         if self.kind != "matpoint":
             raise ValueError("only matpoint clouds decode to MatPoints")
         return [MatPoint.unflatten(row, self.m, self.q) for row in self.coords]
-
-
-def _inflate(B: np.ndarray, p: int) -> np.ndarray:
-    """(m, q, q) blocks -> (m, pq, pq) block diagonals I_p (x) B_j."""
-    m, q, _ = B.shape
-    out = np.zeros((m, p * q, p * q), dtype=complex)
-    for i in range(p):
-        out[:, i * q:(i + 1) * q, i * q:(i + 1) * q] = B
-    return out
 
 
 def _block_average(S: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -373,22 +366,22 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
         g2 = float(np.sum(np.abs(Gt) ** 2))
         if g2 <= 1e-30:
             break
-        t = opts.armijo_init
+        t = ARMIJO_INIT
         accepted = False
-        for _ in range(opts.armijo_max_backtracks):
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
             Xt = _qr_fix(X - t * Gt)
             ht, R2t, AXt, Et, Bt = evaluate(Xt)
-            if ht <= h - opts.armijo_slope * t * g2:
+            if ht <= h - ARMIJO_SLOPE * t * g2:
                 accepted = True
                 break
-            t *= opts.armijo_shrink
+            t *= ARMIJO_SHRINK
         if not accepted:
             break
         X, h, R2, AX, E, B = Xt, ht, R2t, AXt, Et, Bt
         hist.append(h)
-        if len(hist) > opts.stagnation_window:
-            drop = hist[-opts.stagnation_window - 1] - h
-            limit = opts.stagnation_tol if direction is None \
+        if len(hist) > STAGNATION_WINDOW:
+            drop = hist[-STAGNATION_WINDOW - 1] - h
+            limit = STAGNATION_TOL if direction is None \
                 else 1e-13 * max(1.0, abs(h))
             if drop < limit:
                 break
@@ -436,7 +429,7 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
 
     E, R2 = resid(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
-    for _ in range(opts.polish_iters):
+    for _ in range(POLISH_ITERS):
         if R2 <= tol2:
             break
         AX = Amats @ X
@@ -466,32 +459,44 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
     return X, R2
 
 
-def _first_success(run_one, n_restarts: int, threads: int):
-    """Run restarts in index order, returning the first qualifying result.
+def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
+    """The witness width p*q; StructuralInfeasibility when it exceeds n."""
+    k = p * q
+    if k > A.n:
+        raise StructuralInfeasibility(
+            f"witness needs p*q = {k} columns but the tuple dimension is {A.n}"
+        )
+    return k
 
-    With threads > 1 the restarts are evaluated in fixed-size batches and the
-    smallest qualifying index still wins, so the answer does not depend on
-    the worker count.  Before any restart has run, the best residual is inf.
+
+def _solve_from(Amats, X, p, q, opts: SolverOptions, target=None):
+    """Descend from X, then polish if still above accept_tol.
+
+    Fixed-target mode when target is given, free mode otherwise.
+    Returns (X, residual).
     """
-    best = (np.inf, None)
-    if threads <= 1:
-        for r in range(n_restarts):
-            ok, payload = run_one(r)
-            if ok:
-                return payload, best
-            if payload[0] < best[0]:
-                best = payload
-        return None, best
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, n_restarts, threads):
-            batch = list(range(start, min(start + threads, n_restarts)))
-            results = list(pool.map(run_one, batch))
-            for ok, payload in results:
-                if ok:
-                    return payload, best
-            for _, payload in results:
-                if payload[0] < best[0]:
-                    best = payload
+    X, _, R2 = _descend(Amats, X, p, q, opts, opts.max_iters, target=target)
+    if np.sqrt(R2) > opts.accept_tol:
+        X, R2 = _polish(Amats, X, p, q, opts, target=target)
+    return X, float(np.sqrt(R2))
+
+
+def _first_success(A: HermitianTuple, p: int, q: int, opts: SolverOptions,
+                   target=None):
+    """Restart r = 0, 1, ... from the Haar start seeded opts.seed + r.
+
+    Returns (X, residual) of the first restart that reaches accept_tol, or
+    (None, best residual) after max_restarts failures; before any restart
+    has run, the best residual is inf.
+    """
+    k = _witness_columns(A, p, q)
+    best = np.inf
+    for r in range(opts.max_restarts):
+        X0 = random_isometry(A.n, k, opts.seed + r)
+        X, res = _solve_from(A.mats, X0.mat, p, q, opts, target)
+        if res <= opts.accept_tol:
+            return X, res
+        best = min(best, res)
     return None, best
 
 
@@ -503,57 +508,24 @@ def membership(A, B: MatPoint, p: int, opts: SolverOptions = SolverOptions()):
     p * q exceeds the tuple dimension.
     """
     A = as_tuple(A)
-    q = B.q
-    k = p * q
     if B.m != A.m:
         raise DimensionError(f"point length {B.m} does not match tuple length {A.m}")
-    if k > A.n:
-        raise StructuralInfeasibility(
-            f"witness needs p*q = {k} columns but the tuple dimension is {A.n}"
-        )
-
-    def run_one(r):
-        X0 = random_isometry(A.n, k, opts.seed + r)
-        X, _, R2 = _descend(A.mats, X0.mat, p, q, opts, opts.max_iters,
-                            target=B.blocks)
-        if np.sqrt(R2) > opts.accept_tol and opts.polish_iters > 0:
-            X, R2 = _polish(A.mats, X, p, q, opts, target=B.blocks)
-        res = float(np.sqrt(R2))
-        ok = res <= opts.accept_tol
-        return ok, (res, X)
-
-    winner, best = _first_success(run_one, opts.max_restarts, opts.threads)
-    if winner is not None:
-        res, X = winner
-        W = Isometry(X)
-        return Certificate(point=B, p=p, witness=W, residual=residual(A, W, p, B))
-    return Rejection(best_residual=best[0], restarts=opts.max_restarts,
-                     message="no witness found at the requested tolerance")
+    X, res = _first_success(A, p, B.q, opts, target=B.blocks)
+    if X is None:
+        return Rejection(best_residual=res, restarts=opts.max_restarts,
+                         message="no witness found at the requested tolerance")
+    W = Isometry(X)
+    return Certificate(point=B, p=p, witness=W, residual=residual(A, W, p, B))
 
 
 def solve_free(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
     """Find any point of the (p, q) range of A, with certificate."""
     A = as_tuple(A)
-    k = p * q
-    if k > A.n:
-        raise StructuralInfeasibility(
-            f"witness needs p*q = {k} columns but the tuple dimension is {A.n}"
-        )
-
-    def run_one(r):
-        X0 = random_isometry(A.n, k, opts.seed + r)
-        X, Bb, R2 = _descend(A.mats, X0.mat, p, q, opts, opts.max_iters)
-        if np.sqrt(R2) > opts.accept_tol and opts.polish_iters > 0:
-            X, R2 = _polish(A.mats, X, p, q, opts)
-        res = float(np.sqrt(R2))
-        return res <= opts.accept_tol, (res, X)
-
-    winner, best = _first_success(run_one, opts.max_restarts, opts.threads)
-    if winner is not None:
-        _, X = winner
-        return certify(A, Isometry(X), p)
-    return Rejection(best_residual=best[0], restarts=opts.max_restarts,
-                     message="free solve found no feasible block")
+    X, res = _first_success(A, p, q, opts)
+    if X is None:
+        return Rejection(best_residual=res, restarts=opts.max_restarts,
+                         message="free solve found no feasible block")
+    return certify(A, Isometry(X), p)
 
 
 def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOptions()):
@@ -567,11 +539,7 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
     Rejection if no restart reached accept_tol.
     """
     A = as_tuple(A)
-    k = p * q
-    if k > A.n:
-        raise StructuralInfeasibility(
-            f"witness needs p*q = {k} columns but the tuple dimension is {A.n}"
-        )
+    k = _witness_columns(A, p, q)
     direction = np.asarray(direction, dtype=float)
     U = unflatten_blocks(direction, A.m, q)
     scale = A.scale()
@@ -587,12 +555,9 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
                                 direction=U, mu=mu)
             mu *= opts.support_growth
             if stage < opts.support_stages - 1 and R2 > 1e-24:
-                X = _tangent_kick(X, opts.support_kick, seed * 1000003 + stage)
-        X = _tangent_kick(X, opts.support_kick * 1e-2, seed * 1000003 + 999983)
-        X, _, R2 = _descend(A.mats, X, p, q, opts, opts.max_iters)
-        if np.sqrt(R2) > opts.accept_tol and opts.polish_iters > 0:
-            X, R2 = _polish(A.mats, X, p, q, opts)
-        res = float(np.sqrt(R2))
+                X = _tangent_kick(X, SUPPORT_KICK, seed * 1000003 + stage)
+        X = _tangent_kick(X, SUPPORT_KICK * 1e-2, seed * 1000003 + 999983)
+        X, res = _solve_from(A.mats, X, p, q, opts)
         if res <= opts.accept_tol:
             cert = certify(A, Isometry(X), p)
             val = float(direction @ cert.point.flatten())

@@ -228,17 +228,21 @@ def compress(A, X: Isometry) -> HermitianTuple:
     return HermitianTuple(out)
 
 
+def _inflate(B: np.ndarray, p: int) -> np.ndarray:
+    """(m, q, q) blocks -> (m, pq, pq) block diagonals I_p (x) B_j, unvalidated."""
+    m, q, _ = B.shape
+    out = np.zeros((m, p * q, p * q), dtype=complex)
+    for i in range(p):
+        out[:, i * q:(i + 1) * q, i * q:(i + 1) * q] = B
+    return out
+
+
 def kron_block(p: int, B) -> HermitianTuple:
     """Inflate a q-tuple to the pq-tuple (I_p (x) B_1, ..., I_p (x) B_m)."""
     B = as_tuple(B)
     if p < 1:
         raise DimensionError(f"need p >= 1, got {p}")
-    q = B.n
-    out = np.zeros((B.m, p * q, p * q), dtype=complex)
-    for j in range(B.m):
-        for i in range(p):
-            out[j, i * q:(i + 1) * q, i * q:(i + 1) * q] = B.mats[j]
-    return HermitianTuple(out)
+    return HermitianTuple(_inflate(B.mats, p))
 
 
 def direct_sum(A, B) -> HermitianTuple:

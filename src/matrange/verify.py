@@ -158,6 +158,14 @@ def random_finite_rank_tuple(m: int, n: int, rank: int, seed: int) -> HermitianT
 # suites
 
 
+def _accepted(got, accept_tol: float) -> tuple[bool, float]:
+    """(accepted, residual) of a Certificate or Rejection; a Rejection
+    reports its best residual and is never accepted."""
+    if isinstance(got, Certificate):
+        return got.residual <= accept_tol, got.residual
+    return False, got.best_residual
+
+
 def check_star_shaped(A, p: int, q: int, n_points: int = 20,
                       t_grid=(0.25, 0.5, 0.75),
                       opts: SolverOptions = SolverOptions(),
@@ -206,10 +214,10 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
             target = MatPoint(t * B.blocks + (1.0 - t) * center.blocks)
             seed_i = opts.seed + 104729 * trials
             got = membership(A, target, p, opts.replace(seed=seed_i))
-            if isinstance(got, Certificate) and got.residual <= opts.accept_tol:
+            ok, best = _accepted(got, opts.accept_tol)
+            if ok:
                 passes += 1
             else:
-                best = got.best_residual if isinstance(got, Rejection) else got.residual
                 failures.append((seed_i, f"point {i}, t={t}: best residual {best:.3e}"))
     return SuiteReport(suite="star-shaped", trials=trials, passes=passes,
                        failures=tuple(failures),
@@ -288,10 +296,10 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
             corner = random_corner(n, r, seed_c)
             inner = corner_compress(A, corner)
             got = membership(inner, base.point, p_low, opts.replace(seed=seed_c))
-            if isinstance(got, Certificate) and got.residual <= opts.accept_tol:
+            ok, best = _accepted(got, opts.accept_tol)
+            if ok:
                 passes += 1
             else:
-                best = got.best_residual if isinstance(got, Rejection) else got.residual
                 failures.append((seed_c, f"corner re-cert failed: best {best:.3e}"))
     total = trials * corners
     return SuiteReport(suite="corner-inclusions", trials=total, passes=passes,
@@ -321,10 +329,10 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
         M = MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0)
         seed_i = opts.seed + 53 * (i + 1)
         got = membership(A, M, p, opts.replace(seed=seed_i))
-        if isinstance(got, Certificate) and got.residual <= opts.accept_tol:
+        ok, best = _accepted(got, opts.accept_tol)
+        if ok:
             passes += 1
         else:
-            best = got.best_residual if isinstance(got, Rejection) else got.residual
             failures.append((seed_i, f"midpoint {i}-{i + 1}: best {best:.3e}"))
     return SuiteReport(suite="convexity-midpoints", trials=trials, passes=passes,
                        failures=tuple(failures),

@@ -324,6 +324,19 @@ class TestErrors:
          "--n-dirs", "0"],
         ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "1.5"],
         ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "-0.1"],
+        ["verify", "star", "--planted", "--blocks", "0"],
+        ["verify", "star", "--planted", "--blocks", "1"],
+        ["verify", "star", "--input", "{pair}", "--points", "0"],
+        ["verify", "bounds", "--m", "2", "--k", "2", "--trials", "0"],
+        ["verify", "inclusions", "--trials", "0"],
+        ["verify", "inclusions", "--corners", "0"],
+        ["verify", "convexity", "--input", "{pair}", "--pairs", "0"],
+        ["verify", "perturbation", "--trials", "0"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--count", "0"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--count", "-1"],
+        ["construct", "essential", "--input", "{pair}", "--q", "1", "--r-max", "1",
+         "--n-free", "-3"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--threads", "2"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"

@@ -250,14 +250,12 @@ def test_free_objective_gradient_matches_finite_differences():
 # determinism
 
 
-def test_solver_determinism_and_thread_independence():
+def test_solver_determinism():
     A = gue(2, 9, seed=23)
-    a = solve_free(A, 2, 1, SolverOptions(seed=5, threads=1))
-    b = solve_free(A, 2, 1, SolverOptions(seed=5, threads=1))
-    c = solve_free(A, 2, 1, SolverOptions(seed=5, threads=3))
+    a = solve_free(A, 2, 1, SolverOptions(seed=5))
+    b = solve_free(A, 2, 1, SolverOptions(seed=5))
     assert np.array_equal(a.witness.mat, b.witness.mat)
-    assert np.array_equal(a.witness.mat, c.witness.mat)
-    assert a.residual == b.residual == c.residual
+    assert a.residual == b.residual
 
 
 def test_sample_range_deterministic_and_metadata():

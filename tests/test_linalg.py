@@ -239,6 +239,16 @@ def test_kron_block_identities():
     assert np.allclose(kron_block(2, one).mats[0], np.eye(2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), q=st.integers(1, 4),
+       m=st.integers(1, 3))
+def test_kron_block_matches_numpy_kron(seed, p, q, m):
+    B = HermitianTuple(hermitian_stack(seed, (m,), q, ties=False))
+    K = kron_block(p, B)
+    for j in range(m):
+        assert np.array_equal(K.mats[j], np.kron(np.eye(p), B.mats[j]))
+
+
 def test_direct_sum_spectra_union():
     rng = np.random.default_rng(23)
     A = HermitianTuple(np.stack([random_hermitian(3, rng)]))

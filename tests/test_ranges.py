@@ -1,5 +1,7 @@
 """Classical boundary, rank-k intervals, embeddings, joint sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,24 @@ def test_boundary_accepts_strided_input():
     bd = numrange_boundary(M.T, n_angles=16)
     ref = numrange_boundary(np.ascontiguousarray(M.T), n_angles=16)
     assert np.allclose(bd.support, ref.support, atol=1e-12)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_degeneracy_tag_memory_bounded_and_continuous(hermitian):
+    # the tag's diameter estimate must not form the n_angles^2 vertex
+    # differences, nor change its formula at some angle count
+    M = random_complex(4, np.random.default_rng(16))
+    if hermitian:
+        M = M + np.conj(M.T)
+    tracemalloc.start()
+    try:
+        bd = numrange_boundary(M, n_angles=1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert bd.degenerate == numrange_boundary(M, n_angles=1501).degenerate
+    assert bd.degenerate == ("segment" if hermitian else "full")
 
 
 def test_boundary_vertices_on_supporting_lines():
