@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_star)
 
     p = verify.add_parser("bounds", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int_at_least(0), required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--bound", choices=("general", "refined"), default="general")
     p.add_argument("--threshold", type=unit_interval, default=0.95)
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=18)
     p.add_argument("--p", type=positive_int, default=3)
     p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=positive_int, default=1)
     p.add_argument("--trials", type=positive_int, default=10)
     p.add_argument("--corners", type=positive_int, default=5)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=positive_int, default=1)
     p.add_argument("--q", type=positive_int, default=1)
     p.add_argument("--trials", type=positive_int, default=10)
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=positive_int, default=2)
     p.add_argument("--threshold", type=unit_interval, default=0.95)
     p.set_defaults(func=cmd_verify_perturbation)
 

@@ -59,7 +59,7 @@ from .linalg import (
     random_isometry,
 )
 from .ranges import hermitian_embed
-from .tverberg import PartitionResult, tverberg_partition
+from .tverberg import PartitionResult, _check_scan_size, tverberg_partition
 
 
 class DeflationError(RuntimeError):
@@ -411,6 +411,7 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
         raise StructuralInfeasibility(
             f"lift needs d = {d} deflated blocks, so dimension at least {need}, got {A.n}"
         )
+    _check_scan_size(d)
     family = orthogonal_block_family(A, q, d, opts)
     pts = np.array([c.point.flatten() for c in family.members])
     part = tverberg_partition(pts, p)

@@ -29,9 +29,7 @@ from .linalg import (
     HermitianTuple,
     Isometry,
     as_tuple,
-    frob,
     herm_defect,
-    hermitize,
     _inflate,
     _qr_fix,
     random_isometry,
@@ -249,11 +247,22 @@ class PointCloud:
 
 
 def _block_average(S: np.ndarray, p: int, q: int) -> np.ndarray:
-    B = np.zeros((S.shape[0], q, q), dtype=complex)
+    """Average of the p diagonal q-blocks of S (..., pq, pq), re-Hermitized."""
+    B = np.zeros(S.shape[:-2] + (q, q), dtype=complex)
     for i in range(p):
-        B += S[:, i * q:(i + 1) * q, i * q:(i + 1) * q]
+        B += S[..., i * q:(i + 1) * q, i * q:(i + 1) * q]
     B /= p
-    return 0.5 * (B + np.conj(np.transpose(B, (0, 2, 1))))
+    return 0.5 * (B + np.conj(np.swapaxes(B, -1, -2)))
+
+
+def _misfit(S: np.ndarray, p: int, q: int, target=None):
+    """(E, B) with E = S - I_p (x) B, B the target or _block_average(S).
+
+    S stacks compressions X* A_j X as (..., m, pq, pq), any leading batch
+    axes.  Free mode is linear in S, so it also projects Jacobian columns.
+    """
+    B = _block_average(S, p, q) if target is None else target
+    return S - _inflate(B, p), B
 
 
 def residual(A, X: Isometry, p: int, B: MatPoint) -> float:
@@ -265,28 +274,24 @@ def residual(A, X: Isometry, p: int, B: MatPoint) -> float:
         raise DimensionError(f"point length {B.m} does not match tuple length {A.m}")
     if X.k != p * B.q:
         raise DimensionError(f"witness has {X.k} columns, expected p*q = {p * B.q}")
-    AX = A.mats @ X.mat
-    S = np.conj(X.mat.T)[None, :, :] @ AX
-    E = S - _inflate(B.blocks, p)
+    E, _ = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, B.q, B.blocks)
     return float(np.sqrt(np.sum(np.abs(E) ** 2)))
 
 
 def best_block(A, X: Isometry, p: int) -> MatPoint:
     """The B minimizing the residual for fixed X: average of the p diagonal
     q-blocks of each compression X* A_j X, re-Hermitized."""
-    A = as_tuple(A)
-    if X.k % p != 0:
-        raise DimensionError(f"witness columns {X.k} not divisible by p = {p}")
-    q = X.k // p
-    AX = A.mats @ X.mat
-    S = np.conj(X.mat.T)[None, :, :] @ AX
-    return MatPoint(_block_average(S, p, q))
+    return certify(A, X, p).point
 
 
 def certify(A, X: Isometry, p: int) -> Certificate:
     """Wrap an explicit witness into a certificate for its best block."""
-    B = best_block(A, X, p)
-    return Certificate(point=B, p=p, witness=X, residual=residual(A, X, p, B))
+    A = as_tuple(A)
+    if X.k % p != 0:
+        raise DimensionError(f"witness columns {X.k} not divisible by p = {p}")
+    E, B = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, X.k // p)
+    return Certificate(point=MatPoint(B), p=p, witness=X,
+                       residual=float(np.sqrt(np.sum(np.abs(E) ** 2))))
 
 
 def compose_certificate(A, X0: Isometry, cert: Certificate) -> Certificate:
@@ -337,13 +342,10 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     Returns (X, B_blocks, R_squared).
     """
     IpU = _inflate(direction, p) if direction is not None else None
-    Btgt = _inflate(target, p) if target is not None else None
 
     def evaluate(X):
         AX = Amats @ X
-        S = np.conj(X.T)[None, :, :] @ AX
-        B = target if target is not None else _block_average(S, p, q)
-        E = S - (Btgt if Btgt is not None else _inflate(B, p))
+        E, B = _misfit(np.conj(X.T) @ AX, p, q, target)
         R2 = float(np.sum(np.abs(E) ** 2))
         if direction is None:
             h = R2
@@ -388,74 +390,61 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     return X, B, R2
 
 
+def _jacobian(Amats, X, p, q, target=None):
+    """Real Gauss-Newton matrix of E = X* A_j X - I_p (x) B_j at X.
+
+    Column a*k + b (then nk + a*k + b) is the derivative of (Re E, Im E)
+    along the tangent projection of D = e_ab (then i e_ab).  With
+    P_j = X* A_j, S_j = P_j X and H = sym(X* D), D moves E_j by
+    P_j D + (P_j D)* - (S_j H + H S_j); the unit directions place P_j[:, a]
+    and conj(X[a, :]) in column b of P_j D and X* D.  In free mode _misfit
+    projects the columns too, so the optimal B stays eliminated.
+    """
+    n, k = X.shape
+    unit = np.array([1.0, 1j])                    # D = e_ab, then i e_ab
+    P = np.conj(X.T) @ Amats                      # (m, k, n)
+    S = P @ X
+    PD = np.einsum("r,jca,be->rabjce", unit, P, np.eye(k)).reshape(2 * n * k, -1, k, k)
+    XD = np.einsum("r,ac,be->rabce", unit, np.conj(X), np.eye(k)).reshape(2 * n * k, 1, k, k)
+    H = 0.5 * (XD + np.conj(np.swapaxes(XD, -1, -2)))
+    L = PD + np.conj(np.swapaxes(PD, -1, -2)) - (S @ H + H @ S)
+    if target is None:
+        L, _ = _misfit(L, p, q)
+    Lf = L.reshape(2 * n * k, -1).T
+    return np.concatenate([Lf.real, Lf.imag])
+
+
 def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
     """Damped Gauss-Newton tail for iterates the first-order loop left short.
 
-    Linearizes E_j(X + d) ~ E_j + X* A_j d + d* A_j X in the ambient space,
-    solves the real least-squares system for the step d, retracts, and keeps
-    the step only when the residual drops.  In free mode the block-average
-    projection is applied to both the residual and the Jacobian columns, so
-    the optimal B stays eliminated.  Deterministic.
-    Returns (X, R_squared).
+    Solves the real least-squares system of _jacobian for a step in the
+    tangent space at X, so that it survives the QR retraction to first
+    order, retracts, and keeps the step only when the residual drops.
+    Deterministic.  Returns (X, R_squared).
     """
-    n, k = X.shape
-    m = Amats.shape[0]
-    Btgt = _inflate(target, p) if target is not None else None
-    eye = np.eye(n * k)
-    D0 = np.concatenate([eye, 1j * eye]).reshape(2 * n * k, n, k)
-    rows = np.arange(p)
-
-    def tangent_batch(X, D):
-        # project every basis element onto the tangent space at X, so the
-        # solved step survives the QR retraction to first order
-        XD = np.einsum("kn,dnl->dkl", np.conj(X.T), D)
-        H = 0.5 * (XD + np.conj(np.transpose(XD, (0, 2, 1))))
-        return D - np.einsum("nk,dkl->dnl", X, H)
-
-    def project_free(M):
-        # subtract I_p (x) (average diagonal q-block), batched over leading axes
-        V = M.reshape(M.shape[:-2] + (p, q, p, q))
-        diag = V[..., rows, :, rows, :]           # (p, ..., q, q)
-        avg = diag.mean(axis=0)
-        out = M.copy().reshape(V.shape)
-        for i in range(p):
-            out[..., i, :, i, :] -= avg
-        return out.reshape(M.shape)
-
-    def resid(X):
-        S = np.conj(X.T)[None, :, :] @ (Amats @ X)
-        E = S - Btgt if Btgt is not None else project_free(S)
+    def evaluate(X):
+        E, _ = _misfit(np.conj(X.T) @ (Amats @ X), p, q, target)
         return E, float(np.sum(np.abs(E) ** 2))
 
-    E, R2 = resid(X)
+    E, R2 = evaluate(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
     for _ in range(POLISH_ITERS):
         if R2 <= tol2:
             break
-        AX = Amats @ X
-        P = np.conj(X.T) @ Amats                  # (m, k, n)
-        D = tangent_batch(X, D0)
-        L = np.einsum("jkn,dnl->djkl", P, D) \
-            + np.einsum("dna,jnb->djab", np.conj(D), AX)
-        if Btgt is None:
-            L = project_free(L)
-        Lf = L.reshape(2 * n * k, m * k * k).T
-        M = np.concatenate([Lf.real, Lf.imag])
+        M = _jacobian(Amats, X, p, q, target)
         rhs = -np.concatenate([E.ravel().real, E.ravel().imag])
         sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        step = np.einsum("d,dnl->nl", sol, D)
+        step = _tangent(X, (sol[:X.size] + 1j * sol[X.size:]).reshape(X.shape))
         t = 1.0
-        improved = False
         for _ in range(30):
             Xt = _qr_fix(X + t * step)
-            Et, R2t = resid(Xt)
+            Et, R2t = evaluate(Xt)
             if R2t < R2 * (1.0 - 1e-6) or R2t <= tol2:
-                X, E, R2 = Xt, Et, R2t
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
+        X, E, R2 = Xt, Et, R2t
     return X, R2
 
 

@@ -186,8 +186,8 @@ def _qr_fix(M: np.ndarray) -> np.ndarray:
     """Q factor of a reduced QR with the R diagonal rotated to be positive."""
     Q, R = np.linalg.qr(M)
     d = np.diag(R)
-    ph = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1)), 1.0)
-    return Q * np.conj(ph)
+    a = np.abs(d)
+    return Q * np.conj(np.where(a > 0, d / np.where(a > 0, a, 1), 1.0))
 
 
 def random_isometry(n: int, k: int, seed: int) -> Isometry:
@@ -229,11 +229,11 @@ def compress(A, X: Isometry) -> HermitianTuple:
 
 
 def _inflate(B: np.ndarray, p: int) -> np.ndarray:
-    """(m, q, q) blocks -> (m, pq, pq) block diagonals I_p (x) B_j, unvalidated."""
-    m, q, _ = B.shape
-    out = np.zeros((m, p * q, p * q), dtype=complex)
+    """(..., q, q) blocks -> (..., pq, pq) block diagonals I_p (x) B, unvalidated."""
+    q = B.shape[-1]
+    out = np.zeros(B.shape[:-2] + (p * q, p * q), dtype=complex)
     for i in range(p):
-        out[:, i * q:(i + 1) * q, i * q:(i + 1) * q] = B
+        out[..., i * q:(i + 1) * q, i * q:(i + 1) * q] = B
     return out
 
 

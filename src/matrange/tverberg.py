@@ -184,6 +184,12 @@ def lp_common_point(points, parts, feas_tol: float = FEAS_TOL):
     return common, weights, z
 
 
+def _check_scan_size(d: int) -> None:
+    """DimensionError when d points exceed the partition scan's MAX_POINTS."""
+    if d > MAX_POINTS:
+        raise DimensionError(f"partition scan capped at {MAX_POINTS} points, got {d}")
+
+
 def tverberg_partition(points, p: int) -> PartitionResult:
     """First partition (in restricted-growth lexicographic order) of the
     points into p parts with intersecting convex hulls.
@@ -195,8 +201,7 @@ def tverberg_partition(points, p: int) -> PartitionResult:
     if P.ndim != 2:
         raise DimensionError(f"expected (d, D) point array, got shape {P.shape}")
     d, D = P.shape
-    if d > MAX_POINTS:
-        raise DimensionError(f"partition scan capped at {MAX_POINTS} points, got {d}")
+    _check_scan_size(d)
     if p < 1:
         raise DimensionError("need p >= 1")
     if d < p:

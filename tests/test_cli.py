@@ -337,6 +337,11 @@ class TestErrors:
         ["construct", "essential", "--input", "{pair}", "--q", "1", "--r-max", "1",
          "--n-free", "-3"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--threads", "2"],
+        ["verify", "bounds", "--m", "1", "--k", "0", "--trials", "1"],
+        ["verify", "bounds", "--m", "-1", "--k", "2", "--trials", "1"],
+        ["verify", "perturbation", "--rank", "0", "--trials", "1"],
+        ["verify", "perturbation", "--rank", "-1", "--trials", "1"],
+        ["verify", "inclusions", "--r", "0", "--trials", "1"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"

@@ -377,6 +377,18 @@ def test_tverberg_lift_structural_error():
         tverberg_lift(A, 1, 2, SolverOptions(seed=0))
 
 
+def test_tverberg_lift_refuses_scan_cap_before_solving(monkeypatch):
+    # q = 2, m = 2, p = 3 needs d = 19 blocks, above the scan's 14 points;
+    # the lift must refuse before building any deflated block
+    def never(*args, **kwargs):
+        raise AssertionError("deflated_solve called for a lift the scan cannot take")
+
+    monkeypatch.setattr("matrange.constructions.deflated_solve", never)
+    A = gue(2, 116, seed=5)
+    with pytest.raises(DimensionError, match="partition scan capped at 14 points, got 19"):
+        tverberg_lift(A, 2, 3, SolverOptions(seed=0))
+
+
 # ---------------------------------------------------------------------------
 # direction sets
 

@@ -1,7 +1,10 @@
 """Certifying solvers: membership, free search, support chasing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.feasibility import (
     Certificate,
@@ -10,6 +13,8 @@ from matrange.feasibility import (
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
+    _jacobian,
+    _polish,
     best_block,
     certify,
     compose_certificate,
@@ -26,6 +31,7 @@ from matrange.linalg import (
     DimensionError,
     HermitianTuple,
     Isometry,
+    compress,
     coordinate_isometry,
     direct_sum,
     frob,
@@ -291,7 +297,6 @@ def test_sample_range_directed_solves_prepend():
 def test_compose_certificate_through_corner():
     A = gue(2, 10, seed=31)
     Y = random_isometry(10, 7, seed=32)
-    from matrange.linalg import compress
     inner = compress(A, Y)
     got = solve_free(inner, 2, 1, SolverOptions(seed=0))
     assert isinstance(got, Certificate)
@@ -307,3 +312,105 @@ def test_compose_certificate_dimension_check():
     inner_cert = solve_free(gue(1, 5, seed=35), 1, 1, SolverOptions(seed=0))
     with pytest.raises(DimensionError):
         compose_certificate(A, Y, inner_cert)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Newton polish
+
+
+def projected_basis_jacobian(Amats, X, p, q, free):
+    """Reference Jacobian: every ambient unit direction e_ab and i e_ab,
+    projected onto the tangent space at X, pushed through the linearization
+    E_j(X + D) ~ E_j + X* A_j D + D* A_j X; free mode subtracts
+    I_p (x) (average diagonal q-block) from every column."""
+    n, k = X.shape
+    m = Amats.shape[0]
+    eye = np.eye(n * k)
+    D = np.concatenate([eye, 1j * eye]).reshape(2 * n * k, n, k)
+    XD = np.einsum("kn,dnl->dkl", np.conj(X.T), D)
+    D = D - np.einsum("nk,dkl->dnl", X, 0.5 * (XD + np.conj(np.transpose(XD, (0, 2, 1)))))
+    P = np.conj(X.T) @ Amats
+    L = np.einsum("jkn,dnl->djkl", P, D) + np.einsum("dna,jnb->djab", np.conj(D), Amats @ X)
+    if free:
+        V = L.reshape(L.shape[:-2] + (p, q, p, q))
+        avg = np.mean([V[..., i, :, i, :] for i in range(p)], axis=0)
+        for i in range(p):
+            V[..., i, :, i, :] -= avg
+    Lf = L.reshape(2 * n * k, m * k * k).T
+    return np.concatenate([Lf.real, Lf.imag])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), p=st.integers(1, 3),
+       q=st.integers(1, 2), extra=st.integers(0, 3), free=st.booleans())
+def test_jacobian_matches_projected_basis(seed, m, p, q, extra, free):
+    n = p * q + extra
+    A = gue(m, n, seed)
+    X = random_isometry(n, p * q, seed + 1).mat
+    target = None if free else random_matpoint(m, q, seed + 2).blocks
+    got = _jacobian(A.mats, X, p, q, target)
+    want = projected_basis_jacobian(A.mats, X, p, q, free)
+    assert got.shape == want.shape == (2 * m * (p * q) ** 2, 2 * n * p * q)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, frob(A.mats))
+
+
+def test_polish_memory_bounded():
+    # n*k = 4000: a 2nk x nk identity tangent basis alone would take 488 MiB
+    n, k = 500, 8
+    A = gue(1, n, seed=41)
+    target = certify(A, random_isometry(n, k, seed=42), 1).point.blocks
+    X0 = random_isometry(n, k, seed=43).mat
+    tracemalloc.start()
+    try:
+        X, R2 = _polish(A.mats, X0, 1, k, SolverOptions(), target=target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20, f"polish peaked at {peak / 2**20:.1f} MiB"
+    assert np.sqrt(R2) <= SolverOptions().accept_tol
+    assert residual(A, Isometry(X), 1, MatPoint(target)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# certificate properties
+
+
+certificate_shapes = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+                          p=st.integers(1, 3), q=st.integers(1, 2), extra=st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**certificate_shapes)
+def test_certify_revalidates_to_stored_residual(seed, m, p, q, extra):
+    n = p * q + extra
+    A = gue(m, n, seed)
+    cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    assert cert.revalidate(A) == cert.residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(**certificate_shapes)
+def test_compose_certificate_keeps_residual(seed, m, p, q, extra):
+    n = p * q + extra
+    A = gue(m, n + 2, seed)
+    Y = random_isometry(n + 2, n, seed + 1)
+    inner = certify(compress(A, Y), random_isometry(n, p * q, seed + 2), p)
+    lifted = compose_certificate(A, Y, inner)
+    assert abs(lifted.residual - inner.residual) <= 1e-12 * max(1.0, inner.residual)
+    lifted.revalidate(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**certificate_shapes, entry=st.integers(0, 10**6), imag=st.booleans())
+def test_witness_entry_change_fails_revalidation(seed, m, p, q, extra, entry, imag):
+    n = p * q + extra
+    A = gue(m, n, seed)
+    cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    X = cert.witness.mat.copy()
+    X.flat[entry % X.size] += 1j * 1e-6 if imag else 1e-6
+    # a tolerance loose enough to pass the defect check, so the residual
+    # comparison has to catch the change
+    forged = Certificate(point=cert.point, p=p, witness=Isometry(X, tol=1e-5),
+                         residual=cert.residual)
+    with pytest.raises(CertificateError):
+        forged.revalidate(A)
