@@ -555,6 +555,8 @@ def essential_estimate(A, q: int, r_max: int,
     matches the shrinking-closure picture it estimates.
     """
     A = as_tuple(A)
+    if n_dirs < 1:
+        raise DimensionError(f"need n_dirs >= 1, got {n_dirs}")
     if r_max * q > A.n // 2:
         raise StructuralInfeasibility(
             f"truncation depth r_max*q = {r_max * q} exceeds n/2 = {A.n // 2}; "

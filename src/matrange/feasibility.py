@@ -10,11 +10,12 @@ witness X itself together with the achieved residual
 which anyone can recompute from the certificate fields alone.
 
 Search runs over the Stiefel manifold of isometries: projected gradient
-descent with QR retraction and Armijo backtracking, restarted from
-Haar-random starts.  A failed search returns a Rejection carrying the best
-residual seen.  Rejections are advisory; the problem is nonconvex, so they
-are never proof of non-membership.  Accepted points should be read as lying
-in the closed set fattened by accept_tol.
+descent with QR retraction, Barzilai-Borwein step sizes and a nonmonotone
+(Zhang-Hager) backtracking line search, as in Wen-Yin (Math. Program. 2013),
+restarted from Haar-random starts.  A failed search returns a Rejection
+carrying the best residual seen.  Rejections are advisory; the problem is
+nonconvex, so they are never proof of non-membership.  Accepted points
+should be read as lying in the closed set fattened by accept_tol.
 """
 
 from __future__ import annotations
@@ -35,13 +36,19 @@ from .linalg import (
     random_isometry,
 )
 
-# Armijo line search: first step, shrink factor, sufficient-decrease slope, cap
+# Line search: first step (before a Barzilai-Borwein step exists), shrink
+# factor, sufficient-decrease slope against the Zhang-Hager reference value,
+# backtrack cap; BB steps are clipped to [BB_MIN, BB_MAX], and the reference
+# value averages past objectives with weight NONMONOTONE_ETA
 ARMIJO_INIT = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 ARMIJO_MAX_BACKTRACKS = 60
-# descent stops when the objective drops less than STAGNATION_TOL over
-# STAGNATION_WINDOW accepted steps
+BB_MIN = 1e-10
+BB_MAX = 1e10
+NONMONOTONE_ETA = 0.85
+# descent stops when the best objective so far drops less than STAGNATION_TOL
+# over STAGNATION_WINDOW accepted steps
 STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-16
 SUPPORT_KICK = 1e-5  # tangent kick between support penalty stages
@@ -287,7 +294,7 @@ def best_block(A, X: Isometry, p: int) -> MatPoint:
 def certify(A, X: Isometry, p: int) -> Certificate:
     """Wrap an explicit witness into a certificate for its best block."""
     A = as_tuple(A)
-    if X.k % p != 0:
+    if p < 1 or X.k % p != 0:
         raise DimensionError(f"witness columns {X.k} not divisible by p = {p}")
     E, B = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, X.k // p)
     return Certificate(point=MatPoint(B), p=p, witness=X,
@@ -339,7 +346,9 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
 
     Modes: target fixed (membership), B free (range sampling), and penalized
     support ascent (direction set, objective mu * R^2 - <direction, B>).
-    Returns (X, B_blocks, R_squared).
+    Steps alternate the two Barzilai-Borwein lengths; a trial point is
+    accepted against the Zhang-Hager average C of past objectives, so h may
+    rise between steps while C decreases.  Returns (X, B_blocks, R_squared).
     """
     IpU = _inflate(direction, p) if direction is not None else None
 
@@ -355,8 +364,10 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
 
     h, R2, AX, E, B = evaluate(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
+    C, Q = h, 1.0
+    tau = ARMIJO_INIT
     hist = [h]
-    for _ in range(max_iters):
+    for it in range(max_iters):
         if direction is None and R2 <= tol2:
             break
         if direction is None:
@@ -365,26 +376,35 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
             G = mu * 4.0 * np.einsum("jnk,jkl->nl", AX, E) \
                 - (2.0 / p) * np.einsum("jnk,jkl->nl", AX, IpU)
         Gt = _tangent(X, G)
+        if it > 0:
+            S, Y = X - X_prev, Gt - Gt_prev
+            sy = abs(float(np.real(np.vdot(S, Y))))
+            num, den = (float(np.real(np.vdot(S, S))), sy) if it % 2 == 1 \
+                else (sy, float(np.real(np.vdot(Y, Y))))
+            tau = min(max(num / den, BB_MIN), BB_MAX) if num > 0 and den > 0 \
+                else ARMIJO_INIT
         g2 = float(np.sum(np.abs(Gt) ** 2))
         if g2 <= 1e-30:
             break
-        t = ARMIJO_INIT
-        accepted = False
+        t = tau
         for _ in range(ARMIJO_MAX_BACKTRACKS):
             Xt = _qr_fix(X - t * Gt)
             ht, R2t, AXt, Et, Bt = evaluate(Xt)
-            if ht <= h - ARMIJO_SLOPE * t * g2:
-                accepted = True
+            if ht <= C - ARMIJO_SLOPE * t * g2:
                 break
             t *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             break
+        X_prev, Gt_prev = X, Gt
         X, h, R2, AX, E, B = Xt, ht, R2t, AXt, Et, Bt
-        hist.append(h)
+        # C <- (eta Q C + h) / (eta Q + 1), Q <- eta Q + 1
+        Q = NONMONOTONE_ETA * Q + 1.0
+        C += (h - C) / Q
+        hist.append(min(hist[-1], h))
         if len(hist) > STAGNATION_WINDOW:
-            drop = hist[-STAGNATION_WINDOW - 1] - h
+            drop = hist[-STAGNATION_WINDOW - 1] - hist[-1]
             limit = STAGNATION_TOL if direction is None \
-                else 1e-13 * max(1.0, abs(h))
+                else 1e-13 * max(1.0, abs(hist[-1]))
             if drop < limit:
                 break
     return X, B, R2
@@ -449,7 +469,10 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
 
 
 def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
-    """The witness width p*q; StructuralInfeasibility when it exceeds n."""
+    """The witness width p*q; DimensionError unless p, q >= 1, and
+    StructuralInfeasibility when p*q exceeds n."""
+    if p < 1 or q < 1:
+        raise DimensionError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
     k = p * q
     if k > A.n:
         raise StructuralInfeasibility(

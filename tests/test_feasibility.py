@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import matrange.feasibility as feasibility
+from matrange.constructions import essential_estimate
 from matrange.feasibility import (
     Certificate,
     CertificateError,
@@ -88,6 +90,28 @@ def test_flatten_is_isometric():
                           np.sqrt(sum(frob(B.blocks[j]) ** 2 for j in range(2))))
         back = unflatten_blocks(v, 2, 3)
         assert frob(back - B.blocks) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), q=st.integers(1, 4),
+       scale=st.floats(1e-3, 1e3))
+def test_flatten_isometry_property(seed, m, q, scale):
+    B = scale * random_matpoint(m, q, seed).blocks
+    C = random_matpoint(m, q, seed + 1).blocks
+    vb, vc = flatten_blocks(B), flatten_blocks(C)
+    norm = np.sqrt(sum(np.linalg.norm(B[j]) ** 2 for j in range(m)))
+    assert abs(np.linalg.norm(vb) - norm) <= 1e-14 * norm
+    inner = sum(np.real(np.trace(B[j] @ C[j])) for j in range(m))
+    assert abs(vb @ vc - inner) <= 1e-13 * max(1.0, np.linalg.norm(vb) * np.linalg.norm(vc))
+    back = MatPoint.unflatten(vb, m, q).blocks
+    # diagonals are copied; an off-diagonal part goes through sqrt2 and
+    # back, and x -> sqrt2 * x is not injective on doubles, so the round trip
+    # is exact up to the last bit of each real and imaginary part
+    diag = np.arange(q)
+    assert np.array_equal(back[:, diag, diag], B[:, diag, diag])
+    np.testing.assert_array_max_ulp(back.real, B.real, maxulp=1)
+    np.testing.assert_array_max_ulp(back.imag, B.imag, maxulp=1)
+    assert np.array_equal(back, np.conj(np.swapaxes(back, 1, 2)))
 
 
 def test_matpoint_scalar_and_distance():
@@ -216,6 +240,82 @@ def test_solve_support_reaches_diag_endpoints():
     assert isinstance(hi, Certificate) and isinstance(lo, Certificate)
     assert abs(hi.point.scalar_values()[0] - iv.hi) <= 1e-6
     assert abs(lo.point.scalar_values()[0] - iv.lo) <= 1e-6
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: solve_free(A, 0, 1),
+    lambda A: solve_free(A, 1, 0),
+    lambda A: find_scalar_point(A, 0),
+    lambda A: sample_range(A, 0, 1, 2),
+    lambda A: solve_support(A, 0, 1, [1.0, 0.0]),
+    lambda A: membership(A, MatPoint.scalar(np.zeros(2), 1), 0),
+    lambda A: essential_estimate(A, 1, 2, n_dirs=0),
+    lambda A: certify(A, random_isometry(8, 2, seed=1), 0),
+], ids=["free-p0", "free-q0", "scalar-k0", "sample-p0", "support-p0",
+        "membership-p0", "essential-dirs0", "certify-p0"])
+def test_zero_dimensions_refused(call):
+    with pytest.raises(DimensionError):
+        call(gue(2, 8, seed=3))
+
+
+def test_descent_retraction_count(monkeypatch):
+    # every trial point of the line search costs one QR retraction; a unit
+    # first step per iteration needed ~10x the counts bounded here
+    calls = [0]
+    qr_fix = feasibility._qr_fix
+
+    def counted(M):
+        calls[0] += 1
+        return qr_fix(M)
+
+    monkeypatch.setattr(feasibility, "_qr_fix", counted)
+    for seed in range(5):
+        cloud = sample_range(gue(2, 8, seed), 2, 1, 4, SolverOptions(seed=seed))
+        assert len(cloud) == 4
+    sampled = calls[0]
+    calls[0] = 0
+    out = solve_support(gue(2, 8, 0), 2, 1, [0.6, 0.8], SolverOptions(seed=0))
+    assert isinstance(out, Certificate)
+    supported = calls[0]
+    assert sampled <= 800, sampled
+    assert supported <= 7000, supported
+
+
+# ---------------------------------------------------------------------------
+# spectral outer bound
+
+
+def spectral_bound(A, U, p):
+    """q * lambda_p(sum_j A_j (x) U_j^T).  If X certifies B, the columns
+    vec(X_a) / sqrt(q) of its p column blocks are orthonormal and compress
+    this matrix to (<U, B> / q) I_p + F, with ||F|| <= residual * ||U|| / q,
+    so Cauchy interlacing bounds <U, B> up to residual * ||U||."""
+    q = U.shape[-1]
+    K = sum(np.kron(A.mats[j], U[j].T) for j in range(A.m))
+    return q * np.linalg.eigvalsh(K)[-p]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2), p=st.integers(1, 2),
+       q=st.integers(1, 2), extra=st.integers(0, 4))
+@example(seed=0, m=1, p=2, q=1, extra=1)  # support value on the bound itself
+def test_certificates_respect_spectral_outer_bound(seed, m, p, q, extra):
+    n = p * q + extra
+    A = gue(m, n, seed)
+    inside = certify(A, random_isometry(n, p * q, seed + 1), p).point
+    dirs = [random_matpoint(m, q, seed + i).blocks for i in (2, 3, 4)]
+    u = flatten_blocks(dirs[0])
+    opts = SolverOptions(seed=seed, max_restarts=10)
+    certs = [membership(A, inside, p, opts), solve_free(A, p, q, opts),
+             solve_support(A, p, q, u / np.linalg.norm(u), opts)]
+    for cert in certs:
+        if isinstance(cert, Rejection):
+            continue
+        cert.revalidate(A)
+        for U in dirs:
+            # a certificate's point may sit up to its residual outside the range
+            tol = 1e-9 * max(1.0, frob(A.mats)) + cert.residual * frob(U)
+            assert flatten_blocks(U) @ cert.point.flatten() <= spectral_bound(A, U, p) + tol
 
 
 # ---------------------------------------------------------------------------
