@@ -557,6 +557,8 @@ def essential_estimate(A, q: int, r_max: int,
     A = as_tuple(A)
     if n_dirs < 1:
         raise DimensionError(f"need n_dirs >= 1, got {n_dirs}")
+    if n_free < 0:
+        raise DimensionError(f"need n_free >= 0, got {n_free}")
     if r_max * q > A.n // 2:
         raise StructuralInfeasibility(
             f"truncation depth r_max*q = {r_max * q} exceeds n/2 = {A.n // 2}; "

@@ -604,6 +604,8 @@ def sample_range(A, p: int, q: int, count: int,
     for a fixed seed: sample i uses base seed opts.seed + 100003 * (i + 1).
     """
     A = as_tuple(A)
+    if count < 0:
+        raise DimensionError(f"need count >= 0, got {count}")
     dirs = [] if directions is None else [np.asarray(u, float) for u in directions]
     rows = []
     certs = []

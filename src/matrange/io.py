@@ -86,8 +86,7 @@ def _require(doc, kind: str, keys) -> None:
 
 def _matrix_doc(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(M[i, j].real), float(M[i, j].imag)]
-             for j in range(M.shape[1])] for i in range(M.shape[0])]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _matrix_parse(rows, what: str) -> np.ndarray:
@@ -242,7 +241,7 @@ def cloud_doc(cloud: PointCloud) -> dict:
         "p": int(cloud.p),
         "q": int(cloud.q),
         "flattening": FLATTEN_TAG if cloud.kind == "matpoint" else AFFINE_TAG,
-        "points": [[float(v) for v in row] for row in cloud.coords],
+        "points": cloud.coords.tolist(),
         "certificates": certs,
         "meta": {k: cloud.meta[k] for k in sorted(cloud.meta)},
     }

@@ -1,20 +1,24 @@
-"""Tverberg partitions of finite point sets by exhaustive LP scanning.
+"""Tverberg partitions of finite point sets by a stacked LP scan.
 
 Any (p-1)(D+1)+1 points in R^D can be split into p parts whose convex hulls
 share a point.  At the sizes used here (d <= 14) the reliable route is the
 direct one: enumerate set partitions into exactly p nonempty parts in
-lexicographic order of their restricted-growth strings and test each with a
-small linear feasibility program, stopping at the first hit.
+lexicographic order of their restricted-growth strings, test each with a
+small linear feasibility program, and keep the first hit.  The programs all
+have one shape, so they are solved in stacks, chunk by chunk.
 
 The LP solver is a dense phase-1 simplex with Bland's rule, so termination
-is unconditional and runs are deterministic.  Coordinates are normalized to
-unit scale before the tableau is built; feasibility is decided at 1e-9 on
-the phase-1 objective and clear infeasibility sits above 1e-7.
+is unconditional, and each program in a stack pivots exactly as it would
+alone, so runs are deterministic and independent of the chunking.
+Coordinates are normalized to unit scale before the tableau is built;
+feasibility is decided at 1e-9 on the phase-1 objective and clear
+infeasibility sits above 1e-7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .linalg import DimensionError
 MAX_POINTS = 14
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
+STACK_ENTRIES = 2**14  # float entries (128 KiB) per stack of simplex tableaux
 
 
 @dataclass(frozen=True)
@@ -75,68 +80,130 @@ def count_partitions(d: int, p: int) -> int:
     return S[d][p]
 
 
+# ratios and pivots are divided out on every entry; the infinities and NaNs
+# of entries that cannot pivot are masked off before they reach a tableau
+@np.errstate(divide="ignore", invalid="ignore")
 def _phase1(A: np.ndarray, b: np.ndarray, max_pivots: int = 20000):
-    """Find x >= 0 with A x = b, minimizing artificial mass by simplex.
+    """Find x >= 0 with A x = b, minimizing artificial mass by simplex, for
+    one system or a stack of them: A is (..., nr, nc) and b is (..., nr).
 
-    Returns (x, z) where z is the optimal phase-1 objective; x is only
-    meaningful when z is at feasibility level.  Bland's rule (smallest
-    eligible entering index, smallest basic index on ratio ties) guarantees
-    termination.
+    Returns (x, z) per system, where z is the optimal phase-1 objective; x
+    is only meaningful when z is at feasibility level.  Bland's rule
+    (smallest eligible entering index, smallest basic index on ratio ties)
+    guarantees termination.  A system that stops is frozen while the rest
+    pivot on, so each one pivots exactly as it would alone.
     """
-    A = np.asarray(A, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    nr, nc = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    T = np.hstack([A, np.eye(nr), b.reshape(-1, 1)])
-    basis = list(range(nc, nc + nr))
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    *lead, nr, nc = A.shape
+    sign = np.where(b < 0, -1.0, 1.0).reshape(-1, nr)
+    B = len(sign)
+    r = np.arange(B)
+    T = np.concatenate([A.reshape(B, nr, nc) * sign[:, :, None],
+                        np.broadcast_to(np.eye(nr), (B, nr, nr)),
+                        (b.reshape(B, nr) * sign)[:, :, None]], axis=2)
     # reduced costs for cost vector (0,...,0 | 1,...,1); artificials are basic
-    cost = np.zeros(nc + nr + 1)
-    cost[:nc] = -T[:, :nc].sum(axis=0)
-    cost[-1] = -T[:, -1].sum()
-
+    cost = np.zeros((B, nc + nr))
+    cost[:, :nc] = -T[:, :, :nc].sum(axis=1)
+    basis = np.tile(np.arange(nc, nc + nr), (B, 1))
     for _ in range(max_pivots):
-        enter = -1
-        for j in range(nc + nr):
-            if cost[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = cost < -PIVOT_TOL
+        active = eligible.any(axis=1)
+        if not active.any():
             break
-        leave = -1
-        best = np.inf
-        for i in range(nr):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        enter = eligible.argmax(axis=1)
+        col = T[r, :, enter]
+        ratio = np.where(col > PIVOT_TOL, T[:, :, -1] / col, np.inf)
+        m = ratio.min(axis=1, keepdims=True)
+        tied = ratio == m
+        # The sequential ratio rule takes each row tied with the minimum and
+        # passes over each row clear of it by both its tests, so where every
+        # row is one or the other it ends on the tied row of least basic index.
+        plain = (tied | ((m < ratio - PIVOT_TOL) & (np.abs(ratio - m) > PIVOT_TOL))).all(axis=1)
+        if np.isinf(m[active]).any():
             # unbounded direction cannot happen in phase 1; treat as failure
             raise RuntimeError("phase-1 simplex lost boundedness")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(nr):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        cost -= cost[enter] * T[leave]
-        basis[leave] = enter
+        leave = np.where(tied, basis, nc + nr).argmin(axis=1)
+        for k in np.flatnonzero(active & ~plain):
+            leave[k] = _leaving_row(ratio[k], basis[k])
+        piv = T[r, leave]
+        row = np.where(active[:, None], piv / piv[r, enter][:, None], piv)
+        col[r, leave] = 0.0
+        col[~active] = 0.0
+        # rows with a zero in the entering column, and frozen systems, stay as they are
+        np.subtract(T, col[:, :, None] * row[:, None, :], out=T,
+                    where=(col != 0.0)[:, :, None])
+        T[r, leave] = row
+        np.subtract(cost, cost[r, enter][:, None] * row[:, :-1], out=cost,
+                    where=active[:, None])
+        basis[r, leave] = np.where(active, enter, basis[r, leave])
     else:
         raise RuntimeError("phase-1 simplex exceeded the pivot cap")
+    rhs = T[:, :, -1]
+    x = np.zeros((B, nc + 1))
+    np.put_along_axis(x, np.minimum(basis, nc), rhs, axis=1)
+    # summed in row order, as the sequential loop adds
+    z = np.cumsum(np.where(basis >= nc, rhs, 0.0), axis=1)[:, -1]
+    return x[:, :nc].reshape(*lead, nc), z.reshape(lead)
 
-    x = np.zeros(nc)
-    z = 0.0
-    for i, bi in enumerate(basis):
-        if bi < nc:
-            x[bi] = T[i, -1]
-        else:
-            z += T[i, -1]
-    return x, z
+
+def _leaving_row(ratio: np.ndarray, basis: np.ndarray) -> int:
+    """Bland's leaving row by the sequential rule, for ratios (inf where the
+    entering column is not positive) that come within PIVOT_TOL of a tie."""
+    leave, best = -1, np.inf
+    for i, t in enumerate(ratio):
+        if t < np.inf and (t < best - PIVOT_TOL or (
+                abs(t - best) <= PIVOT_TOL and (leave < 0 or basis[i] < basis[leave]))):
+            best, leave = t, i
+    return leave
+
+
+def _tableaux(Pn: np.ndarray, chunk):
+    """The common-point systems A w = b of a stack of partitions with equal
+    part count and total size.  Each has one column per point, ordered by
+    (part, position in the part); p rows make each part's weights sum to one
+    and D rows per part ell >= 1 equate part 0's combination with part ell's.
+    """
+    order = np.array([[i for part in parts for i in part] for parts in chunk])
+    label = np.array([[ell for ell, part in enumerate(parts) for _ in part] for parts in chunk])
+    (B, n), D, p = order.shape, Pn.shape[1], len(chunk[0])
+    Pc = Pn[order]
+    A = np.zeros((B, p + D * (p - 1), n))
+    A[:, :p] = label[:, None, :] == np.arange(p)[:, None]
+    first = np.where((label == 0)[:, :, None], Pc, 0.0)
+    other = np.where((label[:, None, :] == np.arange(1, p)[:, None])[..., None], Pc[:, None], 0.0)
+    A[:, p:] = (first[:, None] - other).transpose(0, 1, 3, 2).reshape(B, D * (p - 1), n)
+    b = np.zeros((B, p + D * (p - 1)))
+    b[:, :p] = 1.0
+    return A, b
+
+
+def _scan(P: np.ndarray, partitions, p: int, n: int, feas_tol: float):
+    """The first of the partitions (each p parts of n points in all) whose
+    parts' convex hulls meet, tested in stacks of at most STACK_ENTRIES
+    tableau entries: (position, parts, common point, weights, z), or None.
+    """
+    scale = max(1.0, float(np.max(np.abs(P))) if P.size else 1.0)
+    Pn = P / scale
+    nr = p + P.shape[1] * (p - 1)
+    partitions = iter(partitions)
+    scanned = 0
+    while chunk := list(islice(partitions, max(1, STACK_ENTRIES // (nr * (n + nr + 1))))):
+        x, z = _phase1(*_tableaux(Pn, chunk))
+        hit = np.flatnonzero(z <= feas_tol)
+        if hit.size:
+            k = hit[0]
+            parts = chunk[k]
+            offs = np.cumsum([0] + [len(part) for part in parts])
+            weights = []
+            for ell, part in enumerate(parts):
+                w = np.maximum(x[k, offs[ell]:offs[ell + 1]], 0.0)
+                s = w.sum()
+                weights.append(w / s if s > 0 else np.full(len(part), 1.0 / len(part)))
+            common = scale * (weights[0] @ Pn[list(parts[0])])
+            return scanned + int(k) + 1, parts, common, weights, z[k]
+        scanned += len(chunk)
+    return None
 
 
 def lp_common_point(points, parts, feas_tol: float = FEAS_TOL):
@@ -149,39 +216,11 @@ def lp_common_point(points, parts, feas_tol: float = FEAS_TOL):
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise DimensionError(f"expected (d, D) point array, got shape {P.shape}")
-    d, D = P.shape
     parts = [list(part) for part in parts]
-    p = len(parts)
-    scale = max(1.0, float(np.max(np.abs(P))) if P.size else 1.0)
-    Pn = P / scale
-    sizes = [len(part) for part in parts]
-    if min(sizes, default=0) < 1:
+    if min((len(part) for part in parts), default=0) < 1:
         raise DimensionError("every part must be nonempty")
-    ncols = sum(sizes)
-    offs = np.cumsum([0] + sizes)
-    nrows = p + D * (p - 1)
-    A = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
-    for ell, part in enumerate(parts):
-        A[ell, offs[ell]:offs[ell + 1]] = 1.0
-        b[ell] = 1.0
-    for ell in range(1, p):
-        rows = slice(p + D * (ell - 1), p + D * ell)
-        for t, i in enumerate(parts[0]):
-            A[rows, offs[0] + t] = Pn[i]
-        for t, i in enumerate(parts[ell]):
-            A[rows, offs[ell] + t] -= Pn[i]
-    x, z = _phase1(A, b)
-    if z > feas_tol:
-        return None
-    weights = []
-    for ell in range(p):
-        w = np.maximum(x[offs[ell]:offs[ell + 1]], 0.0)
-        s = w.sum()
-        w = w / s if s > 0 else np.full(sizes[ell], 1.0 / sizes[ell])
-        weights.append(w)
-    common = scale * (weights[0] @ Pn[parts[0]])
-    return common, weights, z
+    hit = _scan(P, [parts], len(parts), sum(map(len, parts)), feas_tol)
+    return None if hit is None else hit[2:]
 
 
 def _check_scan_size(d: int) -> None:
@@ -210,18 +249,15 @@ def tverberg_partition(points, p: int) -> PartitionResult:
         w = np.full(d, 1.0 / d)
         return PartitionResult(parts=(tuple(range(d)),), weights=(w,),
                                common_point=w @ P, partitions_scanned=0)
-    scanned = 0
-    for parts in set_partitions(d, p):
-        scanned += 1
-        hit = lp_common_point(P, parts)
-        if hit is not None:
-            common, weights, _ = hit
-            return PartitionResult(parts=parts, weights=tuple(weights),
-                                   common_point=common, partitions_scanned=scanned)
-    raise RuntimeError(
-        f"no partition of {d} points into {p} parts was feasible "
-        f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
-    )
+    hit = _scan(P, set_partitions(d, p), p, d, FEAS_TOL)
+    if hit is None:
+        raise RuntimeError(
+            f"no partition of {d} points into {p} parts was feasible "
+            f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
+        )
+    scanned, parts, common, weights, _ = hit
+    return PartitionResult(parts=parts, weights=tuple(weights), common_point=common,
+                           partitions_scanned=scanned)
 
 
 def hull_membership(x, points, feas_tol: float = FEAS_TOL):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matrange.feasibility as feasibility
-from matrange.constructions import essential_estimate
+from matrange.constructions import essential_estimate, tverberg_lift
 from matrange.feasibility import (
     Certificate,
     CertificateError,
@@ -251,8 +251,11 @@ def test_solve_support_reaches_diag_endpoints():
     lambda A: membership(A, MatPoint.scalar(np.zeros(2), 1), 0),
     lambda A: essential_estimate(A, 1, 2, n_dirs=0),
     lambda A: certify(A, random_isometry(8, 2, seed=1), 0),
+    lambda A: sample_range(A, 2, 1, -1),
+    lambda A: essential_estimate(A, 1, 2, n_free=-2),
 ], ids=["free-p0", "free-q0", "scalar-k0", "sample-p0", "support-p0",
-        "membership-p0", "essential-dirs0", "certify-p0"])
+        "membership-p0", "essential-dirs0", "certify-p0", "sample-count-neg",
+        "essential-free-neg"])
 def test_zero_dimensions_refused(call):
     with pytest.raises(DimensionError):
         call(gue(2, 8, seed=3))
@@ -316,6 +319,21 @@ def test_certificates_respect_spectral_outer_bound(seed, m, p, q, extra):
             # a certificate's point may sit up to its residual outside the range
             tol = 1e-9 * max(1.0, frob(A.mats)) + cert.residual * frob(U)
             assert flatten_blocks(U) @ cert.point.flatten() <= spectral_bound(A, U, p) + tol
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 3),
+       case=st.sampled_from([(1, 1, 2), (2, 1, 2), (1, 1, 3), (2, 1, 3), (1, 2, 2), (1, 1, 4)]))
+def test_tverberg_lift_respects_spectral_outer_bound(seed, extra, case):
+    m, q, p = case
+    d = (p - 1) * (q * q * m + 1) + 1
+    A = gue(m, d * q * (m + 1) + q + extra, seed)
+    cert = tverberg_lift(A, q, p, SolverOptions(seed=seed)).certificate
+    cert.revalidate(A)
+    for i in (1, 2, 3):
+        U = random_matpoint(m, q, seed + i).blocks
+        tol = 1e-9 * max(1.0, frob(A.mats)) + cert.residual * frob(U)
+        assert flatten_blocks(U) @ cert.point.flatten() <= spectral_bound(A, U, p) + tol
 
 
 # ---------------------------------------------------------------------------

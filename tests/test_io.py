@@ -1,9 +1,12 @@
 """Canonical JSON round-trips and schema policing."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.feasibility import (
     CertificateError,
@@ -59,6 +62,51 @@ def test_tuple_roundtrip_is_byte_stable(tmp_path):
     raw = f1.read_bytes()
     assert raw.endswith(b"\n")
     assert b": " not in raw and b", " not in raw
+
+
+def matrix_doc_reference(M):
+    """The per-entry document builder the canonical writer must match."""
+    M = np.asarray(M, dtype=complex)
+    return [[[float(M[i, j].real), float(M[i, j].imag)]
+             for j in range(M.shape[1])] for i in range(M.shape[0])]
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               -1.0e-310, 0.1, 1.0e300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+       layout=st.sampled_from(["c", "f", "strided"]), data=st.data())
+def test_tuple_json_roundtrips_byte_for_byte(shape, layout, data):
+    m, n = shape
+    entries = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+    size = 2 * m * n * n
+    vals = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+    # set parts one by one: re + 1j * im would lose the sign of a zero
+    base = np.empty((m, n, n), dtype=complex)
+    base.real, base.imag = vals[0::2].reshape(m, n, n), vals[1::2].reshape(m, n, n)
+    if layout == "f":
+        mats = [np.asfortranarray(M) for M in base]
+    elif layout == "strided":
+        wide = np.zeros((m, 2 * n, 3 * n), dtype=complex)
+        wide[:, ::2, ::3] = base
+        mats = list(wide[:, ::2, ::3])
+    else:
+        mats = list(base)
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_tuple(mats, f1)
+        with open(f1, "rb") as fh:
+            raw = fh.read()
+        reference = {**json.loads(raw), "matrices": [matrix_doc_reference(M) for M in mats]}
+        assert raw == canonical_dumps(reference).encode()
+        back = load_tuple(f1)
+        loaded = back.mats if isinstance(back, HermitianTuple) else np.stack(back)
+        assert loaded.tobytes() == base.tobytes()
+        save_tuple(back, f2)
+        with open(f2, "rb") as fh:
+            assert fh.read() == raw
 
 
 def test_tuple_nonhermitian_comes_back_raw(tmp_path):

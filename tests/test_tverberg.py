@@ -1,14 +1,20 @@
 """Partition enumeration, phase-1 simplex, and Tverberg point search."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import matrange.tverberg as tverberg
 from matrange.linalg import DimensionError
 from matrange.tverberg import (
+    FEAS_TOL,
     MAX_POINTS,
+    PIVOT_TOL,
     PartitionResult,
     _phase1,
     count_partitions,
@@ -258,3 +264,172 @@ def test_hull_membership_negative_coordinates():
 def test_hull_membership_validation():
     with pytest.raises(DimensionError):
         hull_membership([0.0], np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# serial reference: one row-loop simplex per partition, in scan order.  The
+# stacked scan must pivot each lane exactly as this does, so its results are
+# compared bit for bit.
+
+
+def serial_phase1(A, b, max_pivots=20000):
+    A = np.asarray(A, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    nr, nc = A.shape
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    T = np.hstack([A, np.eye(nr), b.reshape(-1, 1)])
+    basis = list(range(nc, nc + nr))
+    cost = np.zeros(nc + nr + 1)
+    cost[:nc] = -T[:, :nc].sum(axis=0)
+    cost[-1] = -T[:, -1].sum()
+    for _ in range(max_pivots):
+        enter = -1
+        for j in range(nc + nr):
+            if cost[j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = np.inf
+        for i in range(nr):
+            a = T[i, enter]
+            if a > PIVOT_TOL:
+                ratio = T[i, -1] / a
+                if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("phase-1 simplex lost boundedness")
+        piv = T[leave, enter]
+        T[leave] /= piv
+        for i in range(nr):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        cost -= cost[enter] * T[leave]
+        basis[leave] = enter
+    else:
+        raise RuntimeError("phase-1 simplex exceeded the pivot cap")
+    x = np.zeros(nc)
+    z = 0.0
+    for i, bi in enumerate(basis):
+        if bi < nc:
+            x[bi] = T[i, -1]
+        else:
+            z += T[i, -1]
+    return x, z
+
+
+def serial_common_point(P, parts):
+    d, D = P.shape
+    parts = [list(part) for part in parts]
+    p = len(parts)
+    scale = max(1.0, float(np.max(np.abs(P))))
+    Pn = P / scale
+    sizes = [len(part) for part in parts]
+    offs = np.cumsum([0] + sizes)
+    A = np.zeros((p + D * (p - 1), sum(sizes)))
+    b = np.zeros(p + D * (p - 1))
+    for ell in range(p):
+        A[ell, offs[ell]:offs[ell + 1]] = 1.0
+        b[ell] = 1.0
+    for ell in range(1, p):
+        rows = slice(p + D * (ell - 1), p + D * ell)
+        for t, i in enumerate(parts[0]):
+            A[rows, offs[0] + t] = Pn[i]
+        for t, i in enumerate(parts[ell]):
+            A[rows, offs[ell] + t] -= Pn[i]
+    x, z = serial_phase1(A, b)
+    if z > FEAS_TOL:
+        return None
+    weights = []
+    for ell in range(p):
+        w = np.maximum(x[offs[ell]:offs[ell + 1]], 0.0)
+        s = w.sum()
+        weights.append(w / s if s > 0 else np.full(sizes[ell], 1.0 / sizes[ell]))
+    return scale * (weights[0] @ Pn[parts[0]]), weights
+
+
+def serial_partition(P, p):
+    d, D = P.shape
+    for scanned, parts in enumerate(set_partitions(d, p), start=1):
+        hit = serial_common_point(P, parts)
+        if hit is not None:
+            return PartitionResult(parts=parts, weights=tuple(hit[1]),
+                                   common_point=hit[0], partitions_scanned=scanned)
+    raise RuntimeError(
+        f"no partition of {d} points into {p} parts was feasible "
+        f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
+    )
+
+
+def assert_same_scan(P, p):
+    try:
+        ref = serial_partition(P, p)
+    except RuntimeError as e:
+        with pytest.raises(RuntimeError) as got:
+            tverberg_partition(P, p)
+        assert str(got.value) == str(e)
+        return
+    got = tverberg_partition(P, p)
+    assert got.parts == ref.parts
+    assert got.partitions_scanned == ref.partitions_scanned
+    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in ref.weights]
+    assert got.common_point.tobytes() == ref.common_point.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 4]), extra=st.integers(0, 7), D=st.integers(1, 3),
+       grid=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       entries=st.sampled_from([1, 200, tverberg.STACK_ENTRIES]))
+@example(p=2, extra=2, D=1, grid=True, seed=23, entries=1)  # ratios tied within rounding
+def test_stacked_scan_matches_serial_reference(p, extra, D, grid, seed, entries):
+    # A grid of thirds provokes exact ratio ties, ties within rounding (the
+    # sequential fallback of the ratio test) and degenerate pivots; a small
+    # stack bound splits the scan into many chunks (one lane each at 1
+    # entry).  d stays where the serial reference scans at most S(7, 4) =
+    # 350 or S(8, 3) = 966 partitions per example.
+    d = min(p + extra, {2: 9, 3: 8, 4: 7}[p])
+    rng = np.random.default_rng(seed)
+    P = rng.integers(-2, 3, size=(d, D)) / 3.0 if grid else rng.standard_normal((d, D))
+    with mock.patch.object(tverberg, "STACK_ENTRIES", entries):
+        assert_same_scan(P, p)
+
+
+def test_phase1_matches_serial_reference_on_signed_rows():
+    # rows with negative right-hand sides are flipped before the tableau
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        A = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        b = rng.integers(-3, 4, size=4).astype(float)
+        x, z = _phase1(A, b)
+        x_ref, z_ref = serial_phase1(A, b)
+        assert x.tobytes() == x_ref.tobytes()
+        assert z == z_ref
+
+
+def test_infeasible_scan_spans_chunks_in_bounded_memory():
+    # the vertices of a simplex in R^11 are affinely independent, so none of
+    # the S(12, 2) = 2047 partitions is feasible and the scan reads every
+    # chunk; stacking them all at once would hold over 5 MiB of tableaux
+    P = np.vstack([np.zeros(11), np.eye(11)])
+    nr, width = 2 + 11, 12 + 2 + 11 + 1
+    assert count_partitions(12, 2) > 8 * (tverberg.STACK_ENTRIES // (nr * width))
+    text = "no partition of 12 points into 2 parts was feasible (guarantee needs d >= 13)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError) as got:
+            tverberg_partition(P, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == text
+    assert peak < 2 * 2**20, peak
+    with pytest.raises(RuntimeError) as ref:
+        serial_partition(P, 2)
+    assert str(ref.value) == text
