@@ -16,11 +16,24 @@ restarted from Haar-random starts.  A failed search returns a Rejection
 carrying the best residual seen.  Rejections are advisory; the problem is
 nonconvex, so they are never proof of non-membership.  Accepted points
 should be read as lying in the closed set fattened by accept_tol.
+
+One descent engine serves every solve.  Its unit is a lane: one start,
+descending on its own, stacked with other lanes into an (L, n, k) array
+so that each numpy call (products, QR retraction) serves the whole stack.
+A lane keeps its own step, line search and stop test, leaves the stack
+when it stops, and computes bitwise the same whatever lanes share its
+stack.  Membership and free solves run their restarts in waves of 1, 2,
+4, ... lanes; after each wave the lanes are polished in restart order and
+the lowest restart that reaches accept_tol wins, exactly as one restart
+at a time would choose.  Support solves run all their restarts, and
+sample_range all its directed solves and the waves of all its free
+samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +66,7 @@ STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-16
 SUPPORT_KICK = 1e-5  # tangent kick between support penalty stages
 POLISH_ITERS = 20  # Gauss-Newton steps after descent stalls above accept_tol
+LANE_ENTRIES = 2**16  # complex entries (1 MiB) per lane stack of (m, n, k) arrays
 
 
 class StructuralInfeasibility(ValueError):
@@ -81,7 +95,7 @@ class MatPoint:
             raise DimensionError("blocks must be finite")
         for j in range(B.shape[0]):
             d = herm_defect(B[j])
-            if d > 1e-12:
+            if not d <= 1e-12:
                 raise DimensionError(f"block {j} is not Hermitian (relative defect {d:.3e})")
         object.__setattr__(self, "blocks", B)
 
@@ -323,91 +337,178 @@ def compose_certificate(A, X0: Isometry, cert: Certificate) -> Certificate:
     )
 
 
+def _adjoint(X: np.ndarray) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
 def _tangent(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    XG = np.conj(X.T) @ G
-    return G - X @ (0.5 * (XG + np.conj(XG.T)))
+    """Projection of G onto the tangent space at X; both may be (L, n, k) stacks."""
+    XG = _adjoint(X) @ G
+    return G - X @ (0.5 * (XG + _adjoint(XG)))
 
 
-def _tangent_kick(X: np.ndarray, delta: float, seed: int) -> np.ndarray:
-    """Move X a little inside the manifold; escapes exact stationary points."""
-    n, k = X.shape
-    rng = np.random.default_rng(seed)
-    T = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
-    T = _tangent(X, T)
-    nrm = float(np.linalg.norm(T))
-    if nrm == 0.0:
+def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a, b> for each lane of two stacks."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
+
+
+def _tangent_kick(X: np.ndarray, delta: float, seeds, moved=None) -> np.ndarray:
+    """Move each lane of X a little inside the manifold; escapes exact
+    stationary points.  Lane l moves along a tangent drawn from seeds[l];
+    lanes outside the mask `moved` stay where they are."""
+    lanes = np.arange(len(X)) if moved is None else np.flatnonzero(moved)
+    if not len(lanes):
         return X
-    return _qr_fix(X + (delta * np.sqrt(k) / nrm) * T)
+    n, k = X.shape[1:]
+    T = np.empty((len(lanes), n, k), dtype=complex)
+    for i, lane in enumerate(lanes):
+        rng = np.random.default_rng(seeds[lane])
+        T[i] = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
+    T = _tangent(X[lanes], T)
+    nrm = np.sqrt(_lane_dot(T, T))
+    lanes, T, nrm = lanes[nrm > 0], T[nrm > 0], nrm[nrm > 0]
+    X = X.copy()
+    X[lanes] = _qr_fix(X[lanes] + (delta * np.sqrt(k) / nrm)[:, None, None] * T)
+    return X
 
 
 def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
              direction=None, mu=0.0):
-    """Shared projected-gradient loop on the Stiefel manifold.
+    """Projected-gradient descent on the Stiefel manifold, lane by lane.
 
-    Modes: target fixed (membership), B free (range sampling), and penalized
-    support ascent (direction set, objective mu * R^2 - <direction, B>).
+    X is an (L, n, k) stack of starting points, one lane each.  Modes: target
+    fixed (membership), B free (range sampling), and penalized support
+    ascent (direction an (L, m, q, q) stack, one per lane, objective
+    mu * R^2 - <direction, B>).  The lanes run in stacks of at most
+    LANE_ENTRIES entries per (m, n, k) array; a lane's arithmetic does not
+    depend on which lanes share its stack, so neither do the results.
+    Returns (X, B_blocks, R_squared) stacked over the lanes.
+    """
+    size = max(1, LANE_ENTRIES // (Amats.shape[0] * X[0].size))
+    parts = [_descend_stack(Amats, X[lo:lo + size], p, q, opts, max_iters, target,
+                            None if direction is None else direction[lo:lo + size], mu)
+             for lo in range(0, len(X), size)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
+    """_descend on one stack.
+
     Steps alternate the two Barzilai-Borwein lengths; a trial point is
     accepted against the Zhang-Hager average C of past objectives, so h may
-    rise between steps while C decreases.  Returns (X, B_blocks, R_squared).
+    rise between steps while C decreases.  The matrix work runs on the
+    whole stack; each lane keeps its own step, backtracking t, C and
+    stagnation history as Python floats.  The live lanes share the
+    iteration count, and with it the BB parity and Q.  A lane that stops
+    (converged, vanishing gradient, backtracking exhausted, stagnated) is
+    stored and dropped from the stack.
     """
-    IpU = _inflate(direction, p) if direction is not None else None
+    support = U is not None
+    IpU = _inflate(U, p) if support else None
+    IpT = None if target is None else _inflate(target, p)
 
-    def evaluate(X):
-        AX = Amats @ X
-        E, B = _misfit(np.conj(X.T) @ AX, p, q, target)
-        R2 = float(np.sum(np.abs(E) ** 2))
-        if direction is None:
-            h = R2
-        else:
-            h = mu * R2 - float(np.real(np.sum(np.conj(direction) * B)))
-        return h, R2, AX, E, B
+    def evaluate(X, U):
+        AX = Amats @ X[:, None]
+        S = _adjoint(X)[:, None] @ AX
+        E, B = _misfit(S, p, q) if target is None else (S - IpT, None)
+        R2 = _lane_dot(E, E)
+        h = R2 if U is None else mu * R2 - _lane_dot(U, B)
+        return [X, AX, E, B], h.tolist(), R2.tolist()
 
-    h, R2, AX, E, B = evaluate(X)
+    (X, AX, E, B), h, R2 = evaluate(X, U)
     tol2 = (0.999 * opts.accept_tol) ** 2
-    C, Q = h, 1.0
-    tau = ARMIJO_INIT
-    hist = [h]
+    W = STAGNATION_WINDOW
+    ids = list(range(len(X)))
+    C, Q = list(h), 1.0
+    hist = [deque([v], maxlen=W + 1) for v in h]  # running best objective
+    stop = [not support and r <= tol2 for r in R2]
+    Xp = Gp = None
+    parked = []  # (ids, X, B, R2) of the lanes stopped so far
     for it in range(max_iters):
-        if direction is None and R2 <= tol2:
-            break
-        if direction is None:
-            G = 4.0 * np.einsum("jnk,jkl->nl", AX, E)
-        else:
-            G = mu * 4.0 * np.einsum("jnk,jkl->nl", AX, E) \
-                - (2.0 / p) * np.einsum("jnk,jkl->nl", AX, IpU)
-        Gt = _tangent(X, G)
-        if it > 0:
-            S, Y = X - X_prev, Gt - Gt_prev
-            sy = abs(float(np.real(np.vdot(S, Y))))
-            num, den = (float(np.real(np.vdot(S, S))), sy) if it % 2 == 1 \
-                else (sy, float(np.real(np.vdot(Y, Y))))
-            tau = min(max(num / den, BB_MIN), BB_MAX) if num > 0 and den > 0 \
-                else ARMIJO_INIT
-        g2 = float(np.sum(np.abs(Gt) ** 2))
-        if g2 <= 1e-30:
-            break
-        t = tau
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            Xt = _qr_fix(X - t * Gt)
-            ht, R2t, AXt, Et, Bt = evaluate(Xt)
-            if ht <= C - ARMIJO_SLOPE * t * g2:
+        if any(stop):
+            if all(stop):
                 break
-            t *= ARMIJO_SHRINK
+            out = [i for i, s in enumerate(stop) if s]
+            keep = [i for i, s in enumerate(stop) if not s]
+            parked.append(([ids[i] for i in out], X[out], None if B is None else B[out],
+                           [R2[i] for i in out]))
+            X, AX, E, B, U, IpU, Xp, Gp = (
+                None if a is None else a[keep] for a in (X, AX, E, B, U, IpU, Xp, Gp))
+            ids, h, R2, C, hist = ([v[i] for i in keep] for v in (ids, h, R2, C, hist))
+        n = len(ids)
+        if support:
+            G = np.add.reduce(AX @ ((mu * 4.0) * E - (2.0 / p) * IpU), axis=1)
         else:
-            break
-        X_prev, Gt_prev = X, Gt
-        X, h, R2, AX, E, B = Xt, ht, R2t, AXt, Et, Bt
+            G = np.add.reduce(AX @ (4.0 * E), axis=1)
+        Gt = _tangent(X, G)
+        g2 = _lane_dot(Gt, Gt).tolist()
+        t = [ARMIJO_INIT] * n
+        if it > 0:
+            S, Y = X - Xp, Gt - Gp
+            sy = np.abs(_lane_dot(S, Y)).tolist()
+            other = (_lane_dot(S, S) if it % 2 == 1 else _lane_dot(Y, Y)).tolist()
+            for i in range(n):
+                num, den = (other[i], sy[i]) if it % 2 == 1 else (sy[i], other[i])
+                if num > 0 and den > 0:
+                    t[i] = min(max(num / den, BB_MIN), BB_MAX)
+        # backtrack the pending lanes; a trial of the whole stack needs no
+        # gather and scatter, and lanes that take no step keep their point
+        pend = [i for i in range(n) if g2[i] > 1e-30]
+        trial, th, tR2 = None, h, R2
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
+            if not pend:
+                break
+            sub = slice(None) if len(pend) == n else pend
+            ts = np.array([t[i] for i in pend])
+            got, hs, R2s = evaluate(_qr_fix(X[sub] - ts[:, None, None] * Gt[sub]),
+                                    None if U is None else U[sub])
+            if len(pend) == n:
+                trial, th, tR2 = got, hs, R2s
+            else:
+                if trial is None:
+                    trial, th, tR2 = [None if a is None else a.copy()
+                                      for a in (X, AX, E, B)], list(h), list(R2)
+                for a, b in zip(trial, got):
+                    if a is not None:
+                        a[pend] = b
+                for j, i in enumerate(pend):
+                    th[i], tR2[i] = hs[j], R2s[j]
+            failed = []
+            for j, i in enumerate(pend):
+                if not hs[j] <= C[i] - ARMIJO_SLOPE * t[i] * g2[i]:
+                    t[i] *= ARMIJO_SHRINK
+                    failed.append(i)
+            pend = failed
+        stop = [g2[i] <= 1e-30 for i in range(n)]
+        if trial is None:
+            trial = [X, AX, E, B]
+        for i in pend:  # backtracking exhausted: the lane keeps its point
+            stop[i] = True
+            for a, b in zip(trial, (X, AX, E, B)):
+                if a is not None:
+                    a[i] = b[i]
+            th[i], tR2[i] = h[i], R2[i]
+        Xp, Gp = X, Gt
+        (X, AX, E, B), h, R2 = trial, th, tR2
         # C <- (eta Q C + h) / (eta Q + 1), Q <- eta Q + 1
         Q = NONMONOTONE_ETA * Q + 1.0
-        C += (h - C) / Q
-        hist.append(min(hist[-1], h))
-        if len(hist) > STAGNATION_WINDOW:
-            drop = hist[-STAGNATION_WINDOW - 1] - hist[-1]
-            limit = STAGNATION_TOL if direction is None \
-                else 1e-13 * max(1.0, abs(hist[-1]))
-            if drop < limit:
-                break
-    return X, B, R2
+        for i in range(n):
+            C[i] += (h[i] - C[i]) / Q
+            best = hist[i]
+            best.append(min(best[-1], h[i]))
+            if len(best) > W:
+                limit = 1e-13 * max(1.0, abs(best[-1])) if support else STAGNATION_TOL
+                stop[i] = stop[i] or best[0] - best[-1] < limit
+            stop[i] = stop[i] or (not support and R2[i] <= tol2)
+    parked.append((ids, X, B, R2))
+    if len(parked) > 1:
+        ids, X, B, R2 = zip(*parked)
+        order = np.argsort(np.concatenate(ids))
+        X, R2 = np.concatenate(X)[order], np.concatenate(R2)[order]
+        B = None if target is not None else np.concatenate(B)[order]
+    if target is not None:
+        B = np.broadcast_to(target, (len(X),) + target.shape)
+    return X, B, np.asarray(R2, dtype=float)
 
 
 def _jacobian(Amats, X, p, q, target=None):
@@ -481,35 +582,49 @@ def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
     return k
 
 
-def _solve_from(Amats, X, p, q, opts: SolverOptions, target=None):
-    """Descend from X, then polish if still above accept_tol.
+def _settle(Amats, X, R2, p, q, opts: SolverOptions, target=None):
+    """Polish one descended lane if it is still above accept_tol.
 
     Fixed-target mode when target is given, free mode otherwise.
     Returns (X, residual).
     """
-    X, _, R2 = _descend(Amats, X, p, q, opts, opts.max_iters, target=target)
     if np.sqrt(R2) > opts.accept_tol:
         X, R2 = _polish(Amats, X, p, q, opts, target=target)
     return X, float(np.sqrt(R2))
 
 
 def _first_success(A: HermitianTuple, p: int, q: int, opts: SolverOptions,
-                   target=None):
-    """Restart r = 0, 1, ... from the Haar start seeded opts.seed + r.
+                   bases, target=None):
+    """Job i restarts r = 0, 1, ... from the Haar start seeded bases[i] + r.
 
-    Returns (X, residual) of the first restart that reaches accept_tol, or
-    (None, best residual) after max_restarts failures; before any restart
-    has run, the best residual is inf.
+    Restarts run in doubling waves, 1 lane, then 2, 4, ..., capped by what
+    is left of max_restarts; the waves of all open jobs descend as one
+    stack.  Then each job polishes its lanes in restart order and stops at
+    the first that reaches accept_tol, so the lowest successful restart
+    wins, and a job whose restart 0 succeeds runs one lane.  Returns per
+    job (r, X, residual) of that restart r, or (None, None, best residual)
+    after max_restarts failures; before any restart has run, the best
+    residual is inf.
     """
     k = _witness_columns(A, p, q)
-    best = np.inf
-    for r in range(opts.max_restarts):
-        X0 = random_isometry(A.n, k, opts.seed + r)
-        X, res = _solve_from(A.mats, X0.mat, p, q, opts, target)
-        if res <= opts.accept_tol:
-            return X, res
-        best = min(best, res)
-    return None, best
+    out = [(None, None, np.inf)] * len(bases)
+    todo = list(range(len(bases)))
+    start, width = 0, 1
+    while todo and start < opts.max_restarts:
+        wave = range(start, min(start + width, opts.max_restarts))
+        X0 = np.array([random_isometry(A.n, k, bases[i] + r).mat for i in todo for r in wave])
+        X, _, R2 = _descend(A.mats, X0, p, q, opts, opts.max_iters, target=target)
+        for j, i in enumerate(todo):
+            for c, r in enumerate(wave):
+                l = j * len(wave) + c
+                Xl, res = _settle(A.mats, X[l], R2[l], p, q, opts, target)
+                if res <= opts.accept_tol:
+                    out[i] = (r, Xl, res)
+                    break
+                out[i] = (None, None, min(out[i][2], res))
+        todo = [i for i in todo if out[i][0] is None]
+        start, width = start + width, 2 * width
+    return out
 
 
 def membership(A, B: MatPoint, p: int, opts: SolverOptions = SolverOptions()):
@@ -522,7 +637,7 @@ def membership(A, B: MatPoint, p: int, opts: SolverOptions = SolverOptions()):
     A = as_tuple(A)
     if B.m != A.m:
         raise DimensionError(f"point length {B.m} does not match tuple length {A.m}")
-    X, res = _first_success(A, p, B.q, opts, target=B.blocks)
+    [(_, X, res)] = _first_success(A, p, B.q, opts, [opts.seed], target=B.blocks)
     if X is None:
         return Rejection(best_residual=res, restarts=opts.max_restarts,
                          message="no witness found at the requested tolerance")
@@ -533,11 +648,52 @@ def membership(A, B: MatPoint, p: int, opts: SolverOptions = SolverOptions()):
 def solve_free(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
     """Find any point of the (p, q) range of A, with certificate."""
     A = as_tuple(A)
-    X, res = _first_success(A, p, q, opts)
+    [(_, X, res)] = _first_success(A, p, q, opts, [opts.seed])
     if X is None:
         return Rejection(best_residual=res, restarts=opts.max_restarts,
                          message="free solve found no feasible block")
     return certify(A, Isometry(X), p)
+
+
+def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,
+                   opts: SolverOptions):
+    """Penalty continuation for every flattened direction i and restart r
+    at once, one lane each, started from the Haar start seeded bases[i] + r.
+
+    Returns per direction (certificate, best residual): the feasible
+    certificate with the largest support value over its restarts (None if
+    no restart reached accept_tol) and the smallest residual reached.
+    """
+    k = _witness_columns(A, p, q)
+    R = opts.support_restarts
+    seeds = [b + r for b in bases for r in range(R)]
+    if not seeds:
+        return [(None, np.inf)] * len(bases)
+    U = np.repeat(np.stack([unflatten_blocks(u, A.m, q) for u in directions]), R, axis=0)
+    X = np.stack([random_isometry(A.n, k, s).mat for s in seeds])
+    mu = 1.0 / A.scale()
+    for stage in range(opts.support_stages):
+        X, _, R2 = _descend(A.mats, X, p, q, opts, opts.support_stage_iters,
+                            direction=U, mu=mu)
+        mu *= opts.support_growth
+        if stage < opts.support_stages - 1:
+            X = _tangent_kick(X, SUPPORT_KICK, [s * 1000003 + stage for s in seeds],
+                              R2 > 1e-24)
+    X = _tangent_kick(X, SUPPORT_KICK * 1e-2, [s * 1000003 + 999983 for s in seeds])
+    X, _, R2 = _descend(A.mats, X, p, q, opts, opts.max_iters)
+    out = []
+    for i, u in enumerate(directions):
+        best_cert, best_val, best_res = None, -np.inf, np.inf
+        for lane in range(i * R, (i + 1) * R):
+            Xl, res = _settle(A.mats, X[lane], R2[lane], p, q, opts)
+            if res <= opts.accept_tol:
+                cert = certify(A, Isometry(Xl), p)
+                val = float(u @ cert.point.flatten())
+                if val > best_val:
+                    best_cert, best_val = cert, val
+            best_res = min(best_res, res)
+        out.append((best_cert, best_res))
+    return out
 
 
 def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOptions()):
@@ -547,38 +703,16 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
     minimize mu * R^2 - <direction, B> for an increasing schedule of mu, with
     a small seeded tangent kick between stages (stages can otherwise park on
     exactly stationary invariant subspaces), then a pure feasibility polish.
-    Returns the feasible certificate with the largest support value, or a
-    Rejection if no restart reached accept_tol.
+    The support_restarts restarts run as lanes of one stack.  Returns the
+    feasible certificate with the largest support value, or a Rejection if
+    no restart reached accept_tol.
     """
     A = as_tuple(A)
-    k = _witness_columns(A, p, q)
     direction = np.asarray(direction, dtype=float)
-    U = unflatten_blocks(direction, A.m, q)
-    scale = A.scale()
-    best_cert = None
-    best_val = -np.inf
-    best_res = np.inf
-    for r in range(opts.support_restarts):
-        seed = opts.seed + r
-        X = random_isometry(A.n, k, seed).mat
-        mu = 1.0 / scale
-        for stage in range(opts.support_stages):
-            X, _, R2 = _descend(A.mats, X, p, q, opts, opts.support_stage_iters,
-                                direction=U, mu=mu)
-            mu *= opts.support_growth
-            if stage < opts.support_stages - 1 and R2 > 1e-24:
-                X = _tangent_kick(X, SUPPORT_KICK, seed * 1000003 + stage)
-        X = _tangent_kick(X, SUPPORT_KICK * 1e-2, seed * 1000003 + 999983)
-        X, res = _solve_from(A.mats, X, p, q, opts)
-        if res <= opts.accept_tol:
-            cert = certify(A, Isometry(X), p)
-            val = float(direction @ cert.point.flatten())
-            if val > best_val:
-                best_cert, best_val = cert, val
-        best_res = min(best_res, res)
-    if best_cert is not None:
-        return best_cert
-    return Rejection(best_residual=best_res, restarts=opts.support_restarts,
+    [(cert, res)] = _support_lanes(A, p, q, [direction], [opts.seed], opts)
+    if cert is not None:
+        return cert
+    return Rejection(best_residual=res, restarts=opts.support_restarts,
                      message="support-directed solve never reached tolerance")
 
 
@@ -599,7 +733,8 @@ def sample_range(A, p: int, q: int, count: int,
     """Collect certified points of the (p, q) range of A.
 
     The first samples chase the given flattened directions (one support-
-    directed solve each); the remainder are free solves from Haar starts.
+    directed solve each, all of them as lanes of one stack); the remainder
+    are free solves from Haar starts, whose restart waves share one stack.
     Rejected attempts are dropped and counted in the meta.  Deterministic
     for a fixed seed: sample i uses base seed opts.seed + 100003 * (i + 1).
     """
@@ -607,21 +742,14 @@ def sample_range(A, p: int, q: int, count: int,
     if count < 0:
         raise DimensionError(f"need count >= 0, got {count}")
     dirs = [] if directions is None else [np.asarray(u, float) for u in directions]
-    rows = []
-    certs = []
-    rejected = 0
     total = count + len(dirs)
-    for i in range(total):
-        sub = opts.replace(seed=opts.seed + 100003 * (i + 1))
-        if i < len(dirs):
-            out = solve_support(A, p, q, dirs[i], sub)
-        else:
-            out = solve_free(A, p, q, sub)
-        if isinstance(out, Rejection):
-            rejected += 1
-            continue
-        rows.append(out.point.flatten())
-        certs.append(out)
+    bases = [opts.seed + 100003 * (i + 1) for i in range(total)]
+    certs = [cert for cert, _ in _support_lanes(A, p, q, dirs, bases[:len(dirs)], opts)]
+    certs += [None if X is None else certify(A, Isometry(X), p)
+              for _, X, _ in _first_success(A, p, q, opts, bases[len(dirs):])]
+    certs = [c for c in certs if c is not None]
+    rejected = total - len(certs)
+    rows = [c.point.flatten() for c in certs]
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, A.m * q * q))
     meta = {
         "generator": "sample_range",

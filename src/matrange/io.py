@@ -25,7 +25,7 @@ import json
 import numpy as np
 
 from .feasibility import Certificate, MatPoint, PointCloud
-from .linalg import HERM_TOL, HermitianTuple, Isometry, frob
+from .linalg import HERM_TOL, HermitianTuple, Isometry, herm_defect
 from .ranges import hermitian_embed
 from .verify import SuiteReport
 
@@ -116,9 +116,7 @@ def save_tuple(A, path) -> None:
         hermitian = True
     else:
         mats = [np.asarray(M, dtype=complex) for M in A]
-        hermitian = all(
-            frob(M - np.conj(M.T)) <= HERM_TOL * max(1.0, frob(M)) for M in mats
-        )
+        hermitian = all(herm_defect(M) <= HERM_TOL for M in mats)
     n = mats[0].shape[0]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -135,7 +133,8 @@ def load_tuple(path, embed: bool = False):
     """Read a tuple file.
 
     Hermitian-flagged files come back as a HermitianTuple (Hermiticity is
-    re-checked entry-wise; violations name the offending matrix and entry).
+    re-checked; violations name the offending matrix and its entry that
+    differs most from its conjugate).
     Unflagged files come back as a tuple of complex arrays, or as the
     Hermitian 2m-tuple of real and imaginary parts when embed is set.
     """
@@ -154,8 +153,9 @@ def load_tuple(path, embed: bool = False):
         mats.append(M)
     if doc["hermitian"]:
         for j, M in enumerate(mats):
-            D = np.abs(M - np.conj(M.T))
-            if D.max() > HERM_TOL * max(1.0, frob(M)):
+            if not herm_defect(M) <= HERM_TOL:
+                with np.errstate(over="ignore"):
+                    D = np.abs(M - np.conj(M.T))
                 i, i2 = np.unravel_index(np.argmax(D), D.shape)
                 raise SchemaError(
                     f"matrix {j} flagged hermitian but entry ({i}, {i2}) "

@@ -36,9 +36,37 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.conj(M.T))
 
 
+def _herm_defects(A) -> np.ndarray:
+    """||M - M*|| / max(1, ||M||) for each matrix M of a stack (..., n, n).
+
+    When a norm overflows, each matrix is scaled by a power of two that
+    brings its largest real or imaginary part below 1, and the norms are
+    taken again.  The scaling is exact, so the ratio is unchanged, but the
+    norms stay finite however close the entries come to the double range.
+    A non-finite entry gives NaN, which fails every `defect <= tol` test.
+    """
+    A = np.asarray(A, dtype=complex)
+
+    def norms(M):
+        flat = M.shape[:-2] + (M.shape[-2] * M.shape[-1],)
+        D = (M - np.conj(np.swapaxes(M, -1, -2))).reshape(flat)
+        M = M.reshape(flat)
+        return np.sqrt(np.vecdot(D, D).real), np.sqrt(np.vecdot(M, M).real)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = norms(A)
+        if (num + den < np.inf).all():
+            return num / np.maximum(1.0, den)
+        top = np.max(np.maximum(np.abs(A.real), np.abs(A.imag)), axis=(-2, -1), initial=0.0)
+        s = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
+        num, den = norms(s[..., None, None] * A)
+        return num / np.maximum(s, den)
+
+
 def herm_defect(M: np.ndarray) -> float:
-    """Relative deviation of a square matrix from being Hermitian."""
-    return frob(M - np.conj(M.T)) / max(1.0, frob(M))
+    """Relative deviation of a square matrix from being Hermitian; NaN when
+    an entry is not finite."""
+    return float(_herm_defects(M))
 
 
 @dataclass(frozen=True)
@@ -59,10 +87,10 @@ class HermitianTuple:
             raise DimensionError("a tuple needs at least one member")
         if not np.isfinite(A).all():
             raise DimensionError("tuple entries must be finite")
-        for j in range(A.shape[0]):
-            d = herm_defect(A[j])
-            if d > HERM_TOL:
-                raise DimensionError(f"member {j} is not Hermitian (relative defect {d:.3e})")
+        d = _herm_defects(A)
+        if not (d <= HERM_TOL).all():
+            j = np.flatnonzero(~(d <= HERM_TOL))[0]
+            raise DimensionError(f"member {j} is not Hermitian (relative defect {d[j]:.3e})")
         object.__setattr__(self, "mats", A)
 
     @property
@@ -143,11 +171,9 @@ def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"expected square matrices, got shape {A.shape}")
-    # herm_defect of every slice at once
-    D = A - np.conj(np.swapaxes(A, -1, -2))
-    d = np.linalg.norm(D, axis=(-2, -1)) / np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
-    bad = np.argwhere(d > HERM_TOL)
-    if len(bad):
+    d = _herm_defects(A)
+    if not (d <= HERM_TOL).all():
+        bad = np.argwhere(~(d <= HERM_TOL))
         at = f" (slice {tuple(int(i) for i in bad[0])})" if d.ndim else ""
         raise DimensionError(f"matrix is not Hermitian{at} (relative defect {np.max(d):.3e})")
     w, V = np.linalg.eigh(A)
@@ -183,11 +209,14 @@ def orthonormalize(M: np.ndarray) -> Isometry:
 
 
 def _qr_fix(M: np.ndarray) -> np.ndarray:
-    """Q factor of a reduced QR with the R diagonal rotated to be positive."""
+    """Q factor of a reduced QR with the R diagonal rotated to be positive.
+
+    M may be a stack (..., n, k); each matrix is factored on its own.
+    """
     Q, R = np.linalg.qr(M)
-    d = np.diag(R)
-    a = np.abs(d)
-    return Q * np.conj(np.where(a > 0, d / np.where(a > 0, a, 1), 1.0))
+    phase = np.sign(R.diagonal(0, -2, -1))  # d / |d|, and 0 where d = 0
+    phase[phase == 0] = 1.0
+    return Q * phase.conj()[..., None, :]
 
 
 def random_isometry(n: int, k: int, seed: int) -> Isometry:

@@ -3,6 +3,7 @@ essential-range estimator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrange.constructions import (
     BlockFamily,
@@ -32,6 +33,7 @@ from matrange.feasibility import (
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
+    certify,
     solve_free,
 )
 from matrange.linalg import (
@@ -40,6 +42,7 @@ from matrange.linalg import (
     Isometry,
     coordinate_isometry,
     direct_sum,
+    frob,
     herm_eig,
     kron_block,
     random_isometry,
@@ -250,6 +253,33 @@ def test_segment_witness_after_deflation():
     assert np.allclose(mid.point.blocks,
                        0.5 * cb.point.blocks + 0.5 * cc.point.blocks)
     mid.revalidate(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), m=st.integers(1, 3), p=st.integers(1, 2),
+       q=st.integers(1, 2), extra=st.integers(0, 2), t=st.floats(0.0, 1.0),
+       coupling=st.sampled_from([0.0, 1e-12, 1e-10, 1e-9]))
+def test_segment_witness_within_stated_residual_bound(seed, m, p, q, extra, t, coupling):
+    # witnesses on the two halves of A1 (+) A2, rotated by a unitary V, with a
+    # coupling small enough to pass cross_tol: the segment witness must stay
+    # within t res_b + (1 - t) res_c plus the cross-term allowance
+    # 2 sqrt(t (1 - t)) ||(X_b* A_j X_c)_j||
+    k, h = p * q, p * q + extra
+    A0 = direct_sum(gue(m, h, seed), gue(m, h, seed + 1)).mats
+    H = gue(m, 2 * h, seed + 2).mats
+    V = random_isometry(2 * h, 2 * h, seed + 3).mat
+    A = HermitianTuple(V @ (A0 + coupling * H / frob(H)) @ np.conj(V.T))
+    Wb, Wc = (random_isometry(h, k, seed + i).mat for i in (4, 5))
+    zero = np.zeros((h, k), dtype=complex)
+    cb = certify(A, Isometry(V @ np.vstack([Wb, zero])), p)
+    cc = certify(A, Isometry(V @ np.vstack([zero, Wc])), p)
+    Xb, Xc = cb.witness.mat, cc.witness.mat
+    cross = np.sqrt(sum(frob(np.conj(Xb.T) @ A.mats[j] @ Xc) ** 2 for j in range(m)))
+    seg = segment_witness(A, cb, cc, t)
+    bound = t * cb.residual + (1 - t) * cc.residual + 2 * np.sqrt(t * (1 - t)) * cross
+    assert seg.residual <= bound + 1e-12 * max(1.0, frob(A.mats))
+    assert np.allclose(seg.point.blocks, t * cb.point.blocks + (1 - t) * cc.point.blocks)
+    seg.revalidate(A)
 
 
 def test_segment_witness_rejects_crossing_witnesses():

@@ -262,8 +262,9 @@ def test_zero_dimensions_refused(call):
 
 
 def test_descent_retraction_count(monkeypatch):
-    # every trial point of the line search costs one QR retraction; a unit
-    # first step per iteration needed ~10x the counts bounded here
+    # every trial of the line search costs one QR retraction call, stacked
+    # over the lanes that try it; a unit first step per iteration needed
+    # ~10x the counts bounded here
     calls = [0]
     qr_fix = feasibility._qr_fix
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrange.feasibility import (
+    Certificate,
     CertificateError,
     MatPoint,
+    PointCloud,
     SolverOptions,
     sample_range,
     solve_free,
@@ -30,7 +32,7 @@ from matrange.io import (
     save_report,
     save_tuple,
 )
-from matrange.linalg import HermitianTuple
+from matrange.linalg import HermitianTuple, Isometry
 from matrange.ranges import affine_image
 from matrange.verify import SuiteReport, random_hermitian_tuple
 
@@ -120,6 +122,29 @@ def test_tuple_nonhermitian_comes_back_raw(tmp_path):
     assert isinstance(emb, HermitianTuple)
     assert emb.m == 2
     assert np.allclose(emb.mats[0], (T + T.conj().T) / 2)
+
+
+# ||M|| overflows unless the Hermitian check scales M first, which once made
+# the tolerance inf and the defect NaN
+NEAR_RANGE_SKEW = np.array([[0, 1e308], [-1e308, 0]], dtype=complex)
+
+
+def test_save_tuple_flags_near_range_skew_non_hermitian(tmp_path):
+    f = tmp_path / "t.json"
+    save_tuple([NEAR_RANGE_SKEW], f)
+    assert json.loads(f.read_text())["hermitian"] is False
+    out = load_tuple(f)
+    assert isinstance(out, tuple) and np.array_equal(out[0], NEAR_RANGE_SKEW)
+
+
+def test_load_tuple_refuses_near_range_skew_flagged_hermitian(tmp_path):
+    f = tmp_path / "t.json"
+    save_tuple([NEAR_RANGE_SKEW], f)
+    doc = json.loads(f.read_text())
+    doc["hermitian"] = True
+    f.write_text(canonical_dumps(doc))
+    with pytest.raises(SchemaError, match=r"matrix 0 .* \(0, 1\)"):
+        load_tuple(f)
 
 
 def test_tuple_hermitian_flag_violation_names_entry(tmp_path):
@@ -318,3 +343,94 @@ def test_report_schema_error(tmp_path):
     f.write_text('{"schema_version":"1","kind":"report","suite":"x"}\n')
     with pytest.raises(SchemaError, match="missing"):
         load_report(f)
+
+
+# ---------------------------------------------------------------------------
+# byte-for-byte round trips of clouds, certificates and reports
+
+
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.0e-310])
+
+
+def roundtrip_bytes(save, load, value, **load_kw):
+    """Save, load and save again; both files must be byte-identical."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save(value, f1)
+        back = load(f1, **load_kw)
+        save(back, f2)
+        with open(f1, "rb") as fh1, open(f2, "rb") as fh2:
+            raw = fh1.read()
+            assert fh2.read() == raw
+    assert raw == canonical_dumps(json.loads(raw)).encode()
+    return back
+
+
+def edge_witness(data, n, k):
+    """The first k coordinate columns of C^n, with the zeros replaced by
+    signed zeros and subnormals: still an isometry to within 1e-300."""
+    W = np.eye(n, k, dtype=complex)
+    for part in (W.real, W.imag):
+        zeros = part == 0.0
+        part[zeros] = data.draw(st.lists(TINY, min_size=int(zeros.sum()),
+                                         max_size=int(zeros.sum())))
+    return Isometry(W)
+
+
+def edge_certificate(data, m, p, q, coords):
+    point = MatPoint.unflatten(coords, m, q)
+    n = p * q + data.draw(st.integers(0, 2))
+    residual = data.draw(st.one_of(TINY, st.floats(0.0, 1e-6)))
+    return Certificate(point=point, p=p, witness=edge_witness(data, n, p * q),
+                       residual=residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 2), p=st.integers(1, 2), q=st.integers(1, 2),
+       rows=st.integers(0, 3), kind=st.sampled_from(["matpoint", "affine", "bare"]),
+       data=st.data())
+def test_cloud_json_roundtrips_byte_for_byte(m, p, q, rows, kind, data):
+    width = m * q * q if kind != "affine" else data.draw(st.integers(1, 3))
+    vals = data.draw(st.lists(ANY_FLOAT, min_size=rows * width, max_size=rows * width))
+    coords = np.array(vals, dtype=float).reshape(rows, width)
+    certs = None
+    if kind == "matpoint":
+        certs = tuple(edge_certificate(data, m, p, q, row) for row in coords)
+    meta = {"seed": data.draw(st.integers(0, 2**31)), "rate": data.draw(ANY_FLOAT),
+            "tiny": data.draw(TINY)}
+    cloud = PointCloud(coords=coords, m=m, p=p, q=q,
+                       kind="affine" if kind == "affine" else "matpoint",
+                       certificates=certs, meta=meta)
+    back = roundtrip_bytes(save_cloud, load_cloud, cloud)
+    assert back.coords.tobytes() == coords.tobytes()
+    assert back.kind == cloud.kind
+    assert repr(back.meta) == repr(dict(sorted(meta.items())))
+    for got, want in zip(back.certificates or (), certs or ()):
+        assert got.witness.mat.tobytes() == want.witness.mat.tobytes()
+        assert repr(got.residual) == repr(want.residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 2), p=st.integers(1, 2), q=st.integers(1, 3), data=st.data())
+def test_certificate_json_roundtrips_byte_for_byte(m, p, q, data):
+    vals = data.draw(st.lists(ANY_FLOAT, min_size=m * q * q, max_size=m * q * q))
+    cert = edge_certificate(data, m, p, q, np.array(vals, dtype=float))
+    back = roundtrip_bytes(save_certificate, load_certificate, cert)
+    assert back.point.blocks.tobytes() == cert.point.blocks.tobytes()
+    assert back.witness.mat.tobytes() == cert.witness.mat.tobytes()
+    assert repr(back.residual) == repr(cert.residual) and back.p == cert.p
+
+
+@settings(max_examples=40, deadline=None)
+@given(passes=st.integers(0, 3), seeds=st.lists(st.integers(0, 2**31), max_size=3),
+       tolerances=st.dictionaries(st.text(min_size=1, max_size=4), ANY_FLOAT, max_size=4),
+       suite=st.text(max_size=8))
+def test_report_json_roundtrips_byte_for_byte(passes, seeds, tolerances, suite):
+    failures = tuple((s, f"trial {s} failed") for s in seeds)
+    rep = SuiteReport(suite=suite, trials=passes + len(failures), passes=passes,
+                      failures=failures, tolerances=tolerances, wall_time=1.5)
+    back = roundtrip_bytes(save_report, load_report, rep)
+    assert (back.suite, back.trials, back.passes, back.failures) == \
+        (rep.suite, rep.trials, rep.passes, rep.failures)
+    assert repr(back.tolerances) == repr(dict(sorted(tolerances.items())))

@@ -1,0 +1,252 @@
+"""The batched Stiefel engine: lanes, waves and chunks against a serial reference."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import matrange.feasibility as feasibility
+from matrange.feasibility import (
+    ARMIJO_INIT,
+    ARMIJO_MAX_BACKTRACKS,
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
+    BB_MAX,
+    BB_MIN,
+    NONMONOTONE_ETA,
+    STAGNATION_TOL,
+    STAGNATION_WINDOW,
+    MatPoint,
+    SolverOptions,
+    _descend,
+    _first_success,
+    _misfit,
+    _polish,
+    _tangent,
+    _witness_columns,
+    membership,
+)
+from matrange.linalg import HermitianTuple, Isometry, _inflate, _qr_fix, frob, random_isometry
+
+
+def gue(m, n, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return HermitianTuple((G + np.conj(np.swapaxes(G, 1, 2))) / (2 * np.sqrt(n)))
+
+
+def hermitian_blocks(m, q, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, q, q)) + 1j * rng.standard_normal((m, q, q))
+    return (G + np.conj(np.swapaxes(G, 1, 2))) / 2
+
+
+# ---------------------------------------------------------------------------
+# serial reference: the one-lane descent and the restart-by-restart driver
+# the engine replaced, kept verbatim apart from names
+
+
+def serial_descend(Amats, X, p, q, opts, max_iters, target=None, direction=None, mu=0.0):
+    IpU = _inflate(direction, p) if direction is not None else None
+
+    def evaluate(X):
+        AX = Amats @ X
+        E, B = _misfit(np.conj(X.T) @ AX, p, q, target)
+        R2 = float(np.sum(np.abs(E) ** 2))
+        if direction is None:
+            h = R2
+        else:
+            h = mu * R2 - float(np.real(np.sum(np.conj(direction) * B)))
+        return h, R2, AX, E, B
+
+    h, R2, AX, E, B = evaluate(X)
+    tol2 = (0.999 * opts.accept_tol) ** 2
+    C, Q = h, 1.0
+    tau = ARMIJO_INIT
+    hist = [h]
+    for it in range(max_iters):
+        if direction is None and R2 <= tol2:
+            break
+        if direction is None:
+            G = 4.0 * np.einsum("jnk,jkl->nl", AX, E)
+        else:
+            G = mu * 4.0 * np.einsum("jnk,jkl->nl", AX, E) \
+                - (2.0 / p) * np.einsum("jnk,jkl->nl", AX, IpU)
+        Gt = _tangent(X, G)
+        if it > 0:
+            S, Y = X - X_prev, Gt - Gt_prev
+            sy = abs(float(np.real(np.vdot(S, Y))))
+            num, den = (float(np.real(np.vdot(S, S))), sy) if it % 2 == 1 \
+                else (sy, float(np.real(np.vdot(Y, Y))))
+            tau = min(max(num / den, BB_MIN), BB_MAX) if num > 0 and den > 0 \
+                else ARMIJO_INIT
+        g2 = float(np.sum(np.abs(Gt) ** 2))
+        if g2 <= 1e-30:
+            break
+        t = tau
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
+            Xt = _qr_fix(X - t * Gt)
+            ht, R2t, AXt, Et, Bt = evaluate(Xt)
+            if ht <= C - ARMIJO_SLOPE * t * g2:
+                break
+            t *= ARMIJO_SHRINK
+        else:
+            break
+        X_prev, Gt_prev = X, Gt
+        X, h, R2, AX, E, B = Xt, ht, R2t, AXt, Et, Bt
+        Q = NONMONOTONE_ETA * Q + 1.0
+        C += (h - C) / Q
+        hist.append(min(hist[-1], h))
+        if len(hist) > STAGNATION_WINDOW:
+            drop = hist[-STAGNATION_WINDOW - 1] - hist[-1]
+            limit = STAGNATION_TOL if direction is None \
+                else 1e-13 * max(1.0, abs(hist[-1]))
+            if drop < limit:
+                break
+    return X, B, R2
+
+
+def serial_first_success(A, p, q, opts, target=None):
+    """(r, X, residual) of the first restart that reaches accept_tol."""
+    k = _witness_columns(A, p, q)
+    best = np.inf
+    for r in range(opts.max_restarts):
+        X0 = feasibility.random_isometry(A.n, k, opts.seed + r)
+        X, _, R2 = serial_descend(A.mats, X0.mat, p, q, opts, opts.max_iters, target=target)
+        if np.sqrt(R2) > opts.accept_tol:
+            X, R2 = _polish(A.mats, X, p, q, opts, target=target)
+        res = float(np.sqrt(R2))
+        if res <= opts.accept_tol:
+            return r, X, res
+        best = min(best, res)
+    return None, None, best
+
+
+# ---------------------------------------------------------------------------
+# lane independence
+
+
+def lane_problem(seed, m, p, q, extra, lanes, mode):
+    """Tuple, starts, and the keyword arguments of one descent mode."""
+    n = p * q + extra
+    A = gue(m, n, seed)
+    X = np.stack([random_isometry(n, p * q, seed + 1 + i).mat for i in range(lanes)])
+    if mode == "target":
+        return A, X, dict(target=hermitian_blocks(m, q, seed + 100))
+    if mode == "support":
+        U = np.stack([hermitian_blocks(m, q, seed + 200 + i) for i in range(lanes)])
+        return A, X, dict(direction=U, mu=1.0 / A.scale())
+    return A, X, {}
+
+
+def descend_lanes(A, X, p, q, iters, lanes, kw):
+    """_descend on the given lanes only."""
+    kw = dict(kw)
+    if "direction" in kw:
+        kw["direction"] = kw["direction"][lanes]
+    return _descend(A.mats, X[lanes], p, q, SolverOptions(), iters, **kw)
+
+
+modes = st.sampled_from(["target", "free", "support"])
+shapes = dict(seed=st.integers(0, 2**31), m=st.integers(1, 2), p=st.integers(1, 3),
+              q=st.integers(1, 2), extra=st.integers(0, 4), lanes=st.integers(2, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**shapes, mode=modes, iters=st.sampled_from([1, 7, 80]), data=st.data())
+def test_lanes_do_not_depend_on_their_stack(seed, m, p, q, extra, lanes, mode, iters, data):
+    A, X, kw = lane_problem(seed, m, p, q, extra, lanes, mode)
+    whole = descend_lanes(A, X, p, q, iters, np.arange(lanes), kw)
+    order = data.draw(st.permutations(range(lanes)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, lanes - 1))))
+    groupings = [[[i] for i in range(lanes)],                      # each alone
+                 np.split(np.array(order), cuts)]                   # random split
+    for groups in groupings:
+        for group in groups:
+            part = descend_lanes(A, X, p, q, iters, np.asarray(group), kw)
+            for got, want in zip(part, whole):
+                assert np.array_equal(got, want[group])
+    # across a chunk boundary: stacks of `size` lanes
+    size = data.draw(st.integers(1, lanes - 1))
+    entries = A.m * X[0].size * size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "LANE_ENTRIES", entries)
+        chunked = descend_lanes(A, X, p, q, iters, np.arange(lanes), kw)
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**shapes, mode=modes)
+def test_one_step_per_lane_matches_serial_reference(seed, m, p, q, extra, lanes, mode):
+    A, X, kw = lane_problem(seed, m, p, q, extra, lanes, mode)
+    Xs, Bs, R2s = descend_lanes(A, X, p, q, 1, np.arange(lanes), kw)
+    tol = 1e-12 * max(1.0, frob(A.mats))
+    for i in range(lanes):
+        one = dict(kw)
+        if "direction" in one:
+            one["direction"] = one["direction"][i]
+        Xr, Br, R2r = serial_descend(A.mats, X[i], p, q, SolverOptions(), 1, **one)
+        assert np.max(np.abs(Xs[i] - Xr)) <= tol
+        assert np.max(np.abs(Bs[i] - Br)) <= tol
+        assert abs(R2s[i] - R2r) <= tol * max(1.0, R2r)
+
+
+# ---------------------------------------------------------------------------
+# restart waves
+
+
+def stationary_starts(monkeypatch, n, k, bases, stuck):
+    """Make restarts bases + r for r in `stuck` start on coordinate
+    subspaces, exact stationary points of a diagonal tuple."""
+    haar = feasibility.random_isometry
+
+    def start(n_, k_, seed):
+        for b in bases:
+            if seed - b in stuck:
+                r = seed - b
+                return Isometry(np.eye(n_, dtype=complex)[:, r * k_:(r + 1) * k_])
+        return haar(n_, k_, seed)
+
+    monkeypatch.setattr(feasibility, "random_isometry", start)
+
+
+@pytest.mark.parametrize("stuck", [(0,), (0, 1), (0, 1, 2)])
+def test_later_restart_wins_as_in_serial_reference(monkeypatch, stuck):
+    # diag(1, ..., 8): the scalar target 4.5 lies inside the rank-1 range,
+    # but a coordinate start is an exact stationary point with residual
+    # |j - 4.5| >= 0.5 that neither the descent nor the polish can leave
+    A = HermitianTuple(np.diag(np.arange(1.0, 9.0)).astype(complex)[None])
+    target = MatPoint.scalar([4.5], 1).blocks
+    opts = SolverOptions(seed=11, max_restarts=8)
+    stationary_starts(monkeypatch, 8, 1, [opts.seed], stuck)
+    r_ref, X_ref, res_ref = serial_first_success(A, 1, 1, opts, target=target)
+    [(r, X, res)] = _first_success(A, 1, 1, opts, [opts.seed], target=target)
+    assert r_ref == r == len(stuck)
+    assert res <= opts.accept_tol and res_ref <= opts.accept_tol
+    cert = membership(A, MatPoint(target), 1, opts)
+    assert cert.residual <= opts.accept_tol
+
+
+def test_wave_jobs_match_one_job_at_a_time(monkeypatch):
+    # jobs that share a stack of waves give what each gives alone
+    A = HermitianTuple(np.diag(np.arange(1.0, 9.0)).astype(complex)[None])
+    target = MatPoint.scalar([4.5], 1).blocks
+    opts = SolverOptions(max_restarts=6)
+    bases = [100, 200, 300]
+    stationary_starts(monkeypatch, 8, 1, [100], (0, 1))
+    stationary_starts(monkeypatch, 8, 1, [300], (0,))
+    together = _first_success(A, 1, 1, opts, bases, target=target)
+    alone = [_first_success(A, 1, 1, opts, [b], target=target)[0] for b in bases]
+    assert [r for r, _, _ in together] == [2, 0, 1]
+    for (r, X, res), (r1, X1, res1) in zip(together, alone):
+        assert r == r1 and res == res1 and np.array_equal(X, X1)
+
+
+def test_failed_job_reports_best_residual_over_all_waves():
+    A = HermitianTuple(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)[None])
+    target = MatPoint.scalar([3.5], 1).blocks
+    opts = SolverOptions(seed=0, max_restarts=7)  # waves of 1, 2, 4 lanes
+    [(r, X, res)] = _first_success(A, 2, 1, opts, [opts.seed], target=target)
+    r_ref, X_ref, res_ref = serial_first_success(A, 2, 1, opts, target=target)
+    assert r is X is r_ref is X_ref is None
+    assert res >= 0.3 and abs(res - res_ref) <= 1e-6

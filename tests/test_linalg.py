@@ -15,6 +15,7 @@ from matrange.linalg import (
     direct_sum,
     empty_tuple,
     frob,
+    herm_defect,
     herm_eig,
     kron_block,
     orthonormalize,
@@ -59,6 +60,33 @@ def test_eig_reconstruction_batch():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(DimensionError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+# skew matrices whose entries sit near the top of the double range: ||M|| and
+# ||M - M*|| overflow unless the check scales them first
+NEAR_RANGE = [np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex),
+              np.array([[1e300, 1.7e308j], [1.7e308j, -1e300]], dtype=complex)]
+
+
+@pytest.mark.parametrize("M", NEAR_RANGE)
+def test_herm_defect_near_double_range(M):
+    assert herm_defect(M) == pytest.approx(2.0)
+    assert herm_defect(np.array([[1e308, 1.7e308], [1.7e308, -1e308]])) == 0.0
+    assert np.isnan(herm_defect(np.array([[np.nan]])))
+
+
+@pytest.mark.parametrize("M", NEAR_RANGE)
+def test_eig_rejects_skew_matrix_near_double_range(M):
+    with pytest.raises(DimensionError, match="not Hermitian"):
+        herm_eig(M)
+    with pytest.raises(DimensionError, match="slice"):
+        herm_eig(np.stack([np.eye(2, dtype=complex), M]))
+
+
+@pytest.mark.parametrize("M", NEAR_RANGE)
+def test_tuple_rejects_skew_matrix_near_double_range(M):
+    with pytest.raises(DimensionError, match="member 0"):
+        HermitianTuple(M[None])
 
 
 def test_eig_agrees_with_lapack():
