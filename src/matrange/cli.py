@@ -17,6 +17,7 @@ pass-rate threshold (report still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .constructions import (
@@ -72,25 +73,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def int_at_least(low: int):
-    """An argparse type for integers no smaller than low."""
-    def parse(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as an invalid value
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+def checked(convert, ok, expected: str):
+    """An argparse type: convert(text), refused unless ok(value)."""
+    def parse(text: str):
+        value = convert(text)  # argparse reports a ValueError as an invalid value
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
-    parse.__name__ = "int"  # argparse names the type in its message
+    parse.__name__ = convert.__name__  # argparse names the type in its message
     return parse
 
 
+def int_at_least(low: int):
+    return checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 positive_int = int_at_least(1)
-
-
-def unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return value
+positive_float = checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+unit_interval = checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
 def _emit(text: str, out_path) -> None:
@@ -341,137 +341,128 @@ def cmd_verify_perturbation(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Every command is one entry {group: {op: (handler, argument specs)}}; a spec
+# is (flag, add_argument keywords), and COMMON comes first in every command.
+COMMON = (("--seed", dict(type=int, default=0)),
+          ("--accept-tol", dict(type=positive_float, default=1e-8)),
+          ("--restarts", dict(type=positive_int, default=50)),
+          ("--out", dict(help="output path (stdout if omitted)")))
+INPUT = ("--input", dict(required=True))
+P = ("--p", dict(type=positive_int, required=True))
+Q = ("--q", dict(type=positive_int, required=True))
+EMBED = ("--embed", dict(action="store_true"))
+THRESHOLD = ("--threshold", dict(type=unit_interval, default=0.95))
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--accept-tol", type=float, default=1e-8)
-    common.add_argument("--restarts", type=positive_int, default=50)
-    common.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
-    parser = _Parser(prog="matrange",
-                     description="generalized numerical ranges with certificates")
-    top = parser.add_subparsers(dest="group", required=True)
+def optional(spec, default=None):
+    """A required shared flag made optional with the given default."""
+    flag, kw = spec
+    return flag, {k: v for k, v in kw.items() if k != "required"} | {"default": default}
 
-    compute = top.add_parser("compute").add_subparsers(dest="op", required=True)
-    p = compute.add_parser("numrange", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--angles", type=int, default=256)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_numrange)
 
-    sample = top.add_parser("sample").add_subparsers(dest="op", required=True)
-    p = sample.add_parser("pq", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--p", type=positive_int, required=True)
-    p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--count", type=positive_int, default=16)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_sample_pq)
+COMMANDS = {
+    "compute": {
+        "numrange": (cmd_numrange, (
+            INPUT, ("--angles", dict(type=int, default=256)), ("--svg", {}))),
+    },
+    "sample": {
+        "pq": (cmd_sample_pq, (
+            INPUT, P, Q, ("--count", dict(type=positive_int, default=16)), EMBED)),
+    },
+    "construct": {
+        "star-center": (cmd_star_center, (
+            INPUT, P, Q,
+            ("--matrix", dict(action="store_true",
+                              help="matrix-valued center at deep level instead of scalar")),
+            EMBED)),
+        "segment": (cmd_segment, (
+            INPUT, P, Q, ("--t", dict(type=float, default=0.5)), EMBED)),
+        "tverberg": (cmd_tverberg, (INPUT, P, Q, EMBED)),
+        "essential": (cmd_essential, (
+            INPUT, Q,
+            ("--r-max", dict(type=positive_int, required=True)),
+            ("--n-dirs", dict(type=positive_int, default=64)),
+            ("--n-free", dict(type=int_at_least(0), default=4)),
+            EMBED)),
+    },
+    "verify": {
+        "star": (cmd_verify_star, (
+            optional(INPUT), ("--planted", dict(action="store_true")),
+            optional(P, 1), optional(Q, 1),
+            ("--m", dict(type=int, default=2)),
+            ("--blocks", dict(type=int_at_least(2), default=4)),
+            ("--points", dict(type=positive_int, default=20)),
+            THRESHOLD, EMBED)),
+        "bounds": (cmd_verify_bounds, (
+            ("--m", dict(type=int_at_least(0), required=True)),
+            ("--k", dict(type=positive_int, required=True)),
+            ("--trials", dict(type=positive_int, default=50)),
+            ("--bound", dict(choices=("general", "refined"), default="general")),
+            THRESHOLD)),
+        "inclusions": (cmd_verify_inclusions, (
+            ("--m", dict(type=int, default=2)),
+            ("--n", dict(type=positive_int, default=18)),
+            optional(P, 3), optional(Q, 1),
+            ("--r", dict(type=positive_int, default=1)),
+            ("--trials", dict(type=positive_int, default=10)),
+            ("--corners", dict(type=positive_int, default=5)),
+            THRESHOLD)),
+        "convexity": (cmd_verify_convexity, (
+            optional(INPUT), ("--ensemble", dict(choices=("pauli",))),
+            optional(P, 1), optional(Q, 1),
+            ("--pairs", dict(type=positive_int, default=10)),
+            ("--floor", dict(type=float, default=0.5)),
+            THRESHOLD, EMBED)),
+        "perturbation": (cmd_verify_perturbation, (
+            ("--m", dict(type=int, default=2)),
+            ("--n", dict(type=positive_int, default=16)),
+            optional(P, 1), optional(Q, 1),
+            ("--trials", dict(type=positive_int, default=10)),
+            ("--rank", dict(type=positive_int, default=2)),
+            THRESHOLD)),
+    },
+}
 
-    construct = top.add_parser("construct").add_subparsers(dest="op", required=True)
-    p = construct.add_parser("star-center", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--p", type=positive_int, required=True)
-    p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--matrix", action="store_true",
-                   help="matrix-valued center at deep level instead of scalar")
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_star_center)
 
-    p = construct.add_parser("segment", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--p", type=positive_int, required=True)
-    p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_segment)
-
-    p = construct.add_parser("tverberg", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--p", type=positive_int, required=True)
-    p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_tverberg)
-
-    p = construct.add_parser("essential", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--q", type=positive_int, required=True)
-    p.add_argument("--r-max", type=positive_int, required=True)
-    p.add_argument("--n-dirs", type=positive_int, default=64)
-    p.add_argument("--n-free", type=int_at_least(0), default=4)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_essential)
-
-    verify = top.add_parser("verify").add_subparsers(dest="op", required=True)
-    p = verify.add_parser("star", parents=[common])
-    p.add_argument("--input", default=None)
-    p.add_argument("--planted", action="store_true")
-    p.add_argument("--p", type=positive_int, default=1)
-    p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--blocks", type=int_at_least(2), default=4)
-    p.add_argument("--points", type=positive_int, default=20)
-    p.add_argument("--threshold", type=unit_interval, default=0.95)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_verify_star)
-
-    p = verify.add_parser("bounds", parents=[common])
-    p.add_argument("--m", type=int_at_least(0), required=True)
-    p.add_argument("--k", type=positive_int, required=True)
-    p.add_argument("--trials", type=positive_int, default=50)
-    p.add_argument("--bound", choices=("general", "refined"), default="general")
-    p.add_argument("--threshold", type=unit_interval, default=0.95)
-    p.set_defaults(func=cmd_verify_bounds)
-
-    p = verify.add_parser("inclusions", parents=[common])
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=18)
-    p.add_argument("--p", type=positive_int, default=3)
-    p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--r", type=positive_int, default=1)
-    p.add_argument("--trials", type=positive_int, default=10)
-    p.add_argument("--corners", type=positive_int, default=5)
-    p.add_argument("--threshold", type=unit_interval, default=0.95)
-    p.set_defaults(func=cmd_verify_inclusions)
-
-    p = verify.add_parser("convexity", parents=[common])
-    p.add_argument("--input", default=None)
-    p.add_argument("--ensemble", choices=("pauli",), default=None)
-    p.add_argument("--p", type=positive_int, default=1)
-    p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--pairs", type=positive_int, default=10)
-    p.add_argument("--floor", type=float, default=0.5)
-    p.add_argument("--threshold", type=unit_interval, default=0.95)
-    p.add_argument("--embed", action="store_true")
-    p.set_defaults(func=cmd_verify_convexity)
-
-    p = verify.add_parser("perturbation", parents=[common])
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--p", type=positive_int, default=1)
-    p.add_argument("--q", type=positive_int, default=1)
-    p.add_argument("--trials", type=positive_int, default=10)
-    p.add_argument("--rank", type=positive_int, default=2)
-    p.add_argument("--threshold", type=unit_interval, default=0.95)
-    p.set_defaults(func=cmd_verify_perturbation)
-
+def command_parser(parser, handler, specs) -> argparse.ArgumentParser:
+    """Add COMMON and specs to parser and bind handler as args.func."""
+    for flag, kw in COMMON + specs:
+        parser.add_argument(flag, **kw)
+    parser.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree of every group and command, for help and usage errors."""
+    parser = _Parser(prog="matrange",
+                     description="generalized numerical ranges with certificates")
+    top = parser.add_subparsers(dest="group", required=True)
+    for group, ops in COMMANDS.items():
+        sub = top.add_parser(group).add_subparsers(dest="op", required=True)
+        for op, (handler, specs) in ops.items():
+            command_parser(sub.add_parser(op), handler, specs)
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse with one command's parser when argv[:2] names a command, so a
+    run builds no parser it does not use; otherwise with the full tree."""
+    group, op = (argv + [None, None])[:2]
+    entry = COMMANDS.get(group, {}).get(op)
+    if entry is None:
+        return build_parser().parse_args(argv)
+    parser = command_parser(_Parser(prog=f"matrange {group} {op}"), *entry)
+    return parser.parse_args(argv[2:], argparse.Namespace(group=group, op=op))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: cannot read {e.filename}", file=sys.stderr)
         return EXIT_PARSE
-    except (ParseError, SchemaError) as e:
+    except (UsageError, ParseError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (DimensionError, StructuralInfeasibility, RankDeficiencyError,

@@ -121,6 +121,8 @@ def annihilating_corner(F) -> CornerSpec:
     corner compressions of A and of A + F coincide.
     """
     F = as_tuple(F)
+    if F.n == 0:
+        raise DimensionError("an annihilating corner needs matrices of size n >= 1")
     cols = np.hstack([F.mats[j] for j in range(F.m)])
     U, s, _ = np.linalg.svd(cols, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))

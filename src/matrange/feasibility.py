@@ -671,7 +671,10 @@ def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,
         return [(None, np.inf)] * len(bases)
     U = np.repeat(np.stack([unflatten_blocks(u, A.m, q) for u in directions]), R, axis=0)
     X = np.stack([random_isometry(A.n, k, s).mat for s in seeds])
-    mu = 1.0 / A.scale()
+    scale = A.scale()
+    if not np.isfinite(scale):
+        raise DimensionError("tuple norm overflows; rescale it for a support-directed solve")
+    mu = 1.0 / scale
     for stage in range(opts.support_stages):
         X, _, R2 = _descend(A.mats, X, p, q, opts, opts.support_stage_iters,
                             direction=U, mu=mu)

@@ -111,7 +111,8 @@ class HermitianTuple:
         """max(1, largest member Frobenius norm); the relative-tolerance unit."""
         if self.n == 0:
             return 1.0
-        return max(1.0, max(frob(self.mats[j]) for j in range(self.m)))
+        with np.errstate(over="ignore"):  # inf for entries near the double range
+            return max(1.0, max(frob(self.mats[j]) for j in range(self.m)))
 
 
 def as_tuple(A) -> HermitianTuple:

@@ -9,7 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from matrange.cli import main
+import matrange.cli as cli
+from matrange.cli import COMMANDS, build_parser, main, parse_args
 from matrange.io import save_tuple, save_report
 from matrange.linalg import HermitianTuple
 from matrange.verify import SuiteReport, pauli_tuple
@@ -342,6 +343,11 @@ class TestErrors:
         ["verify", "perturbation", "--rank", "0", "--trials", "1"],
         ["verify", "perturbation", "--rank", "-1", "--trials", "1"],
         ["verify", "inclusions", "--r", "0", "--trials", "1"],
+        ["verify", "perturbation", "--n", "0", "--trials", "1"],
+        ["verify", "inclusions", "--n", "0", "--trials", "1"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "nan"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "-1"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "inf"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"
@@ -353,6 +359,78 @@ class TestErrors:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# parsers
+
+
+def minimal_argv(group, op):
+    """The command with "1" for each of its required flags."""
+    _, specs = COMMANDS[group][op]
+    return [group, op] + [a for flag, kw in specs if kw.get("required")
+                          for a in (flag, "1")]
+
+
+ENTRIES = [(group, op) for group, ops in COMMANDS.items() for op in ops]
+
+
+class TestParser:
+    @pytest.mark.parametrize("group,op", ENTRIES)
+    def test_command_parser_matches_full_tree(self, group, op):
+        for argv in (minimal_argv(group, op), minimal_argv(group, op) + ["--seed", "3"]):
+            assert parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("group,op", ENTRIES)
+    def test_command_help_matches_full_tree(self, group, op, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (parse_args, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_:
+                parse([group, op, "--help"])
+            assert exit_.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: matrange {group} {op} [-h]")
+
+    def test_valid_command_builds_one_parser(self, monkeypatch, tmp_path, diag9):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        assert main(["compute", "numrange", "--input", diag9, "--angles", "8",
+                     "--out", str(tmp_path / "bd.json")]) == 0
+        assert built == ["matrange compute numrange"]
+        built.clear()
+        assert main(["sample"]) == 2
+        assert len(built) == 1 + len(COMMANDS) + len(ENTRIES)
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "matrange: the following arguments are required: group"),
+        (["bogus"], "matrange: argument group: invalid choice: 'bogus'"),
+        (["sample"], "matrange sample: the following arguments are required: op"),
+        (["sample", "bogus"], "matrange sample: argument op: invalid choice: 'bogus'"),
+    ])
+    def test_missing_or_unknown_command(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
+    def test_unrecognized_argument_names_the_command(self, capsys, diag9):
+        assert main(["sample", "pq", "--input", diag9, "--p", "1", "--q", "1",
+                     "--threads", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: matrange sample pq: unrecognized arguments: --threads 2\n")
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["matrange", "sample", "bogus"])
+        assert main() == 2
+        assert "argument op: invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,11 @@ def test_corner_spec_validation():
         random_corner(4, 4, seed=0)
 
 
+def test_annihilating_corner_refuses_empty_matrices():
+    with pytest.raises(DimensionError):
+        annihilating_corner(np.zeros((2, 0, 0), dtype=complex))
+
+
 def test_annihilating_corner_kills_finite_rank_part():
     rng = np.random.default_rng(63)
     n, rank = 10, 2

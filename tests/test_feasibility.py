@@ -242,6 +242,18 @@ def test_solve_support_reaches_diag_endpoints():
     assert abs(lo.point.scalar_values()[0] - iv.lo) <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_support_refuses_overflowing_scale():
+    # the Frobenius norm overflows: scale() is inf without a warning, and the
+    # penalty continuation refuses it instead of running at mu = 1 / inf = 0
+    A = HermitianTuple(np.array([[[1e308, 1e308], [1e308, -1e308]]], dtype=complex))
+    assert A.scale() == np.inf
+    with pytest.raises(DimensionError, match="overflows"):
+        solve_support(A, 1, 1, [1.0])
+    with pytest.raises(DimensionError, match="overflows"):
+        sample_range(A, 1, 1, 0, directions=[[1.0]])
+
+
 @pytest.mark.parametrize("call", [
     lambda A: solve_free(A, 0, 1),
     lambda A: solve_free(A, 1, 0),
