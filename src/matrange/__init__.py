@@ -47,6 +47,7 @@ from .feasibility import (
     membership,
     sample_range,
     solve_free,
+    solve_jobs,
     solve_support,
 )
 from .tverberg import (

@@ -91,6 +91,7 @@ def int_at_least(low: int):
 positive_int = int_at_least(1)
 positive_float = checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 unit_interval = checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+finite_float = checked(float, math.isfinite, "a finite number")
 
 
 def _emit(text: str, out_path) -> None:
@@ -363,7 +364,7 @@ def optional(spec, default=None):
 COMMANDS = {
     "compute": {
         "numrange": (cmd_numrange, (
-            INPUT, ("--angles", dict(type=int, default=256)), ("--svg", {}))),
+            INPUT, ("--angles", dict(type=int_at_least(3), default=256)), ("--svg", {}))),
     },
     "sample": {
         "pq": (cmd_sample_pq, (
@@ -376,7 +377,7 @@ COMMANDS = {
                               help="matrix-valued center at deep level instead of scalar")),
             EMBED)),
         "segment": (cmd_segment, (
-            INPUT, P, Q, ("--t", dict(type=float, default=0.5)), EMBED)),
+            INPUT, P, Q, ("--t", dict(type=unit_interval, default=0.5)), EMBED)),
         "tverberg": (cmd_tverberg, (INPUT, P, Q, EMBED)),
         "essential": (cmd_essential, (
             INPUT, Q,
@@ -389,7 +390,7 @@ COMMANDS = {
         "star": (cmd_verify_star, (
             optional(INPUT), ("--planted", dict(action="store_true")),
             optional(P, 1), optional(Q, 1),
-            ("--m", dict(type=int, default=2)),
+            ("--m", dict(type=positive_int, default=2)),
             ("--blocks", dict(type=int_at_least(2), default=4)),
             ("--points", dict(type=positive_int, default=20)),
             THRESHOLD, EMBED)),
@@ -400,7 +401,7 @@ COMMANDS = {
             ("--bound", dict(choices=("general", "refined"), default="general")),
             THRESHOLD)),
         "inclusions": (cmd_verify_inclusions, (
-            ("--m", dict(type=int, default=2)),
+            ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=18)),
             optional(P, 3), optional(Q, 1),
             ("--r", dict(type=positive_int, default=1)),
@@ -411,10 +412,10 @@ COMMANDS = {
             optional(INPUT), ("--ensemble", dict(choices=("pauli",))),
             optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
-            ("--floor", dict(type=float, default=0.5)),
+            ("--floor", dict(type=finite_float, default=0.5)),
             THRESHOLD, EMBED)),
         "perturbation": (cmd_verify_perturbation, (
-            ("--m", dict(type=int, default=2)),
+            ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=16)),
             optional(P, 1), optional(Q, 1),
             ("--trials", dict(type=positive_int, default=10)),

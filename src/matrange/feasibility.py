@@ -22,8 +22,10 @@ descending on its own, stacked with other lanes into an (L, n, k) array
 so that each numpy call (products, QR retraction) serves the whole stack.
 A lane keeps its own step, line search and stop test, leaves the stack
 when it stops, and computes bitwise the same whatever lanes share its
-stack.  Membership and free solves run their restarts in waves of 1, 2,
-4, ... lanes; after each wave the lanes are polished in restart order and
+stack.  Membership and free solves are jobs, each with its own tuple,
+target and seed; the jobs of one call run their restarts in waves of 1, 2,
+4, ... lanes.  After each wave a lane that stalled close to accept_tol
+(within POLISH_GATE times it) gets a Gauss-Newton polish, and in each job
 the lowest restart that reaches accept_tol wins, exactly as one restart
 at a time would choose.  Support solves run all their restarts, and
 sample_range all its directed solves and the waves of all its free
@@ -65,8 +67,14 @@ NONMONOTONE_ETA = 0.85
 STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-16
 SUPPORT_KICK = 1e-5  # tangent kick between support penalty stages
-POLISH_ITERS = 20  # Gauss-Newton steps after descent stalls above accept_tol
-LANE_ENTRIES = 2**16  # complex entries (1 MiB) per lane stack of (m, n, k) arrays
+# Gauss-Newton converges only locally: a lane that stalls above accept_tol is
+# polished (POLISH_ITERS steps at most) only when its residual is at most
+# POLISH_GATE * accept_tol; lanes further out keep the descent's answer
+POLISH_ITERS = 20
+POLISH_GATE = 1e4
+# complex entries (1 MiB) per lane stack of (m, n, k) arrays, counting each
+# lane's own (m, n, n) tuple when the lanes carry one
+LANE_ENTRIES = 2**16
 
 
 class StructuralInfeasibility(ValueError):
@@ -373,26 +381,36 @@ def _tangent_kick(X: np.ndarray, delta: float, seeds, moved=None) -> np.ndarray:
 
 
 def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
-             direction=None, mu=0.0):
+             direction=None, mu=0.0, job=None):
     """Projected-gradient descent on the Stiefel manifold, lane by lane.
 
     X is an (L, n, k) stack of starting points, one lane each.  Modes: target
     fixed (membership), B free (range sampling), and penalized support
     ascent (direction an (L, m, q, q) stack, one per lane, objective
-    mu * R^2 - <direction, B>).  The lanes run in stacks of at most
-    LANE_ENTRIES entries per (m, n, k) array; a lane's arithmetic does not
-    depend on which lanes share its stack, so neither do the results.
-    Returns (X, B_blocks, R_squared) stacked over the lanes.
+    mu * R^2 - <direction, B>).  Amats is one (m, n, n) tuple for every
+    lane, or a (J, m, n, n) stack of which lane l reads Amats[job[l]]; a
+    target is likewise one (m, q, q) point or a (J, m, q, q) stack read
+    through job.  The lanes run in stacks of at most LANE_ENTRIES entries
+    per (m, n, k) array (plus the lanes' own tuples); a lane's arithmetic
+    does not depend on which lanes share its stack, so neither do the
+    results.  Returns (X, B_blocks, R_squared) stacked over the lanes.
     """
-    size = max(1, LANE_ENTRIES // (Amats.shape[0] * X[0].size))
-    parts = [_descend_stack(Amats, X[lo:lo + size], p, q, opts, max_iters, target,
-                            None if direction is None else direction[lo:lo + size], mu)
-             for lo in range(0, len(X), size)]
+    m, n = Amats.shape[-3:-1]
+    size = max(1, LANE_ENTRIES // (m * (X[0].size + (Amats.ndim == 4) * n * n)))
+
+    def lanes(a, rows):  # a stack read through job, sliced to rows; else a
+        return a if a is None or a.ndim == 3 else a[job[rows]]
+
+    parts = [_descend_stack(lanes(Amats, rows), X[rows], p, q, opts, max_iters,
+                            lanes(target, rows),
+                            None if direction is None else direction[rows], mu)
+             for rows in (slice(lo, lo + size) for lo in range(0, len(X), size))]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
-    """_descend on one stack.
+    """_descend on one stack; Amats and target are shared (m, ., .) arrays
+    or (L, m, ., .) stacks with one entry per lane.
 
     Steps alternate the two Barzilai-Borwein lengths; a trial point is
     accepted against the Zhang-Hager average C of past objectives, so h may
@@ -406,16 +424,20 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     support = U is not None
     IpU = _inflate(U, p) if support else None
     IpT = None if target is None else _inflate(target, p)
+    Am = Amats
 
-    def evaluate(X, U):
-        AX = Amats @ X[:, None]
+    def rows(a, sub):  # the rows sub of a per-lane stack; a shared array as is
+        return a if a is None or a.ndim == 3 else a[sub]
+
+    def evaluate(X, sub=slice(None)):
+        AX = rows(Am, sub) @ X[:, None]
         S = _adjoint(X)[:, None] @ AX
-        E, B = _misfit(S, p, q) if target is None else (S - IpT, None)
+        E, B = _misfit(S, p, q) if IpT is None else (S - rows(IpT, sub), None)
         R2 = _lane_dot(E, E)
-        h = R2 if U is None else mu * R2 - _lane_dot(U, B)
+        h = R2 if U is None else mu * R2 - _lane_dot(U[sub], B)
         return [X, AX, E, B], h.tolist(), R2.tolist()
 
-    (X, AX, E, B), h, R2 = evaluate(X, U)
+    (X, AX, E, B), h, R2 = evaluate(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
     W = STAGNATION_WINDOW
     ids = list(range(len(X)))
@@ -434,6 +456,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                            [R2[i] for i in out]))
             X, AX, E, B, U, IpU, Xp, Gp = (
                 None if a is None else a[keep] for a in (X, AX, E, B, U, IpU, Xp, Gp))
+            Am, IpT = rows(Am, keep), rows(IpT, keep)
             ids, h, R2, C, hist = ([v[i] for i in keep] for v in (ids, h, R2, C, hist))
         n = len(ids)
         if support:
@@ -460,8 +483,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                 break
             sub = slice(None) if len(pend) == n else pend
             ts = np.array([t[i] for i in pend])
-            got, hs, R2s = evaluate(_qr_fix(X[sub] - ts[:, None, None] * Gt[sub]),
-                                    None if U is None else U[sub])
+            got, hs, R2s = evaluate(_qr_fix(X[sub] - ts[:, None, None] * Gt[sub]), sub)
             if len(pend) == n:
                 trial, th, tR2 = got, hs, R2s
             else:
@@ -507,7 +529,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
         X, R2 = np.concatenate(X)[order], np.concatenate(R2)[order]
         B = None if target is not None else np.concatenate(B)[order]
     if target is not None:
-        B = np.broadcast_to(target, (len(X),) + target.shape)
+        B = target if target.ndim == 4 else np.broadcast_to(target, (len(X),) + target.shape)
     return X, B, np.asarray(R2, dtype=float)
 
 
@@ -583,47 +605,91 @@ def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
 
 
 def _settle(Amats, X, R2, p, q, opts: SolverOptions, target=None):
-    """Polish one descended lane if it is still above accept_tol.
+    """Polish one descended lane if it stalled above accept_tol but within
+    POLISH_GATE times it; a lane further out keeps its X and residual.
 
     Fixed-target mode when target is given, free mode otherwise.
     Returns (X, residual).
     """
-    if np.sqrt(R2) > opts.accept_tol:
+    if opts.accept_tol < np.sqrt(R2) <= POLISH_GATE * opts.accept_tol:
         X, R2 = _polish(Amats, X, p, q, opts, target=target)
     return X, float(np.sqrt(R2))
 
 
-def _first_success(A: HermitianTuple, p: int, q: int, opts: SolverOptions,
-                   bases, target=None):
+def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     """Job i restarts r = 0, 1, ... from the Haar start seeded bases[i] + r.
 
-    Restarts run in doubling waves, 1 lane, then 2, 4, ..., capped by what
-    is left of max_restarts; the waves of all open jobs descend as one
-    stack.  Then each job polishes its lanes in restart order and stops at
-    the first that reaches accept_tol, so the lowest successful restart
-    wins, and a job whose restart 0 succeeds runs one lane.  Returns per
-    job (r, X, residual) of that restart r, or (None, None, best residual)
-    after max_restarts failures; before any restart has run, the best
-    residual is inf.
+    A is one tuple for every job or a list of tuples, one per job; target is
+    None (free mode), one (m, q, q) point for every job, or one per job.
+    All jobs share m, n, p and q.  Restarts run in doubling waves, 1 lane,
+    then 2, 4, ..., capped by what is left of max_restarts; the waves of all
+    open jobs descend as one stack.  Then each job settles its lanes in
+    restart order (_settle) and stops at the first that reaches accept_tol,
+    so the lowest successful restart wins, and a job whose restart 0
+    succeeds runs one lane.  Returns per job (r, X, residual) of that
+    restart r, or (None, None, best residual) after max_restarts failures;
+    before any restart has run, the best residual is inf.
     """
-    k = _witness_columns(A, p, q)
+    if not bases:
+        return []
+    shared = isinstance(A, HermitianTuple)
+    tuples = [A] * len(bases) if shared else list(A)
+    Amats = A.mats if shared else np.stack([a.mats for a in tuples])
+    target = None if target is None else np.asarray(target, dtype=complex)
+    k = _witness_columns(tuples[0], p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
     start, width = 0, 1
     while todo and start < opts.max_restarts:
-        wave = range(start, min(start + width, opts.max_restarts))
-        X0 = np.array([random_isometry(A.n, k, bases[i] + r).mat for i in todo for r in wave])
-        X, _, R2 = _descend(A.mats, X0, p, q, opts, opts.max_iters, target=target)
-        for j, i in enumerate(todo):
-            for c, r in enumerate(wave):
-                l = j * len(wave) + c
-                Xl, res = _settle(A.mats, X[l], R2[l], p, q, opts, target)
-                if res <= opts.accept_tol:
-                    out[i] = (r, Xl, res)
-                    break
-                out[i] = (None, None, min(out[i][2], res))
+        wave = [(i, r) for i in todo
+                for r in range(start, min(start + width, opts.max_restarts))]
+        X0 = np.array([random_isometry(tuples[0].n, k, bases[i] + r).mat for i, r in wave])
+        X, _, R2 = _descend(Amats, X0, p, q, opts, opts.max_iters, target=target,
+                            job=np.array([i for i, _ in wave]))
+        for l, (i, r) in enumerate(wave):
+            if out[i][0] is not None:  # an earlier restart of job i succeeded
+                continue
+            Xl, res = _settle(tuples[i].mats, X[l], R2[l], p, q, opts,
+                              None if target is None or target.ndim == 3 else target[i])
+            out[i] = (r, Xl, res) if res <= opts.accept_tol \
+                else (None, None, min(out[i][2], res))
         todo = [i for i in todo if out[i][0] is None]
         start, width = start + width, 2 * width
+    return out
+
+
+def solve_jobs(A, p: int, q: int, seeds, points=None,
+               opts: SolverOptions = SolverOptions()):
+    """Membership (points given) or free solves, one job per seed, in one
+    engine call.
+
+    Job i solves on A (one HermitianTuple for every job) or A[i] (a list of
+    tuples sharing m and n), for points[i] if given, with options
+    opts.replace(seed=seeds[i]); its result is bitwise what that one
+    membership or solve_free call returns.  Returns a list of Certificates
+    and Rejections.
+    """
+    shared = isinstance(A, HermitianTuple)
+    tuples = [A] * len(seeds) if shared else [as_tuple(a) for a in A]
+    for a, B in zip(tuples, points or ()):
+        if B.m != a.m:
+            raise DimensionError(f"point length {B.m} does not match tuple length {a.m}")
+        if B.q != q:
+            raise DimensionError(f"point blocks are {B.q}-by-{B.q}, expected q = {q}")
+    target = None if points is None else [B.blocks for B in points]
+    found = _first_success(A if shared else tuples, p, q, opts, seeds, target)
+    out = []
+    for i, (a, (_, X, res)) in enumerate(zip(tuples, found)):
+        if X is None:
+            out.append(Rejection(best_residual=res, restarts=opts.max_restarts,
+                                 message="free solve found no feasible block" if points is None
+                                 else "no witness found at the requested tolerance"))
+        elif points is None:
+            out.append(certify(a, Isometry(X), p))
+        else:
+            W = Isometry(X)
+            out.append(Certificate(point=points[i], p=p, witness=W,
+                                   residual=residual(a, W, p, points[i])))
     return out
 
 
@@ -634,25 +700,14 @@ def membership(A, B: MatPoint, p: int, opts: SolverOptions = SolverOptions()):
     Haar-random starts otherwise.  Raises StructuralInfeasibility when
     p * q exceeds the tuple dimension.
     """
-    A = as_tuple(A)
-    if B.m != A.m:
-        raise DimensionError(f"point length {B.m} does not match tuple length {A.m}")
-    [(_, X, res)] = _first_success(A, p, B.q, opts, [opts.seed], target=B.blocks)
-    if X is None:
-        return Rejection(best_residual=res, restarts=opts.max_restarts,
-                         message="no witness found at the requested tolerance")
-    W = Isometry(X)
-    return Certificate(point=B, p=p, witness=W, residual=residual(A, W, p, B))
+    [got] = solve_jobs(as_tuple(A), p, B.q, [opts.seed], [B], opts)
+    return got
 
 
 def solve_free(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
     """Find any point of the (p, q) range of A, with certificate."""
-    A = as_tuple(A)
-    [(_, X, res)] = _first_success(A, p, q, opts, [opts.seed])
-    if X is None:
-        return Rejection(best_residual=res, restarts=opts.max_restarts,
-                         message="free solve found no feasible block")
-    return certify(A, Isometry(X), p)
+    [got] = solve_jobs(as_tuple(A), p, q, [opts.seed], opts=opts)
+    return got
 
 
 def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,

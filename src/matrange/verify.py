@@ -33,11 +33,10 @@ from .feasibility import (
     Rejection,
     SolverOptions,
     compose_certificate,
-    find_scalar_point,
     membership,
     residual,
     sample_range,
-    solve_free,
+    solve_jobs,
 )
 from .linalg import (
     HermitianTuple,
@@ -207,18 +206,17 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
         )
     center = out.center
     cloud = sample_range(A, p, q, n_points, opts.replace(seed=opts.seed + 1))
-    trials = 0
-    for i, B in enumerate(cloud.points()):
-        for t in t_grid:
-            trials += 1
-            target = MatPoint(t * B.blocks + (1.0 - t) * center.blocks)
-            seed_i = opts.seed + 104729 * trials
-            got = membership(A, target, p, opts.replace(seed=seed_i))
-            ok, best = _accepted(got, opts.accept_tol)
-            if ok:
-                passes += 1
-            else:
-                failures.append((seed_i, f"point {i}, t={t}: best residual {best:.3e}"))
+    segments = [(i, t, MatPoint(t * B.blocks + (1.0 - t) * center.blocks))
+                for i, B in enumerate(cloud.points()) for t in t_grid]
+    trials = len(segments)
+    seeds = [opts.seed + 104729 * (j + 1) for j in range(trials)]
+    got = solve_jobs(A, p, q, seeds, [target for _, _, target in segments], opts)
+    for (i, t, _), seed_i, out in zip(segments, seeds, got):
+        ok, best = _accepted(out, opts.accept_tol)
+        if ok:
+            passes += 1
+        else:
+            failures.append((seed_i, f"point {i}, t={t}: best residual {best:.3e}"))
     return SuiteReport(suite="star-shaped", trials=trials, passes=passes,
                        failures=tuple(failures),
                        tolerances={"accept_tol": opts.accept_tol,
@@ -255,10 +253,10 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
     n = bound_dimension(m, k, bound)
     failures = []
     passes = 0
-    for i in range(trials):
-        seed_i = opts.seed + 1009 * (i + 1)
-        A = random_hermitian_tuple(m, n, seed_i)
-        out = find_scalar_point(A, k, opts.replace(seed=seed_i))
+    seeds = [opts.seed + 1009 * (i + 1) for i in range(trials)]
+    tuples = [random_hermitian_tuple(m, n, seed_i) for seed_i in seeds]
+    # a rank-k scalar point is a free solve at level p = k, q = 1
+    for seed_i, out in zip(seeds, solve_jobs(tuples, k, 1, seeds, opts=opts)):
         if isinstance(out, Rejection):
             failures.append((seed_i, f"best residual {out.best_residual:.3e} "
                                      f"after {out.restarts} restarts"))
@@ -283,24 +281,26 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
     failures = []
     passes = 0
     p_low = p - q * r
-    for i in range(trials):
-        seed_i = opts.seed + 7717 * (i + 1)
-        A = random_hermitian_tuple(m, n, seed_i)
-        base = solve_free(A, p, q, opts.replace(seed=seed_i))
-        if isinstance(base, Rejection):
-            for c in range(corners):
-                failures.append((seed_i, f"base solve rejected, corner {c} skipped"))
-            continue
+    seeds = [opts.seed + 7717 * (i + 1) for i in range(trials)]
+    tuples = [random_hermitian_tuple(m, n, seed_i) for seed_i in seeds]
+    bases = solve_jobs(tuples, p, q, seeds, opts=opts)
+    # (trial, corner seed) of every corner of an accepted base
+    jobs = [(i, seed_i + 31 * (c + 1)) for i, (seed_i, base) in enumerate(zip(seeds, bases))
+            if isinstance(base, Certificate) for c in range(corners)]
+    inner = [corner_compress(tuples[i], random_corner(n, r, seed_c)) for i, seed_c in jobs]
+    got = iter(solve_jobs(inner, p_low, q, [seed_c for _, seed_c in jobs],
+                          [bases[i].point for i, _ in jobs], opts))
+    for seed_i, base in zip(seeds, bases):
         for c in range(corners):
-            seed_c = seed_i + 31 * (c + 1)
-            corner = random_corner(n, r, seed_c)
-            inner = corner_compress(A, corner)
-            got = membership(inner, base.point, p_low, opts.replace(seed=seed_c))
-            ok, best = _accepted(got, opts.accept_tol)
+            if isinstance(base, Rejection):
+                failures.append((seed_i, f"base solve rejected, corner {c} skipped"))
+                continue
+            ok, best = _accepted(next(got), opts.accept_tol)
             if ok:
                 passes += 1
             else:
-                failures.append((seed_c, f"corner re-cert failed: best {best:.3e}"))
+                failures.append((seed_i + 31 * (c + 1),
+                                 f"corner re-cert failed: best {best:.3e}"))
     total = trials * corners
     return SuiteReport(suite="corner-inclusions", trials=total, passes=passes,
                        failures=tuple(failures),
@@ -323,12 +323,11 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     pts = cloud.points()
     failures = []
     passes = 0
-    trials = 0
-    for i in range(0, 2 * (len(pts) // 2), 2):
-        trials += 1
-        M = MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0)
-        seed_i = opts.seed + 53 * (i + 1)
-        got = membership(A, M, p, opts.replace(seed=seed_i))
+    firsts = range(0, 2 * (len(pts) // 2), 2)
+    trials = len(firsts)
+    seeds = [opts.seed + 53 * (i + 1) for i in firsts]
+    mids = [MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0) for i in firsts]
+    for i, seed_i, got in zip(firsts, seeds, solve_jobs(A, p, q, seeds, mids, opts)):
         ok, best = _accepted(got, opts.accept_tol)
         if ok:
             passes += 1
@@ -393,13 +392,14 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
     start = time.perf_counter()
     failures = []
     passes = 0
-    for i in range(trials):
-        seed_i = opts.seed + 4409 * (i + 1)
-        A = random_hermitian_tuple(m, n, seed_i)
+    seeds = [opts.seed + 4409 * (i + 1) for i in range(trials)]
+    perturbed = []  # (A, F, corner killing F) per trial
+    for seed_i in seeds:
         F = random_finite_rank_tuple(m, n, rank, seed_i + 1)
-        corner = annihilating_corner(F)
-        inner = corner_compress(A, corner)
-        got = solve_free(inner, p, q, opts.replace(seed=seed_i))
+        perturbed.append((random_hermitian_tuple(m, n, seed_i), F, annihilating_corner(F)))
+    inner = [corner_compress(A, corner) for A, _, corner in perturbed]
+    for seed_i, (A, F, corner), got in zip(seeds, perturbed,
+                                           solve_jobs(inner, p, q, seeds, opts=opts)):
         if isinstance(got, Rejection):
             failures.append((seed_i, f"corner solve rejected: best "
                                      f"{got.best_residual:.3e}"))

@@ -348,6 +348,18 @@ class TestErrors:
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "nan"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "-1"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "inf"],
+        ["verify", "convexity", "--ensemble", "pauli", "--floor", "nan"],
+        ["verify", "convexity", "--ensemble", "pauli", "--floor", "inf"],
+        ["verify", "star", "--planted", "--m", "-1"],
+        ["verify", "star", "--planted", "--m", "0"],
+        ["verify", "inclusions", "--m", "-1", "--n", "8", "--trials", "1"],
+        ["verify", "inclusions", "--m", "0", "--n", "8", "--trials", "1"],
+        ["verify", "perturbation", "--m", "-1", "--trials", "1"],
+        ["verify", "perturbation", "--m", "0", "--trials", "1"],
+        ["construct", "segment", "--input", "{pair}", "--p", "1", "--q", "1", "--t", "1.5"],
+        ["construct", "segment", "--input", "{pair}", "--p", "1", "--q", "1", "--t", "nan"],
+        ["compute", "numrange", "--input", "{pair}", "--angles", "0"],
+        ["compute", "numrange", "--input", "{pair}", "--angles", "2"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"

@@ -11,6 +11,7 @@ from matrange.constructions import (
     CrossOrthogonalityError,
     DeflationError,
     StarCenter,
+    _restrict_certificate,
     annihilating_corner,
     coordinate_corner,
     corner_compress,
@@ -489,3 +490,26 @@ def test_essential_interval_needs_dimension_one():
     est = essential_estimate(A, 1, 2, SolverOptions(seed=0), n_dirs=8, n_free=2)
     with pytest.raises(DimensionError):
         est.interval()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 2), p=st.integers(2, 3),
+       q=st.integers(1, 2), extra=st.integers(1, 4), data=st.data())
+def test_restricted_certificate_is_valid_at_lower_level(seed, m, p, q, extra, data):
+    # monotonicity in p: the first p' q columns of a (p, q) witness compress
+    # each A_j to the top-left block of X* A_j X, whose misfit against
+    # I_p' (x) B is a sub-block of the full misfit; so the (p, q) range lies in
+    # the (p', q) range, and a certificate stays valid with no larger residual
+    n = p * q + extra
+    A = gue(m, n, seed)
+    cert = solve_free(A, p, q, SolverOptions(seed=seed, max_restarts=3))
+    if isinstance(cert, Rejection):
+        cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    p_low = data.draw(st.integers(1, p - 1))
+    low = _restrict_certificate(A, cert, p_low, cert.point)
+    assert low.p == p_low and low.witness.k == p_low * q
+    assert low.point is cert.point
+    low.revalidate(A)
+    assert low.residual <= cert.residual + 1e-12 * max(1.0, frob(A.mats))
+    if cert.residual <= SolverOptions().accept_tol:
+        assert low.residual <= SolverOptions().accept_tol

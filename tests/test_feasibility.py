@@ -37,6 +37,7 @@ from matrange.linalg import (
     coordinate_isometry,
     direct_sum,
     frob,
+    _qr_fix,
     kron_block,
     random_isometry,
 )
@@ -503,6 +504,76 @@ def test_polish_memory_bounded():
 
 
 # ---------------------------------------------------------------------------
+# the polish gate
+
+
+def count_polish(monkeypatch):
+    """Record the starting residual of every _polish call the solver makes."""
+    starts = []
+    polish = feasibility._polish
+
+    def counted(Amats, X, p, q, opts, target=None):
+        E, _ = feasibility._misfit(np.conj(X.T) @ (Amats @ X), p, q, target)
+        starts.append(float(np.linalg.norm(E)))
+        return polish(Amats, X, p, q, opts, target=target)
+
+    monkeypatch.setattr(feasibility, "_polish", counted)
+    return starts
+
+
+def test_solve_jobs_refuses_mismatched_points():
+    A = gue(2, 6, seed=1)
+    with pytest.raises(DimensionError):
+        feasibility.solve_jobs(A, 1, 1, [0], [random_matpoint(3, 1, 2)])
+    with pytest.raises(DimensionError):
+        feasibility.solve_jobs([A, A], 1, 1, [0, 1], [random_matpoint(2, 1, 2),
+                                                      random_matpoint(2, 2, 3)])
+    assert feasibility.solve_jobs(A, 1, 1, []) == []
+
+
+def test_interlacing_infeasible_membership_skips_polish(monkeypatch):
+    # x lies delta beyond the pq-th largest eigenvalue of A_1, so by Cauchy
+    # interlacing every compression misses x I_pq by delta or more: each
+    # restart stalls far outside the gate, and none is polished
+    starts = count_polish(monkeypatch)
+    n, p, q, delta = 10, 2, 1, 0.05
+    A = gue(1, n, seed=7)
+    lam = np.linalg.eigvalsh(A.mats[0])[::-1]
+    point = MatPoint.scalar([lam[p * q - 1] + delta], q)
+    opts = SolverOptions(max_restarts=6, seed=3)
+    got = membership(A, point, p, opts)
+    assert isinstance(got, Rejection)
+    assert got.best_residual >= delta * (1 - 1e-9) > feasibility.POLISH_GATE * opts.accept_tol
+    assert starts == []
+
+
+@pytest.mark.parametrize("kick,polished", [(1e-6, True), (1e-2, False)])
+def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
+    # the only start lies `kick` away from an exact witness and max_iters = 0
+    # stalls it there: within the gate the polish alone reaches accept_tol,
+    # outside it the start's residual is reported unpolished
+    starts = count_polish(monkeypatch)
+    A = gue(2, 8, seed=5)
+    X_exact = random_isometry(8, 2, seed=6).mat
+    point = certify(A, Isometry(X_exact), 1).point
+    rng = np.random.default_rng(8)
+    T = feasibility._tangent(X_exact, rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+    X0 = Isometry(_qr_fix(X_exact + kick * T / frob(T)))
+    monkeypatch.setattr(feasibility, "random_isometry", lambda n, k, seed: X0)
+    opts = SolverOptions(max_restarts=1, max_iters=0)
+    start = residual(A, X0, 1, point)
+    assert (start <= feasibility.POLISH_GATE * opts.accept_tol) == polished
+    got = membership(A, point, 1, opts)
+    if polished:
+        assert len(starts) == 1 and abs(starts[0] - start) <= 1e-15
+        assert isinstance(got, Certificate) and got.residual <= opts.accept_tol
+    else:
+        assert starts == []
+        assert isinstance(got, Rejection)
+        assert abs(got.best_residual - start) <= 1e-12 * start
+
+
+# ---------------------------------------------------------------------------
 # certificate properties
 
 
@@ -545,3 +616,24 @@ def test_witness_entry_change_fails_revalidation(seed, m, p, q, extra, entry, im
                          residual=cert.residual)
     with pytest.raises(CertificateError):
         forged.revalidate(A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**certificate_shapes, scale=st.sampled_from([1e-3, 1.0, 1e3]), solved=st.booleans())
+def test_unitary_covariance(seed, m, p, q, extra, scale, solved):
+    # X* A_j X = (U* X)* (U* A_j U) (U* X): a certificate for A with witness X
+    # is one for U* A U with witness U* X, with the same point and residual
+    n = p * q + extra
+    A = HermitianTuple(scale * gue(m, n, seed).mats)
+    cert = solve_free(A, p, q, SolverOptions(seed=seed % 2**31, max_restarts=3)) \
+        if solved else certify(A, random_isometry(n, p * q, seed + 1), p)
+    if isinstance(cert, Rejection):
+        cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    U = random_isometry(n, n, seed + 2).mat
+    UAU = np.conj(U.T) @ A.mats @ U
+    B = HermitianTuple(0.5 * (UAU + np.conj(np.swapaxes(UAU, 1, 2))))
+    moved = Certificate(point=cert.point, p=p, witness=Isometry(np.conj(U.T) @ cert.witness.mat),
+                        residual=cert.residual)
+    tol = 1e-12 * max(1.0, frob(A.mats))
+    assert abs(residual(B, moved.witness, p, moved.point) - cert.residual) <= tol
+    moved.revalidate(B, res_tol=tol)

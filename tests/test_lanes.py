@@ -13,9 +13,11 @@ from matrange.feasibility import (
     BB_MAX,
     BB_MIN,
     NONMONOTONE_ETA,
+    POLISH_GATE,
     STAGNATION_TOL,
     STAGNATION_WINDOW,
     MatPoint,
+    Rejection,
     SolverOptions,
     _descend,
     _first_success,
@@ -24,6 +26,8 @@ from matrange.feasibility import (
     _tangent,
     _witness_columns,
     membership,
+    solve_free,
+    solve_jobs,
 )
 from matrange.linalg import HermitianTuple, Isometry, _inflate, _qr_fix, frob, random_isometry
 
@@ -42,7 +46,7 @@ def hermitian_blocks(m, q, seed):
 
 # ---------------------------------------------------------------------------
 # serial reference: the one-lane descent and the restart-by-restart driver
-# the engine replaced, kept verbatim apart from names
+# the engine replaced, kept verbatim apart from names and the polish gate
 
 
 def serial_descend(Amats, X, p, q, opts, max_iters, target=None, direction=None, mu=0.0):
@@ -112,7 +116,7 @@ def serial_first_success(A, p, q, opts, target=None):
     for r in range(opts.max_restarts):
         X0 = feasibility.random_isometry(A.n, k, opts.seed + r)
         X, _, R2 = serial_descend(A.mats, X0.mat, p, q, opts, opts.max_iters, target=target)
-        if np.sqrt(R2) > opts.accept_tol:
+        if opts.accept_tol < np.sqrt(R2) <= POLISH_GATE * opts.accept_tol:
             X, R2 = _polish(A.mats, X, p, q, opts, target=target)
         res = float(np.sqrt(R2))
         if res <= opts.accept_tol:
@@ -250,3 +254,37 @@ def test_failed_job_reports_best_residual_over_all_waves():
     r_ref, X_ref, res_ref = serial_first_success(A, 2, 1, opts, target=target)
     assert r is X is r_ref is X_ref is None
     assert res >= 0.3 and abs(res - res_ref) <= 1e-6
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31), m=st.integers(1, 2), p=st.integers(1, 2),
+       q=st.integers(1, 2), extra=st.integers(0, 3), jobs=st.integers(2, 4),
+       free=st.booleans(), size=st.sampled_from([None, 1, 3]))
+def test_jobs_on_own_tuples_and_targets_match_each_alone(seed, m, p, q, extra, jobs,
+                                                         free, size):
+    # each job has its own tuple, seed and (in membership mode) target; even
+    # jobs aim at a point certified by a random isometry, odd ones at random
+    # blocks.  size cuts the stacks into that many lanes each
+    n = p * q + extra
+    tuples = [gue(m, n, seed + j) for j in range(jobs)]
+    points = None if free else [
+        feasibility.certify(tuples[j], random_isometry(n, p * q, seed + 50 + j), p).point
+        if j % 2 == 0 else MatPoint(hermitian_blocks(m, q, seed + 100 + j))
+        for j in range(jobs)]
+    seeds = [seed + 1000 * j for j in range(jobs)]
+    opts = SolverOptions(max_restarts=3, max_iters=60)
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(feasibility, "LANE_ENTRIES", m * (n * p * q + n * n) * size)
+        together = solve_jobs(tuples, p, q, seeds, points, opts)
+    for j, got in enumerate(together):
+        one = opts.replace(seed=seeds[j])
+        alone = solve_free(tuples[j], p, q, one) if free \
+            else membership(tuples[j], points[j], p, one)
+        assert type(got) is type(alone)
+        if isinstance(got, Rejection):
+            assert got == alone
+        else:
+            assert np.array_equal(got.witness.mat, alone.witness.mat)
+            assert np.array_equal(got.point.blocks, alone.point.blocks)
+            assert got.residual == alone.residual
