@@ -671,6 +671,8 @@ def solve_jobs(A, p: int, q: int, seeds, points=None,
     """
     shared = isinstance(A, HermitianTuple)
     tuples = [A] * len(seeds) if shared else [as_tuple(a) for a in A]
+    if len(tuples) != len(seeds) or points is not None and len(points) != len(seeds):
+        raise DimensionError("need one seed per tuple and per point")
     for a, B in zip(tuples, points or ()):
         if B.m != a.m:
             raise DimensionError(f"point length {B.m} does not match tuple length {a.m}")

@@ -528,6 +528,10 @@ def test_solve_jobs_refuses_mismatched_points():
     with pytest.raises(DimensionError):
         feasibility.solve_jobs([A, A], 1, 1, [0, 1], [random_matpoint(2, 1, 2),
                                                       random_matpoint(2, 2, 3)])
+    with pytest.raises(DimensionError):
+        feasibility.solve_jobs([A, A], 1, 1, [0])
+    with pytest.raises(DimensionError):
+        feasibility.solve_jobs(A, 1, 1, [0, 1], [random_matpoint(2, 1, 2)])
     assert feasibility.solve_jobs(A, 1, 1, []) == []
 
 
