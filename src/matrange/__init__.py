@@ -11,27 +11,22 @@ from .linalg import (
     DimensionError,
     HermitianTuple,
     Isometry,
-    RankDeficiencyError,
     as_tuple,
     compress,
     coordinate_isometry,
     direct_sum,
     herm_eig,
     kron_block,
-    orthonormalize,
     random_isometry,
 )
 from .ranges import (
     Boundary2D,
     Interval,
-    affine_image,
     hermitian_embed,
     joint_numrange_sample,
     numrange_boundary,
     rank_k_interval,
     support_value,
-    transform_point,
-    tuple_linear_transform,
 )
 from .feasibility import (
     Certificate,
@@ -53,7 +48,6 @@ from .feasibility import (
 from .tverberg import (
     PartitionResult,
     count_partitions,
-    hull_membership,
     set_partitions,
     tverberg_partition,
 )
@@ -66,7 +60,6 @@ from .constructions import (
     StarCenter,
     TverbergLift,
     annihilating_corner,
-    coordinate_corner,
     corner_compress,
     deflated_solve,
     deflation_corner,
@@ -75,7 +68,6 @@ from .constructions import (
     orthogonal_block_family,
     random_corner,
     segment_witness,
-    star_center_complex,
     star_center_matrix,
     star_center_scalar,
     tverberg_lift,

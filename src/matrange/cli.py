@@ -45,7 +45,7 @@ from .io import (
     load_tuple,
     report_doc,
 )
-from .linalg import DimensionError, HermitianTuple, RankDeficiencyError
+from .linalg import DimensionError, HermitianTuple
 from .ranges import numrange_boundary
 from .verify import (
     check_convexity,
@@ -466,8 +466,7 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (DimensionError, StructuralInfeasibility, RankDeficiencyError,
-            ValueError) as e:
+    except (DimensionError, StructuralInfeasibility, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

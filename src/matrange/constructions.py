@@ -28,18 +28,16 @@ module makes each assembly executable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .feasibility import (
     Certificate,
     MatPoint,
-    PointCloud,
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
-    certify,
     compose_certificate,
     membership,
     residual,
@@ -54,11 +52,9 @@ from .linalg import (
     ISO_TOL,
     as_tuple,
     compress,
-    coordinate_isometry,
     frob,
     random_isometry,
 )
-from .ranges import hermitian_embed
 from .tverberg import PartitionResult, _check_scan_size, tverberg_partition
 
 
@@ -104,13 +100,6 @@ def random_corner(n: int, r: int, seed: int) -> CornerSpec:
 def corner_compress(A, corner: CornerSpec) -> HermitianTuple:
     """The compression of the tuple to the corner's complement subspace."""
     return compress(A, corner.complement)
-
-
-def coordinate_corner(n: int, removed) -> CornerSpec:
-    """The corner deleting the listed coordinates."""
-    removed = set(removed)
-    keep = [i for i in range(n) if i not in removed]
-    return CornerSpec(r=len(removed), complement=coordinate_isometry(n, keep))
 
 
 def annihilating_corner(F) -> CornerSpec:
@@ -210,23 +199,6 @@ def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions())
                       restricted=_restrict_certificate(A, out, p, out.point))
 
 
-def star_center_complex(T, p: int, q: int, opts: SolverOptions = SolverOptions()):
-    """Scalar star center for a tuple of general complex matrices.
-
-    Embeds A_j = H_j + i G_j into the Hermitian 2m-tuple and runs the scalar
-    construction there; the level works out to 2 p q (m + 1).  Returns the
-    StarCenter over the embedded tuple plus the complex reading of its
-    center, (c_1, ..., c_m) with c_j = center[2j] + i center[2j+1].
-    """
-    E = hermitian_embed(T)
-    out = star_center_scalar(E, p, q, opts)
-    if isinstance(out, Rejection):
-        return out
-    vals = out.certificate.point.scalar_values()
-    complex_center = vals[0::2] + 1j * vals[1::2]
-    return out, complex_center
-
-
 def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
                     cross_tol: float = 1e-8) -> Certificate:
     """Combine two A-orthogonal witnesses into one for t B + (1 - t) C.
@@ -263,12 +235,8 @@ def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
 def _gather_witnesses(prior) -> list[Isometry]:
     if prior is None:
         return []
-    if isinstance(prior, Isometry):
-        return [prior]
     if isinstance(prior, Certificate):
         return [prior.witness]
-    if isinstance(prior, BlockFamily):
-        return [c.witness for c in prior.members]
     out = []
     for item in prior:
         out.extend(_gather_witnesses(item))
@@ -303,7 +271,7 @@ def deflated_solve(A, prior, p: int, q: int,
                    opts: SolverOptions = SolverOptions(), target: MatPoint | None = None):
     """Solve for a range point inside the corner deflated past `prior`.
 
-    prior may be a Certificate, Isometry, BlockFamily, or a list of them.
+    prior may be None, a Certificate, or a list of Certificates.
     The returned certificate is composed back up to A, so its witness is
     exactly orthogonal (and A-orthogonal) to every prior witness.
     """
@@ -342,9 +310,6 @@ class BlockFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def points(self) -> list[MatPoint]:
-        return [c.point for c in self.members]
 
 
 def measure_cross(A, witnesses) -> float:

@@ -240,15 +240,13 @@ class SolverOptions:
 class PointCloud:
     """Sampled range points as real coordinate rows, plus their certificates.
 
-    kind "matpoint" means rows are flattened MatPoints of shape (m, q, q);
-    kind "affine" means rows are images under an affine map recorded in meta.
+    Each row is a flattened MatPoint of shape (m, q, q).
     """
 
     coords: np.ndarray
     m: int
     p: int
     q: int
-    kind: str = "matpoint"
     certificates: tuple | None = None
     meta: dict = field(default_factory=dict)
 
@@ -256,12 +254,10 @@ class PointCloud:
         C = np.asarray(self.coords, dtype=float)
         if C.ndim != 2:
             raise DimensionError(f"expected (N, d) coordinates, got shape {C.shape}")
-        if self.kind == "matpoint" and C.shape[1] != self.m * self.q * self.q:
+        if C.shape[1] != self.m * self.q * self.q:
             raise DimensionError(
                 f"matpoint rows need {self.m * self.q * self.q} coordinates, got {C.shape[1]}"
             )
-        if self.kind not in ("matpoint", "affine"):
-            raise ValueError(f"unknown cloud kind {self.kind!r}")
         if not np.all(np.isfinite(C)):
             raise DimensionError("cloud coordinates must be finite")
         object.__setattr__(self, "coords", C)
@@ -270,8 +266,6 @@ class PointCloud:
         return self.coords.shape[0]
 
     def points(self) -> list[MatPoint]:
-        if self.kind != "matpoint":
-            raise ValueError("only matpoint clouds decode to MatPoints")
         return [MatPoint.unflatten(row, self.m, self.q) for row in self.coords]
 
 
@@ -820,5 +814,5 @@ def sample_range(A, p: int, q: int, count: int,
         "rejected": rejected,
         "acceptance_rate": (total - rejected) / total if total else 1.0,
     }
-    return PointCloud(coords=coords, m=A.m, p=p, q=q, kind="matpoint",
+    return PointCloud(coords=coords, m=A.m, p=p, q=q,
                       certificates=tuple(certs), meta=meta)

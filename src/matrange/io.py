@@ -10,9 +10,10 @@ Schemas (shared fields: "schema_version": "1", "kind"):
 
 * kind "tuple": m, n, hermitian flag, matrices as m row-major n x n arrays
   of [re, im].
-* kind "cloud": m, p, q, a flattening tag ("hermitian-diag-sqrt2-offdiag"
-  for raw matricial points, "affine-image" for mapped clouds), the rows,
-  optional per-row certificates (witness + residual), and provenance meta.
+* kind "cloud": m, p, q, the flattening tag "hermitian-diag-sqrt2-offdiag"
+  (the only one; loaders refuse any other), the rows of flattened matricial
+  points, optional per-row certificates (witness + residual), and
+  provenance meta.
 * kind "certificate": a single point with its witness.
 * kind "report": a suite report without its wall time (timings are not
   reproducible and would break byte determinism).
@@ -31,7 +32,6 @@ from .verify import SuiteReport
 
 SCHEMA_VERSION = "1"
 FLATTEN_TAG = "hermitian-diag-sqrt2-offdiag"
-AFFINE_TAG = "affine-image"
 
 
 class ParseError(ValueError):
@@ -91,14 +91,19 @@ def _matrix_doc(M) -> list:
 
 def _matrix_parse(rows, what: str) -> np.ndarray:
     try:
-        arr = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError, ValueError):
-        raise SchemaError(f"{what}: entries must be [re, im] pairs") from None
-    if arr.ndim != 2:
+        arr = np.array(rows)
+    except ValueError:  # ragged nesting
+        arr = None
+    # strings, booleans, nulls and out-of-range integers are not numbers here
+    if arr is None or arr.dtype.kind not in "iuf" or (arr.ndim == 3 and arr.shape[2] != 2):
+        raise SchemaError(f"{what}: entries must be [re, im] pairs")
+    if arr.ndim != 3:
         raise SchemaError(f"{what}: not a matrix")
-    if not np.isfinite(arr).all():
+    # a view keeps each part's bits, the sign of a zero included
+    M = np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
+    if not np.isfinite(M).all():
         raise SchemaError(f"{what}: non-finite entry")
-    return arr
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +146,13 @@ def load_tuple(path, embed: bool = False):
     doc = _loads(_read(path))
     _require(doc, "tuple", ("m", "n", "hermitian", "matrices"))
     m, n = doc["m"], doc["n"]
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    # type() and not isinstance(): JSON true would pass as the int 1
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
         raise SchemaError(f"bad dimensions m={m!r}, n={n!r}")
+    if not isinstance(doc["hermitian"], bool):
+        raise SchemaError(f"hermitian flag must be true or false, got {doc['hermitian']!r}")
+    if not isinstance(doc["matrices"], list):
+        raise SchemaError(f"matrices must be a list, got {type(doc['matrices']).__name__}")
     if len(doc["matrices"]) != m:
         raise SchemaError(f"expected {m} matrices, found {len(doc['matrices'])}")
     mats = []
@@ -232,7 +242,7 @@ def load_certificate(path, A=None) -> Certificate:
 
 def cloud_doc(cloud: PointCloud) -> dict:
     certs = None
-    if cloud.kind == "matpoint" and cloud.certificates is not None:
+    if cloud.certificates is not None:
         certs = [_cert_doc(c) for c in cloud.certificates]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -240,7 +250,7 @@ def cloud_doc(cloud: PointCloud) -> dict:
         "m": int(cloud.m),
         "p": int(cloud.p),
         "q": int(cloud.q),
-        "flattening": FLATTEN_TAG if cloud.kind == "matpoint" else AFFINE_TAG,
+        "flattening": FLATTEN_TAG,
         "points": cloud.coords.tolist(),
         "certificates": certs,
         "meta": {k: cloud.meta[k] for k in sorted(cloud.meta)},
@@ -259,7 +269,7 @@ def load_cloud(path, A=None) -> PointCloud:
                             "certificates", "meta"))
     m, p, q = doc["m"], doc["p"], doc["q"]
     tag = doc["flattening"]
-    if tag not in (FLATTEN_TAG, AFFINE_TAG):
+    if tag != FLATTEN_TAG:
         raise SchemaError(f"unknown flattening tag {tag!r}")
     rows = doc["points"]
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, m * q * q))
@@ -267,15 +277,12 @@ def load_cloud(path, A=None) -> PointCloud:
         raise SchemaError("points must be a list of equal-length rows")
     if not np.all(np.isfinite(coords)):
         raise SchemaError("non-finite coordinate")
-    kind = "matpoint" if tag == FLATTEN_TAG else "affine"
-    if kind == "matpoint" and coords.shape[1] != m * q * q:
+    if coords.shape[1] != m * q * q:
         raise SchemaError(
             f"rows have {coords.shape[1]} coordinates, expected m*q^2 = {m * q * q}"
         )
     certs = None
     if doc["certificates"] is not None:
-        if kind != "matpoint":
-            raise SchemaError("certificates require the matricial flattening")
         if len(doc["certificates"]) != len(rows):
             raise SchemaError("certificate count does not match point count")
         certs = tuple(
@@ -285,9 +292,8 @@ def load_cloud(path, A=None) -> PointCloud:
         if A is not None:
             for c in certs:
                 c.revalidate(A)
-    cloud = PointCloud(coords=coords, m=m, p=p, q=q, kind=kind,
-                       certificates=certs, meta=dict(doc["meta"]))
-    return cloud
+    return PointCloud(coords=coords, m=m, p=p, q=q,
+                      certificates=certs, meta=dict(doc["meta"]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything downstream works with m-tuples of n-by-n Hermitian matrices and
 with isometries (tall matrices X with X*X = I).  This module owns the two
-container types, an eigensolver, orthonormalization, Haar sampling, and the
-structural operations (compression, block inflation, direct sums) that the
+container types, an eigensolver, Haar sampling, and the structural
+operations (compression, block inflation, direct sums) that the
 range computations are built from.
 
 All operations are pure: inputs are never mutated and randomness enters only
@@ -22,10 +22,6 @@ ISO_TOL = 1e-10
 
 class DimensionError(ValueError):
     """Shapes are structurally incompatible (not a numerical failure)."""
-
-
-class RankDeficiencyError(ValueError):
-    """A column set that should be independent numerically is not."""
 
 
 def frob(M: np.ndarray) -> float:
@@ -109,8 +105,6 @@ class HermitianTuple:
 
     def scale(self) -> float:
         """max(1, largest member Frobenius norm); the relative-tolerance unit."""
-        if self.n == 0:
-            return 1.0
         with np.errstate(over="ignore"):  # inf for entries near the double range
             return max(1.0, max(frob(self.mats[j]) for j in range(self.m)))
 
@@ -179,34 +173,6 @@ def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"matrix is not Hermitian{at} (relative defect {np.max(d):.3e})")
     w, V = np.linalg.eigh(A)
     return w[..., ::-1], V[..., ::-1]
-
-
-def orthonormalize(M: np.ndarray) -> Isometry:
-    """Orthonormalize columns by modified Gram-Schmidt with re-orthogonalization.
-
-    Raises RankDeficiencyError naming the first column whose projection onto
-    the complement of the previous ones is numerically zero.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise DimensionError(f"expected 2-d array, got shape {M.shape}")
-    n, k = M.shape
-    if k > n:
-        raise DimensionError(f"cannot orthonormalize {k} columns in dimension {n}")
-    Q = np.zeros((n, k), dtype=complex)
-    for j in range(k):
-        v = M[:, j].copy()
-        ref = max(1.0, float(np.linalg.norm(v)))
-        for _ in range(2):  # twice is enough
-            if j > 0:
-                v = v - Q[:, :j] @ (np.conj(Q[:, :j].T) @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= 1e-12 * ref:
-            raise RankDeficiencyError(
-                f"column {j} is dependent on the previous ones (residual norm {nrm:.3e})"
-            )
-        Q[:, j] = v / nrm
-    return Isometry(Q)
 
 
 def _qr_fix(M: np.ndarray) -> np.ndarray:
@@ -286,8 +252,3 @@ def direct_sum(A, B) -> HermitianTuple:
     out[:, :na, :na] = A.mats
     out[:, na:, na:] = B.mats
     return HermitianTuple(out)
-
-
-def empty_tuple(m: int) -> HermitianTuple:
-    """The 0-by-0 tuple of length m, the neutral element for direct_sum."""
-    return HermitianTuple(np.zeros((m, 0, 0), dtype=complex))

@@ -3,19 +3,18 @@
 Covers the objects with closed-form or spectral descriptions: the planar
 numerical range W(A) of a single complex matrix via supporting lines, the
 rank-k range of a single Hermitian matrix (an eigenvalue interval), scalar
-joint-range sampling, support values, and the two reductions that transport
-everything else to Hermitian tuples: the Cartesian embedding A = H + iG and
-invertible real recombinations of a tuple.
+joint-range sampling, support values, and the Cartesian embedding
+A = H + iG that transports complex tuples to Hermitian ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, HermitianTuple, Isometry, as_tuple, frob, herm_eig, hermitize
-from .feasibility import Certificate, MatPoint, PointCloud
+from .linalg import DimensionError, HermitianTuple, as_tuple, frob, herm_eig, hermitize
+from .feasibility import PointCloud
 
 
 @dataclass(frozen=True)
@@ -28,9 +27,6 @@ class Interval:
         if self.empty:
             return False
         return self.lo - tol <= x <= self.hi + tol
-
-    def width(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -80,30 +76,6 @@ def hermitian_embed(T) -> HermitianTuple:
         out[2 * j] = 0.5 * (arr[j] + np.conj(arr[j].T))
         out[2 * j + 1] = (arr[j] - np.conj(arr[j].T)) / 2j
     return HermitianTuple(out)
-
-
-def tuple_linear_transform(A, T) -> HermitianTuple:
-    """Recombine a tuple by a nonsingular real matrix: B_j = sum_i T[i, j] A_i.
-
-    Membership transports covariantly: X certifies (B_j) for the image tuple
-    exactly when it certifies the correspondingly recombined blocks for A.
-    """
-    A = as_tuple(A)
-    T = np.asarray(T, dtype=float)
-    if T.shape != (A.m, A.m):
-        raise DimensionError(f"expected a real {A.m}x{A.m} matrix, got shape {T.shape}")
-    colnorms = np.linalg.norm(T, axis=0)
-    unit = float(np.prod(np.where(colnorms > 0, colnorms, 1.0)))
-    if np.any(colnorms == 0) or abs(np.linalg.det(T)) <= 1e-12 * unit:
-        raise DimensionError("transform matrix is numerically singular")
-    out = np.einsum("ij,ikl->jkl", T, A.mats)
-    return HermitianTuple(out)
-
-
-def transform_point(B: MatPoint, T) -> MatPoint:
-    """The recombination of a point matching tuple_linear_transform."""
-    T = np.asarray(T, dtype=float)
-    return MatPoint(np.einsum("ij,ikl->jkl", T, B.blocks))
 
 
 def support_value(A, u) -> float:
@@ -180,13 +152,11 @@ def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
     return Boundary2D(angles=angles, vertices=verts, support=supp, degenerate=tag)
 
 
-def joint_numrange_sample(A, count: int, seed: int = 0,
-                          with_certificates: bool = False) -> PointCloud:
+def joint_numrange_sample(A, count: int, seed: int = 0) -> PointCloud:
     """Sample W(A_1, ..., A_m) at Haar-random unit vectors.
 
     Every emitted point is an exact element of the joint range (it is a
-    quadratic form value), so certificates are a formality here; they are
-    attached on request for pipelines that insist on them.
+    quadratic form value), so the cloud carries no certificates.
     """
     A = as_tuple(A)
     if A.n < 1:
@@ -197,40 +167,5 @@ def joint_numrange_sample(A, count: int, seed: int = 0,
     # values[i, j] = x_i* A_j x_i
     AX = np.einsum("jkl,il->jik", A.mats, G)
     vals = np.real(np.einsum("ik,jik->ij", np.conj(G), AX))
-    certs = None
-    if with_certificates:
-        lst = []
-        for i in range(count):
-            x = G[i].reshape(-1, 1)
-            pt = MatPoint(vals[i].reshape(A.m, 1, 1).astype(complex))
-            W = Isometry(x)
-            from .feasibility import residual as _res
-            lst.append(Certificate(point=pt, p=1, witness=W,
-                                   residual=_res(A, W, 1, pt)))
-        certs = tuple(lst)
     meta = {"generator": "joint_numrange_sample", "seed": seed, "count": count}
-    return PointCloud(coords=vals, m=A.m, p=1, q=1, kind="matpoint",
-                      certificates=certs, meta=meta)
-
-
-def affine_image(cloud: PointCloud, matrix, offset) -> PointCloud:
-    """Apply an affine map L(x) = matrix @ x + offset to a cloud's rows.
-
-    Star-shapedness and convexity survive affine images, so verification
-    suites can run on pushed-forward clouds.  The output rows are plain
-    coordinates (kind "affine"); the map is recorded in the meta.
-    """
-    M = np.asarray(matrix, dtype=float)
-    b = np.asarray(offset, dtype=float)
-    if M.ndim != 2 or M.shape[1] != cloud.coords.shape[1]:
-        raise DimensionError(
-            f"map expects {cloud.coords.shape[1]} input coordinates, got shape {M.shape}"
-        )
-    if b.shape != (M.shape[0],):
-        raise DimensionError(f"offset needs {M.shape[0]} components, got shape {b.shape}")
-    out = cloud.coords @ M.T + b
-    meta = dict(cloud.meta)
-    meta["affine"] = {"matrix": M.tolist(), "offset": b.tolist(),
-                      "source_kind": cloud.kind}
-    return PointCloud(coords=out, m=cloud.m, p=cloud.p, q=cloud.q,
-                      kind="affine", certificates=None, meta=meta)
+    return PointCloud(coords=vals, m=A.m, p=1, q=1, meta=meta)

@@ -258,20 +258,3 @@ def tverberg_partition(points, p: int) -> PartitionResult:
     scanned, parts, common, weights, _ = hit
     return PartitionResult(parts=parts, weights=tuple(weights), common_point=common,
                            partitions_scanned=scanned)
-
-
-def hull_membership(x, points, feas_tol: float = FEAS_TOL):
-    """Is x in the convex hull of the points?  Returns (flag, weights)."""
-    P = np.asarray(points, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if P.ndim != 2 or x.shape != (P.shape[1],):
-        raise DimensionError("expected (d, D) points and a D-vector")
-    d, D = P.shape
-    scale = max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(x))))
-    A = np.vstack([np.ones((1, d)), P.T / scale])
-    b = np.concatenate([[1.0], x / scale])
-    w, z = _phase1(A, b)
-    if z > feas_tol:
-        return False, None
-    s = w.sum()
-    return True, (w / s if s > 0 else np.full(d, 1.0 / d))

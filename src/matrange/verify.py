@@ -40,7 +40,6 @@ from .feasibility import (
 )
 from .linalg import (
     HermitianTuple,
-    Isometry,
     as_tuple,
     coordinate_isometry,
 )

@@ -315,6 +315,17 @@ class TestErrors:
                    "--out", str(tmp_path / "bd.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("op", [["compute", "numrange"],
+                                    ["sample", "pq", "--p", "1", "--q", "1"]])
+    def test_malformed_tuple_file(self, tmp_path, capsys, op):
+        src = tmp_path / "t.json"
+        src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
+                       '"hermitian":true,"matrices":5}\n')
+        rc = main(op + ["--input", str(src), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("argv", [
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--restarts", "0"],

@@ -18,7 +18,6 @@ from matrange.feasibility import (
     solve_free,
 )
 from matrange.io import (
-    AFFINE_TAG,
     FLATTEN_TAG,
     ParseError,
     SchemaError,
@@ -33,7 +32,6 @@ from matrange.io import (
     save_tuple,
 )
 from matrange.linalg import HermitianTuple, Isometry
-from matrange.ranges import affine_image
 from matrange.verify import SuiteReport, random_hermitian_tuple
 
 
@@ -169,6 +167,23 @@ def test_tuple_schema_errors(tmp_path):
     f.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":2}\n')
     with pytest.raises(SchemaError, match="missing keys"):
         load_tuple(f)
+    good = {"schema_version": "1", "kind": "tuple", "m": 1, "n": 1,
+            "hermitian": True, "matrices": [[[[1.0, 0.0]]]]}
+    for change, match in [({"matrices": 5}, "matrices must be a list"),
+                          ({"matrices": None}, "matrices must be a list"),
+                          ({"m": True}, "bad dimensions"),
+                          ({"n": False}, "bad dimensions"),
+                          ({"hermitian": "no"}, "hermitian flag"),
+                          ({"hermitian": 1}, "hermitian flag"),
+                          ({"matrices": [[[[1, 0, 7]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[["1", 0]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[[None, 0]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[[True, False]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[[2**70, 0]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[1.0, 0.0]]]}, "not a matrix")]:
+        f.write_text(canonical_dumps({**good, **change}))
+        with pytest.raises(SchemaError, match=match):
+            load_tuple(f)
 
 
 def test_truncated_file_is_parse_error(tmp_path):
@@ -257,29 +272,11 @@ def test_cloud_roundtrip_with_certificates(tmp_path):
     save_cloud(cloud, f)
     back = load_cloud(f, A=A)
     assert np.array_equal(back.coords, cloud.coords)
-    assert back.kind == "matpoint"
     assert back.meta == cloud.meta
     assert len(back.certificates) == len(cloud.certificates)
     f2 = tmp_path / "cl2.json"
     save_cloud(back, f2)
     assert f.read_bytes() == f2.read_bytes()
-
-
-def test_cloud_affine_drops_certificates(tmp_path):
-    A = herm(7, seed=9)
-    cloud = sample_range(A, 1, 1, 4, SolverOptions(seed=0))
-    W = np.array([[1.0, 0.5]])
-    img = affine_image(cloud, W, np.array([0.25]))
-    assert img.kind == "affine"
-    f = tmp_path / "af.json"
-    save_cloud(img, f)
-    raw = json.loads(f.read_text())
-    assert raw["flattening"] == AFFINE_TAG
-    assert raw["certificates"] is None
-    back = load_cloud(f)
-    assert back.kind == "affine"
-    assert back.certificates is None
-    assert np.allclose(back.coords, img.coords)
 
 
 def test_cloud_flattening_tag_policing(tmp_path):
@@ -288,10 +285,11 @@ def test_cloud_flattening_tag_policing(tmp_path):
     f = tmp_path / "cl.json"
     save_cloud(cloud, f)
     doc = json.loads(f.read_text())
-    doc["flattening"] = "row-major"
-    f.write_text(canonical_dumps(doc))
-    with pytest.raises(SchemaError, match="flattening"):
-        load_cloud(f)
+    for tag in ("row-major", "affine-image"):
+        doc["flattening"] = tag
+        f.write_text(canonical_dumps(doc))
+        with pytest.raises(SchemaError, match="flattening"):
+            load_cloud(f)
 
 
 def test_cloud_certificate_count_mismatch(tmp_path):
@@ -388,10 +386,10 @@ def edge_certificate(data, m, p, q, coords):
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 2), p=st.integers(1, 2), q=st.integers(1, 2),
-       rows=st.integers(0, 3), kind=st.sampled_from(["matpoint", "affine", "bare"]),
+       rows=st.integers(0, 3), kind=st.sampled_from(["matpoint", "bare"]),
        data=st.data())
 def test_cloud_json_roundtrips_byte_for_byte(m, p, q, rows, kind, data):
-    width = m * q * q if kind != "affine" else data.draw(st.integers(1, 3))
+    width = m * q * q
     vals = data.draw(st.lists(ANY_FLOAT, min_size=rows * width, max_size=rows * width))
     coords = np.array(vals, dtype=float).reshape(rows, width)
     certs = None
@@ -399,12 +397,9 @@ def test_cloud_json_roundtrips_byte_for_byte(m, p, q, rows, kind, data):
         certs = tuple(edge_certificate(data, m, p, q, row) for row in coords)
     meta = {"seed": data.draw(st.integers(0, 2**31)), "rate": data.draw(ANY_FLOAT),
             "tiny": data.draw(TINY)}
-    cloud = PointCloud(coords=coords, m=m, p=p, q=q,
-                       kind="affine" if kind == "affine" else "matpoint",
-                       certificates=certs, meta=meta)
+    cloud = PointCloud(coords=coords, m=m, p=p, q=q, certificates=certs, meta=meta)
     back = roundtrip_bytes(save_cloud, load_cloud, cloud)
     assert back.coords.tobytes() == coords.tobytes()
-    assert back.kind == cloud.kind
     assert repr(back.meta) == repr(dict(sorted(meta.items())))
     for got, want in zip(back.certificates or (), certs or ()):
         assert got.witness.mat.tobytes() == want.witness.mat.tobytes()

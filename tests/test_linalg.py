@@ -1,4 +1,4 @@
-"""Eigensolver, orthonormalization, Haar sampling, and block assembly."""
+"""Eigensolver, Haar sampling, and block assembly."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,14 @@ from matrange.linalg import (
     DimensionError,
     HermitianTuple,
     Isometry,
-    RankDeficiencyError,
     as_tuple,
     compress,
     coordinate_isometry,
     direct_sum,
-    empty_tuple,
     frob,
     herm_defect,
     herm_eig,
     kron_block,
-    orthonormalize,
     random_isometry,
 )
 
@@ -135,36 +132,6 @@ def test_eig_stack_properties(seed, shape, n, ties, scale):
     assert np.all(np.linalg.norm(VhV - np.eye(n), axis=(-2, -1)) <= 1e-10)
     ref = np.linalg.eigvalsh(A)[..., ::-1]
     assert np.all(np.abs(w - ref) <= 1e-12 * unit[..., None])
-
-
-# ---------------------------------------------------------------------------
-# orthonormalize
-
-
-def test_orthonormalize_identity_fixed():
-    X = orthonormalize(np.eye(4, dtype=complex)[:, :2])
-    assert np.allclose(X.mat, np.eye(4)[:, :2], atol=1e-14)
-
-
-def test_orthonormalize_scales_column():
-    X = orthonormalize(np.array([[2.0], [0.0]], dtype=complex))
-    assert np.allclose(X.mat, [[1.0], [0.0]], atol=1e-14)
-
-
-def test_orthonormalize_random_defect():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    X = orthonormalize(M)
-    assert X.defect() <= 1e-12
-    # same span: original columns reproduce through the projector
-    P = X.mat @ np.conj(X.mat.T)
-    assert frob(P @ M - M) <= 1e-10 * frob(M)
-
-
-def test_orthonormalize_names_failing_column():
-    M = np.ones((4, 2), dtype=complex)
-    with pytest.raises(RankDeficiencyError, match="column 1"):
-        orthonormalize(M)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +254,6 @@ def test_direct_sum_spectra_union():
     want = np.sort(np.concatenate([np.linalg.eigvalsh(A.mats[0]),
                                    np.linalg.eigvalsh(B.mats[0])]))
     assert np.allclose(got, want, atol=1e-10)
-
-
-def test_direct_sum_with_empty_is_noop():
-    rng = np.random.default_rng(29)
-    A = HermitianTuple(np.stack([random_hermitian(3, rng)]))
-    S = direct_sum(A, empty_tuple(1))
-    assert np.allclose(S.mats, A.mats)
 
 
 def test_direct_sum_m_mismatch():

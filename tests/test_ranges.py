@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrange.linalg import DimensionError, HermitianTuple, frob
+from matrange.linalg import HermitianTuple, frob
 from matrange.ranges import (
     STACK_ENTRIES,
     hermitian_embed,
@@ -14,11 +14,7 @@ from matrange.ranges import (
     numrange_boundary,
     rank_k_interval,
     support_value,
-    transform_point,
-    tuple_linear_transform,
-    affine_image,
 )
-from matrange.feasibility import MatPoint
 
 
 def random_complex(n, rng):
@@ -213,29 +209,6 @@ def test_hermitian_embed_of_hermitian_has_zero_imag_part():
     assert frob(E.mats[1]) <= 1e-14
 
 
-def test_tuple_linear_transform_covariance():
-    # compressions commute with invertible recombinations of the tuple
-    rng = np.random.default_rng(43)
-    mats = np.stack([(lambda G: (G + np.conj(G.T)) / 2)(random_complex(5, rng))
-                     for _ in range(2)])
-    A = HermitianTuple(mats)
-    T = np.array([[2.0, 1.0], [0.0, 1.0]])
-    TA = tuple_linear_transform(A, T)
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    x /= np.linalg.norm(x)
-    before = np.array([np.real(np.conj(x) @ A.mats[j] @ x) for j in range(2)])
-    after = np.array([np.real(np.conj(x) @ TA.mats[j] @ x) for j in range(2)])
-    B = MatPoint(before.reshape(2, 1, 1).astype(complex))
-    assert np.allclose(transform_point(B, T).blocks.reshape(2).real, after,
-                       atol=1e-12)
-
-
-def test_tuple_linear_transform_rejects_singular():
-    A = HermitianTuple(np.stack([np.eye(2, dtype=complex)] * 2))
-    with pytest.raises(DimensionError):
-        tuple_linear_transform(A, np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
 # ---------------------------------------------------------------------------
 # joint sampling
 
@@ -249,22 +222,3 @@ def test_joint_sample_matches_direct_forms():
     assert cloud.coords.shape == (16, 3)
     redo = joint_numrange_sample(A, 16, seed=5)
     assert np.array_equal(cloud.coords, redo.coords)
-
-
-def test_joint_sample_certificates_revalidate():
-    A = HermitianTuple(np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex)]))
-    cloud = joint_numrange_sample(A, 8, seed=1, with_certificates=True)
-    for cert in cloud.certificates:
-        cert.revalidate(A)
-        assert cert.residual <= 1e-12
-
-
-def test_affine_image_maps_coords():
-    A = HermitianTuple(np.stack([np.diag([0.0, 1.0]).astype(complex),
-                                 np.diag([1.0, 0.0]).astype(complex)]))
-    cloud = joint_numrange_sample(A, 10, seed=2)
-    M = np.array([[1.0, 1.0]])
-    img = affine_image(cloud, M, np.array([3.0]))
-    assert img.kind == "affine"
-    assert img.certificates is None
-    assert np.allclose(img.coords, cloud.coords @ M.T + 3.0, atol=1e-14)

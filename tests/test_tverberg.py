@@ -18,7 +18,6 @@ from matrange.tverberg import (
     PartitionResult,
     _phase1,
     count_partitions,
-    hull_membership,
     lp_common_point,
     set_partitions,
     tverberg_partition,
@@ -229,41 +228,6 @@ def test_lp_common_point_disjoint_hulls():
     assert hit is not None
     common, weights, z = hit
     assert 1.0 - 1e-9 <= common[0] <= 10.0 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# hull membership
-
-
-def test_hull_membership_square():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    inside, w = hull_membership([0.5, 0.5], square)
-    assert inside
-    assert np.allclose(w @ square, [0.5, 0.5], atol=1e-8)
-    outside, w = hull_membership([1.5, 0.5], square)
-    assert not outside
-    assert w is None
-
-
-def test_hull_membership_boundary_vertex():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    inside, w = hull_membership([1.0, 0.0], tri)
-    assert inside
-    assert np.isclose(w[1], 1.0, atol=1e-8)
-
-
-def test_hull_membership_negative_coordinates():
-    seg = np.array([[-5.0, -5.0], [-1.0, -1.0]])
-    inside, w = hull_membership([-3.0, -3.0], seg)
-    assert inside
-    assert np.allclose(w, [0.5, 0.5], atol=1e-8)
-    outside, _ = hull_membership([-3.0, -2.0], seg)
-    assert not outside
-
-
-def test_hull_membership_validation():
-    with pytest.raises(DimensionError):
-        hull_membership([0.0], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
