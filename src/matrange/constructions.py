@@ -11,14 +11,15 @@ module makes each assembly executable.
 * corner compressions: the (p, q) range of any codimension-r corner with
   q r < p sits inside the (p - q r, q) range bump, giving cheap inclusion
   tests; conversely deflation solves inside a corner chosen orthogonal to
-  earlier witnesses and their images, so cross terms vanish exactly.
+  earlier witnesses and their images, so cross terms vanish exactly; a
+  family of such blocks is built inside one shrinking corner.
 * segment witnesses: two certificates whose witnesses are orthogonal in the
   A-weighted sense combine, with convex square-root weights, into a single
   witness for any point of the connecting segment.
 * Tverberg lifts: d = (p-1)(q^2 m + 1) + 1 mutually A-orthogonal level-1
   blocks, read as points of R^(q^2 m), always admit a partition into p parts
-  with intersecting hulls; the matching convex weights assemble a level-p
-  witness for the common point.
+  with intersecting hulls (for p = 2, Radon's split with no scan); the
+  matching convex weights assemble a level-p witness for the common point.
 * essential estimate: the closures of the (r, q) ranges shrink, as r grows,
   onto a compact convex limit independent of p; truncating the intersection
   at r_max and reading it through a fixed direction set gives a convergent
@@ -313,15 +314,21 @@ class BlockFamily:
 
 
 def measure_cross(A, witnesses) -> float:
+    """The largest ||X_r* X_s|| and ||X_r* A_j X_s|| over pairs r != s.
+
+    One stacked W = [X_1 ... X_d] gives every pair at once: the off-diagonal
+    q-by-q blocks of W* W and of each W* A_j W.
+    """
     A = as_tuple(A)
-    worst = 0.0
-    for r in range(len(witnesses)):
-        for s in range(r + 1, len(witnesses)):
-            Xr, Xs = witnesses[r].mat, witnesses[s].mat
-            worst = max(worst, frob(np.conj(Xr.T) @ Xs))
-            for j in range(A.m):
-                worst = max(worst, frob(np.conj(Xr.T) @ (A.mats[j] @ Xs)))
-    return worst
+    if len(witnesses) < 2:
+        return 0.0
+    q = witnesses[0].k
+    W = np.hstack([X.mat for X in witnesses])
+    Wc = np.conj(W.T)
+    G = np.stack([Wc @ W] + [Wc @ (A.mats[j] @ W) for j in range(A.m)])
+    d = len(witnesses)
+    blocks = np.linalg.norm(G.reshape(A.m + 1, d, q, d, q), axis=(2, 4))
+    return float(np.max(blocks[:, ~np.eye(d, dtype=bool)]))
 
 
 def orthogonal_block_family(A, q: int, d: int,
@@ -329,19 +336,35 @@ def orthogonal_block_family(A, q: int, d: int,
                             target: MatPoint | None = None) -> BlockFamily:
     """Build d mutually A-orthogonal blocks by successive deflated solves.
 
+    Stage s solves on inner = Y* A Y, Y spanning the complement of every
+    earlier witness and its A-images, and composes the result up to A.  Y
+    then shrinks by the complement of x and inner_j x in corner coordinates:
+    the same subspace as the complement taken in C^n, at the corner's cost.
+
     With a target, every member certifies the same point (the deflation
     argument shows this is always possible in large enough dimension); free
     mode lets each stage land wherever the corner solve does.  A stage
     failure raises DeflationError with the stage index.
     """
     A = as_tuple(A)
+    inner, Y = A, None
     members = []
     for stage in range(d):
-        out = deflated_solve(A, members, 1, q, opts.replace(seed=opts.seed + 7919 * stage),
-                             target=target)
+        if inner.n < q:
+            raise StructuralInfeasibility(
+                f"deflation leaves {inner.n} dimensions but the solve needs {q}; "
+                f"the tuple dimension must be at least {A.n - inner.n + q}"
+            )
+        sub = opts.replace(seed=opts.seed + 7919 * stage)
+        out = solve_free(inner, 1, q, sub) if target is None else \
+            membership(inner, target, 1, sub)
         if isinstance(out, Rejection):
             raise DeflationError(stage, out)
-        members.append(out)
+        members.append(out if Y is None else compose_certificate(A, Y, out))
+        if stage < d - 1:
+            Z = deflation_corner(inner, out).complement
+            inner = compress(inner, Z)
+            Y = Z if Y is None else Isometry(Y.mat @ Z.mat)
     cross = measure_cross(A, [c.witness for c in members])
     return BlockFamily(q=q, members=tuple(members), cross_tol=cross)
 

@@ -22,6 +22,7 @@ Schemas (shared fields: "schema_version": "1", "kind"):
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -82,6 +83,25 @@ def _require(doc, kind: str, keys) -> None:
     missing = [k for k in keys if k not in doc]
     if missing:
         raise SchemaError(f"missing keys: {missing}")
+
+
+def _count(doc, key: str, what: str) -> int:
+    v = doc[key]
+    # type() and not isinstance(): JSON true would pass as the int 1
+    if type(v) is not int or v < 1:
+        raise SchemaError(f"{what}: {key} must be a positive integer, got {v!r}")
+    return v
+
+
+def _number(doc, key: str, what: str) -> float:
+    v = doc[key]
+    try:
+        x = float(v) if type(v) in (int, float) else math.nan
+    except OverflowError:  # a JSON integer beyond the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{what}: {key} must be a finite number, got {v!r}")
+    return x
 
 
 def _matrix_doc(M) -> list:
@@ -192,13 +212,15 @@ def _cert_doc(cert: Certificate) -> dict:
 
 
 def _cert_parse(doc, point: MatPoint, what: str) -> Certificate:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     for key in ("p", "residual", "witness", "witness_tol"):
         if key not in doc:
             raise SchemaError(f"{what}: missing {key!r}")
     W = _matrix_parse(doc["witness"], f"{what} witness")
-    return Certificate(point=point, p=int(doc["p"]),
-                       witness=Isometry(W, tol=float(doc["witness_tol"])),
-                       residual=float(doc["residual"]))
+    return Certificate(point=point, p=_count(doc, "p", what),
+                       witness=Isometry(W, tol=_number(doc, "witness_tol", what)),
+                       residual=_number(doc, "residual", what))
 
 
 def certificate_doc(cert: Certificate) -> dict:
@@ -225,7 +247,9 @@ def load_certificate(path, A=None) -> Certificate:
     doc = _loads(_read(path))
     _require(doc, "certificate", ("m", "p", "q", "point", "residual",
                                   "witness", "witness_tol"))
-    m, q = doc["m"], doc["q"]
+    m, q = _count(doc, "m", "certificate"), _count(doc, "q", "certificate")
+    if not isinstance(doc["point"], list) or len(doc["point"]) != m:
+        raise SchemaError(f"point must be a list of m = {m} blocks")
     blocks = np.stack([_matrix_parse(doc["point"][j], f"point block {j}")
                        for j in range(m)])
     if blocks.shape != (m, q, q):
@@ -267,22 +291,31 @@ def load_cloud(path, A=None) -> PointCloud:
     doc = _loads(_read(path))
     _require(doc, "cloud", ("m", "p", "q", "flattening", "points",
                             "certificates", "meta"))
-    m, p, q = doc["m"], doc["p"], doc["q"]
+    m, p, q = (_count(doc, key, "cloud") for key in ("m", "p", "q"))
     tag = doc["flattening"]
     if tag != FLATTEN_TAG:
         raise SchemaError(f"unknown flattening tag {tag!r}")
     rows = doc["points"]
-    coords = np.array(rows, dtype=float) if rows else np.zeros((0, m * q * q))
-    if coords.ndim != 2:
-        raise SchemaError("points must be a list of equal-length rows")
+    try:
+        coords = np.array(rows) if rows != [] else np.zeros((0, m * q * q))
+    except ValueError:  # ragged rows
+        coords = None
+    # strings, nulls and all-boolean rows are not coordinates
+    if coords is None or coords.dtype.kind not in "iuf" or coords.ndim != 2:
+        raise SchemaError("points must be a list of equal-length rows of numbers")
+    coords = coords.astype(float)
     if not np.all(np.isfinite(coords)):
         raise SchemaError("non-finite coordinate")
     if coords.shape[1] != m * q * q:
         raise SchemaError(
             f"rows have {coords.shape[1]} coordinates, expected m*q^2 = {m * q * q}"
         )
+    if not isinstance(doc["meta"], dict):
+        raise SchemaError(f"meta must be a JSON object, got {type(doc['meta']).__name__}")
     certs = None
     if doc["certificates"] is not None:
+        if not isinstance(doc["certificates"], list):
+            raise SchemaError("certificates must be a list or null")
         if len(doc["certificates"]) != len(rows):
             raise SchemaError("certificate count does not match point count")
         certs = tuple(

@@ -1,11 +1,15 @@
-"""Tverberg partitions of finite point sets by a stacked LP scan.
+"""Tverberg partitions of finite point sets: Radon's split and a stacked LP scan.
 
 Any (p-1)(D+1)+1 points in R^D can be split into p parts whose convex hulls
-share a point.  At the sizes used here (d <= 14) the reliable route is the
-direct one: enumerate set partitions into exactly p nonempty parts in
-lexicographic order of their restricted-growth strings, test each with a
-small linear feasibility program, and keep the first hit.  The programs all
-have one shape, so they are solved in stacks, chunk by chunk.
+share a point.  For p = 2 this is Radon's theorem, and its proof is the
+algorithm: an affine dependence sum lam_i P_i = 0, sum lam_i = 0 (the least
+right-singular vector of [P^T; 1]) splits the points by sign, and lam over
+each part is a pair of weight vectors with a common point.  For p >= 3, at
+the sizes used here (d <= 14), the reliable route is the direct one:
+enumerate set partitions into exactly p nonempty parts in lexicographic
+order of their restricted-growth strings, test each with a small linear
+feasibility program, and keep the first hit.  The programs all have one
+shape, so they are solved in stacks, chunk by chunk.
 
 The LP solver is a dense phase-1 simplex with Bland's rule, so termination
 is unconditional, and each program in a stack pivots exactly as it would
@@ -229,12 +233,49 @@ def _check_scan_size(d: int) -> None:
         raise DimensionError(f"partition scan capped at {MAX_POINTS} points, got {d}")
 
 
-def tverberg_partition(points, p: int) -> PartitionResult:
-    """First partition (in restricted-growth lexicographic order) of the
-    points into p parts with intersecting convex hulls.
+def _radon_split(P: np.ndarray) -> PartitionResult:
+    """Radon's partition of d >= D + 2 points in R^D into two parts.
 
-    The guarantee d >= (p-1)(D+1)+1 makes existence unconditional; running
-    below it is allowed and simply may raise when every partition fails.
+    The least right-singular vector lam of [P^T; 1] is an affine dependence:
+    sum lam_i P_i = 0 and sum lam_i = 0.  Its signs split the points, and
+    lam over each part, scaled to sum one, gives weights whose combinations
+    agree.  Parts come out ordered by smallest member, as in the scan.
+    """
+    scale = float(np.max(np.abs(P), initial=1.0))
+    M = np.vstack([P.T / scale, np.ones(len(P))])
+    lam = np.linalg.svd(M)[2][-1]
+    first = lam >= 0 if lam[0] >= 0 else lam <= 0
+    idx = (np.flatnonzero(first), np.flatnonzero(~first))
+    w = np.abs(lam)
+    weights = tuple(w[i] / w[i].sum() for i in idx)
+    return PartitionResult(parts=tuple(tuple(i.tolist()) for i in idx), weights=weights,
+                           common_point=weights[0] @ P[idx[0]], partitions_scanned=0)
+
+
+def _first_feasible(P: np.ndarray, p: int) -> PartitionResult:
+    """The scan: first partition in restricted-growth lexicographic order
+    whose parts' convex hulls meet."""
+    d, D = P.shape
+    hit = _scan(P, set_partitions(d, p), p, d, FEAS_TOL)
+    if hit is None:
+        raise RuntimeError(
+            f"no partition of {d} points into {p} parts was feasible "
+            f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
+        )
+    scanned, parts, common, weights, _ = hit
+    return PartitionResult(parts=parts, weights=tuple(weights), common_point=common,
+                           partitions_scanned=scanned)
+
+
+def tverberg_partition(points, p: int) -> PartitionResult:
+    """A partition of the points into p parts with intersecting convex hulls.
+
+    For p = 2 with d >= D + 2 points this is Radon's split, read off one
+    affine dependence with no scan (partitions_scanned = 0).  Otherwise it
+    is the first partition in restricted-growth lexicographic order that
+    the LP scan finds feasible.  The guarantee d >= (p-1)(D+1)+1 makes
+    existence unconditional; running below it is allowed and simply may
+    raise when every partition fails.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
@@ -249,12 +290,6 @@ def tverberg_partition(points, p: int) -> PartitionResult:
         w = np.full(d, 1.0 / d)
         return PartitionResult(parts=(tuple(range(d)),), weights=(w,),
                                common_point=w @ P, partitions_scanned=0)
-    hit = _scan(P, set_partitions(d, p), p, d, FEAS_TOL)
-    if hit is None:
-        raise RuntimeError(
-            f"no partition of {d} points into {p} parts was feasible "
-            f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
-        )
-    scanned, parts, common, weights, _ = hit
-    return PartitionResult(parts=parts, weights=tuple(weights), common_point=common,
-                           partitions_scanned=scanned)
+    if p == 2 and d >= D + 2:
+        return _radon_split(P)
+    return _first_feasible(P, p)

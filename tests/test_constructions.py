@@ -357,6 +357,31 @@ def test_orthogonal_block_family_stage_failure():
     assert exc.value.rejection.best_residual >= 1.0
 
 
+def test_orthogonal_block_family_structural_error_names_requirement():
+    # each diagonal witness e_i is its own A-image, so every stage protects
+    # one dimension and the fifth block finds no room in dimension 4
+    A = diag_tuple([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(StructuralInfeasibility,
+                       match="deflation leaves 0 dimensions but the solve needs 1; "
+                             "the tuple dimension must be at least 5"):
+        orthogonal_block_family(A, 1, 5, SolverOptions(seed=0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(1, 3), q=st.integers(1, 2), d=st.integers(2, 4),
+       extra=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, seed):
+    # each member is solved inside the corner shrunk stage by stage; its
+    # witness must lie in the complement deflation_corner takes in C^n of
+    # every earlier witness and its A-images
+    A = gue(m, d * q * (m + 1) + q + extra, seed)
+    fam = orthogonal_block_family(A, q, d, SolverOptions(seed=seed % 1000))
+    for s in range(1, d):
+        Y = deflation_corner(A, list(fam.members[:s])).complement.mat
+        X = fam.members[s].witness.mat
+        assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
+
+
 # ---------------------------------------------------------------------------
 # Tverberg lift
 
@@ -389,11 +414,11 @@ def test_tverberg_lift_q2():
 
 
 def test_tverberg_lift_identical_blocks():
-    # every level-1 point of the scalar tuple is the same, so the very first
-    # partition already intersects
+    # every level-1 point of the scalar tuple is the same; p = 2 takes the
+    # Radon split, which scans no partition
     A = HermitianTuple((3.0 * np.eye(7, dtype=complex))[None])
     lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
-    assert lift.partitions_scanned == 1
+    assert lift.partitions_scanned == 0
     assert abs(lift.certificate.point.scalar_values()[0] - 3.0) <= 1e-9
 
 
@@ -405,11 +430,11 @@ def test_tverberg_lift_structural_error():
 
 def test_tverberg_lift_refuses_scan_cap_before_solving(monkeypatch):
     # q = 2, m = 2, p = 3 needs d = 19 blocks, above the scan's 14 points;
-    # the lift must refuse before building any deflated block
+    # the lift must refuse before solving for any block
     def never(*args, **kwargs):
-        raise AssertionError("deflated_solve called for a lift the scan cannot take")
+        raise AssertionError("solve_free called for a lift the scan cannot take")
 
-    monkeypatch.setattr("matrange.constructions.deflated_solve", never)
+    monkeypatch.setattr("matrange.constructions.solve_free", never)
     A = gue(2, 116, seed=5)
     with pytest.raises(DimensionError, match="partition scan capped at 14 points, got 19"):
         tverberg_lift(A, 2, 3, SolverOptions(seed=0))

@@ -261,6 +261,26 @@ def test_certificate_block_shape_check(tmp_path):
         load_certificate(f)
 
 
+def test_certificate_schema_errors(tmp_path):
+    A = herm(8, seed=7)
+    f = tmp_path / "c.json"
+    save_certificate(solve_free(A, 2, 1, SolverOptions(seed=0)), f)
+    good = json.loads(f.read_text())
+    for change, match in [({"m": 5}, "list of m = 5 blocks"),
+                          ({"m": True}, "m must be a positive integer"),
+                          ({"q": "1"}, "q must be a positive integer"),
+                          ({"point": 5}, "point must be a list of m = 2 blocks"),
+                          ({"p": "x"}, "p must be a positive integer"),
+                          ({"p": 0}, "p must be a positive integer"),
+                          ({"witness_tol": None}, "witness_tol must be a finite number"),
+                          ({"residual": "nan"}, "residual must be a finite number"),
+                          ({"residual": 10**400}, "residual must be a finite number"),
+                          ({"residual": False}, "residual must be a finite number")]:
+        f.write_text(canonical_dumps({**good, **change}))
+        with pytest.raises(SchemaError, match=match):
+            load_certificate(f)
+
+
 # ---------------------------------------------------------------------------
 # clouds
 
@@ -312,6 +332,26 @@ def test_cloud_coordinate_width_check(tmp_path):
     f.write_text(canonical_dumps(doc))
     with pytest.raises(SchemaError, match="m\\*q"):
         load_cloud(f)
+
+
+def test_cloud_schema_errors(tmp_path):
+    A = herm(7, seed=11)
+    f = tmp_path / "cl.json"
+    save_cloud(sample_range(A, 1, 1, 2, SolverOptions(seed=0)), f)
+    good = json.loads(f.read_text())
+    for change, match in [({"certificates": 5}, "certificates must be a list or null"),
+                          ({"certificates": [5, 5]}, "certificate 0: expected a JSON object"),
+                          ({"meta": 5}, "meta must be a JSON object"),
+                          ({"points": [["2"]], "certificates": None}, "rows of numbers"),
+                          ({"points": [[None]], "certificates": None}, "rows of numbers"),
+                          ({"points": [[1.0], [1.0, 2.0]]}, "rows of numbers"),
+                          ({"points": 5}, "rows of numbers"),
+                          ({"m": True}, "m must be a positive integer"),
+                          ({"q": 0}, "q must be a positive integer"),
+                          ({"p": 1.0}, "p must be a positive integer")]:
+        f.write_text(canonical_dumps({**good, **change}))
+        with pytest.raises(SchemaError, match=match):
+            load_cloud(f)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,34 @@ def test_tverberg_identical_points():
     res = tverberg_partition(P, 2)
     verify_partition(P, res, 2)
     assert np.allclose(res.common_point, 0.0)
-    # first partition in RGS order already works
+    # p = 2 is Radon's split, read off an affine dependence without a scan
+    assert res.partitions_scanned == 0
+    # at p = 3 the scan's first partition in RGS order already works
+    P = np.zeros((7, 2))
+    res = tverberg_partition(P, 3)
+    verify_partition(P, res, 3)
+    assert np.allclose(res.common_point, 0.0)
     assert res.partitions_scanned == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 4), extra=st.integers(0, 4), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(D=2, extra=0, grid=True, seed=0)
+def test_radon_split_is_a_partition_with_a_common_point(D, extra, grid, seed):
+    # p = 2 with d >= D + 2 points reads the parts off an affine dependence;
+    # a grid of thirds gives coincident, collinear and coplanar points
+    d = D + 2 + extra
+    rng = np.random.default_rng(seed)
+    P = rng.integers(-2, 3, size=(d, D)) / 3.0 if grid else rng.standard_normal((d, D))
+    res = tverberg_partition(P, 2)
+    verify_partition(P, res, 2)
+    assert sorted(res.parts[0] + res.parts[1]) == list(range(d))
+    assert res.parts[0][0] == 0
+    for w in res.weights:
+        assert abs(w.sum() - 1.0) <= 1e-12
+    assert res.partitions_scanned == 0
+    assert lp_common_point(P, res.parts) is not None
 
 
 def test_tverberg_p1_centroid():
@@ -333,14 +359,16 @@ def serial_partition(P, p):
 
 
 def assert_same_scan(P, p):
+    # p = 2 with d >= D + 2 takes the Radon split, so the scan is run directly
+    scan = tverberg._first_feasible if p == 2 else tverberg_partition
     try:
         ref = serial_partition(P, p)
     except RuntimeError as e:
         with pytest.raises(RuntimeError) as got:
-            tverberg_partition(P, p)
+            scan(P, p)
         assert str(got.value) == str(e)
         return
-    got = tverberg_partition(P, p)
+    got = scan(P, p)
     assert got.parts == ref.parts
     assert got.partitions_scanned == ref.partitions_scanned
     assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in ref.weights]
