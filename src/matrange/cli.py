@@ -117,13 +117,12 @@ def _load_hermitian(path, embed: bool) -> HermitianTuple:
     return A
 
 
-def _rejection_doc(rej: Rejection) -> dict:
-    return {
-        "kind": "rejection",
-        "best_residual": float(rej.best_residual),
-        "restarts": int(rej.restarts),
-        "message": rej.message,
-    }
+def _reject(rej: Rejection, args, **extra) -> int:
+    """Emit the rejection document (plus extra fields); exit code 4."""
+    _emit(canonical_dumps({"kind": "rejection", "best_residual": float(rej.best_residual),
+                           "restarts": int(rej.restarts), "message": rej.message} | extra),
+          args.out)
+    return EXIT_REJECTED
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +158,10 @@ def boundary_svg(bd) -> str:
 
 def cmd_numrange(args) -> int:
     A = load_tuple(args.input)
-    if isinstance(A, HermitianTuple):
-        if A.m != 1:
-            raise DimensionError("numrange needs exactly one matrix")
-        M = A.mats[0]
-    else:
-        if len(A) != 1:
-            raise DimensionError("numrange needs exactly one matrix")
-        M = A[0]
-    bd = numrange_boundary(M, n_angles=args.angles)
+    mats = A.mats if isinstance(A, HermitianTuple) else A
+    if len(mats) != 1:
+        raise DimensionError("numrange needs exactly one matrix")
+    bd = numrange_boundary(mats[0], n_angles=args.angles)
     doc = {
         "kind": "numrange-boundary",
         "angles": [float(t) for t in bd.angles],
@@ -177,8 +171,7 @@ def cmd_numrange(args) -> int:
     }
     _emit(canonical_dumps(doc), args.out)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(boundary_svg(bd))
+        _emit(boundary_svg(bd), args.svg)
     return EXIT_OK
 
 
@@ -202,8 +195,7 @@ def cmd_star_center(args) -> int:
     fn = star_center_matrix if args.matrix else star_center_scalar
     out = fn(A, args.p, args.q, _opts(args))
     if isinstance(out, Rejection):
-        _emit(canonical_dumps(_rejection_doc(out)), args.out)
-        return EXIT_REJECTED
+        return _reject(out, args)
     doc = {
         "kind": "star-center",
         "style": "matrix" if args.matrix else "scalar",
@@ -222,13 +214,11 @@ def cmd_segment(args) -> int:
     opts = _opts(args)
     first = solve_free(A, args.p, args.q, opts)
     if isinstance(first, Rejection):
-        _emit(canonical_dumps(_rejection_doc(first)), args.out)
-        return EXIT_REJECTED
+        return _reject(first, args)
     second = deflated_solve(A, first, args.p, args.q,
                             opts.replace(seed=opts.seed + 1))
     if isinstance(second, Rejection):
-        _emit(canonical_dumps(_rejection_doc(second)), args.out)
-        return EXIT_REJECTED
+        return _reject(second, args)
     cert = segment_witness(A, first, second, args.t)
     doc = {
         "kind": "segment",
@@ -245,9 +235,7 @@ def cmd_tverberg(args) -> int:
     try:
         lift = tverberg_lift(A, args.q, args.p, _opts(args))
     except DeflationError as e:
-        _emit(canonical_dumps(_rejection_doc(e.rejection) | {"stage": e.stage}),
-              args.out)
-        return EXIT_REJECTED
+        return _reject(e.rejection, args, stage=e.stage)
     doc = {
         "kind": "tverberg-lift",
         "p": args.p,

@@ -113,8 +113,8 @@ def annihilating_corner(F) -> CornerSpec:
     F = as_tuple(F)
     if F.n == 0:
         raise DimensionError("an annihilating corner needs matrices of size n >= 1")
-    cols = np.hstack([F.mats[j] for j in range(F.m)])
-    U, s, _ = np.linalg.svd(cols, full_matrices=True)
+    # the columns of F_1, ..., F_m side by side
+    U, s, _ = np.linalg.svd(F.mats.transpose(1, 0, 2).reshape(F.n, -1), full_matrices=True)
     rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
     Y = U[:, rank:]
     return CornerSpec(r=rank, complement=Isometry(Y))
@@ -218,7 +218,7 @@ def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
     if Xb.shape != Xc.shape:
         raise DimensionError("witnesses have different shapes")
     cross = frob(np.conj(Xb.T) @ Xc)
-    across = max(frob(np.conj(Xb.T) @ (A.mats[j] @ Xc)) for j in range(A.m))
+    across = max(frob(S) for S in np.conj(Xb.T) @ (A.mats @ Xc))
     if max(cross, across) > cross_tol:
         raise CrossOrthogonalityError(
             f"witness cross terms {max(cross, across):.3e} exceed {cross_tol:.1e}; "
@@ -255,17 +255,24 @@ def deflation_corner(A, prior) -> CornerSpec:
     wits = _gather_witnesses(prior)
     if not wits:
         return CornerSpec(r=0, complement=Isometry(np.eye(A.n, dtype=complex)))
-    cols = []
-    for W in wits:
-        if W.n != A.n:
-            raise DimensionError("prior witness dimension does not match the tuple")
-        cols.append(W.mat)
-        for j in range(A.m):
-            cols.append(A.mats[j] @ W.mat)
-    C = np.hstack(cols)
+    if any(W.n != A.n for W in wits):
+        raise DimensionError("prior witness dimension does not match the tuple")
+    # per witness the columns of X_r, A_1 X_r, ..., A_m X_r side by side
+    C = np.hstack([np.concatenate([W.mat[None], A.mats @ W.mat]).transpose(1, 0, 2)
+                   .reshape(A.n, -1) for W in wits])
     U, s, _ = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
     return CornerSpec(r=rank, complement=Isometry(U[:, rank:]))
+
+
+def _check_room(n: int, left: int, need: int) -> None:
+    """StructuralInfeasibility unless a deflated corner of dimension left,
+    in a tuple of dimension n, has room for a solve with need columns."""
+    if left < need:
+        raise StructuralInfeasibility(
+            f"deflation leaves {left} dimensions but the solve needs {need}; "
+            f"the tuple dimension must be at least {n - left + need}"
+        )
 
 
 def deflated_solve(A, prior, p: int, q: int,
@@ -278,19 +285,9 @@ def deflated_solve(A, prior, p: int, q: int,
     """
     A = as_tuple(A)
     corner = deflation_corner(A, prior)
-    nc = corner.complement.k
-    if nc < p * q:
-        protected = A.n - nc
-        need = protected + p * q
-        raise StructuralInfeasibility(
-            f"deflation leaves {nc} dimensions but the solve needs {p * q}; "
-            f"the tuple dimension must be at least {need}"
-        )
+    _check_room(A.n, corner.complement.k, p * q)
     inner = compress(A, corner.complement)
-    if target is None:
-        out = solve_free(inner, p, q, opts)
-    else:
-        out = membership(inner, target, p, opts)
+    out = solve_free(inner, p, q, opts) if target is None else membership(inner, target, p, opts)
     if isinstance(out, Rejection):
         return out
     return compose_certificate(A, corner.complement, out)
@@ -325,7 +322,7 @@ def measure_cross(A, witnesses) -> float:
     q = witnesses[0].k
     W = np.hstack([X.mat for X in witnesses])
     Wc = np.conj(W.T)
-    G = np.stack([Wc @ W] + [Wc @ (A.mats[j] @ W) for j in range(A.m)])
+    G = Wc @ np.concatenate([W[None], A.mats @ W])
     d = len(witnesses)
     blocks = np.linalg.norm(G.reshape(A.m + 1, d, q, d, q), axis=(2, 4))
     return float(np.max(blocks[:, ~np.eye(d, dtype=bool)]))
@@ -350,11 +347,7 @@ def orthogonal_block_family(A, q: int, d: int,
     inner, Y = A, None
     members = []
     for stage in range(d):
-        if inner.n < q:
-            raise StructuralInfeasibility(
-                f"deflation leaves {inner.n} dimensions but the solve needs {q}; "
-                f"the tuple dimension must be at least {A.n - inner.n + q}"
-            )
+        _check_room(A.n, inner.n, q)
         sub = opts.replace(seed=opts.seed + 7919 * stage)
         out = solve_free(inner, 1, q, sub) if target is None else \
             membership(inner, target, 1, sub)
@@ -401,19 +394,16 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
         raise StructuralInfeasibility(
             f"lift needs d = {d} deflated blocks, so dimension at least {need}, got {A.n}"
         )
-    _check_scan_size(d)
+    if p > 2:  # p = 2 takes Radon's split, which needs no scan
+        _check_scan_size(d)
     family = orthogonal_block_family(A, q, d, opts)
     pts = np.array([c.point.flatten() for c in family.members])
     part = tverberg_partition(pts, p)
     C = MatPoint.unflatten(part.common_point, A.m, q)
-    n = A.n
-    X = np.zeros((n, p * q), dtype=complex)
-    for ell in range(p):
-        block = np.zeros((n, q), dtype=complex)
-        for w, r in zip(part.weights[ell], part.parts[ell]):
-            if w > 0:
-                block += np.sqrt(w) * family.members[r].witness.mat
-        X[:, ell * q:(ell + 1) * q] = block
+    wits = np.stack([c.witness.mat for c in family.members])
+    # column block ell sums sqrt(w_r) X_r over part ell, in part order
+    X = np.hstack([np.sum(np.sqrt(w)[:, None, None] * wits[list(rs)], axis=0, initial=0.0)
+                   for w, rs in zip(part.weights, part.parts)])
     tol = max(ISO_TOL, d * family.cross_tol + 1e-12)
     W = Isometry(X, tol=tol)
     cert = Certificate(point=C, p=p, witness=W, residual=residual(A, W, p, C))
@@ -524,13 +514,8 @@ class EssentialEstimate:
         """The [lo, hi] reading when the flattened dimension is one."""
         if self.directions.shape[1] != 1:
             raise DimensionError("interval reading needs flattened dimension 1")
-        hi = lo = None
-        for k, u in enumerate(self.directions[:, 0]):
-            if u > 0:
-                hi = self.intersection[-1, k]
-            else:
-                lo = -self.intersection[-1, k]
-        return float(lo), float(hi)
+        u, last = self.directions[:, 0], self.intersection[-1]
+        return float(-last[u <= 0][-1]), float(last[u > 0][-1])
 
 
 def essential_estimate(A, q: int, r_max: int,

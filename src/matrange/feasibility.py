@@ -45,7 +45,8 @@ from .linalg import (
     HermitianTuple,
     Isometry,
     as_tuple,
-    herm_defect,
+    hermitian_stack,
+    hermitize,
     _inflate,
     _qr_fix,
     random_isometry,
@@ -96,16 +97,7 @@ class MatPoint:
     blocks: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.blocks, dtype=complex)
-        if B.ndim != 3 or B.shape[1] != B.shape[2]:
-            raise DimensionError(f"expected (m, q, q) array, got shape {B.shape}")
-        if not np.isfinite(B).all():
-            raise DimensionError("blocks must be finite")
-        for j in range(B.shape[0]):
-            d = herm_defect(B[j])
-            if not d <= 1e-12:
-                raise DimensionError(f"block {j} is not Hermitian (relative defect {d:.3e})")
-        object.__setattr__(self, "blocks", B)
+        object.__setattr__(self, "blocks", hermitian_stack(self.blocks, "block"))
 
     @property
     def m(self) -> int:
@@ -118,11 +110,7 @@ class MatPoint:
     @classmethod
     def scalar(cls, values, q: int) -> "MatPoint":
         """The point (v_1 I_q, ..., v_m I_q) from m real values."""
-        values = np.asarray(values, dtype=float)
-        blocks = np.zeros((len(values), q, q), dtype=complex)
-        for j, v in enumerate(values):
-            blocks[j] = v * np.eye(q)
-        return cls(blocks)
+        return cls(np.asarray(values, dtype=float)[:, None, None] * np.eye(q))
 
     def scalar_values(self) -> np.ndarray:
         """Real diagonal values when q = 1; errors otherwise."""
@@ -147,41 +135,37 @@ class MatPoint:
         return float(np.linalg.norm(self.blocks - other.blocks))
 
 
+def _block_positions(q: int):
+    """Flat positions in a q-by-q block: of its diagonal, and of the entries
+    (i, k) and (k, i) for each i < k in row-major order."""
+    pairs = [(i, k) for i in range(q) for k in range(i + 1, q)]
+    return ([i * (q + 1) for i in range(q)], [i * q + k for i, k in pairs],
+            [k * q + i for i, k in pairs])
+
+
 def flatten_blocks(blocks: np.ndarray) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=complex)
+    blocks = np.ascontiguousarray(blocks, dtype=complex)
     m, q, _ = blocks.shape
-    out = np.empty(m * q * q, dtype=float)
-    pos = 0
-    s2 = np.sqrt(2.0)
-    for j in range(m):
-        B = blocks[j]
-        out[pos:pos + q] = np.real(np.diag(B))
-        pos += q
-        for i in range(q):
-            for k in range(i + 1, q):
-                out[pos] = s2 * B[i, k].real
-                out[pos + 1] = s2 * B[i, k].imag
-                pos += 2
-    return out
+    diag, upper, _ = _block_positions(q)
+    # gathered from the (re, im) float view: Re of the diagonal, then the
+    # (Re, Im) pair of each entry above it
+    out = blocks.view(float).reshape(m, -1)[
+        :, [2 * j for j in diag] + [2 * j + c for j in upper for c in (0, 1)]]
+    out[:, q:] *= np.sqrt(2.0)
+    return out.ravel()
 
 
 def unflatten_blocks(vec, m: int, q: int) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (m * q * q,):
         raise DimensionError(f"expected {m * q * q} coordinates, got shape {vec.shape}")
-    blocks = np.zeros((m, q, q), dtype=complex)
-    pos = 0
-    s2 = np.sqrt(2.0)
-    for j in range(m):
-        for i in range(q):
-            blocks[j, i, i] = vec[pos]
-            pos += 1
-        for i in range(q):
-            for k in range(i + 1, q):
-                blocks[j, i, k] = (vec[pos] + 1j * vec[pos + 1]) / s2
-                blocks[j, k, i] = (vec[pos] - 1j * vec[pos + 1]) / s2
-                pos += 2
-    return blocks
+    V = vec.reshape(m, q * q)
+    diag, upper, lower = _block_positions(q)
+    re, im = V[:, q::2], V[:, q + 1::2]
+    blocks = np.zeros((m, q * q), dtype=complex)
+    blocks[:, diag] = V[:, :q]
+    blocks[:, upper + lower] = np.concatenate([re + 1j * im, re - 1j * im], axis=1) / np.sqrt(2.0)
+    return blocks.reshape(m, q, q)
 
 
 @dataclass(frozen=True)
@@ -275,7 +259,7 @@ def _block_average(S: np.ndarray, p: int, q: int) -> np.ndarray:
     for i in range(p):
         B += S[..., i * q:(i + 1) * q, i * q:(i + 1) * q]
     B /= p
-    return 0.5 * (B + np.conj(np.swapaxes(B, -1, -2)))
+    return hermitize(B)
 
 
 def _misfit(S: np.ndarray, p: int, q: int, target=None):
@@ -391,15 +375,17 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     """
     m, n = Amats.shape[-3:-1]
     size = max(1, LANE_ENTRIES // (m * (X[0].size + (Amats.ndim == 4) * n * n)))
-
-    def lanes(a, rows):  # a stack read through job, sliced to rows; else a
-        return a if a is None or a.ndim == 3 else a[job[rows]]
-
-    parts = [_descend_stack(lanes(Amats, rows), X[rows], p, q, opts, max_iters,
-                            lanes(target, rows),
-                            None if direction is None else direction[rows], mu)
+    job = np.zeros(len(X), dtype=int) if job is None else job
+    parts = [_descend_stack(_lanes(Amats, job[rows]), X[rows], p, q, opts, max_iters,
+                            _lanes(target, job[rows]), _lanes(direction, rows), mu)
              for rows in (slice(lo, lo + size) for lo in range(0, len(X), size))]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _lanes(a, sub):
+    """The lanes sub of a per-lane (L, m, ., .) stack; a shared (m, ., .)
+    array, or None, as is."""
+    return a if a is None or a.ndim == 3 else a[sub]
 
 
 def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
@@ -420,13 +406,10 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     IpT = None if target is None else _inflate(target, p)
     Am = Amats
 
-    def rows(a, sub):  # the rows sub of a per-lane stack; a shared array as is
-        return a if a is None or a.ndim == 3 else a[sub]
-
     def evaluate(X, sub=slice(None)):
-        AX = rows(Am, sub) @ X[:, None]
+        AX = _lanes(Am, sub) @ X[:, None]
         S = _adjoint(X)[:, None] @ AX
-        E, B = _misfit(S, p, q) if IpT is None else (S - rows(IpT, sub), None)
+        E, B = _misfit(S, p, q) if IpT is None else (S - _lanes(IpT, sub), None)
         R2 = _lane_dot(E, E)
         h = R2 if U is None else mu * R2 - _lane_dot(U[sub], B)
         return [X, AX, E, B], h.tolist(), R2.tolist()
@@ -450,7 +433,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                            [R2[i] for i in out]))
             X, AX, E, B, U, IpU, Xp, Gp = (
                 None if a is None else a[keep] for a in (X, AX, E, B, U, IpU, Xp, Gp))
-            Am, IpT = rows(Am, keep), rows(IpT, keep)
+            Am, IpT = _lanes(Am, keep), _lanes(IpT, keep)
             ids, h, R2, C, hist = ([v[i] for i in keep] for v in (ids, h, R2, C, hist))
         n = len(ids)
         if support:
@@ -799,9 +782,8 @@ def sample_range(A, p: int, q: int, count: int,
     total = count + len(dirs)
     bases = [opts.seed + 100003 * (i + 1) for i in range(total)]
     certs = [cert for cert, _ in _support_lanes(A, p, q, dirs, bases[:len(dirs)], opts)]
-    certs += [None if X is None else certify(A, Isometry(X), p)
-              for _, X, _ in _first_success(A, p, q, opts, bases[len(dirs):])]
-    certs = [c for c in certs if c is not None]
+    certs += solve_jobs(A, p, q, bases[len(dirs):], opts=opts)
+    certs = [c for c in certs if isinstance(c, Certificate)]
     rejected = total - len(certs)
     rows = [c.point.flatten() for c in certs]
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, A.m * q * q))

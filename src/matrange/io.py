@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .feasibility import Certificate, MatPoint, PointCloud
-from .linalg import HERM_TOL, HermitianTuple, Isometry, herm_defect
+from .linalg import HERM_TOL, HermitianTuple, Isometry, NotHermitianError, _herm_defects
 from .ranges import hermitian_embed
 from .verify import SuiteReport
 
@@ -137,19 +137,19 @@ def save_tuple(A, path) -> None:
     arrays are flagged by measuring them.
     """
     if isinstance(A, HermitianTuple):
-        mats = [A.mats[j] for j in range(A.m)]
-        hermitian = True
+        mats, hermitian = A.mats, True
     else:
-        mats = [np.asarray(M, dtype=complex) for M in A]
-        hermitian = all(herm_defect(M) <= HERM_TOL for M in mats)
-    n = mats[0].shape[0]
+        mats = np.asarray(A, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"expected a sequence of square matrices, got shape {mats.shape}")
+        hermitian = (_herm_defects(mats) <= HERM_TOL).all()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "tuple",
         "m": len(mats),
-        "n": int(n),
+        "n": int(mats.shape[1]),
         "hermitian": bool(hermitian),
-        "matrices": [_matrix_doc(M) for M in mats],
+        "matrices": _matrix_doc(mats),
     }
     _write(path, doc)
 
@@ -182,18 +182,17 @@ def load_tuple(path, embed: bool = False):
             raise SchemaError(f"matrix {j}: shape {M.shape}, expected ({n}, {n})")
         mats.append(M)
     if doc["hermitian"]:
-        for j, M in enumerate(mats):
-            if not herm_defect(M) <= HERM_TOL:
-                with np.errstate(over="ignore"):
-                    D = np.abs(M - np.conj(M.T))
-                i, i2 = np.unravel_index(np.argmax(D), D.shape)
-                raise SchemaError(
-                    f"matrix {j} flagged hermitian but entry ({i}, {i2}) "
-                    f"differs from its conjugate by {D[i, i2]:.3e}"
-                )
-        return HermitianTuple(np.stack(mats))
+        try:
+            return HermitianTuple(mats)
+        except NotHermitianError as e:
+            M = mats[e.item]
+            with np.errstate(over="ignore"):
+                D = np.abs(M - np.conj(M.T))
+            i, i2 = np.unravel_index(np.argmax(D), D.shape)
+            raise SchemaError(f"matrix {e.item} flagged hermitian but entry ({i}, {i2}) "
+                              f"differs from its conjugate by {D[i, i2]:.3e}") from None
     if embed:
-        return hermitian_embed(np.stack(mats))
+        return hermitian_embed(mats)
     return tuple(mats)
 
 
@@ -202,6 +201,7 @@ def load_tuple(path, embed: bool = False):
 
 
 def _cert_doc(cert: Certificate) -> dict:
+    """A certificate's fields without its point: p, q, residual and witness."""
     return {
         "p": int(cert.p),
         "q": int(cert.q),
@@ -224,17 +224,10 @@ def _cert_parse(doc, point: MatPoint, what: str) -> Certificate:
 
 
 def certificate_doc(cert: Certificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "certificate",
-        "m": int(cert.point.m),
-        "p": int(cert.p),
-        "q": int(cert.q),
-        "point": [_matrix_doc(cert.point.blocks[j]) for j in range(cert.point.m)],
-        "residual": float(cert.residual),
-        "witness_tol": float(cert.witness.tol),
-        "witness": _matrix_doc(cert.witness.mat),
-    }
+    doc = _cert_doc(cert)
+    return {"schema_version": SCHEMA_VERSION, "kind": "certificate", "m": int(cert.point.m),
+            "p": doc.pop("p"), "q": doc.pop("q"), "point": _matrix_doc(cert.point.blocks),
+            **doc}
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -300,8 +293,10 @@ def load_cloud(path, A=None) -> PointCloud:
         coords = np.array(rows) if rows != [] else np.zeros((0, m * q * q))
     except ValueError:  # ragged rows
         coords = None
-    # strings, nulls and all-boolean rows are not coordinates
-    if coords is None or coords.dtype.kind not in "iuf" or coords.ndim != 2:
+    # strings, nulls and booleans are not coordinates; numpy reads a boolean
+    # mixed with numbers as 0 or 1
+    if coords is None or coords.dtype.kind not in "iuf" or coords.ndim != 2 \
+            or any(type(v) is bool for row in rows for v in row):
         raise SchemaError("points must be a list of equal-length rows of numbers")
     coords = coords.astype(float)
     if not np.all(np.isfinite(coords)):
@@ -354,7 +349,22 @@ def save_report(report: SuiteReport, path) -> None:
 def load_report(path) -> SuiteReport:
     doc = _loads(_read(path))
     _require(doc, "report", ("suite", "trials", "passes", "failures", "tolerances"))
-    failures = tuple((f[0], f[1]) for f in doc["failures"])
-    return SuiteReport(suite=doc["suite"], trials=int(doc["trials"]),
-                       passes=int(doc["passes"]), failures=failures,
+    if not isinstance(doc["suite"], str):
+        raise SchemaError(f"report: suite must be a string, got {doc['suite']!r}")
+    for key in ("trials", "passes"):
+        if type(doc[key]) is not int or doc[key] < 0:  # JSON true is not 1
+            raise SchemaError(f"report: {key} must be a non-negative integer, got {doc[key]!r}")
+    failures = doc["failures"]
+    if not isinstance(failures, list) or not all(
+            isinstance(f, list) and len(f) == 2 and type(f[0]) is int and isinstance(f[1], str)
+            for f in failures):
+        raise SchemaError("report: failures must be a list of [seed, message] pairs")
+    if not isinstance(doc["tolerances"], dict):
+        raise SchemaError(f"report: tolerances must be a JSON object, "
+                          f"got {type(doc['tolerances']).__name__}")
+    if doc["passes"] + len(failures) != doc["trials"]:
+        raise SchemaError(f"report: {doc['passes']} passes and {len(failures)} failures "
+                          f"do not add up to {doc['trials']} trials")
+    return SuiteReport(suite=doc["suite"], trials=doc["trials"], passes=doc["passes"],
+                       failures=tuple(map(tuple, failures)),
                        tolerances=dict(doc["tolerances"]), wall_time=0.0)

@@ -29,7 +29,8 @@ def frob(M: np.ndarray) -> float:
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.conj(M.T))
+    """(M + M*) / 2 for a matrix or each matrix of a stack (..., n, n)."""
+    return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
 
 
 def _herm_defects(A) -> np.ndarray:
@@ -65,29 +66,49 @@ def herm_defect(M: np.ndarray) -> float:
     return float(_herm_defects(M))
 
 
+class NotHermitianError(DimensionError):
+    """A matrix of a stack fails the Hermitian check; `item` is its index."""
+
+    def __init__(self, message: str, item: int):
+        super().__init__(message)
+        self.item = item
+
+
+def hermitian_stack(A, what: str = "member") -> np.ndarray:
+    """A as a validated complex (m, s, s) stack of Hermitian matrices, m >= 1.
+
+    Every entry must be finite and every matrix Hermitian to relative
+    tolerance HERM_TOL.  A failure raises DimensionError naming the first
+    bad `what`; NotHermitianError when that matrix is finite but not
+    Hermitian.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise DimensionError(f"expected an (m, s, s) stack of {what}s, got shape {A.shape}")
+    if A.shape[0] < 1:
+        raise DimensionError(f"need at least one {what}")
+    d = _herm_defects(A)  # NaN for a matrix with a non-finite entry
+    if not (d <= HERM_TOL).all():
+        j = int(np.argmin(d <= HERM_TOL))
+        if not np.isfinite(A[j]).all():
+            raise DimensionError(f"{what} {j} has a non-finite entry")
+        raise NotHermitianError(f"{what} {j} is not Hermitian (relative defect {d[j]:.3e})", j)
+    return A
+
+
 @dataclass(frozen=True)
 class HermitianTuple:
     """An m-tuple of n-by-n Hermitian matrices, stored as an (m, n, n) array.
 
     Each member must be Hermitian to relative tolerance 1e-12; violations are
-    rejected at construction rather than silently symmetrized.
+    rejected at construction (hermitian_stack) rather than silently
+    symmetrized.
     """
 
     mats: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.mats, dtype=complex)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise DimensionError(f"expected (m, n, n) array, got shape {A.shape}")
-        if A.shape[0] < 1:
-            raise DimensionError("a tuple needs at least one member")
-        if not np.isfinite(A).all():
-            raise DimensionError("tuple entries must be finite")
-        d = _herm_defects(A)
-        if not (d <= HERM_TOL).all():
-            j = np.flatnonzero(~(d <= HERM_TOL))[0]
-            raise DimensionError(f"member {j} is not Hermitian (relative defect {d[j]:.3e})")
-        object.__setattr__(self, "mats", A)
+        object.__setattr__(self, "mats", hermitian_stack(self.mats))
 
     @property
     def m(self) -> int:
@@ -138,10 +159,9 @@ class Isometry:
         n, k = X.shape
         if k > n:
             raise DimensionError(f"isometry needs k <= n, got {n}x{k}")
-        d = frob(np.conj(X.T) @ X - np.eye(k))
-        if d > self.tol:
-            raise DimensionError(f"isometry defect {d:.3e} exceeds tolerance {self.tol:.1e}")
         object.__setattr__(self, "mat", X)
+        if (d := self.defect()) > self.tol:
+            raise DimensionError(f"isometry defect {d:.3e} exceeds tolerance {self.tol:.1e}")
 
     @property
     def n(self) -> int:
@@ -201,11 +221,7 @@ def random_isometry(n: int, k: int, seed: int) -> Isometry:
 
 def coordinate_isometry(n: int, cols) -> Isometry:
     """Embedding of the listed coordinates of C^n, as columns of the identity."""
-    cols = list(cols)
-    X = np.zeros((n, len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        X[c, j] = 1.0
-    return Isometry(X)
+    return Isometry(np.eye(n, dtype=complex)[:, list(cols)])
 
 
 def compress(A, X: Isometry) -> HermitianTuple:
@@ -217,11 +233,7 @@ def compress(A, X: Isometry) -> HermitianTuple:
     A = as_tuple(A)
     if X.n != A.n:
         raise DimensionError(f"isometry rows {X.n} do not match tuple dimension {A.n}")
-    Xc = np.conj(X.mat.T)
-    out = np.empty((A.m, X.k, X.k), dtype=complex)
-    for j in range(A.m):
-        out[j] = hermitize(Xc @ (A.mats[j] @ X.mat))
-    return HermitianTuple(out)
+    return HermitianTuple(hermitize(np.conj(X.mat.T) @ (A.mats @ X.mat)))
 
 
 def _inflate(B: np.ndarray, p: int) -> np.ndarray:

@@ -70,12 +70,9 @@ def hermitian_embed(T) -> HermitianTuple:
         raise DimensionError(f"expected (m, n, n) complex array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DimensionError("matrix entries must be finite")
-    m, n, _ = arr.shape
-    out = np.empty((2 * m, n, n), dtype=complex)
-    for j in range(m):
-        out[2 * j] = 0.5 * (arr[j] + np.conj(arr[j].T))
-        out[2 * j + 1] = (arr[j] - np.conj(arr[j].T)) / 2j
-    return HermitianTuple(out)
+    G = (arr - np.conj(np.swapaxes(arr, 1, 2))) / 2j
+    # interleaved as (H_1, G_1, ..., H_m, G_m)
+    return HermitianTuple(np.stack([hermitize(arr), G], axis=1).reshape((-1,) + arr.shape[1:]))
 
 
 def support_value(A, u) -> float:
@@ -102,9 +99,7 @@ def rank_k_interval(A, k: int) -> Interval:
         raise DimensionError(f"need 1 <= k <= {n}, got k = {k}")
     w, _ = herm_eig(A)
     lo, hi = float(w[n - k]), float(w[k - 1])
-    if lo > hi:
-        return Interval(lo=lo, hi=hi, empty=True)
-    return Interval(lo=lo, hi=hi)
+    return Interval(lo=lo, hi=hi, empty=lo > hi)
 
 
 STACK_ENTRIES = 2**20  # complex entries (16 MiB) per stack of angle matrices

@@ -4,12 +4,12 @@ Any (p-1)(D+1)+1 points in R^D can be split into p parts whose convex hulls
 share a point.  For p = 2 this is Radon's theorem, and its proof is the
 algorithm: an affine dependence sum lam_i P_i = 0, sum lam_i = 0 (the least
 right-singular vector of [P^T; 1]) splits the points by sign, and lam over
-each part is a pair of weight vectors with a common point.  For p >= 3, at
-the sizes used here (d <= 14), the reliable route is the direct one:
-enumerate set partitions into exactly p nonempty parts in lexicographic
-order of their restricted-growth strings, test each with a small linear
-feasibility program, and keep the first hit.  The programs all have one
-shape, so they are solved in stacks, chunk by chunk.
+each part is a pair of weight vectors with a common point, at any d.  For
+p >= 3 the route is the direct one, and only it is capped (at MAX_POINTS
+= 14 points): enumerate set partitions into exactly p nonempty parts in
+lexicographic order of their restricted-growth strings, test each with a
+small linear feasibility program, and keep the first hit.  The programs
+all have one shape, so they are solved in stacks, chunk by chunk.
 
 The LP solver is a dense phase-1 simplex with Bland's rule, so termination
 is unconditional, and each program in a stack pivots exactly as it would
@@ -228,7 +228,8 @@ def lp_common_point(points, parts, feas_tol: float = FEAS_TOL):
 
 
 def _check_scan_size(d: int) -> None:
-    """DimensionError when d points exceed the partition scan's MAX_POINTS."""
+    """DimensionError when d points exceed the partition scan's MAX_POINTS;
+    Radon's split and the p = 1 centroid need no scan and no cap."""
     if d > MAX_POINTS:
         raise DimensionError(f"partition scan capped at {MAX_POINTS} points, got {d}")
 
@@ -256,6 +257,7 @@ def _first_feasible(P: np.ndarray, p: int) -> PartitionResult:
     """The scan: first partition in restricted-growth lexicographic order
     whose parts' convex hulls meet."""
     d, D = P.shape
+    _check_scan_size(d)
     hit = _scan(P, set_partitions(d, p), p, d, FEAS_TOL)
     if hit is None:
         raise RuntimeError(
@@ -273,7 +275,8 @@ def tverberg_partition(points, p: int) -> PartitionResult:
     For p = 2 with d >= D + 2 points this is Radon's split, read off one
     affine dependence with no scan (partitions_scanned = 0).  Otherwise it
     is the first partition in restricted-growth lexicographic order that
-    the LP scan finds feasible.  The guarantee d >= (p-1)(D+1)+1 makes
+    the LP scan finds feasible; only the scan refuses more than MAX_POINTS
+    points.  The guarantee d >= (p-1)(D+1)+1 makes
     existence unconditional; running below it is allowed and simply may
     raise when every partition fails.
     """
@@ -281,7 +284,6 @@ def tverberg_partition(points, p: int) -> PartitionResult:
     if P.ndim != 2:
         raise DimensionError(f"expected (d, D) point array, got shape {P.shape}")
     d, D = P.shape
-    _check_scan_size(d)
     if p < 1:
         raise DimensionError("need p >= 1")
     if d < p:

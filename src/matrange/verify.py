@@ -120,8 +120,7 @@ def planted_star_instance(m: int, p: int, q: int, d: int, seed: int):
     values = rng.uniform(-1.0, 1.0, size=(d, m))
     n = d * p * q
     mats = np.zeros((m, n, n), dtype=complex)
-    for j in range(m):
-        mats[j] = np.diag(np.repeat(values[:, j], p * q))
+    mats[:, range(n), range(n)] = np.repeat(values.T, p * q, axis=1)
     A = HermitianTuple(mats)
     certs = []
     for r in range(d):
@@ -179,22 +178,14 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
     """
     A = as_tuple(A)
     start = time.perf_counter()
-    failures = []
-    passes = 0
     if exact is not None:
         bar = 1e-9
-        center = exact[0]
-        trials = 0
-        for r in range(1, len(exact)):
-            for t in t_grid:
-                trials += 1
-                cert = segment_witness(A, exact[r], center, t)
-                if cert.residual <= bar:
-                    passes += 1
-                else:
-                    failures.append((r, f"t={t}: residual {cert.residual:.3e}"))
-        return SuiteReport(suite="star-shaped-planted", trials=trials,
-                           passes=passes, failures=tuple(failures),
+        segments = [(r, t, segment_witness(A, exact[r], exact[0], t).residual)
+                    for r in range(1, len(exact)) for t in t_grid]
+        failures = [(r, f"t={t}: residual {res:.3e}") for r, t, res in segments
+                    if not res <= bar]
+        return SuiteReport(suite="star-shaped-planted", trials=len(segments),
+                           passes=len(segments) - len(failures), failures=tuple(failures),
                            tolerances={"residual": bar, "t_grid": list(t_grid)},
                            wall_time=time.perf_counter() - start)
     out = star_center_scalar(A, p, q, opts)
@@ -210,13 +201,12 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
     trials = len(segments)
     seeds = [opts.seed + 104729 * (j + 1) for j in range(trials)]
     got = solve_jobs(A, p, q, seeds, [target for _, _, target in segments], opts)
+    failures = []
     for (i, t, _), seed_i, out in zip(segments, seeds, got):
         ok, best = _accepted(out, opts.accept_tol)
-        if ok:
-            passes += 1
-        else:
+        if not ok:
             failures.append((seed_i, f"point {i}, t={t}: best residual {best:.3e}"))
-    return SuiteReport(suite="star-shaped", trials=trials, passes=passes,
+    return SuiteReport(suite="star-shaped", trials=trials, passes=trials - len(failures),
                        failures=tuple(failures),
                        tolerances={"accept_tol": opts.accept_tol,
                                    "t_grid": list(t_grid),
@@ -251,7 +241,6 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
                            wall_time=time.perf_counter() - start)
     n = bound_dimension(m, k, bound)
     failures = []
-    passes = 0
     seeds = [opts.seed + 1009 * (i + 1) for i in range(trials)]
     tuples = [random_hermitian_tuple(m, n, seed_i) for seed_i in seeds]
     # a rank-k scalar point is a free solve at level p = k, q = 1
@@ -259,9 +248,7 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
         if isinstance(out, Rejection):
             failures.append((seed_i, f"best residual {out.best_residual:.3e} "
                                      f"after {out.restarts} restarts"))
-        else:
-            passes += 1
-    return SuiteReport(suite=f"nonempty-{bound}", trials=trials, passes=passes,
+    return SuiteReport(suite=f"nonempty-{bound}", trials=trials, passes=trials - len(failures),
                        failures=tuple(failures),
                        tolerances={"m": m, "k": k, "n": n,
                                    "accept_tol": opts.accept_tol,
@@ -278,7 +265,6 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
         raise ValueError(f"need 1 <= q*r < p, got q*r = {q * r}, p = {p}")
     start = time.perf_counter()
     failures = []
-    passes = 0
     p_low = p - q * r
     seeds = [opts.seed + 7717 * (i + 1) for i in range(trials)]
     tuples = [random_hermitian_tuple(m, n, seed_i) for seed_i in seeds]
@@ -295,13 +281,11 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
                 failures.append((seed_i, f"base solve rejected, corner {c} skipped"))
                 continue
             ok, best = _accepted(next(got), opts.accept_tol)
-            if ok:
-                passes += 1
-            else:
+            if not ok:
                 failures.append((seed_i + 31 * (c + 1),
                                  f"corner re-cert failed: best {best:.3e}"))
     total = trials * corners
-    return SuiteReport(suite="corner-inclusions", trials=total, passes=passes,
+    return SuiteReport(suite="corner-inclusions", trials=total, passes=total - len(failures),
                        failures=tuple(failures),
                        tolerances={"m": m, "n": n, "p": p, "q": q, "r": r,
                                    "corners": corners,
@@ -321,18 +305,15 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     cloud = sample_range(A, p, q, 2 * pairs, opts)
     pts = cloud.points()
     failures = []
-    passes = 0
     firsts = range(0, 2 * (len(pts) // 2), 2)
     trials = len(firsts)
     seeds = [opts.seed + 53 * (i + 1) for i in firsts]
     mids = [MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0) for i in firsts]
     for i, seed_i, got in zip(firsts, seeds, solve_jobs(A, p, q, seeds, mids, opts)):
         ok, best = _accepted(got, opts.accept_tol)
-        if ok:
-            passes += 1
-        else:
+        if not ok:
             failures.append((seed_i, f"midpoint {i}-{i + 1}: best {best:.3e}"))
-    return SuiteReport(suite="convexity-midpoints", trials=trials, passes=passes,
+    return SuiteReport(suite="convexity-midpoints", trials=trials, passes=trials - len(failures),
                        failures=tuple(failures),
                        tolerances={"p": p, "q": q,
                                    "accept_tol": opts.accept_tol,
@@ -354,25 +335,19 @@ def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
     A = pauli_tuple()
     start = time.perf_counter()
     failures = []
-    passes = 0
     cloud = joint_numrange_sample(A, n_samples, seed=opts.seed)
     dev = float(np.max(np.abs(np.linalg.norm(cloud.coords, axis=1) - 1.0)))
-    if dev <= 1e-10:
-        passes += 1
-    else:
+    if not dev <= 1e-10:
         failures.append((opts.seed, f"sample norm deviates by {dev:.3e}"))
     origin = MatPoint(np.zeros((3, 1, 1)))
     got = membership(A, origin, 1, opts.replace(max_restarts=restarts))
-    if isinstance(got, Rejection) and got.best_residual >= floor:
-        passes += 1
-    else:
-        if isinstance(got, Rejection):
-            failures.append((opts.seed, f"rejected but best residual "
-                                        f"{got.best_residual:.3e} < {floor}"))
-        else:
-            failures.append((opts.seed, f"origin certified at residual "
-                                        f"{got.residual:.3e}; sphere is not convex"))
-    return SuiteReport(suite="pauli-nonconvexity", trials=2, passes=passes,
+    if not isinstance(got, Rejection):
+        failures.append((opts.seed, f"origin certified at residual "
+                                    f"{got.residual:.3e}; sphere is not convex"))
+    elif not got.best_residual >= floor:
+        failures.append((opts.seed, f"rejected but best residual "
+                                    f"{got.best_residual:.3e} < {floor}"))
+    return SuiteReport(suite="pauli-nonconvexity", trials=2, passes=2 - len(failures),
                        failures=tuple(failures),
                        tolerances={"norm_tol": 1e-10, "floor": floor,
                                    "restarts": restarts, "n_samples": n_samples},
@@ -390,7 +365,6 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
     """
     start = time.perf_counter()
     failures = []
-    passes = 0
     seeds = [opts.seed + 4409 * (i + 1) for i in range(trials)]
     perturbed = []  # (A, F, corner killing F) per trial
     for seed_i in seeds:
@@ -404,12 +378,10 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
                                      f"{got.best_residual:.3e}"))
             continue
         lifted = compose_certificate(add_tuples(A, F), corner.complement, got)
-        if lifted.residual <= opts.accept_tol:
-            passes += 1
-        else:
+        if not lifted.residual <= opts.accept_tol:
             failures.append((seed_i, f"perturbed residual {lifted.residual:.3e}"))
     return SuiteReport(suite="perturbation-equivalence", trials=trials,
-                       passes=passes, failures=tuple(failures),
+                       passes=trials - len(failures), failures=tuple(failures),
                        tolerances={"m": m, "n": n, "p": p, "q": q, "rank": rank,
                                    "accept_tol": opts.accept_tol},
                        wall_time=time.perf_counter() - start)

@@ -440,6 +440,17 @@ def test_tverberg_lift_refuses_scan_cap_before_solving(monkeypatch):
         tverberg_lift(A, 2, 3, SolverOptions(seed=0))
 
 
+def test_tverberg_lift_p2_beyond_scan_cap():
+    # q = 2, m = 4, p = 2 needs d = D + 2 = 18 blocks, past the scan's 14
+    # points; Radon's split needs no scan, so the lift certifies
+    A = gue(4, 182, seed=5)
+    lift = tverberg_lift(A, 2, 2, SolverOptions(seed=0))
+    assert len(lift.family) == 18 and lift.partitions_scanned == 0
+    cert = lift.certificate
+    assert cert.residual <= 1e-10
+    assert cert.revalidate(A) == cert.residual
+
+
 # ---------------------------------------------------------------------------
 # direction sets
 

@@ -93,6 +93,59 @@ def test_flatten_is_isometric():
         assert frob(back - B.blocks) <= 1e-14
 
 
+def test_flatten_coordinate_order():
+    # the cloud format's "hermitian-diag-sqrt2-offdiag" order: per block the
+    # diagonal, then sqrt2 Re and sqrt2 Im of each i < k in row-major order
+    B = np.array([[1, 2 + 3j, 4 + 5j],
+                  [2 - 3j, 6, 7 + 8j],
+                  [4 - 5j, 7 - 8j, 9]])
+    s = np.sqrt(2.0)
+    block = [1.0, 6.0, 9.0, s * 2, s * 3, s * 4, s * 5, s * 7, s * 8]
+    expected = np.array(block + [-v for v in block])
+    assert np.array_equal(flatten_blocks(np.stack([B, -B])), expected)
+    assert np.allclose(unflatten_blocks(expected, 2, 3), np.stack([B, -B]), rtol=0, atol=1e-15)
+
+
+def flatten_reference(blocks):
+    """The flattening entry by entry, as the format describes it."""
+    s2 = np.sqrt(2.0)
+    out = []
+    for B in blocks:
+        out += [B[i, i].real for i in range(len(B))]
+        for i in range(len(B)):
+            for k in range(i + 1, len(B)):
+                out += [s2 * B[i, k].real, s2 * B[i, k].imag]
+    return np.array(out)
+
+
+def unflatten_reference(vec, m, q):
+    blocks = np.zeros((m, q, q), dtype=complex)
+    pos = iter(vec)
+    for j in range(m):
+        for i in range(q):
+            blocks[j, i, i] = next(pos)
+        for i in range(q):
+            for k in range(i + 1, q):
+                re, im = next(pos), next(pos)
+                blocks[j, i, k] = (re + 1j * im) / np.sqrt(2.0)
+                blocks[j, k, i] = (re - 1j * im) / np.sqrt(2.0)
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), q=st.integers(1, 4))
+def test_flatten_matches_entrywise_reference_bit_for_bit(seed, m, q):
+    # signed zeros included: the stacked forms must round exactly as the
+    # entry-by-entry definition does
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, q, q)) + 1j * rng.standard_normal((m, q, q))
+    B[rng.random(B.shape) < 0.3] = -0.0
+    v = flatten_blocks(B)
+    assert v.tobytes() == flatten_reference(B).tobytes()
+    v[rng.random(v.shape) < 0.3] = -0.0
+    assert unflatten_blocks(v, m, q).tobytes() == unflatten_reference(v, m, q).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), q=st.integers(1, 4),
        scale=st.floats(1e-3, 1e3))

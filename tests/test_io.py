@@ -211,6 +211,14 @@ def test_nonfinite_rejection_both_paths(tmp_path):
         load_tuple(f)
 
 
+def test_save_tuple_refuses_a_bare_matrix(tmp_path):
+    # a plain sequence must stack to (m, n, n); one n-by-n array would
+    # otherwise be written as n members of one row each
+    with pytest.raises(ValueError, match="sequence of square matrices"):
+        save_tuple(np.eye(3), tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_save_rejects_nonfinite_values(tmp_path):
     M = np.array([[np.nan]], dtype=complex)
     with pytest.raises(ValueError):
@@ -346,6 +354,8 @@ def test_cloud_schema_errors(tmp_path):
                           ({"points": [[None]], "certificates": None}, "rows of numbers"),
                           ({"points": [[1.0], [1.0, 2.0]]}, "rows of numbers"),
                           ({"points": 5}, "rows of numbers"),
+                          ({"points": [[True], [1.5]], "m": 1, "certificates": None},
+                           "rows of numbers"),
                           ({"m": True}, "m must be a positive integer"),
                           ({"q": 0}, "q must be a positive integer"),
                           ({"p": 1.0}, "p must be a positive integer")]:
@@ -381,6 +391,28 @@ def test_report_schema_error(tmp_path):
     f.write_text('{"schema_version":"1","kind":"report","suite":"x"}\n')
     with pytest.raises(SchemaError, match="missing"):
         load_report(f)
+
+
+def test_report_schema_errors(tmp_path):
+    f = tmp_path / "r.json"
+    save_report(SuiteReport(suite="demo", trials=3, passes=2, failures=((17, "one bad"),),
+                            tolerances={"a": 1.0}), f)
+    good = json.loads(f.read_text())
+    for change, match in [({"trials": "1"}, "trials must be a non-negative integer"),
+                          ({"trials": True}, "trials must be a non-negative integer"),
+                          ({"passes": 1.7}, "passes must be a non-negative integer"),
+                          ({"passes": -1}, "passes must be a non-negative integer"),
+                          ({"suite": 5}, "suite must be a string"),
+                          ({"tolerances": [["a", 1]]}, "tolerances must be a JSON object"),
+                          ({"tolerances": 5}, "tolerances must be a JSON object"),
+                          ({"failures": 5}, r"failures must be a list of \[seed, message\]"),
+                          ({"failures": [[1]]}, r"failures must be a list of \[seed, message\]"),
+                          ({"failures": [["17", "x"]]}, "failures must be a list"),
+                          ({"failures": [[17, 5]]}, "failures must be a list"),
+                          ({"passes": 3}, "do not add up to 3 trials")]:
+        f.write_text(canonical_dumps({**good, **change}))
+        with pytest.raises(SchemaError, match=match):
+            load_report(f)
 
 
 # ---------------------------------------------------------------------------

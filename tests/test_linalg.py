@@ -15,7 +15,9 @@ from matrange.linalg import (
     frob,
     herm_defect,
     herm_eig,
+    hermitian_stack as checked_stack,
     kron_block,
+    NotHermitianError,
     random_isometry,
 )
 
@@ -84,6 +86,24 @@ def test_eig_rejects_skew_matrix_near_double_range(M):
 def test_tuple_rejects_skew_matrix_near_double_range(M):
     with pytest.raises(DimensionError, match="member 0"):
         HermitianTuple(M[None])
+
+
+def test_hermitian_stack_names_first_bad_item():
+    good = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+    assert np.array_equal(checked_stack(good), good)
+    bad = good.copy()
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(DimensionError, match="member 1 has a non-finite entry"):
+        HermitianTuple(bad)
+    bad = np.concatenate([good, good])
+    bad[2, 0, 1], bad[3, 1, 0] = 1.0, 1.0
+    with pytest.raises(NotHermitianError, match="block 2 is not Hermitian") as exc:
+        checked_stack(bad, "block")
+    assert exc.value.item == 2
+    with pytest.raises(DimensionError, match="at least one member"):
+        HermitianTuple(np.zeros((0, 2, 2)))
+    with pytest.raises(DimensionError, match="got shape"):
+        HermitianTuple(np.zeros((2, 2, 3)))
 
 
 def test_eig_agrees_with_lapack():
@@ -177,6 +197,15 @@ def test_compress_identity_is_noop():
     A = HermitianTuple(np.stack([random_hermitian(4, rng) for _ in range(2)]))
     out = compress(A, Isometry(np.eye(4, dtype=complex)))
     assert np.allclose(out.mats, A.mats, atol=1e-14)
+
+
+def test_compress_matches_memberwise_products_bit_for_bit():
+    rng = np.random.default_rng(17)
+    A = HermitianTuple(np.stack([random_hermitian(9, rng) for _ in range(3)]))
+    X = random_isometry(9, 4, seed=5)
+    Xc = np.conj(X.mat.T)
+    ref = [(Xc @ (M @ X.mat) + np.conj(Xc @ (M @ X.mat)).T) / 2 for M in A.mats]
+    assert compress(A, X).mats.tobytes() == np.stack(ref).tobytes()
 
 
 def test_compress_coordinate_picks_submatrix():

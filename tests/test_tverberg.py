@@ -225,9 +225,15 @@ def test_tverberg_p1_centroid():
 
 
 def test_tverberg_point_cap():
+    # the cap limits the scan (p >= 3) only: 15 points in R^13 are Radon's
+    # count D + 2 at p = 2, split with no scan
     P = np.zeros((MAX_POINTS + 1, 1))
-    with pytest.raises(DimensionError):
-        tverberg_partition(P, 2)
+    with pytest.raises(DimensionError, match="partition scan capped at 14 points, got 15"):
+        tverberg_partition(P, 3)
+    P = np.random.default_rng(15).standard_normal((MAX_POINTS + 1, MAX_POINTS - 1))
+    res = tverberg_partition(P, 2)
+    verify_partition(P, res, 2)
+    assert res.partitions_scanned == 0
 
 
 def test_tverberg_too_few_points():
