@@ -292,6 +292,8 @@ def cmd_verify_star(args) -> int:
         A = _load_hermitian(args.input, args.embed)
         report = check_star_shaped(A, args.p, args.q, n_points=args.points,
                                    opts=opts)
+        if isinstance(report, Rejection):
+            return _reject(report, args)
     return _finish_verify(report, args)
 
 

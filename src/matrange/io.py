@@ -109,13 +109,18 @@ def _matrix_doc(M) -> list:
     return np.stack([M.real, M.imag], -1).tolist()
 
 
-def _matrix_parse(rows, what: str) -> np.ndarray:
+def _matrix_parse(rows, what: str, scan: bool = True) -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs.  numpy reads a boolean
+    among numbers as 0 or 1, so scan checks every entry for one; a caller
+    that has ruled booleans out from the file's text passes scan=False."""
     try:
         arr = np.array(rows)
     except ValueError:  # ragged nesting
         arr = None
     # strings, booleans, nulls and out-of-range integers are not numbers here
-    if arr is None or arr.dtype.kind not in "iuf" or (arr.ndim == 3 and arr.shape[2] != 2):
+    if arr is None or arr.dtype.kind not in "iuf" or (arr.ndim == 3 and arr.shape[2] != 2) \
+            or (scan and arr.ndim == 3
+                and any(type(v) is bool for row in rows for pair in row for v in pair)):
         raise SchemaError(f"{what}: entries must be [re, im] pairs")
     if arr.ndim != 3:
         raise SchemaError(f"{what}: not a matrix")
@@ -163,7 +168,14 @@ def load_tuple(path, embed: bool = False):
     Unflagged files come back as a tuple of complex arrays, or as the
     Hermitian 2m-tuple of real and imaginary parts when embed is set.
     """
-    doc = _loads(_read(path))
+    text = _read(path)
+    doc = _loads(text)
+    # a JSON number holds no t or f, so a boolean in the matrices needs one
+    # after their key (the last one in a canonical file); only then scan
+    at = text.find('"matrices"')
+    start = at + len('"matrices"') if at >= 0 else 0
+    scan = text.find("t", start) >= 0 or text.find("f", start) >= 0
+    del text  # freed before the matrices are built: the peak stays the parse's
     _require(doc, "tuple", ("m", "n", "hermitian", "matrices"))
     m, n = doc["m"], doc["n"]
     # type() and not isinstance(): JSON true would pass as the int 1
@@ -177,7 +189,7 @@ def load_tuple(path, embed: bool = False):
         raise SchemaError(f"expected {m} matrices, found {len(doc['matrices'])}")
     mats = []
     for j, rows in enumerate(doc["matrices"]):
-        M = _matrix_parse(rows, f"matrix {j}")
+        M = _matrix_parse(rows, f"matrix {j}", scan)
         if M.shape != (n, n):
             raise SchemaError(f"matrix {j}: shape {M.shape}, expected ({n}, {n})")
         mats.append(M)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERM_TOL = 1e-12
 ISO_TOL = 1e-10
@@ -195,15 +196,30 @@ def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1], V[..., ::-1]
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _qr_fix(M: np.ndarray) -> np.ndarray:
     """Q factor of a reduced QR with the R diagonal rotated to be positive.
 
-    M may be a stack (..., n, k); each matrix is factored on its own.
+    M may be a stack (..., n, k); each matrix is factored on its own.  The
+    two gufuncs behind numpy's reduced QR, _umath_linalg.qr_r_raw (R and
+    the Householder vectors, in place) and then qr_reduced (Q), run directly
+    on a complex copy of M, under the errstate numpy's wrapper uses.  For
+    the solver's thin matrices (a few columns) the wrapper's type promotion,
+    copies and triu cost about 5x the factorization; the LAPACK calls, and
+    so the bits, are the same.  R's diagonal is read from the factored copy.
     """
-    Q, R = np.linalg.qr(M)
-    phase = np.sign(R.diagonal(0, -2, -1))  # d / |d|, and 0 where d = 0
+    a = np.array(M, dtype=complex)
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    phase = np.sign(a.diagonal(0, -2, -1))  # d / |d|, and 0 where d = 0
     phase[phase == 0] = 1.0
-    return Q * phase.conj()[..., None, :]
+    Q *= phase.conj()[..., None, :]
+    return Q
 
 
 def random_isometry(n: int, k: int, seed: int) -> Isometry:

@@ -166,15 +166,16 @@ def _accepted(got, accept_tol: float) -> tuple[bool, float]:
 def check_star_shaped(A, p: int, q: int, n_points: int = 20,
                       t_grid=(0.25, 0.5, 0.75),
                       opts: SolverOptions = SolverOptions(),
-                      exact=None) -> SuiteReport:
+                      exact=None) -> SuiteReport | Rejection:
     """Certify segments from a star center to sampled range points.
 
     Solver mode finds a scalar center at compression level p q (m+2), samples
     n_points of the (p, q) range, and re-certifies t B + (1-t) center for
-    every t in t_grid.  With `exact` (a list of zero-residual certificates
-    whose first entry is the center, as from planted_star_instance), the
-    segments are assembled by witness combination instead of solved, and the
-    bar tightens to residual 1e-9.
+    every t in t_grid; when no center certifies, the center's Rejection is
+    returned in place of a report.  With `exact` (a list of zero-residual
+    certificates whose first entry is the center, as from
+    planted_star_instance), the segments are assembled by witness
+    combination instead of solved, and the bar tightens to residual 1e-9.
     """
     A = as_tuple(A)
     start = time.perf_counter()
@@ -190,10 +191,7 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
                            wall_time=time.perf_counter() - start)
     out = star_center_scalar(A, p, q, opts)
     if isinstance(out, Rejection):
-        raise RuntimeError(
-            f"no star center found: best residual {out.best_residual:.3e} "
-            f"after {out.restarts} restarts"
-        )
+        return out
     center = out.center
     cloud = sample_range(A, p, q, n_points, opts.replace(seed=opts.seed + 1))
     segments = [(i, t, MatPoint(t * B.blocks + (1.0 - t) * center.blocks))
@@ -299,6 +297,8 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
 
     A true statement for p = 1 scalar clouds of one or two Hermitian
     matrices (and for every convex range); a stochastic surrogate elsewhere.
+    Each of the `pairs` trials takes two consecutive certified samples; a
+    pair left without two fails, recorded under the sampling seed.
     """
     A = as_tuple(A)
     start = time.perf_counter()
@@ -306,14 +306,16 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     pts = cloud.points()
     failures = []
     firsts = range(0, 2 * (len(pts) // 2), 2)
-    trials = len(firsts)
     seeds = [opts.seed + 53 * (i + 1) for i in firsts]
     mids = [MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0) for i in firsts]
     for i, seed_i, got in zip(firsts, seeds, solve_jobs(A, p, q, seeds, mids, opts)):
         ok, best = _accepted(got, opts.accept_tol)
         if not ok:
             failures.append((seed_i, f"midpoint {i}-{i + 1}: best {best:.3e}"))
-    return SuiteReport(suite="convexity-midpoints", trials=trials, passes=trials - len(failures),
+    for i in range(2 * len(firsts), 2 * pairs, 2):
+        failures.append((opts.seed, f"pair {i}-{i + 1}: {len(pts)} of {2 * pairs} "
+                                    "samples certified"))
+    return SuiteReport(suite="convexity-midpoints", trials=pairs, passes=pairs - len(failures),
                        failures=tuple(failures),
                        tolerances={"p": p, "q": q,
                                    "accept_tol": opts.accept_tol,

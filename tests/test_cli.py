@@ -247,6 +247,20 @@ class TestVerify:
         rc = main(["verify", "star", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    def test_star_input_without_center_is_a_rejection(self, tmp_path):
+        # at accept-tol 1e-300 no star center certifies
+        src = tmp_path / "g.json"
+        save_tuple(gue(2, 16, 7), src)
+        out = tmp_path / "r.json"
+        with pytest.warns(UserWarning, match="below the star-center guarantee"):
+            rc = main(["verify", "star", "--input", str(src), "--p", "1", "--q", "1",
+                       "--points", "2", "--restarts", "2", "--accept-tol", "1e-300",
+                       "--out", str(out)])
+        assert rc == 4
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "rejection"
+        assert doc["restarts"] == 2 and doc["best_residual"] > 1e-300
+
     def test_bounds(self, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3",
@@ -289,6 +303,18 @@ class TestVerify:
         assert doc["passes"] == 0
         assert len(doc["failures"]) == 3
 
+    def test_convexity_without_certified_samples_fails(self, tmp_path, pair10):
+        # no sample certifies at accept-tol 1e-300: both requested pairs fail
+        out = tmp_path / "r.json"
+        rc = main(["verify", "convexity", "--input", pair10, "--p", "1", "--q", "1",
+                   "--pairs", "2", "--restarts", "2", "--accept-tol", "1e-300",
+                   "--out", str(out)])
+        assert rc == 5
+        doc = json.loads(out.read_text())
+        assert (doc["trials"], doc["passes"]) == (2, 0)
+        assert [msg for _, msg in doc["failures"]] == [
+            "pair 0-1: 0 of 4 samples certified", "pair 2-3: 0 of 4 samples certified"]
+
 
 # ---------------------------------------------------------------------------
 # error handling
@@ -319,12 +345,14 @@ class TestErrors:
                                     ["sample", "pq", "--p", "1", "--q", "1"]])
     def test_malformed_tuple_file(self, tmp_path, capsys, op):
         src = tmp_path / "t.json"
-        src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
-                       '"hermitian":true,"matrices":5}\n')
-        rc = main(op + ["--input", str(src), "--out", str(tmp_path / "o.json")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # a boolean among numbers would read as 0 or 1
+        for matrices in ("5", "[[[[true,0]]]]", "[[[[true,0.5]]]]"):
+            src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
+                           f'"hermitian":true,"matrices":{matrices}}}\n')
+            rc = main(op + ["--input", str(src), "--out", str(tmp_path / "o.json")])
+            assert rc == 2, matrices
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
     @pytest.mark.parametrize("argv", [

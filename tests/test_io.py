@@ -179,11 +179,41 @@ def test_tuple_schema_errors(tmp_path):
                           ({"matrices": [[[["1", 0]]]]}, r"\[re, im\] pairs"),
                           ({"matrices": [[[[None, 0]]]]}, r"\[re, im\] pairs"),
                           ({"matrices": [[[[True, False]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[[True, 0]]]]}, r"\[re, im\] pairs"),
+                          ({"matrices": [[[[True, 0.5]]]]}, r"\[re, im\] pairs"),
                           ({"matrices": [[[[2**70, 0]]]]}, r"\[re, im\] pairs"),
                           ({"matrices": [[[1.0, 0.0]]]}, "not a matrix")]:
         f.write_text(canonical_dumps({**good, **change}))
         with pytest.raises(SchemaError, match=match):
             load_tuple(f)
+
+
+def test_booleans_among_matrix_entries_are_refused(tmp_path):
+    # numpy reads [true, 0] as the pair (1, 0) and [0.5, false] as (0.5, 0)
+    f = tmp_path / "t.json"
+    rows = '[[[1.0,0.0],[0.5,false]],[[0.5,0.0],[2,0]]]'
+    for text in ('{"schema_version":"1","kind":"tuple","m":1,"n":2,"hermitian":false,'
+                 f'"matrices":[{rows}]}}\n',
+                 # matrices ahead of the other keys: the text after them holds t and f anyway
+                 f'{{"matrices":[{rows}],"schema_version":"1","kind":"tuple","m":1,"n":2,'
+                 '"hermitian":false}\n'):
+        f.write_text(text)
+        with pytest.raises(SchemaError, match=r"matrix 0: entries must be \[re, im\] pairs"):
+            load_tuple(f)
+        f.write_text(text.replace("[0.5,false]", "[0.5,0.0]"))
+        assert np.array_equal(load_tuple(f)[0], [[1.0, 0.5], [0.5, 2.0]])
+    A = herm(8, seed=7)
+    c = tmp_path / "c.json"
+    save_certificate(solve_free(A, 2, 1, SolverOptions(seed=0)), c)
+    good = json.loads(c.read_text())
+    witness = [[list(pair) for pair in row] for row in good["witness"]]
+    witness[3][1][0] = True
+    point = [[[[True, 0.0]]], good["point"][1]]
+    for change, match in [({"witness": witness}, r"witness: entries must be \[re, im\]"),
+                          ({"point": point}, r"point block 0: entries must be \[re, im\]")]:
+        c.write_text(canonical_dumps({**good, **change}))
+        with pytest.raises(SchemaError, match=match):
+            load_certificate(c)
 
 
 def test_truncated_file_is_parse_error(tmp_path):

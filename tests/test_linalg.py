@@ -18,6 +18,7 @@ from matrange.linalg import (
     hermitian_stack as checked_stack,
     kron_block,
     NotHermitianError,
+    _qr_fix,
     random_isometry,
 )
 
@@ -152,6 +153,71 @@ def test_eig_stack_properties(seed, shape, n, ties, scale):
     assert np.all(np.linalg.norm(VhV - np.eye(n), axis=(-2, -1)) <= 1e-10)
     ref = np.linalg.eigvalsh(A)[..., ::-1]
     assert np.all(np.abs(w - ref) <= 1e-12 * unit[..., None])
+
+
+# ---------------------------------------------------------------------------
+# QR retraction
+
+
+def qr_fix_reference(M):
+    """The retraction through np.linalg.qr, with the np.sign phase and 0 -> 1."""
+    Q, R = np.linalg.qr(M)
+    phase = np.sign(R.diagonal(0, -2, -1))
+    phase[phase == 0] = 1.0
+    return Q * phase.conj()[..., None, :]
+
+
+def qr_outcome(f, M):
+    """f(M) under errstate(all="raise"): the result's bits, or the error type.
+
+    The bits are those of the float64 view, so signs of zeros and NaN
+    payloads count.  M itself must come through unchanged.
+    """
+    before = M.copy()
+    try:
+        with np.errstate(all="raise"):
+            out = ("ok", f(M).view(np.uint64).tobytes())
+    except (FloatingPointError, np.linalg.LinAlgError) as e:
+        out = (type(e).__name__, None)
+    assert np.array_equal(M.view(np.uint64), before.view(np.uint64)), "input was modified"
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([None, 1, 2, 6]),
+       n=st.integers(1, 12), kfrac=st.floats(0.0, 1.0),
+       zero_col=st.booleans(), real=st.booleans())
+def test_qr_fix_matches_numpy_qr_bit_for_bit(seed, L, n, kfrac, zero_col, real):
+    # L = None is a bare 2-D matrix; real gives complex input with zero imaginary parts
+    k = 1 + int(kfrac * (n - 1))
+    rng = np.random.default_rng(seed)
+    shape = (n, k) if L is None else (L, n, k)
+    M = rng.standard_normal(shape) + 1j * (0.0 if real else rng.standard_normal(shape))
+    if zero_col:
+        M[..., int(rng.integers(k))] = 0.0
+    Q = _qr_fix(M)
+    assert Q.shape == shape and Q.dtype == complex
+    assert qr_outcome(_qr_fix, M) == qr_outcome(qr_fix_reference, M)
+
+
+def _with(v, at):
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    M[at] = v
+    return M
+
+
+@pytest.mark.parametrize("M", [
+    _with(np.inf, (0, 1, 0)),
+    _with(complex(0.0, -np.inf), (1, 3, 1)),
+    _with(np.nan, (0, 1, 0)),
+    _with(1e308, (0, 1, 0)),
+    _with(1e308, 1),
+    np.full((1, 3, 2), 1e308 + 1e308j),
+    np.full((3, 2), complex(np.nan, 1.0)),
+], ids=["inf", "imag-inf", "nan", "one-1e308", "slice-1e308", "all-1e308", "2d-nan"])
+def test_qr_fix_non_finite_and_huge_inputs_match_numpy_qr(M):
+    assert qr_outcome(_qr_fix, M) == qr_outcome(qr_fix_reference, M)
 
 
 # ---------------------------------------------------------------------------
