@@ -109,18 +109,37 @@ def _matrix_doc(M) -> list:
     return np.stack([M.real, M.imag], -1).tolist()
 
 
-def _matrix_parse(rows, what: str, scan: bool = True) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs.  numpy reads a boolean
-    among numbers as 0 or 1, so scan checks every entry for one; a caller
-    that has ruled booleans out from the file's text passes scan=False."""
+def _boolean_at(text: str, key: str, items) -> int | None:
+    """Index of the first of `items`, the nested lists under the document
+    key `key`, that holds a JSON true or false; None when none does.
+
+    numpy reads a boolean mixed with numbers as 0 or 1, so np.array alone
+    lets one through.  A JSON number holds no t or f, so the items are
+    scanned only when the file text after the key's first mention holds
+    one: never in a canonical tuple file, whose matrices come last.
+    """
+    at = text.find(f'"{key}"')
+    start = at + len(key) + 2 if at >= 0 else 0
+    if text.find("t", start) < 0 and text.find("f", start) < 0:
+        return None
+    for i, item in enumerate(items):
+        stack = [item]
+        while stack:
+            v = stack.pop()
+            if type(v) is list:
+                stack.extend(v)
+            elif type(v) is bool:
+                return i
+    return None
+
+
+def _matrix_parse(rows, what: str) -> np.ndarray:
     try:
         arr = np.array(rows)
     except ValueError:  # ragged nesting
         arr = None
     # strings, booleans, nulls and out-of-range integers are not numbers here
-    if arr is None or arr.dtype.kind not in "iuf" or (arr.ndim == 3 and arr.shape[2] != 2) \
-            or (scan and arr.ndim == 3
-                and any(type(v) is bool for row in rows for pair in row for v in pair)):
+    if arr is None or arr.dtype.kind not in "iuf" or (arr.ndim == 3 and arr.shape[2] != 2):
         raise SchemaError(f"{what}: entries must be [re, im] pairs")
     if arr.ndim != 3:
         raise SchemaError(f"{what}: not a matrix")
@@ -170,12 +189,6 @@ def load_tuple(path, embed: bool = False):
     """
     text = _read(path)
     doc = _loads(text)
-    # a JSON number holds no t or f, so a boolean in the matrices needs one
-    # after their key (the last one in a canonical file); only then scan
-    at = text.find('"matrices"')
-    start = at + len('"matrices"') if at >= 0 else 0
-    scan = text.find("t", start) >= 0 or text.find("f", start) >= 0
-    del text  # freed before the matrices are built: the peak stays the parse's
     _require(doc, "tuple", ("m", "n", "hermitian", "matrices"))
     m, n = doc["m"], doc["n"]
     # type() and not isinstance(): JSON true would pass as the int 1
@@ -187,9 +200,13 @@ def load_tuple(path, embed: bool = False):
         raise SchemaError(f"matrices must be a list, got {type(doc['matrices']).__name__}")
     if len(doc["matrices"]) != m:
         raise SchemaError(f"expected {m} matrices, found {len(doc['matrices'])}")
+    j = _boolean_at(text, "matrices", doc["matrices"])
+    if j is not None:
+        raise SchemaError(f"matrix {j}: entries must be [re, im] pairs")
+    del text  # freed before the matrices are built: the peak stays the parse's
     mats = []
     for j, rows in enumerate(doc["matrices"]):
-        M = _matrix_parse(rows, f"matrix {j}", scan)
+        M = _matrix_parse(rows, f"matrix {j}")
         if M.shape != (n, n):
             raise SchemaError(f"matrix {j}: shape {M.shape}, expected ({n}, {n})")
         mats.append(M)
@@ -223,12 +240,14 @@ def _cert_doc(cert: Certificate) -> dict:
     }
 
 
-def _cert_parse(doc, point: MatPoint, what: str) -> Certificate:
+def _cert_parse(doc, point: MatPoint, what: str, text: str) -> Certificate:
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     for key in ("p", "residual", "witness", "witness_tol"):
         if key not in doc:
             raise SchemaError(f"{what}: missing {key!r}")
+    if _boolean_at(text, "witness", [doc["witness"]]) is not None:
+        raise SchemaError(f"{what} witness: entries must be [re, im] pairs")
     W = _matrix_parse(doc["witness"], f"{what} witness")
     return Certificate(point=point, p=_count(doc, "p", what),
                        witness=Isometry(W, tol=_number(doc, "witness_tol", what)),
@@ -249,17 +268,21 @@ def save_certificate(cert: Certificate, path) -> None:
 def load_certificate(path, A=None) -> Certificate:
     """Read a certificate; when the generating tuple is supplied, recompute
     the residual and insist it matches the stored value to 1e-12."""
-    doc = _loads(_read(path))
+    text = _read(path)
+    doc = _loads(text)
     _require(doc, "certificate", ("m", "p", "q", "point", "residual",
                                   "witness", "witness_tol"))
     m, q = _count(doc, "m", "certificate"), _count(doc, "q", "certificate")
     if not isinstance(doc["point"], list) or len(doc["point"]) != m:
         raise SchemaError(f"point must be a list of m = {m} blocks")
+    j = _boolean_at(text, "point", doc["point"])
+    if j is not None:
+        raise SchemaError(f"point block {j}: entries must be [re, im] pairs")
     blocks = np.stack([_matrix_parse(doc["point"][j], f"point block {j}")
                        for j in range(m)])
     if blocks.shape != (m, q, q):
         raise SchemaError(f"point blocks shaped {blocks.shape}, expected ({m}, {q}, {q})")
-    cert = _cert_parse(doc, MatPoint(blocks), "certificate")
+    cert = _cert_parse(doc, MatPoint(blocks), "certificate", text)
     if A is not None:
         cert.revalidate(A)
     return cert
@@ -293,7 +316,8 @@ def save_cloud(cloud: PointCloud, path) -> None:
 def load_cloud(path, A=None) -> PointCloud:
     """Read a cloud; certificates, if present, are revalidated against the
     supplied tuple (isometry defect and residual recomputation)."""
-    doc = _loads(_read(path))
+    text = _read(path)
+    doc = _loads(text)
     _require(doc, "cloud", ("m", "p", "q", "flattening", "points",
                             "certificates", "meta"))
     m, p, q = (_count(doc, key, "cloud") for key in ("m", "p", "q"))
@@ -305,10 +329,9 @@ def load_cloud(path, A=None) -> PointCloud:
         coords = np.array(rows) if rows != [] else np.zeros((0, m * q * q))
     except ValueError:  # ragged rows
         coords = None
-    # strings, nulls and booleans are not coordinates; numpy reads a boolean
-    # mixed with numbers as 0 or 1
+    # strings, nulls and booleans are not coordinates
     if coords is None or coords.dtype.kind not in "iuf" or coords.ndim != 2 \
-            or any(type(v) is bool for row in rows for v in row):
+            or _boolean_at(text, "points", rows) is not None:
         raise SchemaError("points must be a list of equal-length rows of numbers")
     coords = coords.astype(float)
     if not np.all(np.isfinite(coords)):
@@ -326,7 +349,7 @@ def load_cloud(path, A=None) -> PointCloud:
         if len(doc["certificates"]) != len(rows):
             raise SchemaError("certificate count does not match point count")
         certs = tuple(
-            _cert_parse(cdoc, MatPoint.unflatten(coords[i], m, q), f"certificate {i}")
+            _cert_parse(cdoc, MatPoint.unflatten(coords[i], m, q), f"certificate {i}", text)
             for i, cdoc in enumerate(doc["certificates"])
         )
         if A is not None:

@@ -210,6 +210,8 @@ def _qr_fix(M: np.ndarray) -> np.ndarray:
     the solver's thin matrices (a few columns) the wrapper's type promotion,
     copies and triu cost about 5x the factorization; the LAPACK calls, and
     so the bits, are the same.  R's diagonal is read from the factored copy.
+    The one qr_r_raw, whose output length min(n, k) no input has, needs the
+    gufunc core-dimension hook of numpy's 2.1 C API: hence numpy >= 2.1.
     """
     a = np.array(M, dtype=complex)
     with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",

@@ -214,6 +214,13 @@ def test_booleans_among_matrix_entries_are_refused(tmp_path):
         c.write_text(canonical_dumps({**good, **change}))
         with pytest.raises(SchemaError, match=match):
             load_certificate(c)
+    # a cloud's certificates carry witnesses too
+    save_cloud(sample_range(A, 1, 1, 2, SolverOptions(seed=0)), c)
+    cloud = json.loads(c.read_text())
+    cloud["certificates"][1]["witness"][0][0] = [0.5, False]
+    c.write_text(canonical_dumps(cloud))
+    with pytest.raises(SchemaError, match=r"certificate 1 witness: entries must be \[re, im\]"):
+        load_cloud(c)
 
 
 def test_truncated_file_is_parse_error(tmp_path):
