@@ -47,8 +47,6 @@ from .feasibility import (
 )
 from .tverberg import (
     PartitionResult,
-    count_partitions,
-    set_partitions,
     tverberg_partition,
 )
 from .constructions import (

@@ -18,8 +18,9 @@ module makes each assembly executable.
   witness for any point of the connecting segment.
 * Tverberg lifts: d = (p-1)(q^2 m + 1) + 1 mutually A-orthogonal level-1
   blocks, read as points of R^(q^2 m), always admit a partition into p parts
-  with intersecting hulls (for p = 2, Radon's split with no scan); the
-  matching convex weights assemble a level-p witness for the common point.
+  with intersecting hulls (Radon's split for p = 2, Bárány's colorful
+  exchange for p >= 3); the matching convex weights assemble a level-p
+  witness for the common point.
 * essential estimate: the closures of the (r, q) ranges shrink, as r grows,
   onto a compact convex limit independent of p; truncating the intersection
   at r_max and reading it through a fixed direction set gives a convergent
@@ -56,7 +57,7 @@ from .linalg import (
     frob,
     random_isometry,
 )
-from .tverberg import PartitionResult, _check_scan_size, tverberg_partition
+from .tverberg import PartitionResult, tverberg_partition
 
 
 class DeflationError(RuntimeError):
@@ -394,8 +395,6 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
         raise StructuralInfeasibility(
             f"lift needs d = {d} deflated blocks, so dimension at least {need}, got {A.n}"
         )
-    if p > 2:  # p = 2 takes Radon's split, which needs no scan
-        _check_scan_size(d)
     family = orthogonal_block_family(A, q, d, opts)
     pts = np.array([c.point.flatten() for c in family.members])
     part = tverberg_partition(pts, p)
@@ -414,78 +413,22 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
 # essential range estimation
 
 
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def _norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie strictly in (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        u = np.sqrt(-2.0 * np.log(p))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-               ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    if p > phigh:
-        u = np.sqrt(-2.0 * np.log(1.0 - p))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-               ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    u = p - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def _primes(k: int) -> list[int]:
-    out = []
-    cand = 2
-    while len(out) < k:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def _van_der_corput(i: int, base: int) -> float:
-    x, denom = 0.0, 1.0
-    while i > 0:
-        denom *= base
-        i, rem = divmod(i, base)
-        x += rem / denom
-    return x
-
-
 def direction_set(dim: int, count: int = 64) -> np.ndarray:
     """A fixed, deterministic, well-spread set of unit directions in R^dim.
 
-    Dimension one gets exactly the two directions that exist.  Otherwise a
-    Halton sequence (first `dim` prime bases, zero point skipped) is pushed
-    through the normal quantile map and normalized, a standard
-    low-discrepancy recipe for the sphere.
+    Dimension one gets exactly the two directions that exist and dimension
+    two `count` equispaced angles.  Higher dimensions get normalized Gaussian
+    rows from a generator seeded by (dim, count).
     """
     if dim < 1:
         raise DimensionError("direction set needs dim >= 1")
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    bases = _primes(dim)
-    out = np.empty((count, dim))
-    for i in range(count):
-        row = np.array([_norm_ppf(_van_der_corput(i + 1, b)) for b in bases])
-        nrm = np.linalg.norm(row)
-        if nrm < 1e-12:
-            row = np.zeros(dim)
-            row[i % dim] = 1.0
-            nrm = 1.0
-        out[i] = row / nrm
-    return out
+    if dim == 2:
+        theta = 2.0 * np.pi * np.arange(count) / count
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    G = np.random.default_rng([dim, count]).standard_normal((count, dim))
+    return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,43 @@
-"""Tverberg partitions of finite point sets: Radon's split and a stacked LP scan.
+"""Tverberg partitions of finite point sets: Radon's split and Bárány's
+colorful exchange over Sarkaria's lift.
 
-Any (p-1)(D+1)+1 points in R^D can be split into p parts whose convex hulls
-share a point.  For p = 2 this is Radon's theorem, and its proof is the
+Any d >= (p-1)(D+1)+1 points in R^D can be split into p parts whose convex
+hulls share a point.  For p = 2 this is Radon's theorem, and its proof is the
 algorithm: an affine dependence sum lam_i P_i = 0, sum lam_i = 0 (the least
 right-singular vector of [P^T; 1]) splits the points by sign, and lam over
-each part is a pair of weight vectors with a common point, at any d.  For
-p >= 3 the route is the direct one, and only it is capped (at MAX_POINTS
-= 14 points): enumerate set partitions into exactly p nonempty parts in
-lexicographic order of their restricted-growth strings, test each with a
-small linear feasibility program, and keep the first hit.  The programs
-all have one shape, so they are solved in stacks, chunk by chunk.
+each part is a pair of weight vectors with a common point.
 
-The LP solver is a dense phase-1 simplex with Bland's rule, so termination
-is unconditional, and each program in a stack pivots exactly as it would
-alone, so runs are deterministic and independent of the chunking.
-Coordinates are normalized to unit scale before the tableau is built;
-feasibility is decided at 1e-9 on the phase-1 objective and clear
-infeasibility sits above 1e-7.
+For p >= 3 the proof is Sarkaria's (Israel J. Math. 1992).  With w_1..w_p =
+e_1..e_{p-1}, -1 in R^(p-1), which sum to zero, point i becomes the color
+class {(P_i, 1) (x) w_j : j = 1..p} in R^N, N = (D+1)(p-1), and 0 is the
+centroid of every class.  A colorful set (class i contributes its j(i)-th
+point) whose hull holds 0 is a Tverberg partition: sum_i lam_i (P_i, 1) (x)
+w_j(i) = 0 says the partial sums over the parts {i : j(i) = j} all agree, so
+each part carries weight 1/p, and its normalized weights combine to the
+common point.  Bárány's exchange (Discrete Math. 1982) finds such a set among
+d >= N + 1 classes.  Let x be the point of the colorful hull nearest 0, by
+Wolfe's min-norm point algorithm (Math. Programming 1976).  If x != 0 it lies
+on a face spanned by at most N points, so some class has weight 0; the
+lowest-index such class moves to its point minimizing <x, .>, which is <= 0 <
+|x|^2 because the class sums to 0.  So |x| falls strictly, no colorful set
+repeats, and the exchange ends; ties go to the smallest index, so runs are
+deterministic.  Coordinates are normalized to unit scale before the lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .linalg import DimensionError
 
-MAX_POINTS = 14
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-11
-STACK_ENTRIES = 2**14  # float entries (128 KiB) per stack of simplex tableaux
+EXCHANGE_CAP = 1000
+ZERO_TOL = 1e-14  # |x| that counts as 0, relative to the largest lifted point
+
+
+class ExchangeError(ValueError):
+    """The colorful exchange stalled, or made EXCHANGE_CAP exchanges, short of 0."""
 
 
 @dataclass(frozen=True)
@@ -45,193 +51,80 @@ class PartitionResult:
         return np.asarray(points)[list(self.parts[ell])]
 
 
-def set_partitions(d: int, p: int):
-    """Partitions of {0..d-1} into exactly p nonempty parts, lexicographic in
-    the restricted-growth string; parts come out ordered by smallest member."""
-    if d < p or p < 1:
-        return
-    a = [0] * d
-
-    def rec(i, mx):
-        if i == d:
-            if mx + 1 == p:
-                parts = [[] for _ in range(p)]
-                for idx, c in enumerate(a):
-                    parts[c].append(idx)
-                yield tuple(tuple(part) for part in parts)
-            return
-        hi = min(mx + 1, p - 1)
-        for v in range(hi + 1):
-            # prune branches that can no longer reach p classes
-            new_mx = max(mx, v)
-            if new_mx + 1 + (d - i - 1) < p:
-                continue
-            a[i] = v
-            yield from rec(i + 1, new_mx)
-
-    yield from rec(0, -1)
-
-
-def count_partitions(d: int, p: int) -> int:
-    """Stirling number of the second kind S(d, p) by the triangular recurrence."""
-    if p < 0 or p > d:
-        return 0
-    S = [[0] * (p + 1) for _ in range(d + 1)]
-    S[0][0] = 1
-    for i in range(1, d + 1):
-        for j in range(1, min(i, p) + 1):
-            S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
-    return S[d][p]
-
-
-# ratios and pivots are divided out on every entry; the infinities and NaNs
-# of entries that cannot pivot are masked off before they reach a tableau
-@np.errstate(divide="ignore", invalid="ignore")
-def _phase1(A: np.ndarray, b: np.ndarray, max_pivots: int = 20000):
-    """Find x >= 0 with A x = b, minimizing artificial mass by simplex, for
-    one system or a stack of them: A is (..., nr, nc) and b is (..., nr).
-
-    Returns (x, z) per system, where z is the optimal phase-1 objective; x
-    is only meaningful when z is at feasibility level.  Bland's rule
-    (smallest eligible entering index, smallest basic index on ratio ties)
-    guarantees termination.  A system that stops is frozen while the rest
-    pivot on, so each one pivots exactly as it would alone.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    *lead, nr, nc = A.shape
-    sign = np.where(b < 0, -1.0, 1.0).reshape(-1, nr)
-    B = len(sign)
-    r = np.arange(B)
-    T = np.concatenate([A.reshape(B, nr, nc) * sign[:, :, None],
-                        np.broadcast_to(np.eye(nr), (B, nr, nr)),
-                        (b.reshape(B, nr) * sign)[:, :, None]], axis=2)
-    # reduced costs for cost vector (0,...,0 | 1,...,1); artificials are basic
-    cost = np.zeros((B, nc + nr))
-    cost[:, :nc] = -T[:, :, :nc].sum(axis=1)
-    basis = np.tile(np.arange(nc, nc + nr), (B, 1))
-    for _ in range(max_pivots):
-        eligible = cost < -PIVOT_TOL
-        active = eligible.any(axis=1)
-        if not active.any():
-            break
-        enter = eligible.argmax(axis=1)
-        col = T[r, :, enter]
-        ratio = np.where(col > PIVOT_TOL, T[:, :, -1] / col, np.inf)
-        m = ratio.min(axis=1, keepdims=True)
-        tied = ratio == m
-        # The sequential ratio rule takes each row tied with the minimum and
-        # passes over each row clear of it by both its tests, so where every
-        # row is one or the other it ends on the tied row of least basic index.
-        plain = (tied | ((m < ratio - PIVOT_TOL) & (np.abs(ratio - m) > PIVOT_TOL))).all(axis=1)
-        if np.isinf(m[active]).any():
-            # unbounded direction cannot happen in phase 1; treat as failure
-            raise RuntimeError("phase-1 simplex lost boundedness")
-        leave = np.where(tied, basis, nc + nr).argmin(axis=1)
-        for k in np.flatnonzero(active & ~plain):
-            leave[k] = _leaving_row(ratio[k], basis[k])
-        piv = T[r, leave]
-        row = np.where(active[:, None], piv / piv[r, enter][:, None], piv)
-        col[r, leave] = 0.0
-        col[~active] = 0.0
-        # rows with a zero in the entering column, and frozen systems, stay as they are
-        np.subtract(T, col[:, :, None] * row[:, None, :], out=T,
-                    where=(col != 0.0)[:, :, None])
-        T[r, leave] = row
-        np.subtract(cost, cost[r, enter][:, None] * row[:, :-1], out=cost,
-                    where=active[:, None])
-        basis[r, leave] = np.where(active, enter, basis[r, leave])
-    else:
-        raise RuntimeError("phase-1 simplex exceeded the pivot cap")
-    rhs = T[:, :, -1]
-    x = np.zeros((B, nc + 1))
-    np.put_along_axis(x, np.minimum(basis, nc), rhs, axis=1)
-    # summed in row order, as the sequential loop adds
-    z = np.cumsum(np.where(basis >= nc, rhs, 0.0), axis=1)[:, -1]
-    return x[:, :nc].reshape(*lead, nc), z.reshape(lead)
-
-
-def _leaving_row(ratio: np.ndarray, basis: np.ndarray) -> int:
-    """Bland's leaving row by the sequential rule, for ratios (inf where the
-    entering column is not positive) that come within PIVOT_TOL of a tie."""
-    leave, best = -1, np.inf
-    for i, t in enumerate(ratio):
-        if t < np.inf and (t < best - PIVOT_TOL or (
-                abs(t - best) <= PIVOT_TOL and (leave < 0 or basis[i] < basis[leave]))):
-            best, leave = t, i
-    return leave
-
-
-def _tableaux(Pn: np.ndarray, chunk):
-    """The common-point systems A w = b of a stack of partitions with equal
-    part count and total size.  Each has one column per point, ordered by
-    (part, position in the part); p rows make each part's weights sum to one
-    and D rows per part ell >= 1 equate part 0's combination with part ell's.
-    """
-    order = np.array([[i for part in parts for i in part] for parts in chunk])
-    label = np.array([[ell for ell, part in enumerate(parts) for _ in part] for parts in chunk])
-    (B, n), D, p = order.shape, Pn.shape[1], len(chunk[0])
-    Pc = Pn[order]
-    A = np.zeros((B, p + D * (p - 1), n))
-    A[:, :p] = label[:, None, :] == np.arange(p)[:, None]
-    first = np.where((label == 0)[:, :, None], Pc, 0.0)
-    other = np.where((label[:, None, :] == np.arange(1, p)[:, None])[..., None], Pc[:, None], 0.0)
-    A[:, p:] = (first[:, None] - other).transpose(0, 1, 3, 2).reshape(B, D * (p - 1), n)
-    b = np.zeros((B, p + D * (p - 1)))
-    b[:, :p] = 1.0
-    return A, b
-
-
-def _scan(P: np.ndarray, partitions, p: int, n: int, feas_tol: float):
-    """The first of the partitions (each p parts of n points in all) whose
-    parts' convex hulls meet, tested in stacks of at most STACK_ENTRIES
-    tableau entries: (position, parts, common point, weights, z), or None.
-    """
-    scale = max(1.0, float(np.max(np.abs(P))) if P.size else 1.0)
-    Pn = P / scale
-    nr = p + P.shape[1] * (p - 1)
-    partitions = iter(partitions)
-    scanned = 0
-    while chunk := list(islice(partitions, max(1, STACK_ENTRIES // (nr * (n + nr + 1))))):
-        x, z = _phase1(*_tableaux(Pn, chunk))
-        hit = np.flatnonzero(z <= feas_tol)
-        if hit.size:
-            k = hit[0]
-            parts = chunk[k]
-            offs = np.cumsum([0] + [len(part) for part in parts])
-            weights = []
-            for ell, part in enumerate(parts):
-                w = np.maximum(x[k, offs[ell]:offs[ell + 1]], 0.0)
-                s = w.sum()
-                weights.append(w / s if s > 0 else np.full(len(part), 1.0 / len(part)))
-            common = scale * (weights[0] @ Pn[list(parts[0])])
-            return scanned + int(k) + 1, parts, common, weights, z[k]
-        scanned += len(chunk)
-    return None
-
-
-def lp_common_point(points, parts, feas_tol: float = FEAS_TOL):
-    """A point in the intersection of the parts' convex hulls, or None.
-
-    On success returns (common_point, weights, z) with one nonnegative,
-    sum-one weight vector per part, all combining to the same point within
-    the LP tolerance.
-    """
+def _points(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise DimensionError(f"expected (d, D) point array, got shape {P.shape}")
+    return P
+
+
+def _lift(P: np.ndarray, p: int) -> np.ndarray:
+    """Sarkaria's color classes: (d, p, (D+1)(p-1)), row j of class i being
+    (P_i, 1) (x) w_j at unit coordinate scale."""
+    d, D = P.shape
+    a = np.hstack([P / (np.max(np.abs(P), initial=0.0) or 1.0), np.ones((d, 1))])
+    w = np.vstack([np.eye(p - 1), -np.ones(p - 1)])
+    return (a[:, None, :, None] * w[None, :, None, :]).reshape(d, p, (D + 1) * (p - 1))
+
+
+def _affine_weights(Z: np.ndarray):
+    """Weights (summing to 1) of the point of the rows' affine hull nearest
+    0, or None when the rows are affinely dependent."""
+    t, _, rank, _ = np.linalg.lstsq((Z[1:] - Z[0]).T, -Z[0], rcond=None)
+    return np.concatenate([[1.0 - t.sum()], t]) if rank == len(Z) - 1 else None
+
+
+def _nearest(Y: np.ndarray, lam: np.ndarray):
+    """Wolfe's point x nearest 0 in the hull of the rows of Y, continued from
+    convex weights lam over an affinely independent support (the corral).
+    Returns the final weights, x, and whether x counts as 0.  It stops at
+    |x| <= tol = ZERO_TOL max |Y_i|, when no row improves on x by more than
+    tol |x|, or when the best row is affinely dependent on the corral or
+    fails to shorten x."""
+    tol = ZERO_TOL * np.sqrt(np.max(np.sum(Y * Y, axis=1)))
+    x = lam @ Y
+    while (xx := x @ x) > tol * tol:
+        g = np.where(lam > 0, np.inf, Y @ x)  # corral rows sit at xx, up to rounding
+        k = int(np.argmin(g))
+        if g[k] >= xx - tol * np.sqrt(xx):
+            break
+        S = np.append(np.flatnonzero(lam), k)
+        w = np.append(lam[S[:-1]], 0.0)
+        # minor cycle: step from w toward the affine optimum mu until the
+        # first weight reaches 0, drop that point, and solve again
+        while (mu := _affine_weights(Y[S])) is not None and not np.all(mu > 0):
+            ratio = np.divide(w, w - mu, out=np.zeros_like(w), where=w > mu)
+            j = np.flatnonzero(mu <= 0)[np.argmin(ratio[mu <= 0])]
+            w = w + ratio[j] * (mu - w)
+            w[j] = 0.0
+            S, w = S[w > 0], w[w > 0]
+        if mu is None or (y := mu @ Y[S]) @ y >= xx:
+            break
+        lam, x = np.zeros_like(lam), y
+        lam[S] = mu
+    return lam, x, x @ x <= tol * tol
+
+
+def lp_common_point(points, parts):
+    """A point in the intersection of the parts' convex hulls, or None.
+
+    The colorful set that gives each part's points that part's color has 0
+    as its min-norm point exactly when the hulls meet.  On success returns
+    (common_point, weights, distance): one nonnegative, sum-one weight vector
+    per part, all combining to the same point, and |x| at unit scale.
+    """
+    P = _points(points)
     parts = [list(part) for part in parts]
     if min((len(part) for part in parts), default=0) < 1:
         raise DimensionError("every part must be nonempty")
-    hit = _scan(P, [parts], len(parts), sum(map(len, parts)), feas_tol)
-    return None if hit is None else hit[2:]
-
-
-def _check_scan_size(d: int) -> None:
-    """DimensionError when d points exceed the partition scan's MAX_POINTS;
-    Radon's split and the p = 1 centroid need no scan and no cap."""
-    if d > MAX_POINTS:
-        raise DimensionError(f"partition scan capped at {MAX_POINTS} points, got {d}")
+    idx = np.concatenate(parts)
+    colors = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    Y = _lift(P[idx], len(parts))[np.arange(len(idx)), colors]
+    lam, x, zero = _nearest(Y, np.eye(len(idx))[0])
+    if not zero:
+        return None
+    weights = [lam[colors == ell] / lam[colors == ell].sum() for ell in range(len(parts))]
+    return weights[0] @ P[parts[0]], weights, float(np.sqrt(x @ x))
 
 
 def _radon_split(P: np.ndarray) -> PartitionResult:
@@ -240,7 +133,7 @@ def _radon_split(P: np.ndarray) -> PartitionResult:
     The least right-singular vector lam of [P^T; 1] is an affine dependence:
     sum lam_i P_i = 0 and sum lam_i = 0.  Its signs split the points, and
     lam over each part, scaled to sum one, gives weights whose combinations
-    agree.  Parts come out ordered by smallest member, as in the scan.
+    agree.  Parts come out ordered by smallest member.
     """
     scale = float(np.max(np.abs(P), initial=1.0))
     M = np.vstack([P.T / scale, np.ones(len(P))])
@@ -253,45 +146,41 @@ def _radon_split(P: np.ndarray) -> PartitionResult:
                            common_point=weights[0] @ P[idx[0]], partitions_scanned=0)
 
 
-def _first_feasible(P: np.ndarray, p: int) -> PartitionResult:
-    """The scan: first partition in restricted-growth lexicographic order
-    whose parts' convex hulls meet."""
-    d, D = P.shape
-    _check_scan_size(d)
-    hit = _scan(P, set_partitions(d, p), p, d, FEAS_TOL)
-    if hit is None:
-        raise RuntimeError(
-            f"no partition of {d} points into {p} parts was feasible "
-            f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
-        )
-    scanned, parts, common, weights, _ = hit
-    return PartitionResult(parts=parts, weights=tuple(weights), common_point=common,
-                           partitions_scanned=scanned)
-
-
 def tverberg_partition(points, p: int) -> PartitionResult:
     """A partition of the points into p parts with intersecting convex hulls.
 
-    For p = 2 with d >= D + 2 points this is Radon's split, read off one
-    affine dependence with no scan (partitions_scanned = 0).  Otherwise it
-    is the first partition in restricted-growth lexicographic order that
-    the LP scan finds feasible; only the scan refuses more than MAX_POINTS
-    points.  The guarantee d >= (p-1)(D+1)+1 makes
-    existence unconditional; running below it is allowed and simply may
-    raise when every partition fails.
+    Needs the guarantee d >= (p-1)(D+1)+1.  p = 1 is the centroid and p = 2
+    Radon's split (partitions_scanned = 0); p >= 3 runs the colorful
+    exchange, and partitions_scanned counts the colorful sets it tried.  An
+    exchange that stalls or reaches EXCHANGE_CAP raises ExchangeError.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2:
-        raise DimensionError(f"expected (d, D) point array, got shape {P.shape}")
+    P = _points(points)
     d, D = P.shape
     if p < 1:
         raise DimensionError("need p >= 1")
-    if d < p:
-        raise DimensionError(f"cannot split {d} points into {p} nonempty parts")
+    if d < (p - 1) * (D + 1) + 1:
+        raise DimensionError(f"a Tverberg partition into {p} parts of points in R^{D} "
+                             f"needs d >= {(p - 1) * (D + 1) + 1} points, got {d}")
     if p == 1:
         w = np.full(d, 1.0 / d)
         return PartitionResult(parts=(tuple(range(d)),), weights=(w,),
                                common_point=w @ P, partitions_scanned=0)
-    if p == 2 and d >= D + 2:
+    if p == 2:
         return _radon_split(P)
-    return _first_feasible(P, p)
+    Y = _lift(P, p)
+    colors, lam = np.zeros(d, dtype=int), np.eye(d)[0]
+    for exchanges in range(EXCHANGE_CAP + 1):
+        lam, x, zero = _nearest(Y[np.arange(d), colors], lam)
+        if zero:
+            parts = sorted((np.flatnonzero(colors == j) for j in range(p)), key=lambda i: i[0])
+            weights = tuple(lam[i] / lam[i].sum() for i in parts)
+            return PartitionResult(parts=tuple(tuple(i.tolist()) for i in parts), weights=weights,
+                                   common_point=weights[0] @ P[parts[0]],
+                                   partitions_scanned=exchanges + 1)
+        i = int(np.argmin(lam))  # the lowest-index class of weight 0, if any
+        j = int(np.argmin(Y[i] @ x))
+        if lam[i] > 0 or colors[i] == j:  # nothing to exchange: x would repeat
+            raise ExchangeError(f"colorful exchange stalled at |x| = {np.sqrt(x @ x):.3g} "
+                                "(points too close to dependent at working precision)")
+        colors[i] = j
+    raise ExchangeError(f"colorful exchange stopped at its cap of {EXCHANGE_CAP} exchanges")

@@ -83,8 +83,8 @@ def test_star_shaped_segments_certify():
 
 
 def test_tverberg_lift_witness_quality():
-    """Scalar lift on diag(1..12) and a matrix lift at q = 2 within the
-    partition-scan bound."""
+    """Scalar lift on diag(1..12) and a matrix lift at q = 2 on a GUE
+    tuple, both split by Radon's theorem."""
     start = time.perf_counter()
     A = HermitianTuple(np.diag(np.arange(1.0, 13.0))[None])
     lift = tverberg_lift(A, q=1, p=2, opts=SolverOptions())
@@ -215,6 +215,8 @@ def test_cli_byte_determinism(tmp_path):
         ["construct", "segment", "--input", str(pair), "--p", "1", "--q", "1",
          "--restarts", "8"],
         ["construct", "tverberg", "--input", str(d12), "--p", "2", "--q", "1",
+         "--restarts", "8"],
+        ["construct", "tverberg", "--input", str(d12), "--p", "3", "--q", "1",
          "--restarts", "8"],
         ["construct", "essential", "--input", str(d12), "--q", "1",
          "--r-max", "1", "--n-free", "2", "--restarts", "6"],

@@ -354,6 +354,18 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_tverberg_exchange_cap(self, tmp_path, capsys, monkeypatch, diag12):
+        # a p = 3 lift needs at least one colorful exchange
+        monkeypatch.setattr("matrange.tverberg.EXCHANGE_CAP", 0)
+        out = tmp_path / "tv.json"
+        rc = main(["construct", "tverberg", "--input", diag12, "--p", "3", "--q", "1",
+                   "--restarts", "8", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap of 0 exchanges" in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("argv", [
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--restarts", "0"],

@@ -415,7 +415,7 @@ def test_tverberg_lift_q2():
 
 def test_tverberg_lift_identical_blocks():
     # every level-1 point of the scalar tuple is the same; p = 2 takes the
-    # Radon split, which scans no partition
+    # Radon split, which tries no colorful set
     A = HermitianTuple((3.0 * np.eye(7, dtype=complex))[None])
     lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
     assert lift.partitions_scanned == 0
@@ -428,21 +428,22 @@ def test_tverberg_lift_structural_error():
         tverberg_lift(A, 1, 2, SolverOptions(seed=0))
 
 
-def test_tverberg_lift_refuses_scan_cap_before_solving(monkeypatch):
-    # q = 2, m = 2, p = 3 needs d = 19 blocks, above the scan's 14 points;
-    # the lift must refuse before solving for any block
-    def never(*args, **kwargs):
-        raise AssertionError("solve_free called for a lift the scan cannot take")
-
-    monkeypatch.setattr("matrange.constructions.solve_free", never)
+def test_tverberg_lift_q2_p3_certifies():
+    # the paper's q = 2, m = 2, p = 3 lift: d = 19 blocks in R^8, split by
+    # the colorful exchange
     A = gue(2, 116, seed=5)
-    with pytest.raises(DimensionError, match="partition scan capped at 14 points, got 19"):
-        tverberg_lift(A, 2, 3, SolverOptions(seed=0))
+    lift = tverberg_lift(A, 2, 3, SolverOptions(seed=0))
+    assert len(lift.family) == 19 and lift.partitions_scanned >= 1
+    assert all(lift.partition.parts)
+    cert = lift.certificate
+    assert cert.p == 3 and cert.q == 2
+    assert cert.residual <= 1e-10
+    assert cert.revalidate(A) == cert.residual
 
 
 def test_tverberg_lift_p2_beyond_scan_cap():
-    # q = 2, m = 4, p = 2 needs d = D + 2 = 18 blocks, past the scan's 14
-    # points; Radon's split needs no scan, so the lift certifies
+    # q = 2, m = 4, p = 2 needs d = D + 2 = 18 blocks; Radon's split reads
+    # them off one affine dependence
     A = gue(4, 182, seed=5)
     lift = tverberg_lift(A, 2, 2, SolverOptions(seed=0))
     assert len(lift.family) == 18 and lift.partitions_scanned == 0

@@ -1,9 +1,6 @@
-"""Partition enumeration, phase-1 simplex, and Tverberg point search."""
+"""Radon's split, the colorful exchange, and a phase-1 LP oracle for both."""
 
-import tracemalloc
 from fractions import Fraction
-from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,20 +9,132 @@ from hypothesis import example, given, settings, strategies as st
 import matrange.tverberg as tverberg
 from matrange.linalg import DimensionError
 from matrange.tverberg import (
-    FEAS_TOL,
-    MAX_POINTS,
-    PIVOT_TOL,
+    ExchangeError,
     PartitionResult,
-    _phase1,
-    count_partitions,
     lp_common_point,
-    set_partitions,
     tverberg_partition,
 )
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# oracle: every partition in restricted-growth order, each tested by a serial
+# phase-1 simplex with Bland's rule.  Feasibility is decided at 1e-9 on the
+# phase-1 objective; clear infeasibility sits above 1e-7.
+
+FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-11
+
+
+def set_partitions(d: int, p: int):
+    """Partitions of {0..d-1} into exactly p nonempty parts, lexicographic in
+    the restricted-growth string; parts come out ordered by smallest member."""
+    if d < p or p < 1:
+        return
+    a = [0] * d
+
+    def rec(i, mx):
+        if i == d:
+            if mx + 1 == p:
+                parts = [[] for _ in range(p)]
+                for idx, c in enumerate(a):
+                    parts[c].append(idx)
+                yield tuple(tuple(part) for part in parts)
+            return
+        for v in range(min(mx + 1, p - 1) + 1):
+            # prune branches that can no longer reach p classes
+            new_mx = max(mx, v)
+            if new_mx + 1 + (d - i - 1) < p:
+                continue
+            a[i] = v
+            yield from rec(i + 1, new_mx)
+
+    yield from rec(0, -1)
+
+
+def count_partitions(d: int, p: int) -> int:
+    """Stirling number of the second kind S(d, p) by the triangular recurrence."""
+    if p < 0 or p > d:
+        return 0
+    S = [[0] * (p + 1) for _ in range(d + 1)]
+    S[0][0] = 1
+    for i in range(1, d + 1):
+        for j in range(1, min(i, p) + 1):
+            S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
+    return S[d][p]
+
+
+def serial_phase1(A, b, max_pivots=20000):
+    A = np.asarray(A, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    nr, nc = A.shape
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    T = np.hstack([A, np.eye(nr), b.reshape(-1, 1)])
+    basis = list(range(nc, nc + nr))
+    cost = np.zeros(nc + nr + 1)
+    cost[:nc] = -T[:, :nc].sum(axis=0)
+    cost[-1] = -T[:, -1].sum()
+    for _ in range(max_pivots):
+        enter = -1
+        for j in range(nc + nr):
+            if cost[j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = np.inf
+        for i in range(nr):
+            a = T[i, enter]
+            if a > PIVOT_TOL:
+                ratio = T[i, -1] / a
+                if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("phase-1 simplex lost boundedness")
+        piv = T[leave, enter]
+        T[leave] /= piv
+        for i in range(nr):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        cost -= cost[enter] * T[leave]
+        basis[leave] = enter
+    else:
+        raise RuntimeError("phase-1 simplex exceeded the pivot cap")
+    x = np.zeros(nc)
+    z = 0.0
+    for i, bi in enumerate(basis):
+        if bi < nc:
+            x[bi] = T[i, -1]
+        else:
+            z += T[i, -1]
+    return x, z
+
+
+def phase1_objective(P, parts):
+    """The phase-1 objective of the common-point system of the parts: one
+    weight column per point, p rows making each part's weights sum to one
+    and D rows per part ell >= 1 equating part 0's combination with it."""
+    d, D = P.shape
+    parts = [list(part) for part in parts]
+    p = len(parts)
+    Pn = P / max(1.0, float(np.max(np.abs(P))))
+    offs = np.cumsum([0] + [len(part) for part in parts])
+    A = np.zeros((p + D * (p - 1), offs[-1]))
+    b = np.zeros(p + D * (p - 1))
+    for ell in range(p):
+        A[ell, offs[ell]:offs[ell + 1]] = 1.0
+        b[ell] = 1.0
+    for ell in range(1, p):
+        rows = slice(p + D * (ell - 1), p + D * ell)
+        A[rows, offs[0]:offs[1]] = Pn[parts[0]].T
+        A[rows, offs[ell]:offs[ell + 1]] -= Pn[parts[ell]].T
+    return serial_phase1(A, b)[1]
 
 
 def test_stirling_counts():
@@ -67,15 +176,11 @@ def test_enumeration_is_rgs_lexicographic():
     assert parts[0] == ((0, 1, 2), (3,), (4,))
 
 
-# ---------------------------------------------------------------------------
-# phase-1 simplex
-
-
 def test_phase1_feasible_system():
     # x1 + x2 = 1, x1 - x2 = 0 has x = (1/2, 1/2)
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     b = np.array([1.0, 0.0])
-    x, z = _phase1(A, b)
+    x, z = serial_phase1(A, b)
     assert z <= 1e-12
     assert np.allclose(x, [0.5, 0.5])
 
@@ -84,22 +189,48 @@ def test_phase1_infeasible_system():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
-    _, z = _phase1(A, b)
+    _, z = serial_phase1(A, b)
     assert z >= 0.5
 
 
 def test_phase1_negative_rhs():
     A = np.array([[-1.0, 0.0]])
     b = np.array([-3.0])
-    x, z = _phase1(A, b)
+    x, z = serial_phase1(A, b)
     assert z <= 1e-12
     assert np.isclose(x[0], 3.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.sampled_from([2, 3, 4]), d=st.integers(4, 8), D=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=3, d=7, D=2, seed=0)
+def test_lp_common_point_agrees_with_phase1_oracle(p, d, D, seed):
+    # A grid of thirds gives coincident, collinear and touching hulls.  Every
+    # partition's min-norm point is 0 exactly when the phase-1 LP is
+    # feasible; the band 1e-9 < z <= 1e-7 is left undecided, as the LP
+    # cannot tell touching hulls from rounding there.  d stays where the
+    # oracle tests at most S(8, 2) = 127, S(7, 3) = 301 or S(7, 4) = 350
+    # partitions per example.
+    d = min(d, {2: 8, 3: 7, 4: 7}[p])
+    P = np.random.default_rng(seed).integers(-2, 3, size=(d, D)) / 3.0
+    for parts in set_partitions(d, p):
+        z = phase1_objective(P, parts)
+        if FEAS_TOL < z <= 1e-7:
+            continue
+        hit = lp_common_point(P, parts)
+        assert (hit is not None) == (z <= FEAS_TOL), (parts, z)
+        if hit is not None:
+            common, weights, _ = hit
+            for part, w in zip(parts, weights):
+                assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+                assert np.max(np.abs(w @ P[list(part)] - common), initial=0.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # rational Radon oracle: for d = D + 2 points in general position, the
 # (unique up to scaling) affine dependence splits the set into the two
-# Radon parts; the LP must find exactly that split.
+# Radon parts; the split must be exactly that.
 
 
 def radon_parts_exact(points):
@@ -171,7 +302,10 @@ def test_tverberg_line_guaranteed_size():
     P = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
     res = tverberg_partition(P, 3)
     verify_partition(P, res, 3)
-    assert res.partitions_scanned <= count_partitions(5, 3)
+    assert 1 <= res.partitions_scanned <= count_partitions(5, 3)
+    # the exchange moves the lowest-index class of weight 0 each time, which
+    # ends on the nested split around the median
+    assert res.parts == ((0, 4), (1, 3), (2,))
 
 
 def test_tverberg_plane_guaranteed_size():
@@ -187,14 +321,15 @@ def test_tverberg_identical_points():
     res = tverberg_partition(P, 2)
     verify_partition(P, res, 2)
     assert np.allclose(res.common_point, 0.0)
-    # p = 2 is Radon's split, read off an affine dependence without a scan
+    # p = 2 is Radon's split, read off an affine dependence with no exchange
     assert res.partitions_scanned == 0
-    # at p = 3 the scan's first partition in RGS order already works
+    # at p = 3 the first colorful set (every class at w_1) misses 0, so the
+    # exchange tries at least two
     P = np.zeros((7, 2))
     res = tverberg_partition(P, 3)
     verify_partition(P, res, 3)
     assert np.allclose(res.common_point, 0.0)
-    assert res.partitions_scanned == 1
+    assert res.partitions_scanned >= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,6 +352,31 @@ def test_radon_split_is_a_partition_with_a_common_point(D, extra, grid, seed):
     assert lp_common_point(P, res.parts) is not None
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(3, 5), D=st.integers(1, 8), extra=st.integers(0, 3),
+       kind=st.sampled_from(["gauss", "grid", "zero"]), seed=st.integers(0, 2**32 - 1))
+@example(p=3, D=8, extra=0, kind="gauss", seed=0)  # the q = 2, m = 2 lift's shape
+@example(p=5, D=8, extra=3, kind="grid", seed=1)   # 40 points
+@example(p=4, D=2, extra=0, kind="zero", seed=0)
+def test_exchange_gives_a_tverberg_partition(p, D, extra, kind, seed):
+    # from the guarantee d = (p-1)(D+1)+1 to 3 points past it, well beyond
+    # 14 points; a grid of thirds gives coincident and degenerate points
+    d = (p - 1) * (D + 1) + 1 + extra
+    rng = np.random.default_rng(seed)
+    P = {"gauss": lambda: rng.standard_normal((d, D)),
+         "grid": lambda: rng.integers(-2, 3, size=(d, D)) / 3.0,
+         "zero": lambda: np.zeros((d, D))}[kind]()
+    res = tverberg_partition(P, p)
+    assert len(res.parts) == p and all(len(part) > 0 for part in res.parts)
+    assert sorted(i for part in res.parts for i in part) == list(range(d))
+    assert res.partitions_scanned >= 1
+    scale = max(1.0, float(np.max(np.abs(P))))
+    for ell, w in enumerate(res.weights):
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(w @ res.part_points(P, ell) - res.common_point)) <= 1e-12 * scale
+
+
 def test_tverberg_p1_centroid():
     P = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     res = tverberg_partition(P, 1)
@@ -225,12 +385,13 @@ def test_tverberg_p1_centroid():
 
 
 def test_tverberg_point_cap():
-    # the cap limits the scan (p >= 3) only: 15 points in R^13 are Radon's
-    # count D + 2 at p = 2, split with no scan
-    P = np.zeros((MAX_POINTS + 1, 1))
-    with pytest.raises(DimensionError, match="partition scan capped at 14 points, got 15"):
-        tverberg_partition(P, 3)
-    P = np.random.default_rng(15).standard_normal((MAX_POINTS + 1, MAX_POINTS - 1))
+    # no cap on the number of points: 15 and more points split at p = 3
+    # as they do at p = 2, where 15 points in R^13 are Radon's count D + 2
+    rng = np.random.default_rng(15)
+    for d, D in [(15, 1), (19, 8), (25, 11)]:
+        P = rng.standard_normal((d, D))
+        verify_partition(P, tverberg_partition(P, 3), 3)
+    P = rng.standard_normal((15, 13))
     res = tverberg_partition(P, 2)
     verify_partition(P, res, 2)
     assert res.partitions_scanned == 0
@@ -239,6 +400,23 @@ def test_tverberg_point_cap():
 def test_tverberg_too_few_points():
     with pytest.raises(DimensionError):
         tverberg_partition(np.zeros((2, 1)), 3)
+
+
+def test_below_guarantee_is_refused():
+    # the vertices of a simplex in R^11 are affinely independent, so no split
+    # of them exists; below the guarantee every p is refused up front
+    P = np.vstack([np.zeros(11), np.eye(11)])
+    with pytest.raises(DimensionError, match=r"into 2 parts of points in R\^11 needs d >= 13 points, got 12"):
+        tverberg_partition(P, 2)
+    with pytest.raises(DimensionError, match=r"needs d >= 7 points, got 6"):
+        tverberg_partition(np.zeros((6, 2)), 3)
+
+
+def test_exchange_cap_raises_a_value_error(monkeypatch):
+    monkeypatch.setattr(tverberg, "EXCHANGE_CAP", 0)
+    with pytest.raises(ExchangeError, match="cap of 0 exchanges") as got:
+        tverberg_partition(np.random.default_rng(3).standard_normal((7, 2)), 3)
+    assert isinstance(got.value, ValueError)
 
 
 def test_tverberg_determinism():
@@ -258,176 +436,11 @@ def test_lp_common_point_disjoint_hulls():
     # overlapping segments do
     hit = lp_common_point(P, [(0, 2), (1, 3)])
     assert hit is not None
-    common, weights, z = hit
+    common, weights, distance = hit
     assert 1.0 - 1e-9 <= common[0] <= 10.0 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# serial reference: one row-loop simplex per partition, in scan order.  The
-# stacked scan must pivot each lane exactly as this does, so its results are
-# compared bit for bit.
-
-
-def serial_phase1(A, b, max_pivots=20000):
-    A = np.asarray(A, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    nr, nc = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    T = np.hstack([A, np.eye(nr), b.reshape(-1, 1)])
-    basis = list(range(nc, nc + nr))
-    cost = np.zeros(nc + nr + 1)
-    cost[:nc] = -T[:, :nc].sum(axis=0)
-    cost[-1] = -T[:, -1].sum()
-    for _ in range(max_pivots):
-        enter = -1
-        for j in range(nc + nr):
-            if cost[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = np.inf
-        for i in range(nr):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise RuntimeError("phase-1 simplex lost boundedness")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(nr):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        cost -= cost[enter] * T[leave]
-        basis[leave] = enter
-    else:
-        raise RuntimeError("phase-1 simplex exceeded the pivot cap")
-    x = np.zeros(nc)
-    z = 0.0
-    for i, bi in enumerate(basis):
-        if bi < nc:
-            x[bi] = T[i, -1]
-        else:
-            z += T[i, -1]
-    return x, z
-
-
-def serial_common_point(P, parts):
-    d, D = P.shape
-    parts = [list(part) for part in parts]
-    p = len(parts)
-    scale = max(1.0, float(np.max(np.abs(P))))
-    Pn = P / scale
-    sizes = [len(part) for part in parts]
-    offs = np.cumsum([0] + sizes)
-    A = np.zeros((p + D * (p - 1), sum(sizes)))
-    b = np.zeros(p + D * (p - 1))
-    for ell in range(p):
-        A[ell, offs[ell]:offs[ell + 1]] = 1.0
-        b[ell] = 1.0
-    for ell in range(1, p):
-        rows = slice(p + D * (ell - 1), p + D * ell)
-        for t, i in enumerate(parts[0]):
-            A[rows, offs[0] + t] = Pn[i]
-        for t, i in enumerate(parts[ell]):
-            A[rows, offs[ell] + t] -= Pn[i]
-    x, z = serial_phase1(A, b)
-    if z > FEAS_TOL:
-        return None
-    weights = []
-    for ell in range(p):
-        w = np.maximum(x[offs[ell]:offs[ell + 1]], 0.0)
-        s = w.sum()
-        weights.append(w / s if s > 0 else np.full(sizes[ell], 1.0 / sizes[ell]))
-    return scale * (weights[0] @ Pn[parts[0]]), weights
-
-
-def serial_partition(P, p):
-    d, D = P.shape
-    for scanned, parts in enumerate(set_partitions(d, p), start=1):
-        hit = serial_common_point(P, parts)
-        if hit is not None:
-            return PartitionResult(parts=parts, weights=tuple(hit[1]),
-                                   common_point=hit[0], partitions_scanned=scanned)
-    raise RuntimeError(
-        f"no partition of {d} points into {p} parts was feasible "
-        f"(guarantee needs d >= {(p - 1) * (D + 1) + 1})"
-    )
-
-
-def assert_same_scan(P, p):
-    # p = 2 with d >= D + 2 takes the Radon split, so the scan is run directly
-    scan = tverberg._first_feasible if p == 2 else tverberg_partition
-    try:
-        ref = serial_partition(P, p)
-    except RuntimeError as e:
-        with pytest.raises(RuntimeError) as got:
-            scan(P, p)
-        assert str(got.value) == str(e)
-        return
-    got = scan(P, p)
-    assert got.parts == ref.parts
-    assert got.partitions_scanned == ref.partitions_scanned
-    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in ref.weights]
-    assert got.common_point.tobytes() == ref.common_point.tobytes()
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from([2, 3, 4]), extra=st.integers(0, 7), D=st.integers(1, 3),
-       grid=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       entries=st.sampled_from([1, 200, tverberg.STACK_ENTRIES]))
-@example(p=2, extra=2, D=1, grid=True, seed=23, entries=1)  # ratios tied within rounding
-def test_stacked_scan_matches_serial_reference(p, extra, D, grid, seed, entries):
-    # A grid of thirds provokes exact ratio ties, ties within rounding (the
-    # sequential fallback of the ratio test) and degenerate pivots; a small
-    # stack bound splits the scan into many chunks (one lane each at 1
-    # entry).  d stays where the serial reference scans at most S(7, 4) =
-    # 350 or S(8, 3) = 966 partitions per example.
-    d = min(p + extra, {2: 9, 3: 8, 4: 7}[p])
-    rng = np.random.default_rng(seed)
-    P = rng.integers(-2, 3, size=(d, D)) / 3.0 if grid else rng.standard_normal((d, D))
-    with mock.patch.object(tverberg, "STACK_ENTRIES", entries):
-        assert_same_scan(P, p)
-
-
-def test_phase1_matches_serial_reference_on_signed_rows():
-    # rows with negative right-hand sides are flipped before the tableau
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        A = rng.integers(-3, 4, size=(4, 6)).astype(float)
-        b = rng.integers(-3, 4, size=4).astype(float)
-        x, z = _phase1(A, b)
-        x_ref, z_ref = serial_phase1(A, b)
-        assert x.tobytes() == x_ref.tobytes()
-        assert z == z_ref
-
-
-def test_infeasible_scan_spans_chunks_in_bounded_memory():
-    # the vertices of a simplex in R^11 are affinely independent, so none of
-    # the S(12, 2) = 2047 partitions is feasible and the scan reads every
-    # chunk; stacking them all at once would hold over 5 MiB of tableaux
-    P = np.vstack([np.zeros(11), np.eye(11)])
-    nr, width = 2 + 11, 12 + 2 + 11 + 1
-    assert count_partitions(12, 2) > 8 * (tverberg.STACK_ENTRIES // (nr * width))
-    text = "no partition of 12 points into 2 parts was feasible (guarantee needs d >= 13)"
-    tracemalloc.start()
-    try:
-        with pytest.raises(RuntimeError) as got:
-            tverberg_partition(P, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(got.value) == text
-    assert peak < 2 * 2**20, peak
-    with pytest.raises(RuntimeError) as ref:
-        serial_partition(P, 2)
-    assert str(ref.value) == text
+    assert distance <= tverberg.ZERO_TOL
+    # segments that touch share their endpoint; a gap of 1e-9 is a gap
+    P = np.array([[0.0], [1.0], [1.0], [2.0]])
+    assert lp_common_point(P, [(0, 1), (2, 3)])[0][0] == 1.0
+    P[2, 0] += 1e-9
+    assert lp_common_point(P, [(0, 1), (2, 3)]) is None
