@@ -215,7 +215,7 @@ def cmd_segment(args) -> int:
     first = solve_free(A, args.p, args.q, opts)
     if isinstance(first, Rejection):
         return _reject(first, args)
-    second = deflated_solve(A, first, args.p, args.q,
+    second = deflated_solve(A, [first], args.p, args.q,
                             opts.replace(seed=opts.seed + 1))
     if isinstance(second, Rejection):
         return _reject(second, args)
@@ -243,7 +243,7 @@ def cmd_tverberg(args) -> int:
         "d": len(lift.family),
         "parts": [list(part) for part in lift.partition.parts],
         "weights": [[float(w) for w in ws] for ws in lift.partition.weights],
-        "partitions_scanned": int(lift.partitions_scanned),
+        "partitions_scanned": int(lift.partition.partitions_scanned),
         "family_cross_tol": float(lift.family.cross_tol),
         "certificate": certificate_doc(lift.certificate),
     }

@@ -219,10 +219,10 @@ def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
     if Xb.shape != Xc.shape:
         raise DimensionError("witnesses have different shapes")
     cross = frob(np.conj(Xb.T) @ Xc)
-    across = max(frob(S) for S in np.conj(Xb.T) @ (A.mats @ Xc))
-    if max(cross, across) > cross_tol:
+    worst = np.max([cross] + [frob(S) for S in np.conj(Xb.T) @ (A.mats @ Xc)])  # keeps NaN
+    if not worst <= cross_tol:
         raise CrossOrthogonalityError(
-            f"witness cross terms {max(cross, across):.3e} exceed {cross_tol:.1e}; "
+            f"witness cross terms {worst:.3e} exceed {cross_tol:.1e}; "
             "re-solve the second point with deflated_solve against the first witness"
         )
     Xt = np.sqrt(t) * Xb + np.sqrt(1.0 - t) * Xc
@@ -234,26 +234,16 @@ def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
                        residual=residual(A, W, cert_b.p, point))
 
 
-def _gather_witnesses(prior) -> list[Isometry]:
-    if prior is None:
-        return []
-    if isinstance(prior, Certificate):
-        return [prior.witness]
-    out = []
-    for item in prior:
-        out.extend(_gather_witnesses(item))
-    return out
-
-
 def deflation_corner(A, prior) -> CornerSpec:
     """The corner orthogonal to earlier witnesses and their A-images.
 
     The protected subspace is spanned by the columns of every prior witness
     X_r together with A_j X_r for all j; anything solved in the complement
     then has exactly vanishing cross terms X_r* X_new and X_r* A_j X_new.
+    prior is a list of Certificates; [] gives the identity corner.
     """
     A = as_tuple(A)
-    wits = _gather_witnesses(prior)
+    wits = [c.witness for c in prior]
     if not wits:
         return CornerSpec(r=0, complement=Isometry(np.eye(A.n, dtype=complex)))
     if any(W.n != A.n for W in wits):
@@ -280,7 +270,7 @@ def deflated_solve(A, prior, p: int, q: int,
                    opts: SolverOptions = SolverOptions(), target: MatPoint | None = None):
     """Solve for a range point inside the corner deflated past `prior`.
 
-    prior may be None, a Certificate, or a list of Certificates.
+    prior is a list of Certificates, [] for none.
     The returned certificate is composed back up to A, so its witness is
     exactly orthogonal (and A-orthogonal) to every prior witness.
     """
@@ -356,7 +346,7 @@ def orthogonal_block_family(A, q: int, d: int,
             raise DeflationError(stage, out)
         members.append(out if Y is None else compose_certificate(A, Y, out))
         if stage < d - 1:
-            Z = deflation_corner(inner, out).complement
+            Z = deflation_corner(inner, [out]).complement
             inner = compress(inner, Z)
             Y = Z if Y is None else Isometry(Y.mat @ Z.mat)
     cross = measure_cross(A, [c.witness for c in members])
@@ -371,10 +361,6 @@ class TverbergLift:
     certificate: Certificate
     family: BlockFamily
     partition: PartitionResult
-
-    @property
-    def partitions_scanned(self) -> int:
-        return self.partition.partitions_scanned
 
 
 def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> TverbergLift:

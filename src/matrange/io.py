@@ -364,8 +364,7 @@ def load_cloud(path, A=None) -> PointCloud:
 
 
 def report_doc(report: SuiteReport) -> dict:
-    """Serializable form of a suite report.  Wall time is deliberately not
-    stored: timings are not reproducible and would break byte determinism."""
+    """Serializable form of a suite report; passes is trials minus failures."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "report",
@@ -400,6 +399,5 @@ def load_report(path) -> SuiteReport:
     if doc["passes"] + len(failures) != doc["trials"]:
         raise SchemaError(f"report: {doc['passes']} passes and {len(failures)} failures "
                           f"do not add up to {doc['trials']} trials")
-    return SuiteReport(suite=doc["suite"], trials=doc["trials"], passes=doc["passes"],
-                       failures=tuple(map(tuple, failures)),
-                       tolerances=dict(doc["tolerances"]), wall_time=0.0)
+    return SuiteReport(suite=doc["suite"], trials=doc["trials"],
+                       failures=tuple(map(tuple, failures)), tolerances=dict(doc["tolerances"]))

@@ -61,12 +61,6 @@ def _herm_defects(A) -> np.ndarray:
         return num / np.maximum(s, den)
 
 
-def herm_defect(M: np.ndarray) -> float:
-    """Relative deviation of a square matrix from being Hermitian; NaN when
-    an entry is not finite."""
-    return float(_herm_defects(M))
-
-
 class NotHermitianError(DimensionError):
     """A matrix of a stack fails the Hermitian check; `item` is its index."""
 
@@ -119,12 +113,6 @@ class HermitianTuple:
     def n(self) -> int:
         return self.mats.shape[1]
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.mats[j]
-
-    def __iter__(self):
-        return iter(self.mats)
-
     def scale(self) -> float:
         """max(1, largest member Frobenius norm); the relative-tolerance unit."""
         with np.errstate(over="ignore"):  # inf for entries near the double range
@@ -161,7 +149,7 @@ class Isometry:
         if k > n:
             raise DimensionError(f"isometry needs k <= n, got {n}x{k}")
         object.__setattr__(self, "mat", X)
-        if (d := self.defect()) > self.tol:
+        if not (d := self.defect()) <= self.tol:  # NaN when X*X overflows
             raise DimensionError(f"isometry defect {d:.3e} exceeds tolerance {self.tol:.1e}")
 
     @property

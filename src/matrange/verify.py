@@ -15,7 +15,6 @@ not do it" becomes a positive, checkable outcome.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,23 +50,22 @@ class SuiteReport:
     """Outcome of one property suite.
 
     failures holds (seed, diagnostic) pairs, one per failed trial, enough to
-    replay the trial deterministically.  wall_time is informational only and
-    never serialized.
+    replay the trial deterministically; every other trial passed.
     """
 
     suite: str
     trials: int
-    passes: int
     failures: tuple
     tolerances: dict
-    wall_time: float = 0.0
 
     def __post_init__(self):
-        if self.passes + len(self.failures) != self.trials:
-            raise ValueError(
-                f"inconsistent report: {self.passes} passes + "
-                f"{len(self.failures)} failures != {self.trials} trials"
-            )
+        if len(self.failures) > self.trials:
+            raise ValueError(f"inconsistent report: {len(self.failures)} failures "
+                             f"> {self.trials} trials")
+
+    @property
+    def passes(self) -> int:
+        return self.trials - len(self.failures)
 
     @property
     def pass_rate(self) -> float:
@@ -178,7 +176,6 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
     combination instead of solved, and the bar tightens to residual 1e-9.
     """
     A = as_tuple(A)
-    start = time.perf_counter()
     if exact is not None:
         bar = 1e-9
         segments = [(r, t, segment_witness(A, exact[r], exact[0], t).residual)
@@ -186,9 +183,8 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
         failures = [(r, f"t={t}: residual {res:.3e}") for r, t, res in segments
                     if not res <= bar]
         return SuiteReport(suite="star-shaped-planted", trials=len(segments),
-                           passes=len(segments) - len(failures), failures=tuple(failures),
-                           tolerances={"residual": bar, "t_grid": list(t_grid)},
-                           wall_time=time.perf_counter() - start)
+                           failures=tuple(failures),
+                           tolerances={"residual": bar, "t_grid": list(t_grid)})
     out = star_center_scalar(A, p, q, opts)
     if isinstance(out, Rejection):
         return out
@@ -204,12 +200,10 @@ def check_star_shaped(A, p: int, q: int, n_points: int = 20,
         ok, best = _accepted(out, opts.accept_tol)
         if not ok:
             failures.append((seed_i, f"point {i}, t={t}: best residual {best:.3e}"))
-    return SuiteReport(suite="star-shaped", trials=trials, passes=trials - len(failures),
-                       failures=tuple(failures),
+    return SuiteReport(suite="star-shaped", trials=trials, failures=tuple(failures),
                        tolerances={"accept_tol": opts.accept_tol,
                                    "t_grid": list(t_grid),
-                                   "n_points": n_points},
-                       wall_time=time.perf_counter() - start)
+                                   "n_points": n_points})
 
 
 def bound_dimension(m: int, k: int, bound: str = "general") -> int:
@@ -231,12 +225,9 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
                           bound: str = "general") -> SuiteReport:
     """Random tuples at the guarantee dimension must yield a rank-k scalar
     point within the restart budget.  m = 0 is vacuously true."""
-    start = time.perf_counter()
     if m == 0:
-        return SuiteReport(suite=f"nonempty-{bound}", trials=trials,
-                           passes=trials, failures=(),
-                           tolerances={"note": "empty tuple, vacuous"},
-                           wall_time=time.perf_counter() - start)
+        return SuiteReport(suite=f"nonempty-{bound}", trials=trials, failures=(),
+                           tolerances={"note": "empty tuple, vacuous"})
     n = bound_dimension(m, k, bound)
     failures = []
     seeds = [opts.seed + 1009 * (i + 1) for i in range(trials)]
@@ -246,12 +237,10 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
         if isinstance(out, Rejection):
             failures.append((seed_i, f"best residual {out.best_residual:.3e} "
                                      f"after {out.restarts} restarts"))
-    return SuiteReport(suite=f"nonempty-{bound}", trials=trials, passes=trials - len(failures),
-                       failures=tuple(failures),
+    return SuiteReport(suite=f"nonempty-{bound}", trials=trials, failures=tuple(failures),
                        tolerances={"m": m, "k": k, "n": n,
                                    "accept_tol": opts.accept_tol,
-                                   "max_restarts": opts.max_restarts},
-                       wall_time=time.perf_counter() - start)
+                                   "max_restarts": opts.max_restarts})
 
 
 def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
@@ -261,7 +250,6 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
     random codimension-r corners.  One report trial per (tuple, corner)."""
     if not 1 <= q * r < p:
         raise ValueError(f"need 1 <= q*r < p, got q*r = {q * r}, p = {p}")
-    start = time.perf_counter()
     failures = []
     p_low = p - q * r
     seeds = [opts.seed + 7717 * (i + 1) for i in range(trials)]
@@ -283,12 +271,10 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
                 failures.append((seed_i + 31 * (c + 1),
                                  f"corner re-cert failed: best {best:.3e}"))
     total = trials * corners
-    return SuiteReport(suite="corner-inclusions", trials=total, passes=total - len(failures),
-                       failures=tuple(failures),
+    return SuiteReport(suite="corner-inclusions", trials=total, failures=tuple(failures),
                        tolerances={"m": m, "n": n, "p": p, "q": q, "r": r,
                                    "corners": corners,
-                                   "accept_tol": opts.accept_tol},
-                       wall_time=time.perf_counter() - start)
+                                   "accept_tol": opts.accept_tol})
 
 
 def check_convexity(A, p: int, q: int, pairs: int = 10,
@@ -301,7 +287,6 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     pair left without two fails, recorded under the sampling seed.
     """
     A = as_tuple(A)
-    start = time.perf_counter()
     cloud = sample_range(A, p, q, 2 * pairs, opts)
     pts = cloud.points()
     failures = []
@@ -315,12 +300,10 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     for i in range(2 * len(firsts), 2 * pairs, 2):
         failures.append((opts.seed, f"pair {i}-{i + 1}: {len(pts)} of {2 * pairs} "
                                     "samples certified"))
-    return SuiteReport(suite="convexity-midpoints", trials=pairs, passes=pairs - len(failures),
-                       failures=tuple(failures),
+    return SuiteReport(suite="convexity-midpoints", trials=pairs, failures=tuple(failures),
                        tolerances={"p": p, "q": q,
                                    "accept_tol": opts.accept_tol,
-                                   "requested_pairs": pairs},
-                       wall_time=time.perf_counter() - start)
+                                   "requested_pairs": pairs})
 
 
 def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
@@ -335,7 +318,6 @@ def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
     budget.  Both are positive assertions about nonconvexity.
     """
     A = pauli_tuple()
-    start = time.perf_counter()
     failures = []
     cloud = joint_numrange_sample(A, n_samples, seed=opts.seed)
     dev = float(np.max(np.abs(np.linalg.norm(cloud.coords, axis=1) - 1.0)))
@@ -349,11 +331,9 @@ def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
     elif not got.best_residual >= floor:
         failures.append((opts.seed, f"rejected but best residual "
                                     f"{got.best_residual:.3e} < {floor}"))
-    return SuiteReport(suite="pauli-nonconvexity", trials=2, passes=2 - len(failures),
-                       failures=tuple(failures),
+    return SuiteReport(suite="pauli-nonconvexity", trials=2, failures=tuple(failures),
                        tolerances={"norm_tol": 1e-10, "floor": floor,
-                                   "restarts": restarts, "n_samples": n_samples},
-                       wall_time=time.perf_counter() - start)
+                                   "restarts": restarts, "n_samples": n_samples})
 
 
 def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
@@ -365,7 +345,6 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
     and A + F to the same tuple; a point certified in that corner therefore
     re-certifies in the perturbed tuple by composing witnesses.
     """
-    start = time.perf_counter()
     failures = []
     seeds = [opts.seed + 4409 * (i + 1) for i in range(trials)]
     perturbed = []  # (A, F, corner killing F) per trial
@@ -382,8 +361,6 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
         lifted = compose_certificate(add_tuples(A, F), corner.complement, got)
         if not lifted.residual <= opts.accept_tol:
             failures.append((seed_i, f"perturbed residual {lifted.residual:.3e}"))
-    return SuiteReport(suite="perturbation-equivalence", trials=trials,
-                       passes=trials - len(failures), failures=tuple(failures),
+    return SuiteReport(suite="perturbation-equivalence", trials=trials, failures=tuple(failures),
                        tolerances={"m": m, "n": n, "p": p, "q": q, "rank": rank,
-                                   "accept_tol": opts.accept_tol},
-                       wall_time=time.perf_counter() - start)
+                                   "accept_tol": opts.accept_tol})

@@ -7,7 +7,9 @@ budgets are asserted alongside the numerical tolerances.
 """
 
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +101,7 @@ def test_tverberg_lift_witness_quality():
     B = gue(1, 26, 2026)
     lift2 = tverberg_lift(B, q=2, p=2, opts=SolverOptions())
     assert len(lift2.family) == 6
-    assert lift2.partitions_scanned <= 31
+    assert lift2.partition.partitions_scanned <= 31
     assert lift2.certificate.residual <= 1e-8
     assert time.perf_counter() - start < 10.0
 
@@ -239,3 +241,15 @@ def test_cli_byte_determinism(tmp_path):
             assert rc == 0, argv
             outs.append(f.read_bytes())
         assert outs[0] == outs[1], argv
+
+
+def test_readme_example_runs(capsys):
+    # the quick start in README.md is run as written, so a renamed or removed
+    # name it uses fails here instead of in a reader's session
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    start = time.perf_counter()
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "(12, 2)" in capsys.readouterr().out
+    assert time.perf_counter() - start < 10.0

@@ -335,8 +335,7 @@ class TestErrors:
 
     def test_wrong_document_kind(self, tmp_path):
         src = tmp_path / "report.json"
-        save_report(SuiteReport(suite="s", trials=1, passes=1, failures=(),
-                                tolerances={}, wall_time=0.0), src)
+        save_report(SuiteReport(suite="s", trials=1, failures=(), tolerances={}), src)
         rc = main(["compute", "numrange", "--input", str(src),
                    "--out", str(tmp_path / "bd.json")])
         assert rc == 2

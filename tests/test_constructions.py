@@ -242,7 +242,7 @@ def test_segment_witness_diagonal_exact():
 def test_segment_witness_after_deflation():
     A = gue(2, 12, seed=67)
     cb = solve_free(A, 1, 1, SolverOptions(seed=0))
-    cc = deflated_solve(A, cb, 1, 1, SolverOptions(seed=1))
+    cc = deflated_solve(A, [cb], 1, 1, SolverOptions(seed=1))
     assert isinstance(cb, Certificate) and isinstance(cc, Certificate)
     mid = segment_witness(A, cb, cc, 0.5)
     assert mid.residual <= 1e-6
@@ -287,6 +287,21 @@ def test_segment_witness_rejects_crossing_witnesses():
         segment_witness(A, cb, cc, 0.5)
 
 
+def test_segment_witness_refuses_nan_cross_terms():
+    # A X_c overflows to inf below its first row, so X_b* A X_c = 0 * inf is
+    # NaN: a cross term that no tolerance can vouch for
+    M = np.zeros((3, 3))
+    M[1:, 1:] = 1.7e308
+    A = HermitianTuple(M[None])
+    zero = MatPoint(np.zeros((1, 1, 1)))
+    cb = Certificate(point=zero, p=1, witness=Isometry(np.eye(3)[:, :1]), residual=0.0)
+    cc = Certificate(point=zero, p=1, residual=0.0,
+                     witness=Isometry(np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2.0)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(CrossOrthogonalityError, match="nan"):
+        segment_witness(A, cb, cc, 0.5)
+
+
 def test_segment_witness_validation():
     A = gue(1, 6, seed=69)
     c1 = solve_free(A, 1, 1, SolverOptions(seed=0))
@@ -300,7 +315,7 @@ def test_segment_witness_validation():
 
 def test_deflation_corner_empty_prior():
     A = gue(2, 6, seed=70)
-    corner = deflation_corner(A, None)
+    corner = deflation_corner(A, [])
     assert corner.r == 0
     assert corner.complement.k == 6
 
@@ -308,7 +323,7 @@ def test_deflation_corner_empty_prior():
 def test_deflated_solve_orthogonality():
     A = gue(2, 14, seed=71)
     c1 = solve_free(A, 1, 1, SolverOptions(seed=0))
-    c2 = deflated_solve(A, c1, 1, 1, SolverOptions(seed=0))
+    c2 = deflated_solve(A, [c1], 1, 1, SolverOptions(seed=0))
     assert isinstance(c2, Certificate)
     X1, X2 = c1.witness.mat, c2.witness.mat
     assert np.max(np.abs(np.conj(X1.T) @ X2)) <= 1e-10
@@ -321,7 +336,7 @@ def test_deflated_solve_structural_error_names_requirement():
     A = gue(2, 4, seed=72)
     c1 = solve_free(A, 1, 1, SolverOptions(seed=0))
     with pytest.raises(StructuralInfeasibility, match="at least"):
-        deflated_solve(A, c1, 2, 1, SolverOptions(seed=0))
+        deflated_solve(A, [c1], 2, 1, SolverOptions(seed=0))
 
 
 def test_orthogonal_block_family_free_mode():
@@ -398,7 +413,7 @@ def test_tverberg_lift_diag_line():
     assert iv.lo - 1e-6 <= c <= iv.hi + 1e-6
     # d = 3 level-1 points on a line, split into p = 2 parts
     assert len(lift.family) == 3
-    assert lift.partitions_scanned <= 3
+    assert lift.partition.partitions_scanned <= 3
     cert.revalidate(A)
 
 
@@ -409,7 +424,7 @@ def test_tverberg_lift_q2():
     assert cert.q == 2 and cert.p == 2
     assert cert.residual <= 1e-8
     assert cert.witness.defect() <= 1e-8
-    assert lift.partitions_scanned <= 31   # S(6, 2)
+    assert lift.partition.partitions_scanned <= 31   # S(6, 2)
     cert.revalidate(A)
 
 
@@ -418,7 +433,7 @@ def test_tverberg_lift_identical_blocks():
     # Radon split, which tries no colorful set
     A = HermitianTuple((3.0 * np.eye(7, dtype=complex))[None])
     lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
-    assert lift.partitions_scanned == 0
+    assert lift.partition.partitions_scanned == 0
     assert abs(lift.certificate.point.scalar_values()[0] - 3.0) <= 1e-9
 
 
@@ -433,7 +448,7 @@ def test_tverberg_lift_q2_p3_certifies():
     # the colorful exchange
     A = gue(2, 116, seed=5)
     lift = tverberg_lift(A, 2, 3, SolverOptions(seed=0))
-    assert len(lift.family) == 19 and lift.partitions_scanned >= 1
+    assert len(lift.family) == 19 and lift.partition.partitions_scanned >= 1
     assert all(lift.partition.parts)
     cert = lift.certificate
     assert cert.p == 3 and cert.q == 2
@@ -446,7 +461,7 @@ def test_tverberg_lift_p2_beyond_scan_cap():
     # them off one affine dependence
     A = gue(4, 182, seed=5)
     lift = tverberg_lift(A, 2, 2, SolverOptions(seed=0))
-    assert len(lift.family) == 18 and lift.partitions_scanned == 0
+    assert len(lift.family) == 18 and lift.partition.partitions_scanned == 0
     cert = lift.certificate
     assert cert.residual <= 1e-10
     assert cert.revalidate(A) == cert.residual

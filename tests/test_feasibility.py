@@ -17,7 +17,6 @@ from matrange.feasibility import (
     StructuralInfeasibility,
     _jacobian,
     _polish,
-    best_block,
     certify,
     compose_certificate,
     find_scalar_point,
@@ -192,7 +191,7 @@ def test_residual_and_best_block_planted():
     A = kron_block(3, HermitianTuple(B.blocks))
     X = Isometry(np.eye(6, dtype=complex))
     assert residual(A, X, 3, B) <= 1e-14
-    got = best_block(A, X, 3)
+    got = certify(A, X, 3).point
     assert frob(got.blocks - B.blocks) <= 1e-12
 
 

@@ -13,11 +13,11 @@ from matrange.linalg import (
     coordinate_isometry,
     direct_sum,
     frob,
-    herm_defect,
     herm_eig,
     hermitian_stack as checked_stack,
     kron_block,
     NotHermitianError,
+    _herm_defects,
     _qr_fix,
     random_isometry,
 )
@@ -70,9 +70,9 @@ NEAR_RANGE = [np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex),
 
 @pytest.mark.parametrize("M", NEAR_RANGE)
 def test_herm_defect_near_double_range(M):
-    assert herm_defect(M) == pytest.approx(2.0)
-    assert herm_defect(np.array([[1e308, 1.7e308], [1.7e308, -1e308]])) == 0.0
-    assert np.isnan(herm_defect(np.array([[np.nan]])))
+    assert _herm_defects(M) == pytest.approx(2.0)
+    assert _herm_defects(np.array([[1e308, 1.7e308], [1.7e308, -1e308]])) == 0.0
+    assert np.isnan(_herm_defects(np.array([[np.nan]])))
 
 
 @pytest.mark.parametrize("M", NEAR_RANGE)

@@ -377,6 +377,29 @@ def test_exchange_gives_a_tverberg_partition(p, D, extra, kind, seed):
         assert np.max(np.abs(w @ res.part_points(P, ell) - res.common_point)) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(3, 5), D=st.integers(1, 8), big=st.integers(0, 36),
+       seed=st.integers(0, 2**32 - 1))
+def test_exchange_on_mixed_scales_partitions_or_raises(p, D, big, seed):
+    # one point 1e6 times the others may stall the exchange (an ExchangeError),
+    # but whatever it returns must be a Tverberg partition
+    d = (p - 1) * (D + 1) + 1
+    rng = np.random.default_rng(seed)
+    P = rng.integers(-1, 2, size=(d, D)).astype(float)
+    P[big % d] *= 1e6
+    try:
+        res = tverberg_partition(P, p)
+    except ExchangeError:
+        return
+    assert len(res.parts) == p
+    assert sorted(i for part in res.parts for i in part) == list(range(d))
+    scale = max(1.0, float(np.max(np.abs(P))))
+    for ell, w in enumerate(res.weights):
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(w @ res.part_points(P, ell) - res.common_point)) <= 1e-12 * scale
+
+
 def test_tverberg_p1_centroid():
     P = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     res = tverberg_partition(P, 1)
