@@ -38,7 +38,6 @@ from .feasibility import (
     StructuralInfeasibility,
     certify,
     compose_certificate,
-    find_scalar_point,
     membership,
     sample_range,
     solve_free,
@@ -51,14 +50,12 @@ from .tverberg import (
 )
 from .constructions import (
     BlockFamily,
-    CornerSpec,
     CrossOrthogonalityError,
     DeflationError,
     EssentialEstimate,
     StarCenter,
     TverbergLift,
     annihilating_corner,
-    corner_compress,
     deflated_solve,
     deflation_corner,
     direction_set,

@@ -118,8 +118,11 @@ def _load_hermitian(path, embed: bool) -> HermitianTuple:
 
 
 def _reject(rej: Rejection, args, **extra) -> int:
-    """Emit the rejection document (plus extra fields); exit code 4."""
-    _emit(canonical_dumps({"kind": "rejection", "best_residual": float(rej.best_residual),
+    """Emit the rejection document (plus extra fields); exit code 4.  A best
+    residual that is not finite (the tuple overflowed) is written as null."""
+    best = float(rej.best_residual)
+    _emit(canonical_dumps({"kind": "rejection",
+                           "best_residual": best if math.isfinite(best) else None,
                            "restarts": int(rej.restarts), "message": rej.message} | extra),
           args.out)
     return EXIT_REJECTED
@@ -334,7 +337,7 @@ def cmd_verify_perturbation(args) -> int:
 
 # Every command is one entry {group: {op: (handler, argument specs)}}; a spec
 # is (flag, add_argument keywords), and COMMON comes first in every command.
-COMMON = (("--seed", dict(type=int, default=0)),
+COMMON = (("--seed", dict(type=int_at_least(0), default=0)),
           ("--accept-tol", dict(type=positive_float, default=1e-8)),
           ("--restarts", dict(type=positive_int, default=50)),
           ("--out", dict(help="output path (stdout if omitted)")))

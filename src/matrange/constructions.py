@@ -40,16 +40,13 @@ from .feasibility import (
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
+    certify,
     compose_certificate,
-    membership,
-    residual,
     sample_range,
     solve_free,
-    find_scalar_point,
 )
 from .linalg import (
     DimensionError,
-    HermitianTuple,
     Isometry,
     ISO_TOL,
     as_tuple,
@@ -72,42 +69,28 @@ class DeflationError(RuntimeError):
         )
 
 
+# the largest cross term ||X_b* X_c|| or ||X_b* A_j X_c|| segment_witness accepts
+CROSS_TOL = 1e-8
+
+
 class CrossOrthogonalityError(ValueError):
     """Witnesses are too far from A-orthogonal to combine directly."""
 
 
-@dataclass(frozen=True)
-class CornerSpec:
-    """A codimension-r corner, carried as the complement isometry Y."""
-
-    r: int
-    complement: Isometry
-
-    def __post_init__(self):
-        if self.complement.k != self.complement.n - self.r:
-            raise DimensionError(
-                f"complement of a codimension-{self.r} corner in dimension "
-                f"{self.complement.n} needs {self.complement.n - self.r} columns"
-            )
-
-
-def random_corner(n: int, r: int, seed: int) -> CornerSpec:
-    """Haar-random corner of codimension r in dimension n."""
+def random_corner(n: int, r: int, seed: int) -> Isometry:
+    """Haar-random corner of codimension r in dimension n, as the isometry
+    onto its n - r dimensional subspace; compress(A, corner) is the corner
+    compression."""
     if not 0 <= r < n:
         raise DimensionError(f"need 0 <= r < n, got r={r}, n={n}")
     U = random_isometry(n, n, seed)
-    return CornerSpec(r=r, complement=Isometry(U.mat[:, r:]))
+    return Isometry(U.mat[:, r:])
 
 
-def corner_compress(A, corner: CornerSpec) -> HermitianTuple:
-    """The compression of the tuple to the corner's complement subspace."""
-    return compress(A, corner.complement)
-
-
-def annihilating_corner(F) -> CornerSpec:
+def annihilating_corner(F) -> Isometry:
     """A corner on which every member of a finite-rank tuple vanishes.
 
-    The complement is an orthonormal basis of the orthogonal complement of
+    The corner is an orthonormal basis of the orthogonal complement of
     the combined column span of the F_j, so Y* F_j Y = 0 identically and the
     corner compressions of A and of A + F coincide.
     """
@@ -117,8 +100,7 @@ def annihilating_corner(F) -> CornerSpec:
     # the columns of F_1, ..., F_m side by side
     U, s, _ = np.linalg.svd(F.mats.transpose(1, 0, 2).reshape(F.n, -1), full_matrices=True)
     rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
-    Y = U[:, rank:]
-    return CornerSpec(r=rank, complement=Isometry(Y))
+    return Isometry(U[:, rank:])
 
 
 @dataclass(frozen=True)
@@ -141,10 +123,8 @@ class StarCenter:
 def _restrict_certificate(A, cert: Certificate, p: int,
                           center: MatPoint) -> Certificate:
     """Certify center at level p by the first p q columns of cert's witness."""
-    X = cert.witness.mat[:, : p * center.q]
-    W = Isometry(X, tol=cert.witness.tol)
-    return Certificate(point=center, p=p, witness=W,
-                       residual=residual(A, W, p, center))
+    return certify(A, Isometry(cert.witness.mat[:, : p * center.q], tol=cert.witness.tol),
+                   p, center)
 
 
 def star_center_scalar(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
@@ -169,13 +149,12 @@ def star_center_scalar(A, p: int, q: int, opts: SolverOptions = SolverOptions())
             "the returned point may fail to be a center",
             stacklevel=2,
         )
-    out = find_scalar_point(A, k, opts)
+    out = solve_free(A, k, 1, opts)
     if isinstance(out, Rejection):
         return out
-    values, cert = out
-    center = MatPoint.scalar(values, q)
-    return StarCenter(center=center, p=p, q=q, certificate=cert,
-                      restricted=_restrict_certificate(A, cert, p, center))
+    center = MatPoint.scalar(out.point.scalar_values(), q)
+    return StarCenter(center=center, p=p, q=q, certificate=out,
+                      restricted=_restrict_certificate(A, out, p, center))
 
 
 def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
@@ -201,14 +180,13 @@ def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions())
                       restricted=_restrict_certificate(A, out, p, out.point))
 
 
-def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
-                    cross_tol: float = 1e-8) -> Certificate:
+def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float) -> Certificate:
     """Combine two A-orthogonal witnesses into one for t B + (1 - t) C.
 
-    Requires X_b* X_c and every X_b* A_j X_c to vanish within cross_tol;
+    Requires X_b* X_c and every X_b* A_j X_c to vanish within CROSS_TOL;
     then X_t = sqrt(t) X_b + sqrt(1 - t) X_c certifies the convex
     combination with residual at most t res_b + (1 - t) res_c plus a
-    cross-term contribution of order cross_tol.
+    cross-term contribution of order CROSS_TOL.
     """
     A = as_tuple(A)
     if not 0.0 <= t <= 1.0:
@@ -220,32 +198,31 @@ def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float,
         raise DimensionError("witnesses have different shapes")
     cross = frob(np.conj(Xb.T) @ Xc)
     worst = np.max([cross] + [frob(S) for S in np.conj(Xb.T) @ (A.mats @ Xc)])  # keeps NaN
-    if not worst <= cross_tol:
+    if not worst <= CROSS_TOL:
         raise CrossOrthogonalityError(
-            f"witness cross terms {worst:.3e} exceed {cross_tol:.1e}; "
+            f"witness cross terms {worst:.3e} exceed {CROSS_TOL:.1e}; "
             "re-solve the second point with deflated_solve against the first witness"
         )
     Xt = np.sqrt(t) * Xb + np.sqrt(1.0 - t) * Xc
     point = MatPoint(t * cert_b.point.blocks + (1.0 - t) * cert_c.point.blocks)
     defect_bound = max(ISO_TOL, 2.0 * np.sqrt(max(t * (1 - t), 0.0)) * cross
                        + cert_b.witness.tol + cert_c.witness.tol)
-    W = Isometry(Xt, tol=defect_bound)
-    return Certificate(point=point, p=cert_b.p, witness=W,
-                       residual=residual(A, W, cert_b.p, point))
+    return certify(A, Isometry(Xt, tol=defect_bound), cert_b.p, point)
 
 
-def deflation_corner(A, prior) -> CornerSpec:
+def deflation_corner(A, prior) -> Isometry:
     """The corner orthogonal to earlier witnesses and their A-images.
 
     The protected subspace is spanned by the columns of every prior witness
     X_r together with A_j X_r for all j; anything solved in the complement
     then has exactly vanishing cross terms X_r* X_new and X_r* A_j X_new.
-    prior is a list of Certificates; [] gives the identity corner.
+    prior is a list of Certificates; [] gives the identity corner.  Returns
+    the isometry onto the complement.
     """
     A = as_tuple(A)
     wits = [c.witness for c in prior]
     if not wits:
-        return CornerSpec(r=0, complement=Isometry(np.eye(A.n, dtype=complex)))
+        return Isometry(np.eye(A.n, dtype=complex))
     if any(W.n != A.n for W in wits):
         raise DimensionError("prior witness dimension does not match the tuple")
     # per witness the columns of X_r, A_1 X_r, ..., A_m X_r side by side
@@ -253,7 +230,7 @@ def deflation_corner(A, prior) -> CornerSpec:
                    .reshape(A.n, -1) for W in wits])
     U, s, _ = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
-    return CornerSpec(r=rank, complement=Isometry(U[:, rank:]))
+    return Isometry(U[:, rank:])
 
 
 def _check_room(n: int, left: int, need: int) -> None:
@@ -266,8 +243,7 @@ def _check_room(n: int, left: int, need: int) -> None:
         )
 
 
-def deflated_solve(A, prior, p: int, q: int,
-                   opts: SolverOptions = SolverOptions(), target: MatPoint | None = None):
+def deflated_solve(A, prior, p: int, q: int, opts: SolverOptions = SolverOptions()):
     """Solve for a range point inside the corner deflated past `prior`.
 
     prior is a list of Certificates, [] for none.
@@ -276,12 +252,11 @@ def deflated_solve(A, prior, p: int, q: int,
     """
     A = as_tuple(A)
     corner = deflation_corner(A, prior)
-    _check_room(A.n, corner.complement.k, p * q)
-    inner = compress(A, corner.complement)
-    out = solve_free(inner, p, q, opts) if target is None else membership(inner, target, p, opts)
+    _check_room(A.n, corner.k, p * q)
+    out = solve_free(compress(A, corner), p, q, opts)
     if isinstance(out, Rejection):
         return out
-    return compose_certificate(A, corner.complement, out)
+    return compose_certificate(A, corner, out)
 
 
 @dataclass(frozen=True)
@@ -320,8 +295,7 @@ def measure_cross(A, witnesses) -> float:
 
 
 def orthogonal_block_family(A, q: int, d: int,
-                            opts: SolverOptions = SolverOptions(),
-                            target: MatPoint | None = None) -> BlockFamily:
+                            opts: SolverOptions = SolverOptions()) -> BlockFamily:
     """Build d mutually A-orthogonal blocks by successive deflated solves.
 
     Stage s solves on inner = Y* A Y, Y spanning the complement of every
@@ -329,10 +303,8 @@ def orthogonal_block_family(A, q: int, d: int,
     then shrinks by the complement of x and inner_j x in corner coordinates:
     the same subspace as the complement taken in C^n, at the corner's cost.
 
-    With a target, every member certifies the same point (the deflation
-    argument shows this is always possible in large enough dimension); free
-    mode lets each stage land wherever the corner solve does.  A stage
-    failure raises DeflationError with the stage index.
+    Each stage lands wherever its corner solve does.  A stage failure raises
+    DeflationError with the stage index.
     """
     A = as_tuple(A)
     inner, Y = A, None
@@ -340,13 +312,12 @@ def orthogonal_block_family(A, q: int, d: int,
     for stage in range(d):
         _check_room(A.n, inner.n, q)
         sub = opts.replace(seed=opts.seed + 7919 * stage)
-        out = solve_free(inner, 1, q, sub) if target is None else \
-            membership(inner, target, 1, sub)
+        out = solve_free(inner, 1, q, sub)
         if isinstance(out, Rejection):
             raise DeflationError(stage, out)
         members.append(out if Y is None else compose_certificate(A, Y, out))
         if stage < d - 1:
-            Z = deflation_corner(inner, [out]).complement
+            Z = deflation_corner(inner, [out])
             inner = compress(inner, Z)
             Y = Z if Y is None else Isometry(Y.mat @ Z.mat)
     cross = measure_cross(A, [c.witness for c in members])
@@ -389,9 +360,7 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
     # column block ell sums sqrt(w_r) X_r over part ell, in part order
     X = np.hstack([np.sum(np.sqrt(w)[:, None, None] * wits[list(rs)], axis=0, initial=0.0)
                    for w, rs in zip(part.weights, part.parts)])
-    tol = max(ISO_TOL, d * family.cross_tol + 1e-12)
-    W = Isometry(X, tol=tol)
-    cert = Certificate(point=C, p=p, witness=W, residual=residual(A, W, p, C))
+    cert = certify(A, Isometry(X, tol=max(ISO_TOL, d * family.cross_tol + 1e-12)), p, C)
     return TverbergLift(certificate=cert, family=family, partition=part)
 
 

@@ -184,11 +184,10 @@ class Certificate:
     def revalidate(self, A, res_tol: float = 1e-12) -> float:
         """Recompute the residual against A and compare with the stored one;
         a recomputed residual that is not finite matches nothing."""
-        A = as_tuple(A)
         d = self.witness.defect()
         if not d <= self.witness.tol:
             raise CertificateError(f"witness defect {d:.3e} exceeds {self.witness.tol:.1e}")
-        r = residual(A, self.witness, self.p, self.point)
+        r = certify(A, self.witness, self.p, self.point).residual
         if not (np.isfinite(r) and abs(r - self.residual) <= res_tol * max(1.0, r)):
             raise CertificateError(
                 f"stored residual {self.residual:.6e} does not match recomputed {r:.6e}"
@@ -273,26 +272,28 @@ def _misfit(S: np.ndarray, p: int, q: int, target=None):
     return S - _inflate(B, p), B
 
 
-def residual(A, X: Isometry, p: int, B: MatPoint) -> float:
-    """sqrt(sum_j ||X* A_j X - I_p (x) B_j||_F^2)."""
+def certify(A, X: Isometry, p: int, point: MatPoint | None = None) -> Certificate:
+    """Wrap an explicit witness into a certificate for `point`, or for the
+    best block (the average of the diagonal blocks) when point is None.
+
+    The one place a residual sqrt(sum_j ||X* A_j X - I_p (x) B_j||_F^2) is
+    computed: every certificate the library builds, and every revalidation,
+    comes through here.
+    """
     A = as_tuple(A)
     if X.n != A.n:
         raise DimensionError(f"witness rows {X.n} do not match tuple dimension {A.n}")
-    if B.m != A.m:
-        raise DimensionError(f"point length {B.m} does not match tuple length {A.m}")
-    if X.k != p * B.q:
-        raise DimensionError(f"witness has {X.k} columns, expected p*q = {p * B.q}")
-    E, _ = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, B.q, B.blocks)
-    return float(np.sqrt(np.sum(np.abs(E) ** 2)))
-
-
-def certify(A, X: Isometry, p: int) -> Certificate:
-    """Wrap an explicit witness into a certificate for its best block."""
-    A = as_tuple(A)
     if p < 1 or X.k % p != 0:
         raise DimensionError(f"witness columns {X.k} not divisible by p = {p}")
-    E, B = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, X.k // p)
-    return Certificate(point=MatPoint(B), p=p, witness=X,
+    q = X.k // p
+    if point is not None:
+        if point.m != A.m:
+            raise DimensionError(f"point length {point.m} does not match tuple length {A.m}")
+        if point.q != q:
+            raise DimensionError(f"witness has {X.k} columns, expected p*q = {p * point.q}")
+    E, B = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, q,
+                   None if point is None else point.blocks)
+    return Certificate(point=MatPoint(B) if point is None else point, p=p, witness=X,
                        residual=float(np.sqrt(np.sum(np.abs(E) ** 2))))
 
 
@@ -302,20 +303,12 @@ def compose_certificate(A, X0: Isometry, cert: Certificate) -> Certificate:
     The new witness is X0 X; the residual is unchanged up to rounding, which
     is the compression-monotonicity property made executable.
     """
-    A = as_tuple(A)
-    if X0.n != A.n:
-        raise DimensionError(f"corner rows {X0.n} do not match tuple dimension {A.n}")
     if X0.k != cert.witness.n:
         raise DimensionError(
             f"corner columns {X0.k} do not match inner witness rows {cert.witness.n}"
         )
-    W = Isometry(X0.mat @ cert.witness.mat, tol=cert.witness.tol + 2e-10)
-    return Certificate(
-        point=cert.point,
-        p=cert.p,
-        witness=W,
-        residual=residual(A, W, cert.p, cert.point),
-    )
+    return certify(A, Isometry(X0.mat @ cert.witness.mat, tol=cert.witness.tol + 2e-10),
+                   cert.p, cert.point)
 
 
 def _adjoint(X: np.ndarray) -> np.ndarray:
@@ -658,12 +651,8 @@ def solve_jobs(A, p: int, q: int, seeds, points=None,
             out.append(Rejection(best_residual=res, restarts=opts.max_restarts,
                                  message="free solve found no feasible block" if points is None
                                  else "no witness found at the requested tolerance"))
-        elif points is None:
-            out.append(certify(a, Isometry(X), p))
         else:
-            W = Isometry(X)
-            out.append(Certificate(point=points[i], p=p, witness=W,
-                                   residual=residual(a, W, p, points[i])))
+            out.append(certify(a, Isometry(X), p, None if points is None else points[i]))
     return out
 
 
@@ -746,17 +735,6 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
         return cert
     return Rejection(best_residual=res, restarts=opts.support_restarts,
                      message="support-directed solve never reached tolerance")
-
-
-def find_scalar_point(A, k: int, opts: SolverOptions = SolverOptions()):
-    """A point (c_1, ..., c_m) with X* A_j X = c_j I_k for one isometry X.
-
-    Returns (values, Certificate) or a Rejection.
-    """
-    out = solve_free(A, p=k, q=1, opts=opts)
-    if isinstance(out, Rejection):
-        return out
-    return out.point.scalar_values(), out
 
 
 def sample_range(A, p: int, q: int, count: int,

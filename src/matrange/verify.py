@@ -21,7 +21,6 @@ import numpy as np
 
 from .constructions import (
     annihilating_corner,
-    corner_compress,
     random_corner,
     segment_witness,
     star_center_scalar,
@@ -31,15 +30,16 @@ from .feasibility import (
     MatPoint,
     Rejection,
     SolverOptions,
+    certify,
     compose_certificate,
     membership,
-    residual,
     sample_range,
     solve_jobs,
 )
 from .linalg import (
     HermitianTuple,
     as_tuple,
+    compress,
     coordinate_isometry,
 )
 from .ranges import joint_numrange_sample
@@ -120,12 +120,8 @@ def planted_star_instance(m: int, p: int, q: int, d: int, seed: int):
     mats = np.zeros((m, n, n), dtype=complex)
     mats[:, range(n), range(n)] = np.repeat(values.T, p * q, axis=1)
     A = HermitianTuple(mats)
-    certs = []
-    for r in range(d):
-        X = coordinate_isometry(n, range(r * p * q, (r + 1) * p * q))
-        point = MatPoint.scalar(values[r], q)
-        certs.append(Certificate(point=point, p=p, witness=X,
-                                 residual=residual(A, X, p, point)))
+    certs = [certify(A, coordinate_isometry(n, range(r * p * q, (r + 1) * p * q)), p,
+                     MatPoint.scalar(values[r], q)) for r in range(d)]
     return A, certs
 
 
@@ -258,7 +254,7 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
     # (trial, corner seed) of every corner of an accepted base
     jobs = [(i, seed_i + 31 * (c + 1)) for i, (seed_i, base) in enumerate(zip(seeds, bases))
             if isinstance(base, Certificate) for c in range(corners)]
-    inner = [corner_compress(tuples[i], random_corner(n, r, seed_c)) for i, seed_c in jobs]
+    inner = [compress(tuples[i], random_corner(n, r, seed_c)) for i, seed_c in jobs]
     got = iter(solve_jobs(inner, p_low, q, [seed_c for _, seed_c in jobs],
                           [bases[i].point for i, _ in jobs], opts))
     for seed_i, base in zip(seeds, bases):
@@ -351,14 +347,14 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
     for seed_i in seeds:
         F = random_finite_rank_tuple(m, n, rank, seed_i + 1)
         perturbed.append((random_hermitian_tuple(m, n, seed_i), F, annihilating_corner(F)))
-    inner = [corner_compress(A, corner) for A, _, corner in perturbed]
+    inner = [compress(A, corner) for A, _, corner in perturbed]
     for seed_i, (A, F, corner), got in zip(seeds, perturbed,
                                            solve_jobs(inner, p, q, seeds, opts=opts)):
         if isinstance(got, Rejection):
             failures.append((seed_i, f"corner solve rejected: best "
                                      f"{got.best_residual:.3e}"))
             continue
-        lifted = compose_certificate(add_tuples(A, F), corner.complement, got)
+        lifted = compose_certificate(add_tuples(A, F), corner, got)
         if not lifted.residual <= opts.accept_tol:
             failures.append((seed_i, f"perturbed residual {lifted.residual:.3e}"))
     return SuiteReport(suite="perturbation-equivalence", trials=trials, failures=tuple(failures),

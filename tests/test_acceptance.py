@@ -15,12 +15,10 @@ import numpy as np
 import pytest
 
 from matrange.cli import main
-from matrange.constructions import (corner_compress, essential_estimate,
-                                    random_corner, tverberg_lift)
-from matrange.feasibility import (Rejection, SolverOptions, find_scalar_point,
-                                  solve_support)
+from matrange.constructions import essential_estimate, random_corner, tverberg_lift
+from matrange.feasibility import Rejection, SolverOptions, solve_free, solve_support
 from matrange.io import save_tuple
-from matrange.linalg import HermitianTuple
+from matrange.linalg import HermitianTuple, compress
 from matrange.ranges import numrange_boundary, rank_k_interval
 from matrange.verify import (check_corner_inclusions, check_nonempty_bounds,
                              check_pauli_nonconvexity, check_star_shaped,
@@ -48,9 +46,9 @@ def test_rank_k_interval_oracle_agreement():
         n = int(rng.integers(4, 13))
         k = int(rng.integers(1, min(5, (n + 1) // 2) + 1))
         A = gue(1, n, seed=9000 + i)
-        out = find_scalar_point(A, k, FAST)
+        out = solve_free(A, k, 1, FAST)
         assert not isinstance(out, Rejection), f"instance {i} rejected"
-        vals, cert = out
+        vals = out.point.scalar_values()
         iv = rank_k_interval(A.mats[0], k)
         assert iv.lo - 1e-6 <= vals[0] <= iv.hi + 1e-6, f"instance {i}"
         for sgn, bound in ((1.0, iv.hi), (-1.0, iv.lo)):
@@ -121,12 +119,11 @@ def test_corner_inclusion_pass_rate():
     for t in range(10):
         diag = np.sort(rng.standard_normal(12))
         A = HermitianTuple(np.diag(diag)[None])
-        out = find_scalar_point(A, 3, FAST)
+        out = solve_free(A, 3, 1, FAST)
         assert not isinstance(out, Rejection)
-        vals, _ = out
+        vals = out.point.scalar_values()
         for j in range(5):
-            corner = random_corner(12, 1, seed=7000 + 10 * t + j)
-            B = corner_compress(A, corner)
+            B = compress(A, random_corner(12, 1, seed=7000 + 10 * t + j))
             iv = rank_k_interval(B.mats[0], 2)
             assert iv.lo - 1e-6 <= vals[0] <= iv.hi + 1e-6
             checks += 1
@@ -158,7 +155,7 @@ def test_essential_estimate_converges_and_ignores_finite_rank():
     assert abs(hi - 1.0) <= 1e-6
 
     corner = random_corner(12, 1, seed=77)
-    est2 = essential_estimate(corner_compress(A, corner), q=1, r_max=2,
+    est2 = essential_estimate(compress(A, corner), q=1, r_max=2,
                               opts=SolverOptions())
     lo2, hi2 = est2.interval()
     assert abs(lo2 - lo) <= 2e-6

@@ -185,6 +185,22 @@ class TestConstruct:
         assert doc["best_residual"] > 0.5
         assert doc["restarts"] == 6
 
+    def test_star_center_rejection_overflowing_tuple(self, tmp_path):
+        # every restart overflows, so the best residual is not finite: it is
+        # written as null and the command still exits with the rejection code
+        src = tmp_path / "huge.json"
+        save_tuple(np.full((1, 3, 3), 1e308), src)
+        out = tmp_path / "sc.json"
+        with np.errstate(all="ignore"), \
+                pytest.warns(UserWarning, match="below the star-center guarantee"):
+            rc = main(["construct", "star-center", "--input", str(src),
+                       "--p", "1", "--q", "1", "--restarts", "2", "--out", str(out)])
+        assert rc == 4
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "rejection"
+        assert doc["best_residual"] is None
+        assert doc["restarts"] == 2
+
     def test_segment(self, tmp_path, pair10):
         out = tmp_path / "seg.json"
         rc = main(["construct", "segment", "--input", pair10, "--p", "1",
@@ -410,6 +426,8 @@ class TestErrors:
         ["construct", "segment", "--input", "{pair}", "--p", "1", "--q", "1", "--t", "nan"],
         ["compute", "numrange", "--input", "{pair}", "--angles", "0"],
         ["compute", "numrange", "--input", "{pair}", "--angles", "2"],
+        ["construct", "star-center", "--input", "{pair}", "--p", "1", "--q", "1", "--seed", "-5"],
+        ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--seed", "-1"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"

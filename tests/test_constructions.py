@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from matrange.constructions import (
     BlockFamily,
-    CornerSpec,
     CrossOrthogonalityError,
     DeflationError,
     StarCenter,
     _restrict_certificate,
     annihilating_corner,
-    corner_compress,
     deflated_solve,
     deflation_corner,
     direction_set,
@@ -39,6 +37,7 @@ from matrange.linalg import (
     DimensionError,
     HermitianTuple,
     Isometry,
+    compress,
     coordinate_isometry,
     direct_sum,
     frob,
@@ -71,7 +70,7 @@ def test_random_corner_interlacing():
     ev = herm_eig(A.mats[0])[0]
     for seed in range(4):
         corner = random_corner(9, 2, seed)
-        inner = corner_compress(A, corner)
+        inner = compress(A, corner)
         mu = herm_eig(inner.mats[0])[0]
         # eigenvalues descending: lambda_{i+r} <= mu_i <= lambda_i
         for i in range(7):
@@ -81,7 +80,7 @@ def test_random_corner_interlacing():
 def test_corner_r0_is_identity():
     A = gue(2, 5, seed=62)
     corner = random_corner(5, 0, seed=0)
-    inner = corner_compress(A, corner)
+    inner = compress(A, corner)
     # unitary basis change only: spectra are preserved
     for j in range(2):
         assert np.allclose(herm_eig(inner.mats[j])[0], herm_eig(A.mats[j])[0],
@@ -89,8 +88,6 @@ def test_corner_r0_is_identity():
 
 
 def test_corner_spec_validation():
-    with pytest.raises(DimensionError):
-        CornerSpec(r=2, complement=Isometry(np.eye(5, dtype=complex)))
     with pytest.raises(DimensionError):
         random_corner(4, 4, seed=0)
 
@@ -108,16 +105,14 @@ def test_annihilating_corner_kills_finite_rank_part():
         v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
         F[j] = v @ np.conj(v.T)
     Ft = HermitianTuple(F)
-    corner = annihilating_corner(Ft)
-    assert corner.r <= 2 * rank * 2
-    Y = corner.complement
+    Y = annihilating_corner(Ft)
+    assert n - Y.k <= 2 * rank * 2
     for j in range(2):
         assert np.max(np.abs(np.conj(Y.mat.T) @ F[j] @ Y.mat)) <= 1e-10
     # compressions of A and A + F agree on that corner
     A = gue(2, n, seed=64)
     AF = HermitianTuple(A.mats + F)
-    assert np.allclose(corner_compress(A, corner).mats,
-                       corner_compress(AF, corner).mats, atol=1e-10)
+    assert np.allclose(compress(A, Y).mats, compress(AF, Y).mats, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +252,7 @@ def test_segment_witness_after_deflation():
        coupling=st.sampled_from([0.0, 1e-12, 1e-10, 1e-9]))
 def test_segment_witness_within_stated_residual_bound(seed, m, p, q, extra, t, coupling):
     # witnesses on the two halves of A1 (+) A2, rotated by a unitary V, with a
-    # coupling small enough to pass cross_tol: the segment witness must stay
+    # coupling small enough to pass CROSS_TOL: the segment witness must stay
     # within t res_b + (1 - t) res_c plus the cross-term allowance
     # 2 sqrt(t (1 - t)) ||(X_b* A_j X_c)_j||
     k, h = p * q, p * q + extra
@@ -316,8 +311,7 @@ def test_segment_witness_validation():
 def test_deflation_corner_empty_prior():
     A = gue(2, 6, seed=70)
     corner = deflation_corner(A, [])
-    assert corner.r == 0
-    assert corner.complement.k == 6
+    assert A.n - corner.k == 0
 
 
 def test_deflated_solve_orthogonality():
@@ -352,21 +346,11 @@ def test_orthogonal_block_family_free_mode():
         c.revalidate(A)
 
 
-def test_orthogonal_block_family_target_mode():
-    A = diag_tuple(np.arange(1.0, 13.0))
-    target = MatPoint.scalar(np.array([6.5]), 1)
-    fam = orthogonal_block_family(A, 1, 3, SolverOptions(seed=0), target=target)
-    for c in fam.members:
-        assert abs(c.point.scalar_values()[0] - 6.5) <= 1e-8
-    assert fam.cross_tol <= 1e-10
-
-
 def test_orthogonal_block_family_stage_failure():
+    # no restart, no witness: the first stage fails with an infinite residual
     A = diag_tuple(np.arange(1.0, 5.0))
-    target = MatPoint.scalar(np.array([100.0]), 1)
     with pytest.raises(DeflationError) as exc:
-        orthogonal_block_family(A, 1, 2, SolverOptions(seed=0, max_restarts=3),
-                                target=target)
+        orthogonal_block_family(A, 1, 2, SolverOptions(seed=0, max_restarts=0))
     assert exc.value.stage == 0
     assert isinstance(exc.value.rejection, Rejection)
     assert exc.value.rejection.best_residual >= 1.0
@@ -392,7 +376,7 @@ def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, seed):
     A = gue(m, d * q * (m + 1) + q + extra, seed)
     fam = orthogonal_block_family(A, q, d, SolverOptions(seed=seed % 1000))
     for s in range(1, d):
-        Y = deflation_corner(A, list(fam.members[:s])).complement.mat
+        Y = deflation_corner(A, list(fam.members[:s])).mat
         X = fam.members[s].witness.mat
         assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
 

@@ -19,10 +19,8 @@ from matrange.feasibility import (
     _polish,
     certify,
     compose_certificate,
-    find_scalar_point,
     flatten_blocks,
     membership,
-    residual,
     sample_range,
     solve_free,
     solve_support,
@@ -190,7 +188,7 @@ def test_residual_and_best_block_planted():
     B = random_matpoint(2, 2, 3)
     A = kron_block(3, HermitianTuple(B.blocks))
     X = Isometry(np.eye(6, dtype=complex))
-    assert residual(A, X, 3, B) <= 1e-14
+    assert certify(A, X, 3, B).residual <= 1e-14
     got = certify(A, X, 3).point
     assert frob(got.blocks - B.blocks) <= 1e-12
 
@@ -200,7 +198,7 @@ def test_certify_returns_best_block():
     X = random_isometry(8, 2, seed=2)
     cert = certify(A, X, 2)
     # the averaged block minimizes the residual for this witness
-    assert cert.residual <= residual(A, X, 2, random_matpoint(2, 1, 9)) + 1e-12
+    assert cert.residual <= certify(A, X, 2, random_matpoint(2, 1, 9)).residual + 1e-12
 
 
 def test_certificate_revalidation_detects_tampering():
@@ -264,19 +262,18 @@ def test_find_scalar_point_in_interval():
         n = int(rng.integers(5, 12))
         k = int(rng.integers(1, (n + 1) // 2 + 1))
         A = gue(1, n, seed=100 + t)
-        out = find_scalar_point(A, k, SolverOptions(seed=t))
+        out = solve_free(A, k, 1, SolverOptions(seed=t))
         assert not isinstance(out, Rejection)
-        values, cert = out
         iv = rank_k_interval(A.mats[0], k)
-        assert iv.contains(values[0], tol=1e-6)
-        assert cert.p == k
+        assert iv.contains(out.point.scalar_values()[0], tol=1e-6)
+        assert out.p == k
 
 
 def test_scalar_tuple_everything_collapses():
     A = HermitianTuple(np.stack([2.0 * np.eye(5, dtype=complex),
                                  -1.0 * np.eye(5, dtype=complex)]))
-    values, cert = find_scalar_point(A, 3, SolverOptions(seed=0))
-    assert np.allclose(values, [2.0, -1.0], atol=1e-10)
+    cert = solve_free(A, 3, 1, SolverOptions(seed=0))
+    assert np.allclose(cert.point.scalar_values(), [2.0, -1.0], atol=1e-10)
     assert cert.residual <= 1e-10
 
 
@@ -310,7 +307,6 @@ def test_support_refuses_overflowing_scale():
 @pytest.mark.parametrize("call", [
     lambda A: solve_free(A, 0, 1),
     lambda A: solve_free(A, 1, 0),
-    lambda A: find_scalar_point(A, 0),
     lambda A: sample_range(A, 0, 1, 2),
     lambda A: solve_support(A, 0, 1, [1.0, 0.0]),
     lambda A: membership(A, MatPoint.scalar(np.zeros(2), 1), 0),
@@ -318,9 +314,10 @@ def test_support_refuses_overflowing_scale():
     lambda A: certify(A, random_isometry(8, 2, seed=1), 0),
     lambda A: sample_range(A, 2, 1, -1),
     lambda A: essential_estimate(A, 1, 2, n_free=-2),
-], ids=["free-p0", "free-q0", "scalar-k0", "sample-p0", "support-p0",
+    lambda A: certify(A, random_isometry(7, 2, seed=1), 1),
+], ids=["free-p0", "free-q0", "sample-p0", "support-p0",
         "membership-p0", "essential-dirs0", "certify-p0", "sample-count-neg",
-        "essential-free-neg"])
+        "essential-free-neg", "certify-rows"])
 def test_zero_dimensions_refused(call):
     with pytest.raises(DimensionError):
         call(gue(2, 8, seed=3))
@@ -552,7 +549,7 @@ def test_polish_memory_bounded():
         tracemalloc.stop()
     assert peak <= 128 * 2**20, f"polish peaked at {peak / 2**20:.1f} MiB"
     assert np.sqrt(R2) <= SolverOptions().accept_tol
-    assert residual(A, Isometry(X), 1, MatPoint(target)) <= 1e-8
+    assert certify(A, Isometry(X), 1, MatPoint(target)).residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +614,7 @@ def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
     X0 = Isometry(_qr_fix(X_exact + kick * T / frob(T)))
     monkeypatch.setattr(feasibility, "random_isometry", lambda n, k, seed: X0)
     opts = SolverOptions(max_restarts=1, max_iters=0)
-    start = residual(A, X0, 1, point)
+    start = certify(A, X0, 1, point).residual
     assert (start <= feasibility.POLISH_GATE * opts.accept_tol) == polished
     got = membership(A, point, 1, opts)
     if polished:
@@ -642,8 +639,20 @@ certificate_shapes = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
 def test_certify_revalidates_to_stored_residual(seed, m, p, q, extra):
     n = p * q + extra
     A = gue(m, n, seed)
-    cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    X = random_isometry(n, p * q, seed + 1)
+    cert = certify(A, X, p)
     assert cert.revalidate(A) == cert.residual
+    # both modes against plain numpy: the best block is the mean B of the
+    # diagonal blocks, and the given-point mode is checked at B and at an
+    # unrelated point
+    S = np.conj(X.mat.T) @ A.mats @ X.mat
+    mean = sum(S[:, i * q:(i + 1) * q, i * q:(i + 1) * q] for i in range(p)) / p
+    B = MatPoint(0.5 * (mean + np.conj(np.swapaxes(mean, 1, 2))))
+    C = random_matpoint(m, q, seed)
+    for got, point in ((cert, B), (certify(A, X, p, B), B), (certify(A, X, p, C), C)):
+        ref = np.sqrt(sum(np.linalg.norm(S[j] - np.kron(np.eye(p), point.blocks[j])) ** 2
+                          for j in range(m)))
+        assert abs(got.residual - ref) <= 1e-12 * ref + 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -691,5 +700,5 @@ def test_unitary_covariance(seed, m, p, q, extra, scale, solved):
     moved = Certificate(point=cert.point, p=p, witness=Isometry(np.conj(U.T) @ cert.witness.mat),
                         residual=cert.residual)
     tol = 1e-12 * max(1.0, frob(A.mats))
-    assert abs(residual(B, moved.witness, p, moved.point) - cert.residual) <= tol
+    assert abs(certify(B, moved.witness, p, moved.point).residual - cert.residual) <= tol
     moved.revalidate(B, res_tol=tol)

@@ -1,0 +1,41 @@
+"""Source hygiene: every module of the package uses each name it imports.
+
+`__init__.py` is exempt, since its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import matrange
+
+PACKAGE = Path(matrange.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a; `import a.b as c` and `from a import b` bind their names
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_checker_sees_an_unused_import():
+    assert unused_imports("import os\nimport numpy as np\nfrom a.b import c, d\nnp.ones(c)\n") \
+        == ["line 1: os", "line 3: d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
