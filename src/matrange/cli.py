@@ -20,6 +20,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .constructions import (
     DeflationError,
     deflated_solve,
@@ -452,7 +454,10 @@ def parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        # a tuple whose entries overflow is reported through its residuals
+        # (written as null), not through numpy's floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except FileNotFoundError as e:
         print(f"error: cannot read {e.filename}", file=sys.stderr)
         return EXIT_PARSE

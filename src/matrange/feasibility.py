@@ -35,6 +35,7 @@ samples, as lanes of shared stacks.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,7 +68,17 @@ NONMONOTONE_ETA = 0.85
 # over STAGNATION_WINDOW accepted steps
 STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-16
-SUPPORT_KICK = 1e-5  # tangent kick between support penalty stages
+# iteration cap of a restart's descent, and of the feasibility descent that
+# ends a support-directed solve
+MAX_ITERS = 2000
+# support-directed solves: SUPPORT_STAGES penalty stages of SUPPORT_STAGE_ITERS
+# iterations each, mu growing SUPPORT_GROWTH-fold between stages, with a
+# tangent kick of SUPPORT_KICK; SUPPORT_RESTARTS restarts per direction
+SUPPORT_STAGES = 9
+SUPPORT_GROWTH = 8.0
+SUPPORT_STAGE_ITERS = 150
+SUPPORT_RESTARTS = 2
+SUPPORT_KICK = 1e-5
 # Gauss-Newton converges only locally: a lane that stalls above accept_tol is
 # polished (POLISH_ITERS steps at most) only when its residual is at most
 # POLISH_GATE * accept_tol; lanes further out keep the descent's answer
@@ -204,17 +215,20 @@ class Rejection:
     message: str = ""
 
 
+# what a caller chooses; the descent and penalty schedule are the constants above
 @dataclass(frozen=True)
 class SolverOptions:
     accept_tol: float = 1e-8
     max_restarts: int = 50
-    max_iters: int = 2000
     seed: int = 0
-    # support-directed solves: penalty schedule and restart count
-    support_stages: int = 9
-    support_growth: float = 8.0
-    support_stage_iters: int = 150
-    support_restarts: int = 2
+
+    def __post_init__(self):
+        if not 0.0 < self.accept_tol < np.inf:
+            raise ValueError(f"accept_tol must be positive and finite, got {self.accept_tol!r}")
+        for name in ("max_restarts", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
     def replace(self, **kw) -> "SolverOptions":
         return dataclasses.replace(self, **kw)
@@ -609,7 +623,7 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]
         X0 = np.array([random_isometry(tuples[0].n, k, bases[i] + r).mat for i, r in wave])
-        X, _, R2 = _descend(Amats, X0, p, q, opts, opts.max_iters, target=target,
+        X, _, R2 = _descend(Amats, X0, p, q, opts, MAX_ITERS, target=target,
                             job=np.array([i for i, _ in wave]))
         for l, (i, r) in enumerate(wave):
             if out[i][0] is not None:  # an earlier restart of job i succeeded
@@ -683,7 +697,7 @@ def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,
     no restart reached accept_tol) and the smallest residual reached.
     """
     k = _witness_columns(A, p, q)
-    R = opts.support_restarts
+    R = SUPPORT_RESTARTS
     seeds = [b + r for b in bases for r in range(R)]
     if not seeds:
         return [(None, np.inf)] * len(bases)
@@ -693,15 +707,15 @@ def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,
     if not np.isfinite(scale):
         raise DimensionError("tuple norm overflows; rescale it for a support-directed solve")
     mu = 1.0 / scale
-    for stage in range(opts.support_stages):
-        X, _, R2 = _descend(A.mats, X, p, q, opts, opts.support_stage_iters,
+    for stage in range(SUPPORT_STAGES):
+        X, _, R2 = _descend(A.mats, X, p, q, opts, SUPPORT_STAGE_ITERS,
                             direction=U, mu=mu)
-        mu *= opts.support_growth
-        if stage < opts.support_stages - 1:
+        mu *= SUPPORT_GROWTH
+        if stage < SUPPORT_STAGES - 1:
             X = _tangent_kick(X, SUPPORT_KICK, [s * 1000003 + stage for s in seeds],
                               R2 > 1e-24)
     X = _tangent_kick(X, SUPPORT_KICK * 1e-2, [s * 1000003 + 999983 for s in seeds])
-    X, _, R2 = _descend(A.mats, X, p, q, opts, opts.max_iters)
+    X, _, R2 = _descend(A.mats, X, p, q, opts, MAX_ITERS)
     out = []
     for i, u in enumerate(directions):
         best_cert, best_val, best_res = None, -np.inf, np.inf
@@ -724,7 +738,7 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
     minimize mu * R^2 - <direction, B> for an increasing schedule of mu, with
     a small seeded tangent kick between stages (stages can otherwise park on
     exactly stationary invariant subspaces), then a pure feasibility polish.
-    The support_restarts restarts run as lanes of one stack.  Returns the
+    The SUPPORT_RESTARTS restarts run as lanes of one stack.  Returns the
     feasible certificate with the largest support value, or a Rejection if
     no restart reached accept_tol.
     """
@@ -733,7 +747,7 @@ def solve_support(A, p: int, q: int, direction, opts: SolverOptions = SolverOpti
     [(cert, res)] = _support_lanes(A, p, q, [direction], [opts.seed], opts)
     if cert is not None:
         return cert
-    return Rejection(best_residual=res, restarts=opts.support_restarts,
+    return Rejection(best_residual=res, restarts=SUPPORT_RESTARTS,
                      message="support-directed solve never reached tolerance")
 
 

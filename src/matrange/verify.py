@@ -304,14 +304,13 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
 
 def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
                              n_samples: int = 10000,
-                             floor: float = 0.5,
-                             restarts: int = 200) -> SuiteReport:
+                             floor: float = 0.5) -> SuiteReport:
     """The joint range of the Pauli triple is the unit sphere, so the
     midpoint of antipodal points, the origin, must be rejected hard.
 
     Trial 1: every sampled range point has norm 1 to 1e-10.  Trial 2: origin
     membership fails with best residual at least `floor` across the restart
-    budget.  Both are positive assertions about nonconvexity.
+    budget opts.max_restarts.  Both are positive assertions about nonconvexity.
     """
     A = pauli_tuple()
     failures = []
@@ -320,7 +319,7 @@ def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
     if not dev <= 1e-10:
         failures.append((opts.seed, f"sample norm deviates by {dev:.3e}"))
     origin = MatPoint(np.zeros((3, 1, 1)))
-    got = membership(A, origin, 1, opts.replace(max_restarts=restarts))
+    got = membership(A, origin, 1, opts)
     if not isinstance(got, Rejection):
         failures.append((opts.seed, f"origin certified at residual "
                                     f"{got.residual:.3e}; sphere is not convex"))
@@ -329,7 +328,7 @@ def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
                                     f"{got.best_residual:.3e} < {floor}"))
     return SuiteReport(suite="pauli-nonconvexity", trials=2, failures=tuple(failures),
                        tolerances={"norm_tol": 1e-10, "floor": floor,
-                                   "restarts": restarts, "n_samples": n_samples})
+                                   "restarts": opts.max_restarts, "n_samples": n_samples})
 
 
 def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,

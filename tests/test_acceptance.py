@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matrange.feasibility as feasibility
 from matrange.cli import main
 from matrange.constructions import essential_estimate, random_corner, tverberg_lift
 from matrange.feasibility import Rejection, SolverOptions, solve_free, solve_support
@@ -25,10 +26,18 @@ from matrange.verify import (check_corner_inclusions, check_nonempty_bounds,
                              pauli_tuple, planted_star_instance,
                              random_hermitian_tuple, spiked_diagonal)
 
-# light restart schedule; the quadratic polish supplies the final accuracy
-FAST = SolverOptions(max_restarts=8, max_iters=400, support_stages=4,
-                     support_stage_iters=50, support_growth=15.0,
-                     support_restarts=1)
+# light restart budget; the quadratic polish supplies the final accuracy
+FAST = SolverOptions(max_restarts=8)
+
+
+@pytest.fixture
+def fast_schedule(monkeypatch):
+    """A short descent and penalty schedule: fewer and shorter stages with
+    steeper growth, one support restart."""
+    for name, value in (("MAX_ITERS", 400), ("SUPPORT_STAGES", 4),
+                        ("SUPPORT_STAGE_ITERS", 50), ("SUPPORT_GROWTH", 15.0),
+                        ("SUPPORT_RESTARTS", 1)):
+        monkeypatch.setattr(feasibility, name, value)
 
 
 def gue(m, n, seed):
@@ -37,7 +46,7 @@ def gue(m, n, seed):
     return HermitianTuple((G + np.conj(np.transpose(G, (0, 2, 1)))) / (2 * np.sqrt(n)))
 
 
-def test_rank_k_interval_oracle_agreement():
+def test_rank_k_interval_oracle_agreement(fast_schedule):
     """100 random Hermitian matrices: scalar points land in the eigenvalue
     interval, directed solves approach both endpoints."""
     start = time.perf_counter()
@@ -167,11 +176,12 @@ def test_pauli_midpoint_rejected_samples_on_sphere():
     """The sphere ensemble: 10^4 sampled points have unit norm, and the
     origin is rejected with a large residual floor across 200 restarts."""
     start = time.perf_counter()
-    report = check_pauli_nonconvexity(n_samples=10000, floor=0.5,
-                                      restarts=200)
+    report = check_pauli_nonconvexity(SolverOptions(max_restarts=200),
+                                      n_samples=10000, floor=0.5)
     assert report.trials == 2
     assert report.passes == 2, report.failures
     assert report.tolerances["norm_tol"] <= 1e-10
+    assert report.tolerances["restarts"] == 200
     assert time.perf_counter() - start < 60.0
 
 

@@ -4,13 +4,18 @@ Every invocation goes through matrange.cli.main(argv) in-process, so exit
 codes and emitted documents are checked without spawning subprocesses.
 """
 
+import argparse
+import dataclasses
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
+from matrange.feasibility import SolverOptions
 from matrange.io import save_tuple, save_report
 from matrange.linalg import HermitianTuple
 from matrange.verify import SuiteReport, pauli_tuple
@@ -201,6 +206,29 @@ class TestConstruct:
         assert doc["best_residual"] is None
         assert doc["restarts"] == 2
 
+    def test_overflowing_tuple_writes_no_numpy_warnings(self, tmp_path, capsys):
+        # warnings are shown on stderr as Python shows them by default; the
+        # overflow is reported through the residuals, and only the
+        # star-center guarantee warning reaches stderr
+        src = tmp_path / "huge.json"
+        save_tuple(np.full((1, 3, 3), 1e308), src)
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = show
+            rc_center = main(["construct", "star-center", "--input", str(src),
+                              "--p", "1", "--q", "1", "--restarts", "2",
+                              "--out", str(tmp_path / "sc.json")])
+            rc_sample = main(["sample", "pq", "--input", str(src), "--p", "1", "--q", "1",
+                              "--count", "2", "--out", str(tmp_path / "cloud.json")])
+        assert (rc_center, rc_sample) == (4, 0)
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.count("Warning: ") == 1 and "below the star-center guarantee" in err
+
     def test_segment(self, tmp_path, pair10):
         out = tmp_path / "seg.json"
         rc = main(["construct", "segment", "--input", pair10, "--p", "1",
@@ -307,6 +335,14 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["passes"] == 2
+
+    def test_convexity_pauli_ensemble_records_restarts(self, tmp_path):
+        # --restarts is the budget of the origin's membership solve
+        out = tmp_path / "r.json"
+        rc = main(["verify", "convexity", "--ensemble", "pauli", "--restarts", "7",
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["tolerances"]["restarts"] == 7
 
     def test_convexity_failure_exit_code(self, tmp_path, pauli_file):
         # midpoints of sphere points are interior, so membership must fail
@@ -456,6 +492,13 @@ ENTRIES = [(group, op) for group, ops in COMMANDS.items() for op in ops]
 
 
 class TestParser:
+    def test_every_solver_option_is_set_by_a_command(self):
+        # a SolverOptions field that no flag reaches is schedule, not an option
+        args = argparse.Namespace(accept_tol=1e-6, restarts=7, seed=3)
+        got, default = cli._opts(args), SolverOptions()
+        for f in dataclasses.fields(SolverOptions):
+            assert getattr(got, f.name) != getattr(default, f.name), f.name
+
     @pytest.mark.parametrize("group,op", ENTRIES)
     def test_command_parser_matches_full_tree(self, group, op):
         for argv in (minimal_argv(group, op), minimal_argv(group, op) + ["--seed", "3"]):

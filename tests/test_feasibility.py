@@ -75,6 +75,20 @@ def test_zero_restarts_reject_with_infinite_residual():
         assert got.best_residual == np.inf and got.restarts == 0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("accept_tol", np.nan), ("accept_tol", np.inf), ("accept_tol", 0.0),
+    ("accept_tol", -1e-8), ("max_restarts", -3), ("max_restarts", True),
+    ("max_restarts", 2.0), ("seed", -1), ("seed", False), ("seed", 0.5),
+])
+def test_solver_options_refuse_what_the_cli_refuses(field, value):
+    # a NaN tolerance accepts nothing and an infinite one everything; a
+    # negative budget or seed has no meaning
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        SolverOptions().replace(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -347,6 +361,22 @@ def test_descent_retraction_count(monkeypatch):
     assert supported <= 7000, supported
 
 
+@pytest.mark.parametrize("restarts", [None, 3])
+def test_support_rejection_reports_its_restarts(monkeypatch, restarts):
+    # with no descent at all no restart reaches accept_tol; the schedule is
+    # read when the solve runs, so patched constants take effect
+    monkeypatch.setattr(feasibility, "MAX_ITERS", 0)
+    monkeypatch.setattr(feasibility, "SUPPORT_STAGE_ITERS", 0)
+    if restarts is not None:
+        monkeypatch.setattr(feasibility, "SUPPORT_RESTARTS", restarts)
+    opts = SolverOptions(seed=0)
+    out = solve_support(gue(2, 8, 0), 2, 1, [0.6, 0.8], opts)
+    assert isinstance(out, Rejection)
+    assert out.restarts == feasibility.SUPPORT_RESTARTS == (restarts or 2)
+    assert out.message == "support-directed solve never reached tolerance"
+    assert feasibility.POLISH_GATE * opts.accept_tol < out.best_residual < np.inf
+
+
 # ---------------------------------------------------------------------------
 # spectral outer bound
 
@@ -602,7 +632,7 @@ def test_interlacing_infeasible_membership_skips_polish(monkeypatch):
 
 @pytest.mark.parametrize("kick,polished", [(1e-6, True), (1e-2, False)])
 def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
-    # the only start lies `kick` away from an exact witness and max_iters = 0
+    # the only start lies `kick` away from an exact witness and MAX_ITERS = 0
     # stalls it there: within the gate the polish alone reaches accept_tol,
     # outside it the start's residual is reported unpolished
     starts = count_polish(monkeypatch)
@@ -613,7 +643,8 @@ def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
     T = feasibility._tangent(X_exact, rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
     X0 = Isometry(_qr_fix(X_exact + kick * T / frob(T)))
     monkeypatch.setattr(feasibility, "random_isometry", lambda n, k, seed: X0)
-    opts = SolverOptions(max_restarts=1, max_iters=0)
+    monkeypatch.setattr(feasibility, "MAX_ITERS", 0)
+    opts = SolverOptions(max_restarts=1)
     start = certify(A, X0, 1, point).residual
     assert (start <= feasibility.POLISH_GATE * opts.accept_tol) == polished
     got = membership(A, point, 1, opts)

@@ -115,7 +115,8 @@ def serial_first_success(A, p, q, opts, target=None):
     best = np.inf
     for r in range(opts.max_restarts):
         X0 = feasibility.random_isometry(A.n, k, opts.seed + r)
-        X, _, R2 = serial_descend(A.mats, X0.mat, p, q, opts, opts.max_iters, target=target)
+        X, _, R2 = serial_descend(A.mats, X0.mat, p, q, opts, feasibility.MAX_ITERS,
+                                  target=target)
         if opts.accept_tol < np.sqrt(R2) <= POLISH_GATE * opts.accept_tol:
             X, R2 = _polish(A.mats, X, p, q, opts, target=target)
         res = float(np.sqrt(R2))
@@ -272,19 +273,21 @@ def test_jobs_on_own_tuples_and_targets_match_each_alone(seed, m, p, q, extra, j
         if j % 2 == 0 else MatPoint(hermitian_blocks(m, q, seed + 100 + j))
         for j in range(jobs)]
     seeds = [seed + 1000 * j for j in range(jobs)]
-    opts = SolverOptions(max_restarts=3, max_iters=60)
+    opts = SolverOptions(max_restarts=3)
     with pytest.MonkeyPatch.context() as mp:
-        if size is not None:
-            mp.setattr(feasibility, "LANE_ENTRIES", m * (n * p * q + n * n) * size)
-        together = solve_jobs(tuples, p, q, seeds, points, opts)
-    for j, got in enumerate(together):
-        one = opts.replace(seed=seeds[j])
-        alone = solve_free(tuples[j], p, q, one) if free \
-            else membership(tuples[j], points[j], p, one)
-        assert type(got) is type(alone)
-        if isinstance(got, Rejection):
-            assert got == alone
-        else:
-            assert np.array_equal(got.witness.mat, alone.witness.mat)
-            assert np.array_equal(got.point.blocks, alone.point.blocks)
-            assert got.residual == alone.residual
+        mp.setattr(feasibility, "MAX_ITERS", 60)
+        with pytest.MonkeyPatch.context() as lanes:
+            if size is not None:
+                lanes.setattr(feasibility, "LANE_ENTRIES", m * (n * p * q + n * n) * size)
+            together = solve_jobs(tuples, p, q, seeds, points, opts)
+        for j, got in enumerate(together):
+            one = opts.replace(seed=seeds[j])
+            alone = solve_free(tuples[j], p, q, one) if free \
+                else membership(tuples[j], points[j], p, one)
+            assert type(got) is type(alone)
+            if isinstance(got, Rejection):
+                assert got == alone
+            else:
+                assert np.array_equal(got.witness.mat, alone.witness.mat)
+                assert np.array_equal(got.point.blocks, alone.point.blocks)
+                assert got.residual == alone.residual

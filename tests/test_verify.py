@@ -180,8 +180,8 @@ def test_convexity_single_hermitian():
 
 
 def test_pauli_nonconvexity():
-    rep = check_pauli_nonconvexity(SolverOptions(seed=0), n_samples=2000,
-                                   restarts=30)
+    rep = check_pauli_nonconvexity(SolverOptions(seed=0, max_restarts=30),
+                                   n_samples=2000)
     assert rep.trials == 2
     assert rep.passes == 2
     assert rep.failures == ()
