@@ -67,7 +67,8 @@ EXIT_THRESHOLD = 5
 
 
 class UsageError(Exception):
-    """An invalid command line; reported in one line with exit code 2."""
+    """An invalid command line or an unwritable output; reported in one line
+    with exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,11 +98,14 @@ finite_float = checked(float, math.isfinite, "a finite number")
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out_path or 'stdout'}: {e.strerror}") from None
 
 
 def _opts(args) -> SolverOptions:
@@ -458,8 +462,8 @@ def main(argv=None) -> int:
         # (written as null), not through numpy's floating-point warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:  # _emit reports its own failures as writes
+        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, ParseError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)

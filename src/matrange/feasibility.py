@@ -64,10 +64,13 @@ ARMIJO_MAX_BACKTRACKS = 60
 BB_MIN = 1e-10
 BB_MAX = 1e10
 NONMONOTONE_ETA = 0.85
-# descent stops when the best objective so far drops less than STAGNATION_TOL
-# over STAGNATION_WINDOW accepted steps
-STAGNATION_WINDOW = 50
-STAGNATION_TOL = 1e-16
+# a target or free descent stops when the best objective so far drops by less
+# than STAGNATION_REL times itself over STAGNATION_WINDOW accepted steps (no
+# absolute floor: lanes converging through h ~ 1e-14 keep going); a support
+# descent, when it drops by less than 1e-13 * max(1, |best|) over SUPPORT_WINDOW
+STAGNATION_WINDOW = 10
+STAGNATION_REL = 1e-12
+SUPPORT_WINDOW = 50
 # iteration cap of a restart's descent, and of the feasibility descent that
 # ends a support-directed solve
 MAX_ITERS = 2000
@@ -401,7 +404,10 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     stagnation history as Python floats.  The live lanes share the
     iteration count, and with it the BB parity and Q.  A lane that stops
     (converged, vanishing gradient, backtracking exhausted, stagnated) is
-    stored and dropped from the stack.
+    stored and dropped from the stack.  Stagnated means the running best
+    objective fell by less than STAGNATION_REL times itself over the last
+    STAGNATION_WINDOW accepted steps, or in support mode by less than
+    1e-13 * max(1, |best|) over the last SUPPORT_WINDOW.
     """
     support = U is not None
     IpU = _inflate(U, p) if support else None
@@ -418,7 +424,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
 
     (X, AX, E, B), h, R2 = evaluate(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
-    W = STAGNATION_WINDOW
+    W = SUPPORT_WINDOW if support else STAGNATION_WINDOW
     ids = list(range(len(X)))
     C, Q = list(h), 1.0
     hist = [deque([v], maxlen=W + 1) for v in h]  # running best objective
@@ -498,7 +504,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
             best = hist[i]
             best.append(min(best[-1], h[i]))
             if len(best) > W:
-                limit = 1e-13 * max(1.0, abs(best[-1])) if support else STAGNATION_TOL
+                limit = 1e-13 * max(1.0, abs(best[-1])) if support else STAGNATION_REL * best[-1]
                 stop[i] = stop[i] or best[0] - best[-1] < limit
             stop[i] = stop[i] or (not support and R2[i] <= tol2)
     parked.append((ids, X, B, R2))

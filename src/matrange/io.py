@@ -36,7 +36,7 @@ FLATTEN_TAG = "hermitian-diag-sqrt2-offdiag"
 
 
 class ParseError(ValueError):
-    """File is not valid JSON; carries the byte offset of the failure."""
+    """File is not valid UTF-8 JSON; carries the byte offset of the failure."""
 
     def __init__(self, message: str, pos: int):
         self.pos = pos
@@ -59,13 +59,18 @@ def _reject_constant(name):
 def _loads(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, e.pos) from None
+    except json.JSONDecodeError as e:  # e.pos counts characters, not bytes
+        raise ParseError(e.msg, len(text[:e.pos].encode("utf-8"))) from None
 
 
 def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; ParseError at the offset of its first non-UTF-8 byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason}", e.start) from None
 
 
 def _write(path, doc) -> None:

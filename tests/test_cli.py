@@ -378,6 +378,31 @@ class TestErrors:
                    "--out", str(tmp_path / "bd.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,verb", [("--input", "read"), ("--out", "write")])
+    def test_directory_path(self, tmp_path, capsys, diag9, flag, verb):
+        args = {"--input": diag9, "--out": str(tmp_path / "bd.json")}
+        args[flag] = str(tmp_path)
+        rc = main(["compute", "numrange", *(a for kv in args.items() for a in kv)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot {verb} {tmp_path}: ")
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_in_missing_directory(self, tmp_path, capsys, diag9, flag):
+        out = tmp_path / "no" / "bd"
+        args = {"--input": diag9, "--out": str(tmp_path / "bd.json"), flag: str(out)}
+        rc = main(["compute", "numrange", *(a for kv in args.items() for a in kv)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        src = tmp_path / "latin1.json"
+        src.write_bytes(b'{"schema_version":"1","kind":"tupl\xe9"}\n')
+        rc = main(["compute", "numrange", "--input", str(src),
+                   "--out", str(tmp_path / "bd.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: not UTF-8 text: invalid continuation byte (byte 34)\n"
+
     def test_corrupt_json(self, tmp_path):
         src = tmp_path / "bad.json"
         src.write_text("{oops")

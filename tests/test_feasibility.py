@@ -630,6 +630,24 @@ def test_interlacing_infeasible_membership_skips_polish(monkeypatch):
     assert starts == []
 
 
+@pytest.mark.parametrize("n,p,q,delta", [
+    (8, 2, 1, 0.05), (12, 2, 1, 0.05), (12, 1, 2, 0.3),
+    (10, 3, 1, 0.1), (9, 1, 3, 0.02), (14, 2, 2, 0.1),
+])
+def test_rejection_reaches_interlacing_optimum(n, p, q, delta):
+    # a compression's eigenvalues mu_i lie below the lambda_i of A_1 (both in
+    # decreasing order), so the closest any compression gets to x I_pq is
+    # r* = sqrt(sum_{i <= pq} max(0, x - lambda_i)^2), and the interlacing
+    # bounds are attained; a stalled restart must stop there, not short of it
+    A = gue(1, n, seed=n + 10 * p + 100 * q)
+    lam = np.linalg.eigvalsh(A.mats[0])[::-1]
+    x = lam[p * q - 1] + delta
+    optimum = np.sqrt(np.sum(np.maximum(0.0, x - lam[:p * q]) ** 2))
+    got = membership(A, MatPoint.scalar([x], q), p, SolverOptions(max_restarts=6, seed=n))
+    assert isinstance(got, Rejection)
+    assert abs(got.best_residual / optimum - 1) <= 1e-10
+
+
 @pytest.mark.parametrize("kick,polished", [(1e-6, True), (1e-2, False)])
 def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
     # the only start lies `kick` away from an exact witness and MAX_ITERS = 0

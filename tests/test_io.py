@@ -234,6 +234,25 @@ def test_truncated_file_is_parse_error(tmp_path):
     assert exc.value.pos > 0
 
 
+def test_parse_error_offset_counts_bytes(tmp_path):
+    f = tmp_path / "a.json"
+    f.write_text('{"kind":"\u00e9\u20ac" oops}', encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_tuple(f)
+    assert exc.value.pos == len('{"kind":"\u00e9\u20ac" '.encode("utf-8")) == 16
+
+
+@pytest.mark.parametrize("at", [0, 40])
+def test_non_utf8_file_is_parse_error_at_its_byte(tmp_path, at):
+    f = tmp_path / "a.json"
+    save_tuple(herm(3, seed=4), f)
+    raw = f.read_bytes()
+    f.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_tuple(f)
+    assert exc.value.pos == at
+
+
 def test_nonfinite_rejection_both_paths(tmp_path):
     f = tmp_path / "nan.json"
     # the JSON constant path

@@ -14,8 +14,9 @@ from matrange.feasibility import (
     BB_MIN,
     NONMONOTONE_ETA,
     POLISH_GATE,
-    STAGNATION_TOL,
+    STAGNATION_REL,
     STAGNATION_WINDOW,
+    SUPPORT_WINDOW,
     MatPoint,
     Rejection,
     SolverOptions,
@@ -46,7 +47,8 @@ def hermitian_blocks(m, q, seed):
 
 # ---------------------------------------------------------------------------
 # serial reference: the one-lane descent and the restart-by-restart driver
-# the engine replaced, kept verbatim apart from names and the polish gate
+# the engine replaced, kept verbatim apart from names, the polish gate and
+# the stagnation windows
 
 
 def serial_descend(Amats, X, p, q, opts, max_iters, target=None, direction=None, mu=0.0):
@@ -100,9 +102,10 @@ def serial_descend(Amats, X, p, q, opts, max_iters, target=None, direction=None,
         Q = NONMONOTONE_ETA * Q + 1.0
         C += (h - C) / Q
         hist.append(min(hist[-1], h))
-        if len(hist) > STAGNATION_WINDOW:
-            drop = hist[-STAGNATION_WINDOW - 1] - hist[-1]
-            limit = STAGNATION_TOL if direction is None \
+        window = STAGNATION_WINDOW if direction is None else SUPPORT_WINDOW
+        if len(hist) > window:
+            drop = hist[-window - 1] - hist[-1]
+            limit = STAGNATION_REL * hist[-1] if direction is None \
                 else 1e-13 * max(1.0, abs(hist[-1]))
             if drop < limit:
                 break
