@@ -56,6 +56,7 @@ from .constructions import (
     StarCenter,
     TverbergLift,
     annihilating_corner,
+    center_for,
     deflated_solve,
     deflation_corner,
     direction_set,

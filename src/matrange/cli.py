@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -180,7 +181,12 @@ def cmd_numrange(args) -> int:
     }
     _emit(canonical_dumps(doc), args.out)
     if args.svg:
-        _emit(boundary_svg(bd), args.svg)
+        try:
+            _emit(boundary_svg(bd), args.svg)
+        except UsageError:
+            if args.out:  # a failed run leaves no output behind
+                os.remove(args.out)
+            raise
     return EXIT_OK
 
 

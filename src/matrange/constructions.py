@@ -4,10 +4,10 @@ The results implemented here all have the same shape: a membership or a
 star-shapedness statement whose proof is an explicit witness assembly.  The
 module makes each assembly executable.
 
-* star centers: a simultaneous scalar compression at a deep enough level
-  (p q (m+2) for Hermitian tuples, doubled for complex ones via the
-  Cartesian embedding) is a star center of the (p, q) range whenever the
-  ambient dimension clears the sufficiency bound (p q (m+2) - 1)(m+1)^2.
+* star centers: a simultaneous scalar compression at level k = p q (m+2)
+  is a star center of the (p, q) range: for any point B, center_for finds
+  its witness in span(X_C), orthogonal to X_B and every A_j X_B.  The bound
+  (k - 1)(m+1)^2 on the dimension only guarantees that such a center exists.
 * corner compressions: the (p, q) range of any codimension-r corner with
   q r < p sits inside the (p - q r, q) range bump, giving cheap inclusion
   tests; conversely deflation solves inside a corner chosen orthogonal to
@@ -22,9 +22,9 @@ module makes each assembly executable.
   exchange for p >= 3); the matching convex weights assemble a level-p
   witness for the common point.
 * essential estimate: the closures of the (r, q) ranges shrink, as r grows,
-  onto a compact convex limit independent of p; truncating the intersection
-  at r_max and reading it through a fixed direction set gives a convergent
-  outer summary.
+  onto a compact convex limit independent of p; the estimate truncates the
+  intersection at r_max and reads sampled supports through a fixed
+  direction set.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def annihilating_corner(F) -> Isometry:
 
 @dataclass(frozen=True)
 class StarCenter:
-    """A certified center candidate together with its two certificates.
+    """A certified star center together with its two certificates.
 
     `certificate` is the full-strength one (level p q (m+2) scalar
     compression, or level p-tilde for matrix centers); `restricted` is its
@@ -114,8 +114,6 @@ class StarCenter:
     """
 
     center: MatPoint
-    p: int
-    q: int
     certificate: Certificate
     restricted: Certificate
 
@@ -127,57 +125,63 @@ def _restrict_certificate(A, cert: Certificate, p: int,
                    p, center)
 
 
+def _solve_center(A, level: int, q: int, kind: str, what: str, opts: SolverOptions):
+    """The free solve at (level, q) behind a star center.  StructuralInfeasibility
+    when its witness is wider than the tuple; a warning below the dimension
+    (level q - 1)(m + 1)^2 that guarantees the solve a solution."""
+    if level * q > A.n:
+        raise StructuralInfeasibility(f"{what} exceeds the tuple dimension {A.n}")
+    bound = (level * q - 1) * (A.m + 1) ** 2
+    if A.n < bound:
+        warnings.warn(f"dimension {A.n} is below the {kind}-center guarantee {bound}; a center "
+                      "need not exist, though any certified one is a center", stacklevel=3)
+    return solve_free(A, level, q, opts)
+
+
 def star_center_scalar(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
-    """Scalar star-center candidate of the (p, q) range of a Hermitian tuple.
+    """Scalar star center of the (p, q) range of a Hermitian tuple.
 
     Solves for (c_1, ..., c_m) with a simultaneous scalar compression at
     level k = p q (m + 2) and lifts it to the point (c_1 I_q, ..., c_m I_q).
-    Any such point is a star center once the ambient dimension reaches
-    (k - 1)(m + 1)^2; below that the construction still runs but a warning
-    flags that star-shapedness is no longer guaranteed.
+    Any such point is a star center (see center_for); one is guaranteed to
+    exist once the ambient dimension reaches (k - 1)(m + 1)^2.
     """
     A = as_tuple(A)
     k = p * q * (A.m + 2)
-    if k > A.n:
-        raise StructuralInfeasibility(
-            f"scalar compression level k = {k} exceeds the tuple dimension {A.n}"
-        )
-    bound = (k - 1) * (A.m + 1) ** 2
-    if A.n < bound:
-        warnings.warn(
-            f"dimension {A.n} is below the star-center guarantee {bound}; "
-            "the returned point may fail to be a center",
-            stacklevel=2,
-        )
-    out = solve_free(A, k, 1, opts)
+    out = _solve_center(A, k, 1, "star", f"scalar compression level k = {k}", opts)
     if isinstance(out, Rejection):
         return out
     center = MatPoint.scalar(out.point.scalar_values(), q)
-    return StarCenter(center=center, p=p, q=q, certificate=out,
+    return StarCenter(center=center, certificate=out,
                       restricted=_restrict_certificate(A, out, p, center))
 
 
 def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions()):
-    """Matrix star-center candidate: any point of the (p~, q) range with
+    """Matrix star center: any point of the (p~, q) range with
     p~ = p (q^2 (m + 1) + 1) is a (generally non-scalar) star center of the
-    (p, q) range in large enough dimension."""
+    (p, q) range; large enough dimension guarantees that one exists."""
     A = as_tuple(A)
     p_deep = p * (q * q * (A.m + 1) + 1)
-    if p_deep * q > A.n:
-        raise StructuralInfeasibility(
-            f"deep level p~ q = {p_deep * q} exceeds the tuple dimension {A.n}"
-        )
-    bound = (p_deep * q - 1) * (A.m + 1) ** 2
-    if A.n < bound:
-        warnings.warn(
-            f"dimension {A.n} is below the matrix-center guarantee {bound}",
-            stacklevel=2,
-        )
-    out = solve_free(A, p_deep, q, opts)
+    out = _solve_center(A, p_deep, q, "matrix", f"deep level p~ q = {p_deep * q}", opts)
     if isinstance(out, Rejection):
         return out
-    return StarCenter(center=out.point, p=p, q=q, certificate=out,
+    return StarCenter(center=out.point, certificate=out,
                       restricted=_restrict_certificate(A, out, p, out.point))
+
+
+def center_for(A, star: StarCenter, cert_b: Certificate) -> Certificate:
+    """Certify star.center at cert_b's level by V = X_C (W (x) I), orthogonal
+    to X_b and every A_j X_b, for a star built at cert_b's (p, q).  W spans
+    the null space of those (m+1) p q q_C conditions on the p_C block weights
+    of X_C; counting gives it the p q / q_C columns that V needs."""
+    A = as_tuple(A)
+    X, p_c, q_c = star.certificate.witness, star.certificate.p, star.certificate.q
+    Xb = cert_b.witness.mat
+    G = np.conj(np.concatenate([Xb[None], A.mats @ Xb]).transpose(0, 2, 1)) @ X.mat
+    M = G.reshape(-1, p_c, q_c).transpose(0, 2, 1).reshape(-1, p_c)
+    W = np.conj(np.linalg.svd(M)[2][p_c - Xb.shape[1] // q_c:].T)
+    V = X.mat @ np.kron(W, np.eye(q_c))
+    return certify(A, Isometry(V, tol=X.tol), cert_b.p, star.center)
 
 
 def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float) -> Certificate:

@@ -394,6 +394,15 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
+    @pytest.mark.parametrize("bad", ["--out", "--svg"])
+    def test_failed_write_leaves_no_output(self, tmp_path, diag9, bad):
+        paths = {"--out": tmp_path / "bd.json", "--svg": tmp_path / "bd.svg"}
+        paths[bad] = tmp_path / "no" / "x"
+        rc = main(["compute", "numrange", "--input", diag9,
+                   *(a for kv in paths.items() for a in map(str, kv))])
+        assert rc == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diag9.json"]
+
     def test_non_utf8_file(self, tmp_path, capsys):
         src = tmp_path / "latin1.json"
         src.write_bytes(b'{"schema_version":"1","kind":"tupl\xe9"}\n')

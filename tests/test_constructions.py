@@ -1,6 +1,8 @@
 """Star centers, corner compressions, deflation, Tverberg lifting, and the
 essential-range estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from matrange.constructions import (
     StarCenter,
     _restrict_certificate,
     annihilating_corner,
+    center_for,
     deflated_solve,
     deflation_corner,
     direction_set,
@@ -134,9 +137,8 @@ def test_star_center_scalar_interval_oracle():
     # must land in the rank-3 interval [3, 7] of diag(1..9); n = 9 meets the
     # guarantee bound (3 - 1)(1 + 1)^2 = 8, so no warning
     A = diag_tuple(np.arange(1.0, 10.0))
-    import warnings as w
-    with w.catch_warnings():
-        w.simplefilter("error")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = star_center_scalar(A, 1, 1, SolverOptions(seed=0))
     assert isinstance(out, StarCenter)
     c = out.center.scalar_values()[0]
@@ -211,6 +213,62 @@ def test_star_center_complex_planted():
     assert cc.shape == (1,)
     assert abs(cc[0] - c0) <= 1e-6
     assert np.isclose(cc[0], vals[0] + 1j * vals[1])
+
+
+# ---------------------------------------------------------------------------
+# segments from star centers
+
+
+def assert_center_for_segment(A, star, cb, t):
+    """center_for's witness is A-orthogonal to cb's, and the segment
+    certificate at t revalidates within t res_b + (1 - t) res_c."""
+    cc = center_for(A, star, cb)
+    scale = max(1.0, frob(A.mats))
+    Xb, Xc = cb.witness.mat, cc.witness.mat
+    cross = max(frob(S) for S in np.conj(Xb.T) @ np.concatenate([Xc[None], A.mats @ Xc]))
+    assert cross <= 1e-12 * scale
+    assert np.array_equal(cc.point.blocks, star.center.blocks) and cc.p == cb.p
+    seg = segment_witness(A, cb, cc, t)
+    seg.revalidate(A)
+    assert seg.residual <= t * cb.residual + (1 - t) * cc.residual + 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 3),
+       pq=st.sampled_from([(1, 1), (2, 1), (1, 2)]), matrix=st.booleans(),
+       extra=st.integers(0, 3), t=st.floats(0.0, 1.0))
+def test_center_for_certifies_segments(seed, m, pq, matrix, extra, t):
+    # GUE tuples at n = (m + 1) k + extra, k the center's witness columns:
+    # every cert_b the solver finds gets a center witness orthogonal to it
+    p, q = pq
+    k = p * (q * q * (m + 1) + 1) * q if matrix else p * q * (m + 2)
+    A = gue(m, (m + 1) * k + extra, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # below the guarantee
+        star = (star_center_matrix if matrix else star_center_scalar)(
+            A, p, q, SolverOptions(seed=seed))
+    cb = solve_free(A, p, q, SolverOptions(seed=seed + 1))
+    assert isinstance(star, StarCenter) and isinstance(cb, Certificate)
+    assert_center_for_segment(A, star, cb, t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 2), p=st.integers(1, 2),
+       extra=st.integers(0, 3), t=st.floats(0.0, 1.0))
+def test_center_for_on_planted_matrix_centers(seed, m, p, extra, t):
+    # I_p~ (x) B0 plus junk: the coordinate witness certifies the matrix
+    # center B0 exactly at the deep level p~ = p (q^2 (m + 1) + 1), q = 2
+    q = 2
+    p_deep = p * (q * q * (m + 1) + 1)
+    A = direct_sum(kron_block(p_deep, gue(m, q, seed)), gue(m, 1 + extra, seed + 1))
+    B0 = MatPoint(gue(m, q, seed).mats)
+    cert = certify(A, coordinate_isometry(A.n, range(p_deep * q)), p_deep, B0)
+    assert cert.residual <= 1e-14
+    star = StarCenter(center=B0, certificate=cert,
+                      restricted=_restrict_certificate(A, cert, p, B0))
+    cb = solve_free(A, p, q, SolverOptions(seed=seed + 2))
+    assert isinstance(cb, Certificate)
+    assert_center_for_segment(A, star, cb, t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import matrange.verify as verify
 from matrange.feasibility import SolverOptions
 from matrange.linalg import HermitianTuple
 from matrange.verify import (
@@ -112,7 +113,12 @@ def test_star_shaped_planted_exact():
     assert rep.tolerances["residual"] == 1e-9
 
 
-def test_star_shaped_solver_mode():
+def test_star_shaped_solver_mode(monkeypatch):
+    # segments are built from the center's witness, never re-solved
+    def no_solve(*args, **kw):
+        raise AssertionError("check_star_shaped re-solved a segment point")
+
+    monkeypatch.setattr(verify, "solve_jobs", no_solve)
     A = random_hermitian_tuple(1, 9, seed=82)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # n = 9 >= bound 8: must not warn
@@ -120,6 +126,17 @@ def test_star_shaped_solver_mode():
     assert rep.suite == "star-shaped"
     assert rep.trials == 4 * 3
     assert rep.passes == rep.trials
+
+
+@pytest.mark.parametrize("seed", [84, 85, 86])
+def test_star_shaped_below_the_center_guarantee(seed):
+    # m = 2, k = 4: n = 12 is below (k - 1)(m + 1)^2 = 27, which only
+    # guarantees that a center exists; the one found passes every segment
+    A = random_hermitian_tuple(2, 12, seed=seed)
+    with pytest.warns(UserWarning, match="below the star-center guarantee"):
+        rep = check_star_shaped(A, 1, 1, n_points=6, opts=SolverOptions(seed=seed))
+    assert rep.trials == 6 * 3
+    assert rep.passes == rep.trials, rep.failures
 
 
 # ---------------------------------------------------------------------------
