@@ -57,6 +57,7 @@ from .constructions import (
     TverbergLift,
     annihilating_corner,
     center_for,
+    corner_certificate,
     deflated_solve,
     deflation_corner,
     direction_set,

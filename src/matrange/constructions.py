@@ -8,11 +8,11 @@ module makes each assembly executable.
   is a star center of the (p, q) range: for any point B, center_for finds
   its witness in span(X_C), orthogonal to X_B and every A_j X_B.  The bound
   (k - 1)(m+1)^2 on the dimension only guarantees that such a center exists.
-* corner compressions: the (p, q) range of any codimension-r corner with
-  q r < p sits inside the (p - q r, q) range bump, giving cheap inclusion
-  tests; conversely deflation solves inside a corner chosen orthogonal to
-  earlier witnesses and their images, so cross terms vanish exactly; a
-  family of such blocks is built inside one shrinking corner.
+* corner compressions: the (p, q) range sits inside the (p - q r, q) range
+  of any codimension-r corner with q r < p, witness by witness
+  (corner_certificate); conversely deflation solves inside a corner chosen
+  orthogonal to earlier witnesses and their images, so cross terms vanish
+  exactly; a family of Haar level-1 blocks fills one shrinking corner.
 * segment witnesses: two certificates whose witnesses are orthogonal in the
   A-weighted sense combine, with convex square-root weights, into a single
   witness for any point of the connecting segment.
@@ -58,7 +58,7 @@ from .tverberg import PartitionResult, tverberg_partition
 
 
 class DeflationError(RuntimeError):
-    """A stage of an orthogonal family construction failed its solve."""
+    """A stage of an orthogonal family construction failed to certify its block."""
 
     def __init__(self, stage: int, rejection: Rejection):
         self.stage = stage
@@ -169,6 +169,14 @@ def star_center_matrix(A, p: int, q: int, opts: SolverOptions = SolverOptions())
                       restricted=_restrict_certificate(A, out, p, out.point))
 
 
+def _block_null(X: np.ndarray, p: int, q: int, G: np.ndarray, keep: int) -> np.ndarray:
+    """X (W (x) I_q), W the last keep right singular vectors of the conditions
+    G (..., p q) on X's columns, read as conditions on X's p block weights."""
+    M = G.reshape(-1, p, q).transpose(0, 2, 1).reshape(-1, p)
+    W = np.conj(np.linalg.svd(M)[2][p - keep:].T)
+    return X @ np.kron(W, np.eye(q))
+
+
 def center_for(A, star: StarCenter, cert_b: Certificate) -> Certificate:
     """Certify star.center at cert_b's level by V = X_C (W (x) I), orthogonal
     to X_b and every A_j X_b, for a star built at cert_b's (p, q).  W spans
@@ -178,10 +186,19 @@ def center_for(A, star: StarCenter, cert_b: Certificate) -> Certificate:
     X, p_c, q_c = star.certificate.witness, star.certificate.p, star.certificate.q
     Xb = cert_b.witness.mat
     G = np.conj(np.concatenate([Xb[None], A.mats @ Xb]).transpose(0, 2, 1)) @ X.mat
-    M = G.reshape(-1, p_c, q_c).transpose(0, 2, 1).reshape(-1, p_c)
-    W = np.conj(np.linalg.svd(M)[2][p_c - Xb.shape[1] // q_c:].T)
-    V = X.mat @ np.kron(W, np.eye(q_c))
+    V = _block_null(X.mat, p_c, q_c, G, Xb.shape[1] // q_c)
     return certify(A, Isometry(V, tol=X.tol), cert_b.p, star.center)
+
+
+def corner_certificate(A, cert: Certificate, corner: Isometry) -> Certificate:
+    """Certify cert's point at level p - q r on Y* A Y, Y = corner of
+    codimension r with q r < p: the conditions (I - Y Y*) X (W (x) I) = 0
+    have rank at most q r, so V = X (W (x) I) lies in range(Y), and Y* V
+    certifies the point with residual at most cert's."""
+    X, Y, p, q = cert.witness, corner.mat, cert.p, cert.q
+    low = p - q * (X.n - corner.k)
+    V = _block_null(X.mat, p, q, X.mat - Y @ (np.conj(Y.T) @ X.mat), low)
+    return certify(compress(A, corner), Isometry(np.conj(Y.T) @ V, tol=X.tol), low, cert.point)
 
 
 def segment_witness(A, cert_b: Certificate, cert_c: Certificate, t: float) -> Certificate:
@@ -300,14 +317,15 @@ def measure_cross(A, witnesses) -> float:
 
 def orthogonal_block_family(A, q: int, d: int,
                             opts: SolverOptions = SolverOptions()) -> BlockFamily:
-    """Build d mutually A-orthogonal blocks by successive deflated solves.
+    """Build d mutually A-orthogonal level-1 blocks, no solve needed.
 
-    Stage s solves on inner = Y* A Y, Y spanning the complement of every
-    earlier witness and its A-images, and composes the result up to A.  Y
-    then shrinks by the complement of x and inner_j x in corner coordinates:
-    the same subspace as the complement taken in C^n, at the corner's cost.
+    Stage s certifies the Haar isometry x seeded opts.seed + 7919 s on inner
+    = Y* A Y, Y spanning the complement of every earlier witness and its
+    A-images, and composes the result up to A.  Y then shrinks by the
+    complement of x and inner_j x in corner coordinates: the same subspace
+    as the complement taken in C^n, at the corner's cost.
 
-    Each stage lands wherever its corner solve does.  A stage failure raises
+    A block above opts.accept_tol (the rounding of a huge-norm tuple) raises
     DeflationError with the stage index.
     """
     A = as_tuple(A)
@@ -315,10 +333,9 @@ def orthogonal_block_family(A, q: int, d: int,
     members = []
     for stage in range(d):
         _check_room(A.n, inner.n, q)
-        sub = opts.replace(seed=opts.seed + 7919 * stage)
-        out = solve_free(inner, 1, q, sub)
-        if isinstance(out, Rejection):
-            raise DeflationError(stage, out)
+        out = certify(inner, random_isometry(inner.n, q, opts.seed + 7919 * stage), 1)
+        if not out.residual <= opts.accept_tol:
+            raise DeflationError(stage, Rejection(out.residual, 1, "block above accept_tol"))
         members.append(out if Y is None else compose_certificate(A, Y, out))
         if stage < d - 1:
             Z = deflation_corner(inner, [out])
@@ -396,16 +413,14 @@ class EssentialEstimate:
 
     supports[r-1, k] is the largest <direction_k, x> over the level-r cloud;
     intersection[r-1, k] is the running minimum over levels up to r, the
-    support reading of the intersection of the sampled ranges.  The cloud at
-    level r is kept for inspection.  failed_r marks the first level whose
-    cloud came back empty (the summary then stops just below it).
+    support reading of the intersection of the sampled ranges.  failed_r is
+    the first level whose cloud came back empty; the summary stops below it.
     """
 
     q: int
     directions: np.ndarray
     supports: np.ndarray
     intersection: np.ndarray
-    clouds: tuple
     failed_r: int | None = None
 
     @property
@@ -444,7 +459,6 @@ def essential_estimate(A, q: int, r_max: int,
     dims = A.m * q * q
     dirs = direction_set(dims, n_dirs)
     supports = []
-    clouds = []
     failed_r = None
     for r in range(1, r_max + 1):
         sub = opts.replace(seed=opts.seed + 7919 * r)
@@ -452,12 +466,10 @@ def essential_estimate(A, q: int, r_max: int,
         if len(cloud) == 0:
             failed_r = r
             break
-        clouds.append(cloud)
         supports.append(np.max(cloud.coords @ dirs.T, axis=0))
     if not supports:
         raise RuntimeError(f"no level produced any accepted point (first failure r={failed_r})")
     S = np.array(supports)
     inter = np.minimum.accumulate(S, axis=0)
     return EssentialEstimate(q=q, directions=dirs, supports=S,
-                             intersection=inter, clouds=tuple(clouds),
-                             failed_r=failed_r)
+                             intersection=inter, failed_r=failed_r)

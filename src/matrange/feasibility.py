@@ -24,10 +24,10 @@ A lane keeps its own step, line search and stop test, leaves the stack
 when it stops, and computes bitwise the same whatever lanes share its
 stack.  Membership and free solves are jobs, each with its own tuple,
 target and seed; the jobs of one call run their restarts in waves of 1, 2,
-4, ... lanes.  After each wave a lane that stalled close to accept_tol
-(within POLISH_GATE times it) gets a Gauss-Newton polish, and in each job
-the lowest restart that reaches accept_tol wins, exactly as one restart
-at a time would choose.  Support solves run all their restarts, and
+4, ... lanes, up to one stack's.  After each wave a lane that stalled close
+to accept_tol (within POLISH_GATE times it) gets a Gauss-Newton polish, and
+in each job the lowest restart that reaches accept_tol wins, exactly as one
+restart at a time would choose.  Support solves run all their restarts, and
 sample_range all its directed solves and the waves of all its free
 samples, as lanes of shared stacks.
 """
@@ -378,13 +378,18 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     does not depend on which lanes share its stack, so neither do the
     results.  Returns (X, B_blocks, R_squared) stacked over the lanes.
     """
-    m, n = Amats.shape[-3:-1]
-    size = max(1, LANE_ENTRIES // (m * (X[0].size + (Amats.ndim == 4) * n * n)))
+    size = _stack_lanes(Amats, X.shape[2])
     job = np.zeros(len(X), dtype=int) if job is None else job
     parts = [_descend_stack(_lanes(Amats, job[rows]), X[rows], p, q, opts, max_iters,
                             _lanes(target, job[rows]), _lanes(direction, rows), mu)
              for rows in (slice(lo, lo + size) for lo in range(0, len(X), size))]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _stack_lanes(Amats, k: int) -> int:
+    """Lanes per stack: LANE_ENTRIES over each lane's (m, n, k) entries and own tuple."""
+    m, n = Amats.shape[-3:-1]
+    return max(1, LANE_ENTRIES // (m * (n * k + (Amats.ndim == 4) * n * n)))
 
 
 def _lanes(a, sub):
@@ -607,7 +612,7 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     A is one tuple for every job or a list of tuples, one per job; target is
     None (free mode), one (m, q, q) point for every job, or one per job.
     All jobs share m, n, p and q.  Restarts run in doubling waves, 1 lane,
-    then 2, 4, ..., capped by what is left of max_restarts; the waves of all
+    then 2, 4, ..., capped by _stack_lanes and max_restarts; the waves of all
     open jobs descend as one stack.  Then each job settles its lanes in
     restart order (_settle) and stops at the first that reaches accept_tol,
     so the lowest successful restart wins, and a job whose restart 0
@@ -624,7 +629,7 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     k = _witness_columns(tuples[0], p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
-    start, width = 0, 1
+    start, width, cap = 0, 1, _stack_lanes(Amats, k)
     while todo and start < opts.max_restarts:
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]
@@ -639,7 +644,7 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
             out[i] = (r, Xl, res) if res <= opts.accept_tol \
                 else (None, None, min(out[i][2], res))
         todo = [i for i in todo if out[i][0] is None]
-        start, width = start + width, 2 * width
+        start, width = start + width, min(2 * width, cap)
     return out
 
 

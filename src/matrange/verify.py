@@ -3,10 +3,11 @@
 Each check packages one provable property of matricial ranges as a pass/fail
 suite: star-shapedness via segment witnesses, nonemptiness at the
 dimension bound, corner inclusions, convexity of midpoints, and the
-finite-rank perturbation equivalence.  The star suite builds each segment
-witness by the paper's construction, so a failure there is a defect.  The
-other suites are stochastic surrogates run through a heuristic certifying
-solver: thresholds are pass rates, and every failure records its seed.
+finite-rank perturbation equivalence.  The star and corner-inclusion suites
+build each witness they check by the paper's construction from solved ones,
+so a failure there is a defect.  The other suites are stochastic surrogates
+run through a heuristic certifying solver: thresholds are pass rates, and
+every failure records its seed.
 
 Expected-failure suites invert the reading: a demonstrated nonconvexity
 asserts a LOWER bound on the solver's best residual, so "the solver could
@@ -22,12 +23,12 @@ import numpy as np
 from .constructions import (
     annihilating_corner,
     center_for,
+    corner_certificate,
     random_corner,
     segment_witness,
     star_center_scalar,
 )
 from .feasibility import (
-    Certificate,
     MatPoint,
     Rejection,
     SolverOptions,
@@ -150,14 +151,6 @@ def random_finite_rank_tuple(m: int, n: int, rank: int, seed: int) -> HermitianT
 # suites
 
 
-def _accepted(got, accept_tol: float) -> tuple[bool, float]:
-    """(accepted, residual) of a Certificate or Rejection; a Rejection
-    reports its best residual and is never accepted."""
-    if isinstance(got, Certificate):
-        return got.residual <= accept_tol, got.residual
-    return False, got.best_residual
-
-
 def check_star_shaped(A, p: int, q: int, n_points: int = 20,
                       t_grid=(0.25, 0.5, 0.75),
                       opts: SolverOptions = SolverOptions(),
@@ -232,29 +225,23 @@ def check_corner_inclusions(m: int = 2, n: int = 18, p: int = 3, q: int = 1,
                             r: int = 1, trials: int = 10, corners: int = 5,
                             opts: SolverOptions = SolverOptions()) -> SuiteReport:
     """Certified (p, q) points must re-certify at level p - q r inside
-    random codimension-r corners.  One report trial per (tuple, corner)."""
+    random codimension-r corners.  One report trial per (tuple, corner); the
+    bases are solved and corner_certificate builds the rest, so a failed
+    corner is a defect."""
     if not 1 <= q * r < p:
         raise ValueError(f"need 1 <= q*r < p, got q*r = {q * r}, p = {p}")
     failures = []
-    p_low = p - q * r
     seeds = [opts.seed + 7717 * (i + 1) for i in range(trials)]
     tuples = [random_hermitian_tuple(m, n, seed_i) for seed_i in seeds]
-    bases = solve_jobs(tuples, p, q, seeds, opts=opts)
-    # (trial, corner seed) of every corner of an accepted base
-    jobs = [(i, seed_i + 31 * (c + 1)) for i, (seed_i, base) in enumerate(zip(seeds, bases))
-            if isinstance(base, Certificate) for c in range(corners)]
-    inner = [compress(tuples[i], random_corner(n, r, seed_c)) for i, seed_c in jobs]
-    got = iter(solve_jobs(inner, p_low, q, [seed_c for _, seed_c in jobs],
-                          [bases[i].point for i, _ in jobs], opts))
-    for seed_i, base in zip(seeds, bases):
+    for seed_i, A, base in zip(seeds, tuples, solve_jobs(tuples, p, q, seeds, opts=opts)):
         for c in range(corners):
             if isinstance(base, Rejection):
                 failures.append((seed_i, f"base solve rejected, corner {c} skipped"))
                 continue
-            ok, best = _accepted(next(got), opts.accept_tol)
-            if not ok:
-                failures.append((seed_i + 31 * (c + 1),
-                                 f"corner re-cert failed: best {best:.3e}"))
+            seed_c = seed_i + 31 * (c + 1)
+            res = corner_certificate(A, base, random_corner(n, r, seed_c)).residual
+            if not res <= opts.accept_tol:
+                failures.append((seed_c, f"corner re-cert failed: residual {res:.3e}"))
     total = trials * corners
     return SuiteReport(suite="corner-inclusions", trials=total, failures=tuple(failures),
                        tolerances={"m": m, "n": n, "p": p, "q": q, "r": r,
@@ -279,8 +266,8 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
     seeds = [opts.seed + 53 * (i + 1) for i in firsts]
     mids = [MatPoint((pts[i].blocks + pts[i + 1].blocks) / 2.0) for i in firsts]
     for i, seed_i, got in zip(firsts, seeds, solve_jobs(A, p, q, seeds, mids, opts)):
-        ok, best = _accepted(got, opts.accept_tol)
-        if not ok:
+        best = got.best_residual if isinstance(got, Rejection) else got.residual
+        if not best <= opts.accept_tol:  # true of every Rejection
             failures.append((seed_i, f"midpoint {i}-{i + 1}: best {best:.3e}"))
     for i in range(2 * len(firsts), 2 * pairs, 2):
         failures.append((opts.seed, f"pair {i}-{i + 1}: {len(pts)} of {2 * pairs} "

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrange.constructions as constructions
+import matrange.feasibility as feasibility
 from matrange.constructions import (
     BlockFamily,
     CrossOrthogonalityError,
     DeflationError,
     StarCenter,
+    _block_null,
     _restrict_certificate,
     annihilating_corner,
     center_for,
+    corner_certificate,
     deflated_solve,
     deflation_corner,
     direction_set,
@@ -272,6 +276,36 @@ def test_center_for_on_planted_matrix_centers(seed, m, p, extra, t):
 
 
 # ---------------------------------------------------------------------------
+# corner certificates
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 3), q=st.integers(1, 2),
+       r=st.integers(1, 2), slack=st.integers(0, 1), extra=st.integers(0, 4),
+       solved=st.booleans())
+def test_corner_certificate_by_construction(seed, m, q, r, slack, extra, solved):
+    # bases are solved points or any isometry's best block; the corner
+    # witness Y* V lifts to a V in range(Y) and keeps the base's point
+    p = q * r + 1 + slack
+    n = p * q + r + extra
+    A = gue(m, n, seed)
+    base = certify(A, random_isometry(n, p * q, seed), p)
+    if solved:
+        got = solve_free(A, p, q, SolverOptions(seed=seed, max_restarts=3))
+        base = got if isinstance(got, Certificate) else base
+    corner = random_corner(n, r, seed + 1)
+    cc = corner_certificate(A, base, corner)
+    X, Y = base.witness.mat, corner.mat
+    V = _block_null(X, p, q, X - Y @ (np.conj(Y.T) @ X), p - q * r)
+    tol = 1e-12 * A.scale()
+    assert frob(V - Y @ (np.conj(Y.T) @ V)) <= 1e-12
+    assert frob(cc.witness.mat - np.conj(Y.T) @ V) <= 1e-14
+    assert cc.p == p - q * r and np.array_equal(cc.point.blocks, base.point.blocks)
+    cc.revalidate(compress(A, corner))
+    assert cc.residual <= base.residual + tol
+
+
+# ---------------------------------------------------------------------------
 # segment witnesses
 
 
@@ -405,13 +439,28 @@ def test_orthogonal_block_family_free_mode():
 
 
 def test_orthogonal_block_family_stage_failure():
-    # no restart, no witness: the first stage fails with an infinite residual
-    A = diag_tuple(np.arange(1.0, 5.0))
+    # at norm 1e12 the rounding of X* A X alone exceeds accept_tol, so the
+    # first block fails on its one Haar isometry
+    A = HermitianTuple(1e12 * gue(2, 12, seed=0).mats)
     with pytest.raises(DeflationError) as exc:
-        orthogonal_block_family(A, 1, 2, SolverOptions(seed=0, max_restarts=0))
+        orthogonal_block_family(A, 2, 2, SolverOptions(seed=0))
     assert exc.value.stage == 0
     assert isinstance(exc.value.rejection, Rejection)
-    assert exc.value.rejection.best_residual >= 1.0
+    assert exc.value.rejection.restarts == 1
+    assert 1e-8 < exc.value.rejection.best_residual < 1.0
+
+
+def test_orthogonal_block_family_makes_no_solve(monkeypatch):
+    # every block is a Haar isometry certified as it stands
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family called the solver")
+
+    monkeypatch.setattr(constructions, "solve_free", refuse)
+    monkeypatch.setattr(feasibility, "_first_success", refuse)
+    A = gue(2, 40, seed=3)
+    lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
+    assert len(lift.family) == 4
+    lift.certificate.revalidate(A)
 
 
 def test_orthogonal_block_family_structural_error_names_requirement():
@@ -426,13 +475,19 @@ def test_orthogonal_block_family_structural_error_names_requirement():
 
 @settings(max_examples=12, deadline=None)
 @given(m=st.integers(1, 3), q=st.integers(1, 2), d=st.integers(2, 4),
-       extra=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
-def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, seed):
-    # each member is solved inside the corner shrunk stage by stage; its
+       extra=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       seed=st.integers(0, 2**31 - 1))
+def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, scale, seed):
+    # each member is built inside the corner shrunk stage by stage; its
     # witness must lie in the complement deflation_corner takes in C^n of
-    # every earlier witness and its A-images
-    A = gue(m, d * q * (m + 1) + q + extra, seed)
+    # every earlier witness and its A-images, and it revalidates with a
+    # residual at rounding level
+    A = HermitianTuple(scale * gue(m, d * q * (m + 1) + q + extra, seed).mats)
     fam = orthogonal_block_family(A, q, d, SolverOptions(seed=seed % 1000))
+    for c in fam.members:
+        assert (c.p, c.q) == (1, q)
+        c.revalidate(A)
+        assert c.residual <= 1e-12 * A.scale()
     for s in range(1, d):
         Y = deflation_corner(A, list(fam.members[:s])).mat
         X = fam.members[s].witness.mat

@@ -260,6 +260,35 @@ def test_failed_job_reports_best_residual_over_all_waves():
     assert res >= 0.3 and abs(res - res_ref) <= 1e-6
 
 
+def test_waves_stop_doubling_at_one_stack():
+    # with stacks of 3 lanes, waves of 1, 2, 3, 3, ... lanes per job give the
+    # results of waves of 1, 2, 4, 8, ...; the second job fails, so it runs 20
+    A = gue(2, 6, 3)
+    points = [feasibility.certify(A, random_isometry(6, 2, 4), 2).point,
+              MatPoint(10.0 * np.ones((2, 1, 1)))]
+    opts, cap = SolverOptions(max_restarts=20), 3
+    widths = {}
+    descend = feasibility._descend
+
+    def spy(*args, job, **kw):
+        widths[feasibility.LANE_ENTRIES].append(int(np.bincount(job).max()))
+        return descend(*args, job=job, **kw)
+
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "MAX_ITERS", 60)
+        mp.setattr(feasibility, "_descend", spy)
+        for entries in (feasibility.LANE_ENTRIES, A.m * A.n * 2 * cap):
+            mp.setattr(feasibility, "LANE_ENTRIES", entries)
+            widths[entries] = []
+            results.append(solve_jobs(A, 2, 1, [7, 8], points, opts))
+    wide, capped = widths.values()
+    assert max(wide) > cap and max(capped) == cap and sum(capped) == sum(wide) == 20
+    assert isinstance(results[0][1], Rejection) and results[0][1] == results[1][1]
+    got, want = results[1][0], results[0][0]
+    assert np.array_equal(got.witness.mat, want.witness.mat) and got.residual == want.residual
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31), m=st.integers(1, 2), p=st.integers(1, 2),
        q=st.integers(1, 2), extra=st.integers(0, 3), jobs=st.integers(2, 4),

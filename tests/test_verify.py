@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import matrange.verify as verify
-from matrange.feasibility import SolverOptions
+from matrange.feasibility import SolverOptions, solve_jobs
 from matrange.linalg import HermitianTuple
 from matrange.verify import (
     SuiteReport,
@@ -173,8 +173,17 @@ def test_nonempty_bounds_refined_m1():
 # corner inclusions
 
 
-def test_corner_inclusions_small():
+def test_corner_inclusions_small(monkeypatch):
+    # one solve_jobs batch, for the bases; every corner witness is built
+    calls = []
+
+    def spy(A, p, q, seeds, points=None, opts=SolverOptions()):
+        calls.append((len(seeds), p, q, points))
+        return solve_jobs(A, p, q, seeds, points, opts)
+
+    monkeypatch.setattr(verify, "solve_jobs", spy)
     rep = check_corner_inclusions(trials=3, corners=2, opts=SolverOptions(seed=0))
+    assert calls == [(3, 3, 1, None)]
     assert rep.trials == 6
     assert rep.passes == 6
     assert rep.tolerances["p"] == 3 and rep.tolerances["r"] == 1
