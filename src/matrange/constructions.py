@@ -12,7 +12,8 @@ module makes each assembly executable.
   of any codimension-r corner with q r < p, witness by witness
   (corner_certificate); conversely deflation solves inside a corner chosen
   orthogonal to earlier witnesses and their images, so cross terms vanish
-  exactly; a family of Haar level-1 blocks fills one shrinking corner.
+  exactly; Haar level-1 blocks certified on A itself fill one shrinking
+  corner.  Every complement here takes one rank cut, _complement's.
 * segment witnesses: two certificates whose witnesses are orthogonal in the
   A-weighted sense combine, with convex square-root weights, into a single
   witness for any point of the connecting segment.
@@ -58,7 +59,7 @@ from .tverberg import PartitionResult, tverberg_partition
 
 
 class DeflationError(RuntimeError):
-    """A stage of an orthogonal family construction failed to certify its block."""
+    """A family stage failed to certify its block; stage d of a lift is the assembly."""
 
     def __init__(self, stage: int, rejection: Rejection):
         self.stage = stage
@@ -87,6 +88,17 @@ def random_corner(n: int, r: int, seed: int) -> Isometry:
     return Isometry(U.mat[:, r:])
 
 
+def _complement(C: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of range(C); s <= 1e-10 max(1, s_0) counts as 0."""
+    U, s, _ = np.linalg.svd(C, full_matrices=True)
+    return U[:, int(np.sum(s > 1e-10 * np.max(s, initial=1.0))):]
+
+
+def _with_images(A, X: np.ndarray) -> np.ndarray:
+    """The columns of X, A_1 X, ..., A_m X side by side."""
+    return np.concatenate([X[None], A.mats @ X]).transpose(1, 0, 2).reshape(A.n, -1)
+
+
 def annihilating_corner(F) -> Isometry:
     """A corner on which every member of a finite-rank tuple vanishes.
 
@@ -98,9 +110,7 @@ def annihilating_corner(F) -> Isometry:
     if F.n == 0:
         raise DimensionError("an annihilating corner needs matrices of size n >= 1")
     # the columns of F_1, ..., F_m side by side
-    U, s, _ = np.linalg.svd(F.mats.transpose(1, 0, 2).reshape(F.n, -1), full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
-    return Isometry(U[:, rank:])
+    return Isometry(_complement(F.mats.transpose(1, 0, 2).reshape(F.n, -1)))
 
 
 @dataclass(frozen=True)
@@ -241,17 +251,11 @@ def deflation_corner(A, prior) -> Isometry:
     the isometry onto the complement.
     """
     A = as_tuple(A)
-    wits = [c.witness for c in prior]
-    if not wits:
+    if not prior:
         return Isometry(np.eye(A.n, dtype=complex))
-    if any(W.n != A.n for W in wits):
+    if any(c.witness.n != A.n for c in prior):
         raise DimensionError("prior witness dimension does not match the tuple")
-    # per witness the columns of X_r, A_1 X_r, ..., A_m X_r side by side
-    C = np.hstack([np.concatenate([W.mat[None], A.mats @ W.mat]).transpose(1, 0, 2)
-                   .reshape(A.n, -1) for W in wits])
-    U, s, _ = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
-    return Isometry(U[:, rank:])
+    return Isometry(_complement(np.hstack([_with_images(A, c.witness.mat) for c in prior])))
 
 
 def _check_room(n: int, left: int, need: int) -> None:
@@ -319,28 +323,24 @@ def orthogonal_block_family(A, q: int, d: int,
                             opts: SolverOptions = SolverOptions()) -> BlockFamily:
     """Build d mutually A-orthogonal level-1 blocks, no solve needed.
 
-    Stage s certifies the Haar isometry x seeded opts.seed + 7919 s on inner
-    = Y* A Y, Y spanning the complement of every earlier witness and its
-    A-images, and composes the result up to A.  Y then shrinks by the
-    complement of x and inner_j x in corner coordinates: the same subspace
-    as the complement taken in C^n, at the corner's cost.
+    Y spans the corner still free, I_n at first.  Stage s certifies X = Y x
+    on A itself, x the Haar isometry seeded opts.seed + 7919 s, then shrinks
+    Y to Y _complement(Y* [X, A_1 X, ..., A_m X]), past X and each A_j X.
 
     A block above opts.accept_tol (the rounding of a huge-norm tuple) raises
     DeflationError with the stage index.
     """
     A = as_tuple(A)
-    inner, Y = A, None
+    Y = np.eye(A.n, dtype=complex)
     members = []
     for stage in range(d):
-        _check_room(A.n, inner.n, q)
-        out = certify(inner, random_isometry(inner.n, q, opts.seed + 7919 * stage), 1)
+        _check_room(A.n, Y.shape[1], q)
+        X = Y @ random_isometry(Y.shape[1], q, opts.seed + 7919 * stage).mat
+        out = certify(A, Isometry(X), 1)
         if not out.residual <= opts.accept_tol:
             raise DeflationError(stage, Rejection(out.residual, 1, "block above accept_tol"))
-        members.append(out if Y is None else compose_certificate(A, Y, out))
-        if stage < d - 1:
-            Z = deflation_corner(inner, [out])
-            inner = compress(inner, Z)
-            Y = Z if Y is None else Isometry(Y.mat @ Z.mat)
+        members.append(out)
+        Y = Y @ _complement(np.conj(Y.T) @ _with_images(A, X))
     cross = measure_cross(A, [c.witness for c in members])
     return BlockFamily(q=q, members=tuple(members), cross_tol=cross)
 
@@ -363,7 +363,7 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
     common hull point C, and assembles the witness whose ell-th column block
     is sum over the ell-th part of sqrt(weight) X_r.  Orthogonality of the
     family makes the assembled compression exactly block diagonal with every
-    diagonal block equal to C.
+    diagonal block equal to C; a lift above accept_tol raises DeflationError(d).
     """
     A = as_tuple(A)
     D = q * q * A.m
@@ -382,6 +382,8 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
     X = np.hstack([np.sum(np.sqrt(w)[:, None, None] * wits[list(rs)], axis=0, initial=0.0)
                    for w, rs in zip(part.weights, part.parts)])
     cert = certify(A, Isometry(X, tol=max(ISO_TOL, d * family.cross_tol + 1e-12)), p, C)
+    if not cert.residual <= opts.accept_tol:
+        raise DeflationError(d, Rejection(cert.residual, 1, "assembled lift above accept_tol"))
     return TverbergLift(certificate=cert, family=family, partition=part)
 
 

@@ -18,7 +18,7 @@ from matrange.cli import COMMANDS, build_parser, main, parse_args
 from matrange.feasibility import SolverOptions
 from matrange.io import save_tuple, save_report
 from matrange.linalg import HermitianTuple
-from matrange.verify import SuiteReport, pauli_tuple
+from matrange.verify import SuiteReport, pauli_tuple, random_hermitian_tuple
 
 
 def gue(m, n, seed):
@@ -438,6 +438,18 @@ class TestErrors:
             assert rc == 2, matrices
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tverberg_assembled_lift_above_accept_tol(self, tmp_path):
+        # at norm 1e8 every block passes but the assembled lift does not; the
+        # rejection names stage d = 4, the assembly
+        src, out = tmp_path / "big.json", tmp_path / "tv.json"
+        save_tuple(HermitianTuple(1e8 * random_hermitian_tuple(2, 40, 1).mats), src)
+        rc = main(["construct", "tverberg", "--input", str(src), "--p", "2", "--q", "1",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 4
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "rejection" and doc["stage"] == 4
+        assert doc["best_residual"] > 1e-8
 
     def test_tverberg_exchange_cap(self, tmp_path, capsys, monkeypatch, diag12):
         # a p = 3 lift needs at least one colorful exchange

@@ -53,6 +53,7 @@ from matrange.linalg import (
     random_isometry,
 )
 from matrange.ranges import hermitian_embed, rank_k_interval
+from matrange.verify import random_hermitian_tuple
 
 
 def gue(m, n, seed):
@@ -453,10 +454,13 @@ def test_orthogonal_block_family_stage_failure():
 def test_orthogonal_block_family_makes_no_solve(monkeypatch):
     # every block is a Haar isometry certified as it stands
     def refuse(*args, **kwargs):
-        raise AssertionError("the family called the solver")
+        raise AssertionError("the family called a refused helper")
 
     monkeypatch.setattr(constructions, "solve_free", refuse)
     monkeypatch.setattr(feasibility, "_first_success", refuse)
+    # nor does it compress A, compose certificates or take a joint corner
+    for name in ("compress", "compose_certificate", "deflation_corner"):
+        monkeypatch.setattr(constructions, name, refuse)
     A = gue(2, 40, seed=3)
     lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
     assert len(lift.family) == 4
@@ -464,13 +468,30 @@ def test_orthogonal_block_family_makes_no_solve(monkeypatch):
 
 
 def test_orthogonal_block_family_structural_error_names_requirement():
-    # each diagonal witness e_i is its own A-image, so every stage protects
-    # one dimension and the fifth block finds no room in dimension 4
+    # on diag(1..4) a Haar x and its image A x span two dimensions, so each
+    # stage protects two and the third block finds no room in dimension 4
     A = diag_tuple([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(StructuralInfeasibility,
                        match="deflation leaves 0 dimensions but the solve needs 1; "
                              "the tuple dimension must be at least 5"):
         orthogonal_block_family(A, 1, 5, SolverOptions(seed=0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e7, 3e7, 1e8])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tverberg_lift_never_returns_above_accept_tol(scale, seed):
+    # rounding grows with the tuple's norm, so from about 3e7 an assembled
+    # lift can exceed accept_tol; it must then raise at stage d, the assembly
+    A = HermitianTuple(scale * random_hermitian_tuple(2, 40, seed).mats)
+    opts = SolverOptions(seed=seed)
+    try:
+        lift = tverberg_lift(A, 1, 2, opts)
+    except DeflationError as e:
+        assert 0 <= e.stage <= 4
+        assert e.rejection.best_residual > opts.accept_tol
+        return
+    assert lift.certificate.residual <= opts.accept_tol
+    assert all(c.residual <= opts.accept_tol for c in lift.family.members)
 
 
 @settings(max_examples=12, deadline=None)
