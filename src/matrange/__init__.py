@@ -14,9 +14,7 @@ from .linalg import (
     as_tuple,
     compress,
     coordinate_isometry,
-    direct_sum,
     herm_eig,
-    kron_block,
     random_isometry,
 )
 from .ranges import (
@@ -26,7 +24,6 @@ from .ranges import (
     joint_numrange_sample,
     numrange_boundary,
     rank_k_interval,
-    support_value,
 )
 from .feasibility import (
     Certificate,
@@ -80,7 +77,6 @@ from .verify import (
     pauli_tuple,
     planted_star_instance,
     random_hermitian_tuple,
-    spiked_diagonal,
 )
 from .io import (
     ParseError,

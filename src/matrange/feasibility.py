@@ -145,9 +145,6 @@ class MatPoint:
     def unflatten(cls, vec, m: int, q: int) -> "MatPoint":
         return cls(unflatten_blocks(vec, m, q))
 
-    def distance(self, other: "MatPoint") -> float:
-        return float(np.linalg.norm(self.blocks - other.blocks))
-
 
 def _block_positions(q: int):
     """Flat positions in a q-by-q block: of its diagonal, and of the entries
@@ -376,7 +373,7 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     through job.  The lanes run in stacks of at most LANE_ENTRIES entries
     per (m, n, k) array (plus the lanes' own tuples); a lane's arithmetic
     does not depend on which lanes share its stack, so neither do the
-    results.  Returns (X, B_blocks, R_squared) stacked over the lanes.
+    results.  Returns (X, R_squared) stacked over the lanes.
     """
     size = _stack_lanes(Amats, X.shape[2])
     job = np.zeros(len(X), dtype=int) if job is None else job
@@ -425,9 +422,9 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
         E, B = _misfit(S, p, q) if IpT is None else (S - _lanes(IpT, sub), None)
         R2 = _lane_dot(E, E)
         h = R2 if U is None else mu * R2 - _lane_dot(U[sub], B)
-        return [X, AX, E, B], h.tolist(), R2.tolist()
+        return [X, AX, E], h.tolist(), R2.tolist()
 
-    (X, AX, E, B), h, R2 = evaluate(X)
+    (X, AX, E), h, R2 = evaluate(X)
     tol2 = (0.999 * opts.accept_tol) ** 2
     W = SUPPORT_WINDOW if support else STAGNATION_WINDOW
     ids = list(range(len(X)))
@@ -435,17 +432,16 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     hist = [deque([v], maxlen=W + 1) for v in h]  # running best objective
     stop = [not support and r <= tol2 for r in R2]
     Xp = Gp = None
-    parked = []  # (ids, X, B, R2) of the lanes stopped so far
+    parked = []  # (ids, X, R2) of the lanes stopped so far
     for it in range(max_iters):
         if any(stop):
             if all(stop):
                 break
             out = [i for i, s in enumerate(stop) if s]
             keep = [i for i, s in enumerate(stop) if not s]
-            parked.append(([ids[i] for i in out], X[out], None if B is None else B[out],
-                           [R2[i] for i in out]))
-            X, AX, E, B, U, IpU, Xp, Gp = (
-                None if a is None else a[keep] for a in (X, AX, E, B, U, IpU, Xp, Gp))
+            parked.append(([ids[i] for i in out], X[out], [R2[i] for i in out]))
+            X, AX, E, U, IpU, Xp, Gp = (
+                None if a is None else a[keep] for a in (X, AX, E, U, IpU, Xp, Gp))
             Am, IpT = _lanes(Am, keep), _lanes(IpT, keep)
             ids, h, R2, C, hist = ([v[i] for i in keep] for v in (ids, h, R2, C, hist))
         n = len(ids)
@@ -478,11 +474,9 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                 trial, th, tR2 = got, hs, R2s
             else:
                 if trial is None:
-                    trial, th, tR2 = [None if a is None else a.copy()
-                                      for a in (X, AX, E, B)], list(h), list(R2)
+                    trial, th, tR2 = [a.copy() for a in (X, AX, E)], list(h), list(R2)
                 for a, b in zip(trial, got):
-                    if a is not None:
-                        a[pend] = b
+                    a[pend] = b
                 for j, i in enumerate(pend):
                     th[i], tR2[i] = hs[j], R2s[j]
             failed = []
@@ -493,15 +487,14 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
             pend = failed
         stop = [g2[i] <= 1e-30 for i in range(n)]
         if trial is None:
-            trial = [X, AX, E, B]
+            trial = [X, AX, E]
         for i in pend:  # backtracking exhausted: the lane keeps its point
             stop[i] = True
-            for a, b in zip(trial, (X, AX, E, B)):
-                if a is not None:
-                    a[i] = b[i]
+            for a, b in zip(trial, (X, AX, E)):
+                a[i] = b[i]
             th[i], tR2[i] = h[i], R2[i]
         Xp, Gp = X, Gt
-        (X, AX, E, B), h, R2 = trial, th, tR2
+        (X, AX, E), h, R2 = trial, th, tR2
         # C <- (eta Q C + h) / (eta Q + 1), Q <- eta Q + 1
         Q = NONMONOTONE_ETA * Q + 1.0
         for i in range(n):
@@ -512,15 +505,12 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                 limit = 1e-13 * max(1.0, abs(best[-1])) if support else STAGNATION_REL * best[-1]
                 stop[i] = stop[i] or best[0] - best[-1] < limit
             stop[i] = stop[i] or (not support and R2[i] <= tol2)
-    parked.append((ids, X, B, R2))
+    parked.append((ids, X, R2))
     if len(parked) > 1:
-        ids, X, B, R2 = zip(*parked)
+        ids, X, R2 = zip(*parked)
         order = np.argsort(np.concatenate(ids))
         X, R2 = np.concatenate(X)[order], np.concatenate(R2)[order]
-        B = None if target is not None else np.concatenate(B)[order]
-    if target is not None:
-        B = target if target.ndim == 4 else np.broadcast_to(target, (len(X),) + target.shape)
-    return X, B, np.asarray(R2, dtype=float)
+    return X, np.asarray(R2, dtype=float)
 
 
 def _jacobian(Amats, X, p, q, target=None):
@@ -625,7 +615,8 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     shared = isinstance(A, HermitianTuple)
     tuples = [A] * len(bases) if shared else list(A)
     Amats = A.mats if shared else np.stack([a.mats for a in tuples])
-    target = None if target is None else np.asarray(target, dtype=complex)
+    target = None if target is None else np.broadcast_to(
+        np.asarray(target, dtype=complex), (len(bases), tuples[0].m, q, q))
     k = _witness_columns(tuples[0], p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
@@ -634,13 +625,13 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]
         X0 = np.array([random_isometry(tuples[0].n, k, bases[i] + r).mat for i, r in wave])
-        X, _, R2 = _descend(Amats, X0, p, q, opts, MAX_ITERS, target=target,
-                            job=np.array([i for i, _ in wave]))
+        X, R2 = _descend(Amats, X0, p, q, opts, MAX_ITERS, target=target,
+                         job=np.array([i for i, _ in wave]))
         for l, (i, r) in enumerate(wave):
             if out[i][0] is not None:  # an earlier restart of job i succeeded
                 continue
             Xl, res = _settle(tuples[i].mats, X[l], R2[l], p, q, opts,
-                              None if target is None or target.ndim == 3 else target[i])
+                              None if target is None else target[i])
             out[i] = (r, Xl, res) if res <= opts.accept_tol \
                 else (None, None, min(out[i][2], res))
         todo = [i for i in todo if out[i][0] is None]
@@ -719,14 +710,14 @@ def _support_lanes(A: HermitianTuple, p: int, q: int, directions, bases,
         raise DimensionError("tuple norm overflows; rescale it for a support-directed solve")
     mu = 1.0 / scale
     for stage in range(SUPPORT_STAGES):
-        X, _, R2 = _descend(A.mats, X, p, q, opts, SUPPORT_STAGE_ITERS,
-                            direction=U, mu=mu)
+        X, R2 = _descend(A.mats, X, p, q, opts, SUPPORT_STAGE_ITERS,
+                         direction=U, mu=mu)
         mu *= SUPPORT_GROWTH
         if stage < SUPPORT_STAGES - 1:
             X = _tangent_kick(X, SUPPORT_KICK, [s * 1000003 + stage for s in seeds],
                               R2 > 1e-24)
     X = _tangent_kick(X, SUPPORT_KICK * 1e-2, [s * 1000003 + 999983 for s in seeds])
-    X, _, R2 = _descend(A.mats, X, p, q, opts, MAX_ITERS)
+    X, R2 = _descend(A.mats, X, p, q, opts, MAX_ITERS)
     out = []
     for i, u in enumerate(directions):
         best_cert, best_val, best_res = None, -np.inf, np.inf

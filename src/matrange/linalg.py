@@ -3,8 +3,8 @@
 Everything downstream works with m-tuples of n-by-n Hermitian matrices and
 with isometries (tall matrices X with X*X = I).  This module owns the two
 container types, an eigensolver, Haar sampling, and the structural
-operations (compression, block inflation, direct sums) that the
-range computations are built from.
+operations (compression, block inflation) that the range computations
+are built from.
 
 All operations are pure: inputs are never mutated and randomness enters only
 through explicit integer seeds.
@@ -249,24 +249,3 @@ def _inflate(B: np.ndarray, p: int) -> np.ndarray:
     for i in range(p):
         out[..., i * q:(i + 1) * q, i * q:(i + 1) * q] = B
     return out
-
-
-def kron_block(p: int, B) -> HermitianTuple:
-    """Inflate a q-tuple to the pq-tuple (I_p (x) B_1, ..., I_p (x) B_m)."""
-    B = as_tuple(B)
-    if p < 1:
-        raise DimensionError(f"need p >= 1, got {p}")
-    return HermitianTuple(_inflate(B.mats, p))
-
-
-def direct_sum(A, B) -> HermitianTuple:
-    """Memberwise direct sum of two tuples with equal length m."""
-    A = as_tuple(A)
-    B = as_tuple(B)
-    if A.m != B.m:
-        raise DimensionError(f"tuple lengths differ: {A.m} vs {B.m}")
-    na, nb = A.n, B.n
-    out = np.zeros((A.m, na + nb, na + nb), dtype=complex)
-    out[:, :na, :na] = A.mats
-    out[:, na:, na:] = B.mats
-    return HermitianTuple(out)

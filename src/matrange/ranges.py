@@ -3,8 +3,8 @@
 Covers the objects with closed-form or spectral descriptions: the planar
 numerical range W(A) of a single complex matrix via supporting lines, the
 rank-k range of a single Hermitian matrix (an eigenvalue interval), scalar
-joint-range sampling, support values, and the Cartesian embedding
-A = H + iG that transports complex tuples to Hermitian ones.
+joint-range sampling, and the Cartesian embedding A = H + iG that
+transports complex tuples to Hermitian ones.
 """
 
 from __future__ import annotations
@@ -73,17 +73,6 @@ def hermitian_embed(T) -> HermitianTuple:
     G = (arr - np.conj(np.swapaxes(arr, 1, 2))) / 2j
     # interleaved as (H_1, G_1, ..., H_m, G_m)
     return HermitianTuple(np.stack([hermitize(arr), G], axis=1).reshape((-1,) + arr.shape[1:]))
-
-
-def support_value(A, u) -> float:
-    """max over the joint range of <u, b>: the top eigenvalue of sum u_j A_j."""
-    A = as_tuple(A)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (A.m,):
-        raise DimensionError(f"direction needs {A.m} components, got shape {u.shape}")
-    M = np.einsum("j,jkl->kl", u, A.mats)
-    w, _ = herm_eig(hermitize(M))
-    return float(w[0])
 
 
 def rank_k_interval(A, k: int) -> Interval:

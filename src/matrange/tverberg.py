@@ -47,9 +47,6 @@ class PartitionResult:
     common_point: np.ndarray
     partitions_scanned: int
 
-    def part_points(self, points: np.ndarray, ell: int) -> np.ndarray:
-        return np.asarray(points)[list(self.parts[ell])]
-
 
 def _points(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)

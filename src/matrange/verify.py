@@ -99,15 +99,6 @@ def pauli_tuple() -> HermitianTuple:
     return HermitianTuple(np.stack([sx, sy, sz]))
 
 
-def spiked_diagonal(n: int = 12, spike: float = 5.0, plateau: int = 5) -> HermitianTuple:
-    """diag(spike, 1, ..., 1, 0, ..., 0) with `plateau` ones; rank-k
-    intervals collapse onto [0, 1] for every 2 <= k <= n - plateau - 1."""
-    d = np.zeros(n)
-    d[0] = spike
-    d[1:1 + plateau] = 1.0
-    return HermitianTuple(np.diag(d).astype(complex)[None, :, :])
-
-
 def planted_star_instance(m: int, p: int, q: int, d: int, seed: int):
     """A block-scalar tuple whose range points come with exact witnesses.
 

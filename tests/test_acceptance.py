@@ -24,7 +24,7 @@ from matrange.ranges import numrange_boundary, rank_k_interval
 from matrange.verify import (check_corner_inclusions, check_nonempty_bounds,
                              check_pauli_nonconvexity, check_star_shaped,
                              pauli_tuple, planted_star_instance,
-                             random_hermitian_tuple, spiked_diagonal)
+                             random_hermitian_tuple)
 
 # light restart budget; the quadratic polish supplies the final accuracy
 FAST = SolverOptions(max_restarts=8)
@@ -157,7 +157,7 @@ def test_essential_estimate_converges_and_ignores_finite_rank():
     """Spiked diagonal: the estimate reaches the essential interval [0, 1]
     by depth 2 and moves at most 2e-6 under a random rank-1 corner."""
     start = time.perf_counter()
-    A = spiked_diagonal()
+    A = HermitianTuple(np.diag([5.0] + [1.0] * 5 + [0.0] * 6).astype(complex)[None])
     est = essential_estimate(A, q=1, r_max=2, opts=SolverOptions())
     lo, hi = est.interval()
     assert abs(lo - 0.0) <= 1e-6

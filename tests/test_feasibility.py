@@ -32,10 +32,8 @@ from matrange.linalg import (
     Isometry,
     compress,
     coordinate_isometry,
-    direct_sum,
     frob,
     _qr_fix,
-    kron_block,
     random_isometry,
 )
 from matrange.ranges import rank_k_interval
@@ -184,7 +182,7 @@ def test_matpoint_scalar_and_distance():
     assert B.q == 3 and B.m == 2
     assert np.allclose(B.scalar_values() if B.q == 1 else [1.0, -2.0], [1.0, -2.0])
     C = MatPoint.scalar(np.array([1.0, -2.0]), 3)
-    assert B.distance(C) <= 1e-15
+    assert np.linalg.norm(B.blocks - C.blocks) <= 1e-15
 
 
 def test_matpoint_rejects_non_hermitian():
@@ -200,7 +198,7 @@ def test_matpoint_rejects_non_hermitian():
 
 def test_residual_and_best_block_planted():
     B = random_matpoint(2, 2, 3)
-    A = kron_block(3, HermitianTuple(B.blocks))
+    A = HermitianTuple(np.kron(np.eye(3), B.blocks))
     X = Isometry(np.eye(6, dtype=complex))
     assert certify(A, X, 3, B).residual <= 1e-14
     got = certify(A, X, 3).point
@@ -232,8 +230,9 @@ def test_certificate_revalidation_detects_tampering():
 
 def test_membership_planted_block():
     B = random_matpoint(2, 2, seed=7)
-    junk = gue(2, 4, seed=8)
-    A = direct_sum(kron_block(2, HermitianTuple(B.blocks)), junk)
+    junk = gue(2, 4, seed=8).mats
+    planted = np.kron(np.eye(2), B.blocks)
+    A = HermitianTuple(np.block([[planted, np.zeros((2, 4, 4))], [np.zeros((2, 4, 4)), junk]]))
     out = membership(A, B, 2, SolverOptions(seed=0))
     assert isinstance(out, Certificate)
     assert out.residual <= 1e-8

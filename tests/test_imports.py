@@ -1,9 +1,12 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and every function the benchmark's span tracer looks up by name exists.
 
 `__init__.py` is exempt, since its imports are the public re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,14 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_traced_layer_functions_resolve():
+    # bench/spans.py imports only the standard library at module level
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{fn}" for mod, fn in spans.TARGETS
+               if not callable(getattr(importlib.import_module("matrange." + mod), fn, None))]
+    assert spans.TARGETS and missing == []

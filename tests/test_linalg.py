@@ -1,4 +1,4 @@
-"""Eigensolver, Haar sampling, and block assembly."""
+"""Eigensolver, Haar sampling, compression and the container types."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ from matrange.linalg import (
     as_tuple,
     compress,
     coordinate_isometry,
-    direct_sum,
     frob,
     herm_eig,
     hermitian_stack as checked_stack,
-    kron_block,
     NotHermitianError,
     _herm_defects,
     _qr_fix,
@@ -255,7 +253,7 @@ def test_random_isometry_isotropic_mean_projector():
 
 
 # ---------------------------------------------------------------------------
-# compress / block assembly
+# compress
 
 
 def test_compress_identity_is_noop():
@@ -316,47 +314,6 @@ def test_unitary_transport():
     left = compress(A, Isometry(U @ X.mat))
     right = compress(conj, X)
     assert frob(left.mats - right.mats) <= 1e-12
-
-
-def test_kron_block_identities():
-    rng = np.random.default_rng(19)
-    B = HermitianTuple(np.stack([random_hermitian(2, rng)]))
-    assert np.allclose(kron_block(1, B).mats, B.mats)
-    K = kron_block(3, B)
-    assert K.n == 6
-    assert np.isclose(np.trace(K.mats[0]), 3 * np.trace(B.mats[0]))
-    one = HermitianTuple(np.array([[[1.0]]], dtype=complex))
-    assert np.allclose(kron_block(2, one).mats[0], np.eye(2))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), q=st.integers(1, 4),
-       m=st.integers(1, 3))
-def test_kron_block_matches_numpy_kron(seed, p, q, m):
-    B = HermitianTuple(hermitian_stack(seed, (m,), q, ties=False))
-    K = kron_block(p, B)
-    for j in range(m):
-        assert np.array_equal(K.mats[j], np.kron(np.eye(p), B.mats[j]))
-
-
-def test_direct_sum_spectra_union():
-    rng = np.random.default_rng(23)
-    A = HermitianTuple(np.stack([random_hermitian(3, rng)]))
-    B = HermitianTuple(np.stack([random_hermitian(4, rng)]))
-    S = direct_sum(A, B)
-    assert S.n == 7
-    got = np.sort(np.linalg.eigvalsh(S.mats[0]))
-    want = np.sort(np.concatenate([np.linalg.eigvalsh(A.mats[0]),
-                                   np.linalg.eigvalsh(B.mats[0])]))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_direct_sum_m_mismatch():
-    rng = np.random.default_rng(31)
-    A = HermitianTuple(np.stack([random_hermitian(2, rng)]))
-    B = HermitianTuple(np.stack([random_hermitian(2, rng) for _ in range(2)]))
-    with pytest.raises(DimensionError):
-        direct_sum(A, B)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from matrange.ranges import (
     joint_numrange_sample,
     numrange_boundary,
     rank_k_interval,
-    support_value,
 )
 
 
@@ -173,22 +172,6 @@ def test_interval_contains_tolerance():
     iv = rank_k_interval(np.diag([1.0, 0.0]).astype(complex), 1)
     assert iv.contains(1.0 + 1e-9, tol=1e-8)
     assert not iv.contains(1.1)
-
-
-# ---------------------------------------------------------------------------
-# support_value
-
-
-def test_support_value_is_max_eigenvalue():
-    rng = np.random.default_rng(33)
-    A = HermitianTuple(np.stack([
-        (lambda G: (G + np.conj(G.T)) / 2)(random_complex(6, rng))
-        for _ in range(2)
-    ]))
-    u = np.array([0.6, -0.8])
-    got = support_value(A, u)
-    H = u[0] * A.mats[0] + u[1] * A.mats[1]
-    assert np.isclose(got, np.max(np.linalg.eigvalsh(H)), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

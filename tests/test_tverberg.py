@@ -291,7 +291,7 @@ def verify_partition(P, res: PartitionResult, p):
     assert len(res.parts) == p
     for ell in range(p):
         w = res.weights[ell]
-        pts = res.part_points(P, ell)
+        pts = np.asarray(P)[list(res.parts[ell])]
         assert np.all(w >= -1e-9)
         assert np.isclose(w.sum(), 1.0, atol=1e-9)
         assert np.allclose(w @ pts, res.common_point, atol=1e-7)
@@ -374,7 +374,7 @@ def test_exchange_gives_a_tverberg_partition(p, D, extra, kind, seed):
     for ell, w in enumerate(res.weights):
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(w @ res.part_points(P, ell) - res.common_point)) <= 1e-12 * scale
+        assert np.max(np.abs(w @ P[list(res.parts[ell])] - res.common_point)) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +397,7 @@ def test_exchange_on_mixed_scales_partitions_or_raises(p, D, big, seed):
     for ell, w in enumerate(res.weights):
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(w @ res.part_points(P, ell) - res.common_point)) <= 1e-12 * scale
+        assert np.max(np.abs(w @ P[list(res.parts[ell])] - res.common_point)) <= 1e-12 * scale
 
 
 def test_tverberg_p1_centroid():

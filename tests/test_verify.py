@@ -22,7 +22,6 @@ from matrange.verify import (
     planted_star_instance,
     random_finite_rank_tuple,
     random_hermitian_tuple,
-    spiked_diagonal,
 )
 
 
@@ -64,14 +63,6 @@ def test_pauli_tuple_values():
     # anticommutation: sx sy + sy sx = 0
     s = P.mats
     assert np.allclose(s[0] @ s[1] + s[1] @ s[0], 0.0)
-
-
-def test_spiked_diagonal_structure():
-    A = spiked_diagonal()
-    d = np.real(np.diag(A.mats[0]))
-    assert d[0] == 5.0
-    assert np.all(d[1:6] == 1.0)
-    assert np.all(d[6:] == 0.0)
 
 
 def test_planted_star_instance_exactness():
