@@ -24,8 +24,11 @@ module makes each assembly executable.
   witness for the common point.
 * essential estimate: the closures of the (r, q) ranges shrink, as r grows,
   onto a compact convex limit independent of p; the estimate truncates the
-  intersection at r_max and reads sampled supports through a fixed
-  direction set.
+  intersection at r_max and reads supports through a fixed direction set.
+  For one matrix each level's supports are exact: I_r (x) B is a
+  compression of A exactly when its spectrum interlaces A's, and
+  interlacing_support builds the witness; for m >= 2 they are sampled
+  lower bounds.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .feasibility import (
     compose_certificate,
     sample_range,
     solve_free,
+    unflatten_blocks,
 )
 from .linalg import (
     DimensionError,
@@ -53,6 +57,7 @@ from .linalg import (
     as_tuple,
     compress,
     frob,
+    herm_eig,
     random_isometry,
 )
 from .tverberg import PartitionResult, tverberg_partition
@@ -409,14 +414,48 @@ def direction_set(dim: int, count: int = 64) -> np.ndarray:
     return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
+def interlacing_support(A, r: int, q: int, u, eig=None) -> Certificate:
+    """The exact support of the (r, q) range of one Hermitian matrix along
+    the flattened direction u, certified by construction.
+
+    I_r (x) B compresses A exactly when its spectrum interlaces A's
+    (Cauchy; Fan and Pall for the converse), so with U = W diag(nu) W*,
+    nu descending, the support is sum nu_a beta_a at B = W diag(beta) W*,
+    beta_a = lambda_(a r) where nu_a >= 0 and lambda_(n - r q + (a-1) r + 1)
+    otherwise.  Column i = (a-1) r + s of the witness mixes v_i and
+    v_(n - r q + i) to Rayleigh quotient beta_a; block s of q columns is
+    then rotated by W*.  The certificate's point is the best block of
+    X* A X, B up to rounding.  Needs m = 1 and 2 r q <= n, so the two index
+    sets are disjoint; eig is herm_eig(A_1) when the caller already has it.
+    """
+    A = as_tuple(A)
+    n, k = A.n, r * q
+    if A.m != 1 or r < 1 or 2 * k > n:
+        raise DimensionError(f"need m = 1 and 2 r q <= n, got m={A.m}, r={r}, q={q}, n={n}")
+    lam, V = herm_eig(A.mats[0]) if eig is None else eig
+    nu, W = herm_eig(unflatten_blocks(u, 1, q)[0])
+    a = r * np.arange(q)
+    beta = np.where(nu >= 0, lam[a + r - 1], lam[n - k + a])
+    hi, lo, t = lam[:k], lam[n - k:], np.repeat(beta, r)
+    gap = hi - lo
+    c2 = np.clip(np.divide(t - lo, gap, out=np.ones(k), where=gap > 0), 0.0, 1.0)
+    Y = V[:, :k] * np.sqrt(c2) + V[:, n - k:] * np.sqrt(1.0 - c2)
+    X = (Y.reshape(n, q, r).transpose(0, 2, 1) @ np.conj(W.T)).reshape(n, k)
+    return certify(A, Isometry(X), r)
+
+
 @dataclass(frozen=True)
 class EssentialEstimate:
     """Truncated-intersection estimate of the essential (p, q) range.
 
-    supports[r-1, k] is the largest <direction_k, x> over the level-r cloud;
+    supports[r-1, k] is the largest <direction_k, x> over the level-r
+    certificates.  At m = 1 it is the exact level-r support, built by
+    interlacing_support, unless a free sample sits up to its residual beyond
+    it; at m >= 2, and for a direction whose construction misses accept_tol
+    by rounding at a huge norm, it is a sampled lower bound.
     intersection[r-1, k] is the running minimum over levels up to r, the
-    support reading of the intersection of the sampled ranges.  failed_r is
-    the first level whose cloud came back empty; the summary stops below it.
+    support reading of the intersection of the ranges.  failed_r is the
+    first level that certified nothing; the summary stops below it.
     """
 
     q: int
@@ -442,11 +481,15 @@ def essential_estimate(A, q: int, r_max: int,
                        n_dirs: int = 64, n_free: int = 4) -> EssentialEstimate:
     """Estimate the essential (p, q) range by truncated intersection.
 
-    For r = 1..r_max, sample the (r, q) range with one support-directed
-    solve per fixed direction plus n_free free solves, then summarize each
-    level by its directional maxima and intersect by running minima.  The
-    reported per-level summary is nonincreasing in r by construction, which
-    matches the shrinking-closure picture it estimates.
+    For r = 1..r_max, certify one support point of the (r, q) range per
+    fixed direction plus n_free free solves, then summarize each level by
+    its directional maxima and intersect by running minima.  At m = 1 the
+    support points are exact, built by interlacing from one eigensolve of
+    A_1; at m >= 2, and for any direction whose construction misses
+    accept_tol, each is a support-directed solve.  A support point is kept
+    only at residual <= accept_tol.  The reported per-level summary is
+    nonincreasing in r by construction, which matches the shrinking-closure
+    picture it estimates.
     """
     A = as_tuple(A)
     if n_dirs < 1:
@@ -460,15 +503,24 @@ def essential_estimate(A, q: int, r_max: int,
         )
     dims = A.m * q * q
     dirs = direction_set(dims, n_dirs)
+    if A.m == 1 and not np.isfinite(A.scale()):
+        raise DimensionError("tuple norm overflows; rescale it for an essential estimate")
+    eig = herm_eig(A.mats[0]) if A.m == 1 else None
     supports = []
     failed_r = None
     for r in range(1, r_max + 1):
         sub = opts.replace(seed=opts.seed + 7919 * r)
-        cloud = sample_range(A, r, q, n_free, sub, directions=dirs)
-        if len(cloud) == 0:
+        built = [None if eig is None else interlacing_support(A, r, q, u, eig) for u in dirs]
+        exact = np.array([c is not None and c.residual <= opts.accept_tol for c in built])
+        # the descent chases only the directions that interlacing could not
+        # certify to accept_tol: all of them at m >= 2, at m = 1 those whose
+        # rounding exceeds it at a huge norm
+        cloud = sample_range(A, r, q, n_free, sub, directions=dirs[~exact])
+        pts = np.vstack([cloud.coords] + [c.point.flatten() for c, e in zip(built, exact) if e])
+        if len(pts) == 0:
             failed_r = r
             break
-        supports.append(np.max(cloud.coords @ dirs.T, axis=0))
+        supports.append(np.max(pts @ dirs.T, axis=0))
     if not supports:
         raise RuntimeError(f"no level produced any accepted point (first failure r={failed_r})")
     S = np.array(supports)

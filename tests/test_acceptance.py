@@ -6,7 +6,6 @@ bars for the constructive routines, and byte determinism of the CLI.  Time
 budgets are asserted alongside the numerical tolerances.
 """
 
-import json
 import re
 import time
 from pathlib import Path

@@ -23,6 +23,7 @@ from matrange.constructions import (
     deflation_corner,
     direction_set,
     essential_estimate,
+    interlacing_support,
     measure_cross,
     orthogonal_block_family,
     random_corner,
@@ -39,6 +40,7 @@ from matrange.feasibility import (
     StructuralInfeasibility,
     certify,
     solve_free,
+    solve_support,
 )
 from matrange.linalg import (
     DimensionError,
@@ -649,6 +651,64 @@ def test_essential_estimate_depth_guard():
     A = gue(1, 8, seed=73)
     with pytest.raises(StructuralInfeasibility):
         essential_estimate(A, 1, 5, SolverOptions(seed=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), r=st.integers(1, 2),
+       extra=st.integers(0, 4), log_c=st.floats(-3.0, 3.0))
+def test_interlacing_support_is_exact(seed, q, r, extra, log_c):
+    n = 2 * r * q + extra
+    A = HermitianTuple(10.0 ** log_c * gue(1, n, seed).mats)
+    u = np.random.default_rng(seed).standard_normal(q * q)
+    u /= np.linalg.norm(u)
+    cert = interlacing_support(A, r, q, u)
+    cert.revalidate(A, 1e-12)
+    # the witness is exact up to the eigensolve's rounding
+    assert cert.residual <= 64 * np.finfo(float).eps * frob(A.mats)
+    # the support value sum nu_a beta_a, from the two spectra alone
+    lam = np.linalg.eigvalsh(A.mats[0])[::-1]
+    nu = np.linalg.eigvalsh(MatPoint.unflatten(u, 1, q).blocks[0])[::-1]
+    a = np.arange(q)
+    beta = np.where(nu >= 0, lam[r * (a + 1) - 1], lam[n - r * q + r * a])
+    value = u @ cert.point.flatten()
+    scale = max(1.0, frob(A.mats))
+    assert abs(value - nu @ beta) <= 1e-12 * scale
+    # the descent, as an oracle, gets no further than its residual times
+    # ||U||_F = ||u|| = 1 allows
+    found = solve_support(A, r, q, u, SolverOptions(seed=seed, max_restarts=10))
+    if not isinstance(found, Rejection):
+        assert u @ found.point.flatten() <= value + found.residual + 1e-12 * scale
+
+
+def test_essential_estimate_single_matrix_makes_no_solve(monkeypatch):
+    # at m = 1 every support is built by interlacing; with no free samples
+    # nothing reaches the descent
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimate ran the descent")
+
+    monkeypatch.setattr(feasibility, "_descend", refuse)
+    A = HermitianTuple(40.0 * gue(1, 12, seed=5).mats)
+    est = essential_estimate(A, 1, 3, SolverOptions(seed=0), n_free=0)
+    lam = np.linalg.eigvalsh(A.mats[0])[::-1]
+    tol = 1e-12 * max(1.0, frob(A.mats))
+    # level r's supports along +1 and -1 are the rank-r window's endpoints
+    for r in (1, 2, 3):
+        assert abs(est.supports[r - 1, 0] - lam[r - 1]) <= tol
+        assert abs(-est.supports[r - 1, 1] - lam[12 - r]) <= tol
+    assert essential_estimate(A, 2, 2, SolverOptions(seed=0), n_free=0).failed_r is None
+
+
+def test_essential_estimate_single_matrix_at_huge_norm():
+    # at norm 1e10 the rounding of x* A x alone can exceed the absolute
+    # accept_tol: the bottom eigenvector's compression carries an imaginary
+    # part of about 5e-7 here, so that direction goes to the descent, as it
+    # did before interlacing, and the estimate still reads both endpoints
+    A = HermitianTuple(1e10 * gue(1, 8, seed=2).mats)
+    assert interlacing_support(A, 1, 1, [-1.0]).residual > SolverOptions().accept_tol
+    est = essential_estimate(A, 1, 1, SolverOptions(seed=0), n_free=0)
+    lam = np.linalg.eigvalsh(A.mats[0])
+    assert abs(est.supports[0, 0] - lam[-1]) <= 1e-12 * frob(A.mats)
+    assert abs(-est.supports[0, 1] - lam[0]) <= 1e-12 * frob(A.mats)
 
 
 def test_essential_interval_needs_dimension_one():

@@ -31,7 +31,6 @@ from matrange.linalg import (
     HermitianTuple,
     Isometry,
     compress,
-    coordinate_isometry,
     frob,
     _qr_fix,
     random_isometry,
@@ -315,6 +314,10 @@ def test_support_refuses_overflowing_scale():
         solve_support(A, 1, 1, [1.0])
     with pytest.raises(DimensionError, match="overflows"):
         sample_range(A, 1, 1, 0, directions=[[1.0]])
+    # the estimate builds its supports from the spectrum, with no penalty,
+    # but the spectral gaps they mix across overflow here, so it refuses too
+    with pytest.raises(DimensionError, match="overflows"):
+        essential_estimate(A, 1, 1, n_free=0)
 
 
 @pytest.mark.parametrize("call", [

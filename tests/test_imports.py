@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports,
-and every function the benchmark's span tracer looks up by name exists.
+"""Source hygiene: every module of the package and every test module uses
+each name it imports, and every function the benchmark's span tracer looks
+up by name exists.
 
 `__init__.py` is exempt, since its imports are the public re-exports.
 """
@@ -15,6 +16,7 @@ import matrange
 
 PACKAGE = Path(matrange.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +41,8 @@ def test_checker_sees_an_unused_import():
         == ["line 1: os", "line 3: d"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.stem for p in MODULES] + [f"tests.{p.stem}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -7,7 +7,6 @@ import pytest
 
 import matrange.verify as verify
 from matrange.feasibility import SolverOptions, solve_jobs
-from matrange.linalg import HermitianTuple
 from matrange.verify import (
     SuiteReport,
     add_tuples,
