@@ -7,11 +7,15 @@ canonical JSON (stdout or --out), so identical flags and seed give
 byte-identical bytes; `compute numrange --svg` adds a flat polyline
 rendering.
 
-Exit codes: 0 success / accepted; 2 unreadable or invalid input file, or an
-invalid command-line argument (one-line message); 3 structural
-impossibility (dimensions, preconditions); 4 solver rejection or stage
-failure (advisory, not a proof of non-membership); 5 verify suite below its
-pass-rate threshold (report still written).
+Each handler returns what it computed: a document, a Rejection or a
+SuiteReport (`compute numrange` writes its document and --svg file itself).
+`main` writes it through `_finish`, and the two pick every exit code: 0
+success / accepted; 2 unreadable or invalid input file, an unwritable
+output, or an invalid command-line argument (one-line message); 3
+structural impossibility (dimensions, preconditions); 4 solver rejection
+or a failed construction stage, written as a rejection document (advisory,
+not a proof of non-membership); 5 verify suite below its pass-rate
+threshold (report still written).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .io import (
 from .linalg import DimensionError, HermitianTuple
 from .ranges import numrange_boundary
 from .verify import (
+    SuiteReport,
     check_convexity,
     check_corner_inclusions,
     check_nonempty_bounds,
@@ -124,15 +129,24 @@ def _load_hermitian(path, embed: bool) -> HermitianTuple:
     return A
 
 
-def _reject(rej: Rejection, args, **extra) -> int:
-    """Emit the rejection document (plus extra fields); exit code 4.  A best
-    residual that is not finite (the tuple overflowed) is written as null."""
-    best = float(rej.best_residual)
-    _emit(canonical_dumps({"kind": "rejection",
-                           "best_residual": best if math.isfinite(best) else None,
-                           "restarts": int(rej.restarts), "message": rej.message} | extra),
-          args.out)
-    return EXIT_REJECTED
+def _finish(result, args, **extra) -> int:
+    """Write a handler's result to --out (or stdout) and return its exit
+    code.  A rejection document carries the extra fields; a best residual
+    that is not finite (an overflowed tuple, or none kept) is written as null."""
+    if isinstance(result, int):  # compute numrange wrote its own files
+        return result
+    code = EXIT_OK
+    if isinstance(result, Rejection):
+        best = float(result.best_residual)
+        code, result = EXIT_REJECTED, {
+            "kind": "rejection", "best_residual": best if math.isfinite(best) else None,
+            "restarts": int(result.restarts), "message": result.message} | extra
+    elif isinstance(result, SuiteReport):
+        if not result.passed(args.threshold):
+            code = EXIT_THRESHOLD
+        result = report_doc(result)
+    _emit(canonical_dumps(result), args.out)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +208,22 @@ def cmd_numrange(args) -> int:
 # sample
 
 
-def cmd_sample_pq(args) -> int:
+def cmd_sample_pq(args) -> dict:
     A = _load_hermitian(args.input, args.embed)
-    cloud = sample_range(A, args.p, args.q, args.count, _opts(args))
-    _emit(canonical_dumps(cloud_doc(cloud)), args.out)
-    return EXIT_OK
+    return cloud_doc(sample_range(A, args.p, args.q, args.count, _opts(args)))
 
 
 # ---------------------------------------------------------------------------
 # construct
 
 
-def cmd_star_center(args) -> int:
+def cmd_star_center(args):
     A = _load_hermitian(args.input, args.embed)
     fn = star_center_matrix if args.matrix else star_center_scalar
     out = fn(A, args.p, args.q, _opts(args))
     if isinstance(out, Rejection):
-        return _reject(out, args)
-    doc = {
+        return out
+    return {
         "kind": "star-center",
         "style": "matrix" if args.matrix else "scalar",
         "p": args.p,
@@ -220,38 +232,33 @@ def cmd_star_center(args) -> int:
         "certificate": certificate_doc(out.certificate),
         "restricted": certificate_doc(out.restricted),
     }
-    _emit(canonical_dumps(doc), args.out)
-    return EXIT_OK
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args):
     A = _load_hermitian(args.input, args.embed)
     opts = _opts(args)
     first = solve_free(A, args.p, args.q, opts)
     if isinstance(first, Rejection):
-        return _reject(first, args)
+        return first
     second = deflated_solve(A, [first], args.p, args.q,
                             opts.replace(seed=opts.seed + 1))
     if isinstance(second, Rejection):
-        return _reject(second, args)
+        return second
     cert = segment_witness(A, first, second, args.t)
-    doc = {
+    return {
         "kind": "segment",
         "t": float(args.t),
         "certificate": certificate_doc(cert),
         "endpoints": [certificate_doc(first), certificate_doc(second)],
     }
-    _emit(canonical_dumps(doc), args.out)
-    return EXIT_OK
 
 
-def cmd_tverberg(args) -> int:
+def cmd_tverberg(args) -> dict:
     A = _load_hermitian(args.input, args.embed)
-    try:
-        lift = tverberg_lift(A, args.q, args.p, _opts(args))
-    except DeflationError as e:
-        return _reject(e.rejection, args, stage=e.stage)
-    doc = {
+    # the blocks are certified as drawn: the lift has no restart budget
+    lift = tverberg_lift(A, args.q, args.p,
+                         SolverOptions(accept_tol=args.accept_tol, seed=args.seed))
+    return {
         "kind": "tverberg-lift",
         "p": args.p,
         "q": args.q,
@@ -262,11 +269,9 @@ def cmd_tverberg(args) -> int:
         "family_cross_tol": float(lift.family.cross_tol),
         "certificate": certificate_doc(lift.certificate),
     }
-    _emit(canonical_dumps(doc), args.out)
-    return EXIT_OK
 
 
-def cmd_essential(args) -> int:
+def cmd_essential(args) -> dict:
     A = _load_hermitian(args.input, args.embed)
     est = essential_estimate(A, args.q, args.r_max, _opts(args),
                              n_dirs=args.n_dirs, n_free=args.n_free)
@@ -282,77 +287,61 @@ def cmd_essential(args) -> int:
     if est.directions.shape[1] == 1:
         lo, hi = est.interval()
         doc["interval"] = [lo, hi]
-    _emit(canonical_dumps(doc), args.out)
-    return EXIT_OK
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _finish_verify(report, args) -> int:
-    _emit(canonical_dumps(report_doc(report)), args.out)
-    return EXIT_OK if report.passed(args.threshold) else EXIT_THRESHOLD
-
-
-def cmd_verify_star(args) -> int:
+def cmd_verify_star(args):
     opts = _opts(args)
     if args.planted:
         A, certs = planted_star_instance(args.m, args.p, args.q, args.blocks,
                                          opts.seed)
-        report = check_star_shaped(A, args.p, args.q, opts=opts, exact=certs)
-    else:
-        if args.input is None:
-            raise SchemaError("verify star needs --input or --planted")
-        A = _load_hermitian(args.input, args.embed)
-        report = check_star_shaped(A, args.p, args.q, n_points=args.points,
-                                   opts=opts)
-        if isinstance(report, Rejection):
-            return _reject(report, args)
-    return _finish_verify(report, args)
+        return check_star_shaped(A, args.p, args.q, opts=opts, exact=certs)
+    if args.input is None:
+        raise SchemaError("verify star needs --input or --planted")
+    A = _load_hermitian(args.input, args.embed)
+    return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=opts)
 
 
-def cmd_verify_bounds(args) -> int:
-    report = check_nonempty_bounds(args.m, args.k, trials=args.trials,
-                                   opts=_opts(args), bound=args.bound)
-    return _finish_verify(report, args)
+def cmd_verify_bounds(args) -> SuiteReport:
+    return check_nonempty_bounds(args.m, args.k, trials=args.trials,
+                                 opts=_opts(args), bound=args.bound)
 
 
-def cmd_verify_inclusions(args) -> int:
-    report = check_corner_inclusions(m=args.m, n=args.n, p=args.p, q=args.q,
-                                     r=args.r, trials=args.trials,
-                                     corners=args.corners, opts=_opts(args))
-    return _finish_verify(report, args)
+def cmd_verify_inclusions(args) -> SuiteReport:
+    return check_corner_inclusions(m=args.m, n=args.n, p=args.p, q=args.q,
+                                   r=args.r, trials=args.trials,
+                                   corners=args.corners, opts=_opts(args))
 
 
-def cmd_verify_convexity(args) -> int:
+def cmd_verify_convexity(args) -> SuiteReport:
     if args.ensemble == "pauli":
-        report = check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
-    else:
-        if args.input is None:
-            raise SchemaError("verify convexity needs --input or --ensemble")
-        A = _load_hermitian(args.input, args.embed)
-        report = check_convexity(A, args.p, args.q, pairs=args.pairs,
-                                 opts=_opts(args))
-    return _finish_verify(report, args)
+        return check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
+    if args.input is None:
+        raise SchemaError("verify convexity needs --input or --ensemble")
+    A = _load_hermitian(args.input, args.embed)
+    return check_convexity(A, args.p, args.q, pairs=args.pairs, opts=_opts(args))
 
 
-def cmd_verify_perturbation(args) -> int:
-    report = check_perturbation_equivalence(m=args.m, n=args.n, p=args.p,
-                                            q=args.q, trials=args.trials,
-                                            rank=args.rank, opts=_opts(args))
-    return _finish_verify(report, args)
+def cmd_verify_perturbation(args) -> SuiteReport:
+    return check_perturbation_equivalence(m=args.m, n=args.n, p=args.p,
+                                          q=args.q, trials=args.trials,
+                                          rank=args.rank, opts=_opts(args))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 # Every command is one entry {group: {op: (handler, argument specs)}}; a spec
-# is (flag, add_argument keywords), and COMMON comes first in every command.
-COMMON = (("--seed", dict(type=int_at_least(0), default=0)),
-          ("--accept-tol", dict(type=positive_float, default=1e-8)),
-          ("--restarts", dict(type=positive_int, default=50)),
-          ("--out", dict(help="output path (stdout if omitted)")))
+# is (flag, add_argument keywords).  Every command takes OUT, and lists only
+# the solver flags its handler reads.
+OUT = ("--out", dict(help="output path (stdout if omitted)"))
+SEED = ("--seed", dict(type=int_at_least(0), default=0))
+ACCEPT_TOL = ("--accept-tol", dict(type=positive_float, default=1e-8))
+SOLVER = (SEED, ACCEPT_TOL, ("--restarts", dict(type=positive_int, default=50)))
 INPUT = ("--input", dict(required=True))
 P = ("--p", dict(type=positive_int, required=True))
 Q = ("--q", dict(type=positive_int, required=True))
@@ -372,19 +361,19 @@ COMMANDS = {
             INPUT, ("--angles", dict(type=int_at_least(3), default=256)), ("--svg", {}))),
     },
     "sample": {
-        "pq": (cmd_sample_pq, (
+        "pq": (cmd_sample_pq, SOLVER + (
             INPUT, P, Q, ("--count", dict(type=positive_int, default=16)), EMBED)),
     },
     "construct": {
-        "star-center": (cmd_star_center, (
+        "star-center": (cmd_star_center, SOLVER + (
             INPUT, P, Q,
             ("--matrix", dict(action="store_true",
                               help="matrix-valued center at deep level instead of scalar")),
             EMBED)),
-        "segment": (cmd_segment, (
+        "segment": (cmd_segment, SOLVER + (
             INPUT, P, Q, ("--t", dict(type=unit_interval, default=0.5)), EMBED)),
-        "tverberg": (cmd_tverberg, (INPUT, P, Q, EMBED)),
-        "essential": (cmd_essential, (
+        "tverberg": (cmd_tverberg, (SEED, ACCEPT_TOL, INPUT, P, Q, EMBED)),
+        "essential": (cmd_essential, SOLVER + (
             INPUT, Q,
             ("--r-max", dict(type=positive_int, required=True)),
             ("--n-dirs", dict(type=positive_int, default=64)),
@@ -392,20 +381,20 @@ COMMANDS = {
             EMBED)),
     },
     "verify": {
-        "star": (cmd_verify_star, (
+        "star": (cmd_verify_star, SOLVER + (
             optional(INPUT), ("--planted", dict(action="store_true")),
             optional(P, 1), optional(Q, 1),
             ("--m", dict(type=positive_int, default=2)),
             ("--blocks", dict(type=int_at_least(2), default=4)),
             ("--points", dict(type=positive_int, default=20)),
             THRESHOLD, EMBED)),
-        "bounds": (cmd_verify_bounds, (
+        "bounds": (cmd_verify_bounds, SOLVER + (
             ("--m", dict(type=int_at_least(0), required=True)),
             ("--k", dict(type=positive_int, required=True)),
             ("--trials", dict(type=positive_int, default=50)),
             ("--bound", dict(choices=("general", "refined"), default="general")),
             THRESHOLD)),
-        "inclusions": (cmd_verify_inclusions, (
+        "inclusions": (cmd_verify_inclusions, SOLVER + (
             ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=18)),
             optional(P, 3), optional(Q, 1),
@@ -413,13 +402,13 @@ COMMANDS = {
             ("--trials", dict(type=positive_int, default=10)),
             ("--corners", dict(type=positive_int, default=5)),
             THRESHOLD)),
-        "convexity": (cmd_verify_convexity, (
+        "convexity": (cmd_verify_convexity, SOLVER + (
             optional(INPUT), ("--ensemble", dict(choices=("pauli",))),
             optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
             ("--floor", dict(type=finite_float, default=0.5)),
             THRESHOLD, EMBED)),
-        "perturbation": (cmd_verify_perturbation, (
+        "perturbation": (cmd_verify_perturbation, SOLVER + (
             ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=16)),
             optional(P, 1), optional(Q, 1),
@@ -431,8 +420,8 @@ COMMANDS = {
 
 
 def command_parser(parser, handler, specs) -> argparse.ArgumentParser:
-    """Add COMMON and specs to parser and bind handler as args.func."""
-    for flag, kw in COMMON + specs:
+    """Add specs and OUT to parser and bind handler as args.func."""
+    for flag, kw in specs + (OUT,):
         parser.add_argument(flag, **kw)
     parser.set_defaults(func=handler)
     return parser
@@ -467,7 +456,10 @@ def main(argv=None) -> int:
         # a tuple whose entries overflow is reported through its residuals
         # (written as null), not through numpy's floating-point warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            try:
+                return _finish(args.func(args), args)
+            except DeflationError as e:  # from any command's construction
+                return _finish(e.rejection, args, stage=e.stage)
     except OSError as e:  # _emit reports its own failures as writes
         print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE

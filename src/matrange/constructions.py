@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import (
+    SUPPORT_RESTARTS,
     Certificate,
     MatPoint,
     Rejection,
@@ -64,7 +65,9 @@ from .tverberg import PartitionResult, tverberg_partition
 
 
 class DeflationError(RuntimeError):
-    """A family stage failed to certify its block; stage d of a lift is the assembly."""
+    """A construction stage failed: stage s < d of a Tverberg lift is its
+    block s, stage d the assembly, and stage 1 of an essential estimate its
+    first level."""
 
     def __init__(self, stage: int, rejection: Rejection):
         self.stage = stage
@@ -369,15 +372,11 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
     is sum over the ell-th part of sqrt(weight) X_r.  Orthogonality of the
     family makes the assembled compression exactly block diagonal with every
     diagonal block equal to C; a lift above accept_tol raises DeflationError(d).
+    The family alone decides the room: each block shields at most (m + 1)q
+    dimensions from the next, so n >= (d - 1)(m + 1)q + q always suffices.
     """
     A = as_tuple(A)
-    D = q * q * A.m
-    d = (p - 1) * (D + 1) + 1
-    need = d * q * (A.m + 1) + q
-    if A.n < need:
-        raise StructuralInfeasibility(
-            f"lift needs d = {d} deflated blocks, so dimension at least {need}, got {A.n}"
-        )
+    d = (p - 1) * (q * q * A.m + 1) + 1
     family = orthogonal_block_family(A, q, d, opts)
     pts = np.array([c.point.flatten() for c in family.members])
     part = tverberg_partition(pts, p)
@@ -487,9 +486,10 @@ def essential_estimate(A, q: int, r_max: int,
     support points are exact, built by interlacing from one eigensolve of
     A_1; at m >= 2, and for any direction whose construction misses
     accept_tol, each is a support-directed solve.  A support point is kept
-    only at residual <= accept_tol.  The reported per-level summary is
-    nonincreasing in r by construction, which matches the shrinking-closure
-    picture it estimates.
+    only at residual <= accept_tol; a first level that keeps none raises
+    DeflationError(1).  The reported per-level summary is nonincreasing in r
+    by construction, which matches the shrinking-closure picture it
+    estimates.
     """
     A = as_tuple(A)
     if n_dirs < 1:
@@ -522,7 +522,8 @@ def essential_estimate(A, q: int, r_max: int,
             break
         supports.append(np.max(pts @ dirs.T, axis=0))
     if not supports:
-        raise RuntimeError(f"no level produced any accepted point (first failure r={failed_r})")
+        raise DeflationError(1, Rejection(np.inf, SUPPORT_RESTARTS,
+                                          "no point of level 1 passed accept_tol"))
     S = np.array(supports)
     inter = np.minimum.accumulate(S, axis=0)
     return EssentialEstimate(q=q, directions=dirs, supports=S,

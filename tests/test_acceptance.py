@@ -222,10 +222,8 @@ def test_cli_byte_determinism(tmp_path):
          "--q", "1", "--restarts", "8"],
         ["construct", "segment", "--input", str(pair), "--p", "1", "--q", "1",
          "--restarts", "8"],
-        ["construct", "tverberg", "--input", str(d12), "--p", "2", "--q", "1",
-         "--restarts", "8"],
-        ["construct", "tverberg", "--input", str(d12), "--p", "3", "--q", "1",
-         "--restarts", "8"],
+        ["construct", "tverberg", "--input", str(d12), "--p", "2", "--q", "1"],
+        ["construct", "tverberg", "--input", str(d12), "--p", "3", "--q", "1"],
         ["construct", "essential", "--input", str(d12), "--q", "1",
          "--r-max", "1", "--n-free", "2", "--restarts", "6"],
         ["verify", "star", "--planted", "--m", "2", "--blocks", "3",

@@ -5,10 +5,12 @@ codes and emitted documents are checked without spawning subprocesses.
 """
 
 import argparse
+import ast
 import dataclasses
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +251,7 @@ class TestConstruct:
     def test_tverberg(self, tmp_path, diag12):
         out = tmp_path / "tv.json"
         rc = main(["construct", "tverberg", "--input", diag12, "--p", "2",
-                   "--q", "1", "--restarts", "8", "--out", str(out)])
+                   "--q", "1", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["kind"] == "tverberg-lift"
@@ -451,12 +453,26 @@ class TestErrors:
         assert doc["kind"] == "rejection" and doc["stage"] == 4
         assert doc["best_residual"] > 1e-8
 
+    def test_essential_without_a_level_one_point(self, tmp_path, capsys):
+        # at norm 1e13 level 1 certifies no support point: a rejection at
+        # stage 1, not a traceback
+        src, out = tmp_path / "big.json", tmp_path / "ess.json"
+        save_tuple(HermitianTuple(1e13 * random_hermitian_tuple(2, 8, 0).mats), src)
+        rc = main(["construct", "essential", "--input", str(src), "--q", "1",
+                   "--r-max", "1", "--n-free", "0", "--n-dirs", "4", "--restarts", "2",
+                   "--out", str(out)])
+        assert rc == 4
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "rejection" and doc["stage"] == 1
+        assert doc["best_residual"] is None
+
     def test_tverberg_exchange_cap(self, tmp_path, capsys, monkeypatch, diag12):
         # a p = 3 lift needs at least one colorful exchange
         monkeypatch.setattr("matrange.tverberg.EXCHANGE_CAP", 0)
         out = tmp_path / "tv.json"
         rc = main(["construct", "tverberg", "--input", diag12, "--p", "3", "--q", "1",
-                   "--restarts", "8", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -510,6 +526,10 @@ class TestErrors:
         ["compute", "numrange", "--input", "{pair}", "--angles", "2"],
         ["construct", "star-center", "--input", "{pair}", "--p", "1", "--q", "1", "--seed", "-5"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--seed", "-1"],
+        # flags a command never reads are not parsed
+        ["compute", "numrange", "--input", "{pair}", "--seed", "0"],
+        ["construct", "tverberg", "--input", "{pair}", "--p", "2", "--q", "1",
+         "--restarts", "8"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"
@@ -535,6 +555,22 @@ def minimal_argv(group, op):
 
 
 ENTRIES = [(group, op) for group, ops in COMMANDS.items() for op in ops]
+CLI_FUNCTIONS = {node.name: node for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+
+
+def args_reads(name, seen=()) -> set:
+    """The attributes that cli function `name` reads off args, with those of
+    every cli function it passes args to."""
+    reads = set()
+    for node in ast.walk(CLI_FUNCTIONS[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in CLI_FUNCTIONS
+              and node.func.id not in seen + (name,)
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            reads |= args_reads(node.func.id, seen + (name,))
+    return reads
 
 
 class TestParser:
@@ -547,8 +583,19 @@ class TestParser:
 
     @pytest.mark.parametrize("group,op", ENTRIES)
     def test_command_parser_matches_full_tree(self, group, op):
-        for argv in (minimal_argv(group, op), minimal_argv(group, op) + ["--seed", "3"]):
+        # compute numrange takes no --seed
+        seed = ["--seed", "3"] if cli.SEED in COMMANDS[group][op][1] else []
+        for argv in (minimal_argv(group, op), minimal_argv(group, op) + seed):
             assert parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("group,op", ENTRIES)
+    def test_every_flag_has_a_reader(self, group, op):
+        # a flag counts as read when its handler, a cli function the handler
+        # passes args to, or _finish reads args.<dest>
+        handler, _ = COMMANDS[group][op]
+        flags = vars(parse_args(minimal_argv(group, op))).keys() - {"group", "op", "func"}
+        read = args_reads(handler.__name__) | args_reads("_finish")
+        assert not flags - read, f"parsed but never read: {sorted(flags - read)}"
 
     @pytest.mark.parametrize("group,op", ENTRIES)
     def test_command_help_matches_full_tree(self, group, op, capsys, monkeypatch):
@@ -630,8 +677,7 @@ class TestOutputs:
              "--p", "1", "--q", "1", "--restarts", "8"],
             ["construct", "segment", "--input", pair10, "--p", "1", "--q", "1",
              "--restarts", "8"],
-            ["construct", "tverberg", "--input", diag12, "--p", "2", "--q", "1",
-             "--restarts", "8"],
+            ["construct", "tverberg", "--input", diag12, "--p", "2", "--q", "1"],
             ["construct", "essential", "--input", diag12, "--q", "1",
              "--r-max", "1", "--n-free", "2", "--restarts", "6"],
             ["verify", "star", "--planted", "--m", "2", "--blocks", "3",

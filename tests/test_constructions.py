@@ -33,6 +33,7 @@ from matrange.constructions import (
     tverberg_lift,
 )
 from matrange.feasibility import (
+    SUPPORT_RESTARTS,
     Certificate,
     MatPoint,
     Rejection,
@@ -42,6 +43,7 @@ from matrange.feasibility import (
     solve_free,
     solve_support,
 )
+from matrange.io import load_certificate, save_certificate
 from matrange.linalg import (
     DimensionError,
     HermitianTuple,
@@ -569,6 +571,21 @@ def test_tverberg_lift_structural_error():
         tverberg_lift(A, 1, 2, SolverOptions(seed=0))
 
 
+def test_tverberg_lift_room_is_the_familys(tmp_path):
+    # m = 2, p = 2 needs d = 4 blocks; the last shields nothing after it, so
+    # (d - 1)(m + 1) + 1 = 10 dimensions suffice and 9 leave it no room
+    A = random_hermitian_tuple(2, 10, 0)
+    lift = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
+    assert len(lift.family) == 4 and lift.certificate.residual <= 1e-8
+    save_certificate(lift.certificate, tmp_path / "lift.json")
+    assert load_certificate(tmp_path / "lift.json", A).residual == lift.certificate.residual
+    # the blocks are certified as drawn: no restart budget reaches the lift
+    again = tverberg_lift(A, 1, 2, SolverOptions(seed=0, max_restarts=1))
+    assert np.array_equal(again.certificate.witness.mat, lift.certificate.witness.mat)
+    with pytest.raises(StructuralInfeasibility, match="must be at least 10"):
+        tverberg_lift(random_hermitian_tuple(2, 9, 0), 1, 2, SolverOptions(seed=0))
+
+
 def test_tverberg_lift_q2_p3_certifies():
     # the paper's q = 2, m = 2, p = 3 lift: d = 19 blocks in R^8, split by
     # the colorful exchange
@@ -645,6 +662,17 @@ def test_essential_estimate_scalar_tuple():
     est = essential_estimate(A, 1, 2, SolverOptions(seed=0))
     lo, hi = est.interval()
     assert abs(lo - 2.5) <= 1e-8 and abs(hi - 2.5) <= 1e-8
+
+
+def test_essential_estimate_without_a_level_one_point():
+    # at norm 1e13 no directed solve of level 1 reaches accept_tol, and with
+    # no free samples the estimate keeps nothing to intersect
+    A = HermitianTuple(1e13 * random_hermitian_tuple(2, 8, 0).mats)
+    with pytest.raises(DeflationError) as exc:
+        essential_estimate(A, 1, 1, SolverOptions(max_restarts=2), n_dirs=4, n_free=0)
+    assert exc.value.stage == 1
+    assert exc.value.rejection.best_residual == np.inf
+    assert exc.value.rejection.restarts == SUPPORT_RESTARTS
 
 
 def test_essential_estimate_depth_guard():
