@@ -294,14 +294,23 @@ def cmd_essential(args) -> dict:
 # verify
 
 
+def _mode(args, flag: str, on: bool) -> bool:
+    """Whether the mode named by flag is on.  A mode builds its own tuple, so
+    it takes neither --input nor --embed; without it --input is required."""
+    given = "--input" if args.input is not None else "--embed" if args.embed else None
+    if on and given:
+        raise UsageError(f"{given} is not read with {flag}")
+    if not on and args.input is None:
+        raise UsageError(f"{args.group} {args.op} needs --input or {flag}")
+    return on
+
+
 def cmd_verify_star(args):
     opts = _opts(args)
-    if args.planted:
+    if _mode(args, "--planted", args.planted):
         A, certs = planted_star_instance(args.m, args.p, args.q, args.blocks,
                                          opts.seed)
         return check_star_shaped(A, args.p, args.q, opts=opts, exact=certs)
-    if args.input is None:
-        raise SchemaError("verify star needs --input or --planted")
     A = _load_hermitian(args.input, args.embed)
     return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=opts)
 
@@ -318,10 +327,8 @@ def cmd_verify_inclusions(args) -> SuiteReport:
 
 
 def cmd_verify_convexity(args) -> SuiteReport:
-    if args.ensemble == "pauli":
+    if _mode(args, "--ensemble", args.ensemble == "pauli"):
         return check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
-    if args.input is None:
-        raise SchemaError("verify convexity needs --input or --ensemble")
     A = _load_hermitian(args.input, args.embed)
     return check_convexity(A, args.p, args.q, pairs=args.pairs, opts=_opts(args))
 

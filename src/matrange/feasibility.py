@@ -23,13 +23,13 @@ so that each numpy call (products, QR retraction) serves the whole stack.
 A lane keeps its own step, line search and stop test, leaves the stack
 when it stops, and computes bitwise the same whatever lanes share its
 stack.  Membership and free solves are jobs, each with its own tuple,
-target and seed; the jobs of one call run their restarts in waves of 1, 2,
-4, ... lanes, up to one stack's.  After each wave a lane that stalled close
-to accept_tol (within POLISH_GATE times it) gets a Gauss-Newton polish, and
-in each job the lowest restart that reaches accept_tol wins, exactly as one
-restart at a time would choose.  Support solves run all their restarts, and
-sample_range all its directed solves and the waves of all its free
-samples, as lanes of shared stacks.
+target and seed; the jobs of one call run restart 0 alone, then the rest
+of the budget in waves of one stack's lanes.  After each wave a lane that
+stalled close to accept_tol (within POLISH_GATE times it) gets a
+Gauss-Newton polish, and in each job the lowest restart that reaches
+accept_tol wins, exactly as one restart at a time would choose.  Support
+solves run all their restarts, and sample_range all its directed solves
+and the waves of all its free samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
@@ -601,41 +601,39 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
 
     A is one tuple for every job or a list of tuples, one per job; target is
     None (free mode), one (m, q, q) point for every job, or one per job.
-    All jobs share m, n, p and q.  Restarts run in doubling waves, 1 lane,
-    then 2, 4, ..., capped by _stack_lanes and max_restarts; the waves of all
+    All jobs share m, n, p and q.  Restart 0 runs alone, then the rest of
+    the budget in waves of one stack's lanes (_stack_lanes); the waves of all
     open jobs descend as one stack.  Then each job settles its lanes in
     restart order (_settle) and stops at the first that reaches accept_tol,
-    so the lowest successful restart wins, and a job whose restart 0
-    succeeds runs one lane.  Returns per job (r, X, residual) of that
-    restart r, or (None, None, best residual) after max_restarts failures;
-    before any restart has run, the best residual is inf.
+    so the lowest successful restart wins.  Returns per job (r, X, residual)
+    of that restart r, or (None, None, best residual) after max_restarts
+    failures; before any restart has run, the best residual is inf.
     """
     if not bases:
         return []
     shared = isinstance(A, HermitianTuple)
-    tuples = [A] * len(bases) if shared else list(A)
-    Amats = A.mats if shared else np.stack([a.mats for a in tuples])
+    first = A if shared else A[0]
+    Amats = A.mats if shared else np.stack([a.mats for a in A])
     target = None if target is None else np.broadcast_to(
-        np.asarray(target, dtype=complex), (len(bases), tuples[0].m, q, q))
-    k = _witness_columns(tuples[0], p, q)
+        np.asarray(target, dtype=complex), (len(bases), first.m, q, q))
+    k = _witness_columns(first, p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
     start, width, cap = 0, 1, _stack_lanes(Amats, k)
     while todo and start < opts.max_restarts:
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]
-        X0 = np.array([random_isometry(tuples[0].n, k, bases[i] + r).mat for i, r in wave])
+        X0 = np.array([random_isometry(first.n, k, bases[i] + r).mat for i, r in wave])
         X, R2 = _descend(Amats, X0, p, q, opts, MAX_ITERS, target=target,
                          job=np.array([i for i, _ in wave]))
         for l, (i, r) in enumerate(wave):
             if out[i][0] is not None:  # an earlier restart of job i succeeded
                 continue
-            Xl, res = _settle(tuples[i].mats, X[l], R2[l], p, q, opts,
-                              None if target is None else target[i])
+            Xl, res = _settle(_lanes(Amats, i), X[l], R2[l], p, q, opts, _lanes(target, i))
             out[i] = (r, Xl, res) if res <= opts.accept_tol \
                 else (None, None, min(out[i][2], res))
         todo = [i for i in todo if out[i][0] is None]
-        start, width = start + width, min(2 * width, cap)
+        start, width = start + width, cap
     return out
 
 

@@ -293,6 +293,24 @@ class TestVerify:
         rc = main(["verify", "star", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "star", "--planted", "--m", "2", "--blocks", "3", "--input", "{missing}",
+          "--points", "1", "--embed"], "--input"),
+        (["verify", "star", "--planted", "--embed"], "--embed"),
+        (["verify", "convexity", "--ensemble", "pauli", "--input", "{missing}",
+          "--p", "3", "--pairs", "1"], "--input"),
+        (["verify", "convexity", "--ensemble", "pauli", "--embed"], "--embed"),
+    ])
+    def test_mode_refuses_input_flags(self, tmp_path, capsys, argv, flag):
+        # a mode builds its own tuple, so a flag only the --input branch reads
+        # is refused before any work instead of being ignored
+        out = tmp_path / "r.json"
+        argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} is not read with ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_star_input_without_center_is_a_rejection(self, tmp_path):
         # at accept-tol 1e-300 no star center certifies
         src = tmp_path / "g.json"

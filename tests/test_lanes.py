@@ -218,15 +218,21 @@ def stationary_starts(monkeypatch, n, k, bases, stuck):
     monkeypatch.setattr(feasibility, "random_isometry", start)
 
 
-@pytest.mark.parametrize("stuck", [(0,), (0, 1), (0, 1, 2)])
-def test_later_restart_wins_as_in_serial_reference(monkeypatch, stuck):
+@pytest.mark.parametrize("stuck, cap", [((0,), None), ((0, 1), None), ((0, 1, 2), None),
+                                        ((0, 1, 2, 3, 4), 2)],
+                         ids=["stuck0", "stuck1", "stuck2", "stuck3"])
+def test_later_restart_wins_as_in_serial_reference(monkeypatch, stuck, cap):
     # diag(1, ..., 8): the scalar target 4.5 lies inside the rank-1 range,
     # but a coordinate start is an exact stationary point with residual
-    # |j - 4.5| >= 0.5 that neither the descent nor the polish can leave
+    # |j - 4.5| >= 0.5 that neither the descent nor the polish can leave.
+    # With stacks of cap lanes the waves are [0], [1, 2], [3, 4], [5, 6], ...,
+    # so the winner sits past the second wave
     A = HermitianTuple(np.diag(np.arange(1.0, 9.0)).astype(complex)[None])
     target = MatPoint.scalar([4.5], 1).blocks
     opts = SolverOptions(seed=11, max_restarts=8)
     stationary_starts(monkeypatch, 8, 1, [opts.seed], stuck)
+    if cap is not None:
+        monkeypatch.setattr(feasibility, "LANE_ENTRIES", A.m * A.n * cap)
     r_ref, X_ref, res_ref = serial_first_success(A, 1, 1, opts, target=target)
     [(r, X, res)] = _first_success(A, 1, 1, opts, [opts.seed], target=target)
     assert r_ref == r == len(stuck)
@@ -253,7 +259,7 @@ def test_wave_jobs_match_one_job_at_a_time(monkeypatch):
 def test_failed_job_reports_best_residual_over_all_waves():
     A = HermitianTuple(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)[None])
     target = MatPoint.scalar([3.5], 1).blocks
-    opts = SolverOptions(seed=0, max_restarts=7)  # waves of 1, 2, 4 lanes
+    opts = SolverOptions(seed=0, max_restarts=7)  # waves of 1 and 6 lanes
     [(r, X, res)] = _first_success(A, 2, 1, opts, [opts.seed], target=target)
     r_ref, X_ref, res_ref = serial_first_success(A, 2, 1, opts, target=target)
     assert r is X is r_ref is X_ref is None
@@ -277,18 +283,21 @@ def test_shared_target_is_polished_against_the_target():
     assert res == res1 and np.array_equal(X, X1)
 
 
-def test_waves_stop_doubling_at_one_stack():
-    # with stacks of 3 lanes, waves of 1, 2, 3, 3, ... lanes per job give the
-    # results of waves of 1, 2, 4, 8, ...; the second job fails, so it runs 20
+def test_waves_after_restart_zero_fill_one_stack():
+    # restart 0 runs alone, then the rest of the budget in waves of one
+    # stack's lanes; the second job fails every restart, so its waves read
+    # [1, 19] in one stack and [1, 3, 3, 3, 3, 3, 3, 1] in stacks of 3 lanes,
+    # with bitwise the same results
     A = gue(2, 6, 3)
     points = [feasibility.certify(A, random_isometry(6, 2, 4), 2).point,
               MatPoint(10.0 * np.ones((2, 1, 1)))]
     opts, cap = SolverOptions(max_restarts=20), 3
+    assert feasibility._stack_lanes(A.mats, 2) >= 19  # one stack holds the rest
     widths = {}
     descend = feasibility._descend
 
     def spy(*args, job, **kw):
-        widths[feasibility.LANE_ENTRIES].append(int(np.bincount(job).max()))
+        widths[feasibility.LANE_ENTRIES].append(int(np.sum(job == 1)))
         return descend(*args, job=job, **kw)
 
     results = []
@@ -300,10 +309,27 @@ def test_waves_stop_doubling_at_one_stack():
             widths[entries] = []
             results.append(solve_jobs(A, 2, 1, [7, 8], points, opts))
     wide, capped = widths.values()
-    assert max(wide) > cap and max(capped) == cap and sum(capped) == sum(wide) == 20
+    assert wide == [1, 19] and capped == [1, 3, 3, 3, 3, 3, 3, 1]
     assert isinstance(results[0][1], Rejection) and results[0][1] == results[1][1]
     got, want = results[1][0], results[0][0]
     assert np.array_equal(got.witness.mat, want.witness.mat) and got.residual == want.residual
+
+
+def test_rejecting_membership_descends_in_two_waves(monkeypatch):
+    # a point far outside the range fails all 6 restarts: restart 0 alone,
+    # then restarts 1-5 as one stack, not waves of 1, 2 and 3 lanes
+    A = gue(2, 6, 3)
+    lanes = []
+    descend = feasibility._descend
+
+    def spy(Amats, X, *args, **kw):
+        lanes.append(len(X))
+        return descend(Amats, X, *args, **kw)
+
+    monkeypatch.setattr(feasibility, "_descend", spy)
+    got = membership(A, MatPoint(10.0 * np.ones((2, 1, 1))), 2, SolverOptions(max_restarts=6))
+    assert isinstance(got, Rejection) and got.restarts == 6
+    assert lanes == [1, 5]
 
 
 @settings(max_examples=15, deadline=None)
