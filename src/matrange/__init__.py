@@ -83,11 +83,7 @@ from .io import (
     SchemaError,
     load_certificate,
     load_cloud,
-    load_report,
     load_tuple,
-    save_certificate,
-    save_cloud,
-    save_report,
     save_tuple,
 )
 

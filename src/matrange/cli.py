@@ -2,10 +2,12 @@
 
 Commands mirror the library: `compute numrange` for classical boundaries,
 `sample pq` for certified clouds, `construct ...` for the witness
-constructions, `verify ...` for the property suites.  All outputs are
-canonical JSON (stdout or --out), so identical flags and seed give
-byte-identical bytes; `compute numrange --svg` adds a flat polyline
-rendering.
+constructions, `verify ...` for the property suites.  A command runs one
+path and parses only the flags it reads, so a suite that builds its own
+tuple (`verify star-planted`, `verify pauli`) is a command of its own.
+All outputs are canonical JSON (stdout or --out), so identical flags and
+seed give byte-identical bytes; `compute numrange --svg` adds a flat
+polyline rendering.
 
 Each handler returns what it computed: a document, a Rejection or a
 SuiteReport (`compute numrange` writes its document and --svg file itself).
@@ -294,25 +296,14 @@ def cmd_essential(args) -> dict:
 # verify
 
 
-def _mode(args, flag: str, on: bool) -> bool:
-    """Whether the mode named by flag is on.  A mode builds its own tuple, so
-    it takes neither --input nor --embed; without it --input is required."""
-    given = "--input" if args.input is not None else "--embed" if args.embed else None
-    if on and given:
-        raise UsageError(f"{given} is not read with {flag}")
-    if not on and args.input is None:
-        raise UsageError(f"{args.group} {args.op} needs --input or {flag}")
-    return on
-
-
 def cmd_verify_star(args):
-    opts = _opts(args)
-    if _mode(args, "--planted", args.planted):
-        A, certs = planted_star_instance(args.m, args.p, args.q, args.blocks,
-                                         opts.seed)
-        return check_star_shaped(A, args.p, args.q, opts=opts, exact=certs)
     A = _load_hermitian(args.input, args.embed)
-    return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=opts)
+    return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=_opts(args))
+
+
+def cmd_verify_star_planted(args) -> SuiteReport:
+    A, certs = planted_star_instance(args.m, args.p, args.q, args.blocks, args.seed)
+    return check_star_shaped(A, args.p, args.q, exact=certs)
 
 
 def cmd_verify_bounds(args) -> SuiteReport:
@@ -327,10 +318,12 @@ def cmd_verify_inclusions(args) -> SuiteReport:
 
 
 def cmd_verify_convexity(args) -> SuiteReport:
-    if _mode(args, "--ensemble", args.ensemble == "pauli"):
-        return check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
     A = _load_hermitian(args.input, args.embed)
     return check_convexity(A, args.p, args.q, pairs=args.pairs, opts=_opts(args))
+
+
+def cmd_verify_pauli(args) -> SuiteReport:
+    return check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
 
 
 def cmd_verify_perturbation(args) -> SuiteReport:
@@ -344,7 +337,7 @@ def cmd_verify_perturbation(args) -> SuiteReport:
 
 # Every command is one entry {group: {op: (handler, argument specs)}}; a spec
 # is (flag, add_argument keywords).  Every command takes OUT, and lists only
-# the solver flags its handler reads.
+# the flags its handler reads.
 OUT = ("--out", dict(help="output path (stdout if omitted)"))
 SEED = ("--seed", dict(type=int_at_least(0), default=0))
 ACCEPT_TOL = ("--accept-tol", dict(type=positive_float, default=1e-8))
@@ -356,7 +349,7 @@ EMBED = ("--embed", dict(action="store_true"))
 THRESHOLD = ("--threshold", dict(type=unit_interval, default=0.95))
 
 
-def optional(spec, default=None):
+def optional(spec, default):
     """A required shared flag made optional with the given default."""
     flag, kw = spec
     return flag, {k: v for k, v in kw.items() if k != "required"} | {"default": default}
@@ -389,12 +382,14 @@ COMMANDS = {
     },
     "verify": {
         "star": (cmd_verify_star, SOLVER + (
-            optional(INPUT), ("--planted", dict(action="store_true")),
-            optional(P, 1), optional(Q, 1),
-            ("--m", dict(type=positive_int, default=2)),
-            ("--blocks", dict(type=int_at_least(2), default=4)),
+            INPUT, optional(P, 1), optional(Q, 1),
             ("--points", dict(type=positive_int, default=20)),
             THRESHOLD, EMBED)),
+        "star-planted": (cmd_verify_star_planted, (
+            SEED, optional(P, 1), optional(Q, 1),
+            ("--m", dict(type=positive_int, default=2)),
+            ("--blocks", dict(type=int_at_least(2), default=4)),
+            THRESHOLD)),
         "bounds": (cmd_verify_bounds, SOLVER + (
             ("--m", dict(type=int_at_least(0), required=True)),
             ("--k", dict(type=positive_int, required=True)),
@@ -410,11 +405,12 @@ COMMANDS = {
             ("--corners", dict(type=positive_int, default=5)),
             THRESHOLD)),
         "convexity": (cmd_verify_convexity, SOLVER + (
-            optional(INPUT), ("--ensemble", dict(choices=("pauli",))),
-            optional(P, 1), optional(Q, 1),
+            INPUT, optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
-            ("--floor", dict(type=finite_float, default=0.5)),
             THRESHOLD, EMBED)),
+        "pauli": (cmd_verify_pauli, SOLVER + (
+            ("--floor", dict(type=finite_float, default=0.5)),
+            THRESHOLD)),
         "perturbation": (cmd_verify_perturbation, SOLVER + (
             ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=16)),

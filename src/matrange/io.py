@@ -1,10 +1,14 @@
 """Canonical JSON file formats for tuples, clouds, certificates, reports.
 
-Every writer emits a single canonical byte sequence per value: fixed key
-order, no whitespace, shortest round-trip decimals, complex entries as
-[re, im] pairs, and a trailing newline.  parse(serialize(x)) == x and
-serialize(parse(f)) == f for canonical files, which is what makes seeded
-CLI runs byte-reproducible.
+canonical_dumps is the one serialization: fixed key order, no whitespace,
+shortest round-trip decimals, complex entries as [re, im] pairs, and a
+trailing newline.  save_tuple writes tuple files; certificate_doc,
+cloud_doc and report_doc build the documents the CLI writes through
+canonical_dumps.  load_tuple, load_certificate and load_cloud read their
+kinds back, so a certificate or cloud can be rechecked against its tuple;
+a report has no reader.  Reading a canonical file and serializing the
+result again gives the same bytes, which is what makes seeded CLI runs
+byte-reproducible.
 
 Schemas (shared fields: "schema_version": "1", "kind"):
 
@@ -71,11 +75,6 @@ def _read(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason}", e.start) from None
-
-
-def _write(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(canonical_dumps(doc))
 
 
 def _require(doc, kind: str, keys) -> None:
@@ -180,7 +179,8 @@ def save_tuple(A, path) -> None:
         "hermitian": bool(hermitian),
         "matrices": _matrix_doc(mats),
     }
-    _write(path, doc)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(canonical_dumps(doc))
 
 
 def load_tuple(path, embed: bool = False):
@@ -266,10 +266,6 @@ def certificate_doc(cert: Certificate) -> dict:
             **doc}
 
 
-def save_certificate(cert: Certificate, path) -> None:
-    _write(path, certificate_doc(cert))
-
-
 def load_certificate(path, A=None) -> Certificate:
     """Read a certificate; when the generating tuple is supplied, recompute
     the residual and insist it matches the stored value to 1e-12."""
@@ -312,10 +308,6 @@ def cloud_doc(cloud: PointCloud) -> dict:
         "certificates": certs,
         "meta": {k: cloud.meta[k] for k in sorted(cloud.meta)},
     }
-
-
-def save_cloud(cloud: PointCloud, path) -> None:
-    _write(path, cloud_doc(cloud))
 
 
 def load_cloud(path, A=None) -> PointCloud:
@@ -379,30 +371,3 @@ def report_doc(report: SuiteReport) -> dict:
         "failures": [[s, d] for s, d in report.failures],
         "tolerances": {k: report.tolerances[k] for k in sorted(report.tolerances)},
     }
-
-
-def save_report(report: SuiteReport, path) -> None:
-    _write(path, report_doc(report))
-
-
-def load_report(path) -> SuiteReport:
-    doc = _loads(_read(path))
-    _require(doc, "report", ("suite", "trials", "passes", "failures", "tolerances"))
-    if not isinstance(doc["suite"], str):
-        raise SchemaError(f"report: suite must be a string, got {doc['suite']!r}")
-    for key in ("trials", "passes"):
-        if type(doc[key]) is not int or doc[key] < 0:  # JSON true is not 1
-            raise SchemaError(f"report: {key} must be a non-negative integer, got {doc[key]!r}")
-    failures = doc["failures"]
-    if not isinstance(failures, list) or not all(
-            isinstance(f, list) and len(f) == 2 and type(f[0]) is int and isinstance(f[1], str)
-            for f in failures):
-        raise SchemaError("report: failures must be a list of [seed, message] pairs")
-    if not isinstance(doc["tolerances"], dict):
-        raise SchemaError(f"report: tolerances must be a JSON object, "
-                          f"got {type(doc['tolerances']).__name__}")
-    if doc["passes"] + len(failures) != doc["trials"]:
-        raise SchemaError(f"report: {doc['passes']} passes and {len(failures)} failures "
-                          f"do not add up to {doc['trials']} trials")
-    return SuiteReport(suite=doc["suite"], trials=doc["trials"],
-                       failures=tuple(map(tuple, failures)), tolerances=dict(doc["tolerances"]))

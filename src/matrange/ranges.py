@@ -23,11 +23,6 @@ class Interval:
     hi: float
     empty: bool = False
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        if self.empty:
-            return False
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class Boundary2D:
@@ -43,21 +38,6 @@ class Boundary2D:
     vertices: np.ndarray
     support: np.ndarray
     degenerate: str = "full"  # "full" | "segment" | "point"
-
-    def gap(self) -> float:
-        """Largest distance, along the mid-angle normal of two consecutive
-        supporting lines, from the inner vertex polygon out to the corner
-        where the lines meet; a convergence measure."""
-        if len(self.angles) == 0 or self.degenerate == "point":
-            return 0.0
-        # the vertices follow the convex boundary, so at a mid-angle the inner
-        # polygon's support is attained at one of the two adjacent vertices
-        step = np.mod(np.roll(self.angles, -1) - self.angles, 2.0 * np.pi)
-        mid = np.exp(-1j * (self.angles + 0.5 * step))
-        outer = (self.support + np.roll(self.support, -1)) / (2.0 * np.cos(0.5 * step))
-        inner = np.maximum(np.real(mid * self.vertices),
-                           np.real(mid * np.roll(self.vertices, -1)))
-        return float(np.max(outer - inner))
 
 
 def hermitian_embed(T) -> HermitianTuple:

@@ -226,14 +226,13 @@ def test_cli_byte_determinism(tmp_path):
         ["construct", "tverberg", "--input", str(d12), "--p", "3", "--q", "1"],
         ["construct", "essential", "--input", str(d12), "--q", "1",
          "--r-max", "1", "--n-free", "2", "--restarts", "6"],
-        ["verify", "star", "--planted", "--m", "2", "--blocks", "3",
-         "--restarts", "6"],
+        ["verify", "star-planted", "--m", "2", "--blocks", "3"],
         ["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3",
          "--restarts", "8"],
         ["verify", "inclusions", "--m", "1", "--n", "8", "--p", "2",
          "--q", "1", "--r", "1", "--trials", "2", "--corners", "2",
          "--restarts", "8"],
-        ["verify", "convexity", "--ensemble", "pauli", "--restarts", "10"],
+        ["verify", "pauli", "--restarts", "10"],
         ["verify", "perturbation", "--n", "8", "--trials", "2",
          "--restarts", "8"],
     ]

@@ -18,7 +18,7 @@ import pytest
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
 from matrange.feasibility import SolverOptions
-from matrange.io import save_tuple, save_report
+from matrange.io import canonical_dumps, report_doc, save_tuple
 from matrange.linalg import HermitianTuple
 from matrange.verify import SuiteReport, pauli_tuple, random_hermitian_tuple
 
@@ -282,8 +282,8 @@ class TestConstruct:
 class TestVerify:
     def test_star_planted_passes(self, tmp_path):
         out = tmp_path / "r.json"
-        rc = main(["verify", "star", "--planted", "--m", "2", "--blocks", "3",
-                   "--restarts", "6", "--out", str(out)])
+        rc = main(["verify", "star-planted", "--m", "2", "--blocks", "3",
+                   "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["kind"] == "report"
@@ -294,21 +294,29 @@ class TestVerify:
         assert rc == 2
 
     @pytest.mark.parametrize("argv, flag", [
-        (["verify", "star", "--planted", "--m", "2", "--blocks", "3", "--input", "{missing}",
-          "--points", "1", "--embed"], "--input"),
-        (["verify", "star", "--planted", "--embed"], "--embed"),
-        (["verify", "convexity", "--ensemble", "pauli", "--input", "{missing}",
-          "--p", "3", "--pairs", "1"], "--input"),
-        (["verify", "convexity", "--ensemble", "pauli", "--embed"], "--embed"),
+        (["verify", "star-planted", "--input", "{missing}"], "--input"),
+        (["verify", "star-planted", "--embed"], "--embed"),
+        (["verify", "pauli", "--input", "{missing}"], "--input"),
+        (["verify", "pauli", "--embed"], "--embed"),
+        (["verify", "star-planted", "--points", "1"], "--points"),
+        (["verify", "star-planted", "--restarts", "1"], "--restarts"),
+        (["verify", "pauli", "--p", "3"], "--p"),
+        (["verify", "pauli", "--q", "3"], "--q"),
+        (["verify", "pauli", "--pairs", "1"], "--pairs"),
+        (["verify", "star", "--input", "{missing}", "--m", "2"], "--m"),
+        (["verify", "convexity", "--input", "{missing}", "--floor", "0.1"], "--floor"),
+        (["verify", "star-planted", "--accept-tol", "1e-300"], "--accept-tol"),
+        (["verify", "star", "--input", "{missing}", "--blocks", "3"], "--blocks"),
     ])
     def test_mode_refuses_input_flags(self, tmp_path, capsys, argv, flag):
-        # a mode builds its own tuple, so a flag only the --input branch reads
-        # is refused before any work instead of being ignored
+        # a suite that builds its own tuple is a command of its own, so a flag
+        # that only another suite reads is refused before any work
         out = tmp_path / "r.json"
         argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} is not read with ") and err.count("\n") == 1
+        assert err.count("\n") == 1
+        assert err.split(": unrecognized arguments: ")[1].split()[0] == flag
         assert not out.exists()
 
     def test_star_input_without_center_is_a_rejection(self, tmp_path):
@@ -350,8 +358,7 @@ class TestVerify:
 
     def test_convexity_pauli_ensemble(self, tmp_path):
         out = tmp_path / "r.json"
-        rc = main(["verify", "convexity", "--ensemble", "pauli",
-                   "--restarts", "10", "--out", str(out)])
+        rc = main(["verify", "pauli", "--restarts", "10", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["passes"] == 2
@@ -359,8 +366,7 @@ class TestVerify:
     def test_convexity_pauli_ensemble_records_restarts(self, tmp_path):
         # --restarts is the budget of the origin's membership solve
         out = tmp_path / "r.json"
-        rc = main(["verify", "convexity", "--ensemble", "pauli", "--restarts", "7",
-                   "--out", str(out)])
+        rc = main(["verify", "pauli", "--restarts", "7", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["tolerances"]["restarts"] == 7
 
@@ -441,7 +447,8 @@ class TestErrors:
 
     def test_wrong_document_kind(self, tmp_path):
         src = tmp_path / "report.json"
-        save_report(SuiteReport(suite="s", trials=1, failures=(), tolerances={}), src)
+        src.write_text(canonical_dumps(report_doc(
+            SuiteReport(suite="s", trials=1, failures=(), tolerances={}))))
         rc = main(["compute", "numrange", "--input", str(src),
                    "--out", str(tmp_path / "bd.json")])
         assert rc == 2
@@ -507,8 +514,8 @@ class TestErrors:
          "--n-dirs", "0"],
         ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "1.5"],
         ["verify", "bounds", "--m", "2", "--k", "2", "--threshold", "-0.1"],
-        ["verify", "star", "--planted", "--blocks", "0"],
-        ["verify", "star", "--planted", "--blocks", "1"],
+        ["verify", "star-planted", "--blocks", "0"],
+        ["verify", "star-planted", "--blocks", "1"],
         ["verify", "star", "--input", "{pair}", "--points", "0"],
         ["verify", "bounds", "--m", "2", "--k", "2", "--trials", "0"],
         ["verify", "inclusions", "--trials", "0"],
@@ -530,10 +537,10 @@ class TestErrors:
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "nan"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "-1"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "inf"],
-        ["verify", "convexity", "--ensemble", "pauli", "--floor", "nan"],
-        ["verify", "convexity", "--ensemble", "pauli", "--floor", "inf"],
-        ["verify", "star", "--planted", "--m", "-1"],
-        ["verify", "star", "--planted", "--m", "0"],
+        ["verify", "pauli", "--floor", "nan"],
+        ["verify", "pauli", "--floor", "inf"],
+        ["verify", "star-planted", "--m", "-1"],
+        ["verify", "star-planted", "--m", "0"],
         ["verify", "inclusions", "--m", "-1", "--n", "8", "--trials", "1"],
         ["verify", "inclusions", "--m", "0", "--n", "8", "--trials", "1"],
         ["verify", "perturbation", "--m", "-1", "--trials", "1"],
@@ -698,8 +705,7 @@ class TestOutputs:
             ["construct", "tverberg", "--input", diag12, "--p", "2", "--q", "1"],
             ["construct", "essential", "--input", diag12, "--q", "1",
              "--r-max", "1", "--n-free", "2", "--restarts", "6"],
-            ["verify", "star", "--planted", "--m", "2", "--blocks", "3",
-             "--restarts", "6"],
+            ["verify", "star-planted", "--m", "2", "--blocks", "3"],
             ["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3",
              "--restarts", "8"],
             ["verify", "convexity", "--input", pauli_file, "--p", "1",

@@ -22,13 +22,12 @@ from matrange.io import (
     ParseError,
     SchemaError,
     canonical_dumps,
+    certificate_doc,
+    cloud_doc,
     load_certificate,
     load_cloud,
-    load_report,
     load_tuple,
-    save_certificate,
-    save_cloud,
-    save_report,
+    report_doc,
     save_tuple,
 )
 from matrange.linalg import DimensionError, HermitianTuple, Isometry
@@ -204,7 +203,7 @@ def test_booleans_among_matrix_entries_are_refused(tmp_path):
         assert np.array_equal(load_tuple(f)[0], [[1.0, 0.5], [0.5, 2.0]])
     A = herm(8, seed=7)
     c = tmp_path / "c.json"
-    save_certificate(solve_free(A, 2, 1, SolverOptions(seed=0)), c)
+    c.write_text(canonical_dumps(certificate_doc(solve_free(A, 2, 1, SolverOptions(seed=0)))))
     good = json.loads(c.read_text())
     witness = [[list(pair) for pair in row] for row in good["witness"]]
     witness[3][1][0] = True
@@ -215,7 +214,7 @@ def test_booleans_among_matrix_entries_are_refused(tmp_path):
         with pytest.raises(SchemaError, match=match):
             load_certificate(c)
     # a cloud's certificates carry witnesses too
-    save_cloud(sample_range(A, 1, 1, 2, SolverOptions(seed=0)), c)
+    c.write_text(canonical_dumps(cloud_doc(sample_range(A, 1, 1, 2, SolverOptions(seed=0)))))
     cloud = json.loads(c.read_text())
     cloud["certificates"][1]["witness"][0][0] = [0.5, False]
     c.write_text(canonical_dumps(cloud))
@@ -289,14 +288,14 @@ def test_certificate_roundtrip_with_revalidation(tmp_path):
     A = herm(8, seed=5)
     cert = solve_free(A, 2, 1, SolverOptions(seed=0))
     f = tmp_path / "c.json"
-    save_certificate(cert, f)
+    f.write_text(canonical_dumps(certificate_doc(cert)))
     back = load_certificate(f, A=A)
     assert back.p == cert.p and back.q == cert.q
     assert back.residual == cert.residual
     assert np.array_equal(back.witness.mat, cert.witness.mat)
     # byte stability through a load-save cycle
     f2 = tmp_path / "c2.json"
-    save_certificate(back, f2)
+    f2.write_text(canonical_dumps(certificate_doc(back)))
     assert f.read_bytes() == f2.read_bytes()
 
 
@@ -304,7 +303,7 @@ def test_certificate_revalidation_catches_stale_residual(tmp_path):
     A = herm(8, seed=6)
     cert = solve_free(A, 2, 1, SolverOptions(seed=0))
     f = tmp_path / "c.json"
-    save_certificate(cert, f)
+    f.write_text(canonical_dumps(certificate_doc(cert)))
     doc = json.loads(f.read_text())
     doc["residual"] = doc["residual"] + 1e-3
     f.write_text(canonical_dumps(doc))
@@ -316,7 +315,8 @@ def test_certificate_revalidation_catches_stale_residual(tmp_path):
 def test_certificate_with_overflowing_witness_gram_is_refused(tmp_path):
     # X*X overflows to inf - inf = NaN, which no defect tolerance admits
     f = tmp_path / "c.json"
-    save_certificate(solve_free(herm(4, seed=8), 1, 2, SolverOptions(seed=0)), f)
+    cert = solve_free(herm(4, seed=8), 1, 2, SolverOptions(seed=0))
+    f.write_text(canonical_dumps(certificate_doc(cert)))
     doc = json.loads(f.read_text())
     doc["witness"] = [[[1e300, 0.0], [1e300, 0.0]], [[1e300, 0.0], [-1e300, 0.0]]]
     f.write_text(canonical_dumps(doc))
@@ -331,8 +331,8 @@ def test_certificate_with_infinite_recomputed_residual_is_refused(tmp_path):
     A = HermitianTuple(np.full((1, 2, 2), 1e308))
     X = Isometry(np.ones((2, 1)) / np.sqrt(2.0))
     f = tmp_path / "c.json"
-    save_certificate(Certificate(point=MatPoint(np.ones((1, 1, 1))), p=1, witness=X,
-                                 residual=0.0), f)
+    cert = Certificate(point=MatPoint(np.ones((1, 1, 1))), p=1, witness=X, residual=0.0)
+    f.write_text(canonical_dumps(certificate_doc(cert)))
     load_certificate(f)          # loads fine without the tuple
     with np.errstate(over="ignore"), pytest.raises(CertificateError, match="recomputed inf"):
         load_certificate(f, A=A)
@@ -342,7 +342,7 @@ def test_certificate_block_shape_check(tmp_path):
     A = herm(8, seed=7)
     cert = solve_free(A, 1, 2, SolverOptions(seed=0))
     f = tmp_path / "c.json"
-    save_certificate(cert, f)
+    f.write_text(canonical_dumps(certificate_doc(cert)))
     doc = json.loads(f.read_text())
     doc["q"] = 3
     f.write_text(canonical_dumps(doc))
@@ -353,7 +353,7 @@ def test_certificate_block_shape_check(tmp_path):
 def test_certificate_schema_errors(tmp_path):
     A = herm(8, seed=7)
     f = tmp_path / "c.json"
-    save_certificate(solve_free(A, 2, 1, SolverOptions(seed=0)), f)
+    f.write_text(canonical_dumps(certificate_doc(solve_free(A, 2, 1, SolverOptions(seed=0)))))
     good = json.loads(f.read_text())
     for change, match in [({"m": 5}, "list of m = 5 blocks"),
                           ({"m": True}, "m must be a positive integer"),
@@ -378,13 +378,13 @@ def test_cloud_roundtrip_with_certificates(tmp_path):
     A = herm(7, seed=8)
     cloud = sample_range(A, 1, 1, 4, SolverOptions(seed=0))
     f = tmp_path / "cl.json"
-    save_cloud(cloud, f)
+    f.write_text(canonical_dumps(cloud_doc(cloud)))
     back = load_cloud(f, A=A)
     assert np.array_equal(back.coords, cloud.coords)
     assert back.meta == cloud.meta
     assert len(back.certificates) == len(cloud.certificates)
     f2 = tmp_path / "cl2.json"
-    save_cloud(back, f2)
+    f2.write_text(canonical_dumps(cloud_doc(back)))
     assert f.read_bytes() == f2.read_bytes()
 
 
@@ -392,7 +392,7 @@ def test_cloud_flattening_tag_policing(tmp_path):
     A = herm(7, seed=10)
     cloud = sample_range(A, 1, 1, 2, SolverOptions(seed=0))
     f = tmp_path / "cl.json"
-    save_cloud(cloud, f)
+    f.write_text(canonical_dumps(cloud_doc(cloud)))
     doc = json.loads(f.read_text())
     for tag in ("row-major", "affine-image"):
         doc["flattening"] = tag
@@ -405,7 +405,7 @@ def test_cloud_certificate_count_mismatch(tmp_path):
     A = herm(7, seed=11)
     cloud = sample_range(A, 1, 1, 3, SolverOptions(seed=0))
     f = tmp_path / "cl.json"
-    save_cloud(cloud, f)
+    f.write_text(canonical_dumps(cloud_doc(cloud)))
     doc = json.loads(f.read_text())
     doc["certificates"] = doc["certificates"][:-1]
     f.write_text(canonical_dumps(doc))
@@ -426,7 +426,7 @@ def test_cloud_coordinate_width_check(tmp_path):
 def test_cloud_schema_errors(tmp_path):
     A = herm(7, seed=11)
     f = tmp_path / "cl.json"
-    save_cloud(sample_range(A, 1, 1, 2, SolverOptions(seed=0)), f)
+    f.write_text(canonical_dumps(cloud_doc(sample_range(A, 1, 1, 2, SolverOptions(seed=0)))))
     good = json.loads(f.read_text())
     for change, match in [({"certificates": 5}, "certificates must be a list or null"),
                           ({"certificates": [5, 5]}, "certificate 0: expected a JSON object"),
@@ -449,70 +449,33 @@ def test_cloud_schema_errors(tmp_path):
 # reports
 
 
-def test_report_roundtrip_and_no_wall_time(tmp_path):
+def test_report_doc_bytes():
+    # sorted tolerances, passes as trials minus failures, and no wall time
     rep = SuiteReport(suite="demo", trials=3, failures=((17, "one bad"),),
                       tolerances={"b": 2.0, "a": 1.0})
-    f = tmp_path / "r.json"
-    save_report(rep, f)
-    raw = json.loads(f.read_text())
-    assert "wall_time" not in raw
-    assert list(raw["tolerances"]) == ["a", "b"]
-    back = load_report(f)
-    assert (back.suite, back.trials, back.passes) == ("demo", 3, 2)
-    assert back.failures == ((17, "one bad"),)
-    f2 = tmp_path / "r2.json"
-    save_report(back, f2)
-    assert f.read_bytes() == f2.read_bytes()
-
-
-def test_report_schema_error(tmp_path):
-    f = tmp_path / "r.json"
-    f.write_text('{"schema_version":"1","kind":"report","suite":"x"}\n')
-    with pytest.raises(SchemaError, match="missing"):
-        load_report(f)
-
-
-def test_report_schema_errors(tmp_path):
-    f = tmp_path / "r.json"
-    save_report(SuiteReport(suite="demo", trials=3, failures=((17, "one bad"),),
-                            tolerances={"a": 1.0}), f)
-    good = json.loads(f.read_text())
-    for change, match in [({"trials": "1"}, "trials must be a non-negative integer"),
-                          ({"trials": True}, "trials must be a non-negative integer"),
-                          ({"passes": 1.7}, "passes must be a non-negative integer"),
-                          ({"passes": -1}, "passes must be a non-negative integer"),
-                          ({"suite": 5}, "suite must be a string"),
-                          ({"tolerances": [["a", 1]]}, "tolerances must be a JSON object"),
-                          ({"tolerances": 5}, "tolerances must be a JSON object"),
-                          ({"failures": 5}, r"failures must be a list of \[seed, message\]"),
-                          ({"failures": [[1]]}, r"failures must be a list of \[seed, message\]"),
-                          ({"failures": [["17", "x"]]}, "failures must be a list"),
-                          ({"failures": [[17, 5]]}, "failures must be a list"),
-                          ({"passes": 3}, "do not add up to 3 trials")]:
-        f.write_text(canonical_dumps({**good, **change}))
-        with pytest.raises(SchemaError, match=match):
-            load_report(f)
+    assert canonical_dumps(report_doc(rep)) == (
+        '{"schema_version":"1","kind":"report","suite":"demo","trials":3,"passes":2,'
+        '"failures":[[17,"one bad"]],"tolerances":{"a":1.0,"b":2.0}}\n')
 
 
 # ---------------------------------------------------------------------------
-# byte-for-byte round trips of clouds, certificates and reports
+# byte-for-byte round trips of clouds and certificates
 
 
 ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.0e-310])
 
 
-def roundtrip_bytes(save, load, value, **load_kw):
-    """Save, load and save again; both files must be byte-identical."""
+def roundtrip_bytes(doc, load, value):
+    """Write doc(value), load it and write it again: byte-identical."""
+    raw = canonical_dumps(doc(value))
     with tempfile.TemporaryDirectory() as tmp:
-        f1, f2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
-        save(value, f1)
-        back = load(f1, **load_kw)
-        save(back, f2)
-        with open(f1, "rb") as fh1, open(f2, "rb") as fh2:
-            raw = fh1.read()
-            assert fh2.read() == raw
-    assert raw == canonical_dumps(json.loads(raw)).encode()
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(raw)
+        back = load(path)
+    assert canonical_dumps(doc(back)) == raw
+    assert raw == canonical_dumps(json.loads(raw))
     return back
 
 
@@ -549,7 +512,7 @@ def test_cloud_json_roundtrips_byte_for_byte(m, p, q, rows, kind, data):
     meta = {"seed": data.draw(st.integers(0, 2**31)), "rate": data.draw(ANY_FLOAT),
             "tiny": data.draw(TINY)}
     cloud = PointCloud(coords=coords, m=m, p=p, q=q, certificates=certs, meta=meta)
-    back = roundtrip_bytes(save_cloud, load_cloud, cloud)
+    back = roundtrip_bytes(cloud_doc, load_cloud, cloud)
     assert back.coords.tobytes() == coords.tobytes()
     assert repr(back.meta) == repr(dict(sorted(meta.items())))
     for got, want in zip(back.certificates or (), certs or ()):
@@ -562,21 +525,7 @@ def test_cloud_json_roundtrips_byte_for_byte(m, p, q, rows, kind, data):
 def test_certificate_json_roundtrips_byte_for_byte(m, p, q, data):
     vals = data.draw(st.lists(ANY_FLOAT, min_size=m * q * q, max_size=m * q * q))
     cert = edge_certificate(data, m, p, q, np.array(vals, dtype=float))
-    back = roundtrip_bytes(save_certificate, load_certificate, cert)
+    back = roundtrip_bytes(certificate_doc, load_certificate, cert)
     assert back.point.blocks.tobytes() == cert.point.blocks.tobytes()
     assert back.witness.mat.tobytes() == cert.witness.mat.tobytes()
     assert repr(back.residual) == repr(cert.residual) and back.p == cert.p
-
-
-@settings(max_examples=40, deadline=None)
-@given(passes=st.integers(0, 3), seeds=st.lists(st.integers(0, 2**31), max_size=3),
-       tolerances=st.dictionaries(st.text(min_size=1, max_size=4), ANY_FLOAT, max_size=4),
-       suite=st.text(max_size=8))
-def test_report_json_roundtrips_byte_for_byte(passes, seeds, tolerances, suite):
-    failures = tuple((s, f"trial {s} failed") for s in seeds)
-    rep = SuiteReport(suite=suite, trials=passes + len(failures),
-                      failures=failures, tolerances=tolerances)
-    back = roundtrip_bytes(save_report, load_report, rep)
-    assert (back.suite, back.trials, back.passes, back.failures) == \
-        (rep.suite, rep.trials, rep.passes, rep.failures)
-    assert repr(back.tolerances) == repr(dict(sorted(tolerances.items())))
