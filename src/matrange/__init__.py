@@ -48,7 +48,6 @@ from .tverberg import (
 from .constructions import (
     BlockFamily,
     CrossOrthogonalityError,
-    DeflationError,
     EssentialEstimate,
     StarCenter,
     TverbergLift,

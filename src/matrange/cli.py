@@ -7,7 +7,8 @@ path and parses only the flags it reads, so a suite that builds its own
 tuple (`verify star-planted`, `verify pauli`) is a command of its own.
 All outputs are canonical JSON (stdout or --out), so identical flags and
 seed give byte-identical bytes; `compute numrange --svg` adds a flat
-polyline rendering.
+polyline rendering.  Every command but `compute numrange` reads an
+unflagged tuple file as its Hermitian 2m-tuple (load_tuple's embed).
 
 Each handler returns what it computed: a document, a Rejection or a
 SuiteReport (`compute numrange` writes its document and --svg file itself).
@@ -30,7 +31,6 @@ import sys
 import numpy as np
 
 from .constructions import (
-    DeflationError,
     deflated_solve,
     essential_estimate,
     segment_witness,
@@ -121,28 +121,20 @@ def _opts(args) -> SolverOptions:
                          seed=args.seed)
 
 
-def _load_hermitian(path, embed: bool) -> HermitianTuple:
-    A = load_tuple(path, embed=embed)
-    if not isinstance(A, HermitianTuple):
-        raise DimensionError(
-            "input tuple is not hermitian; pass --embed to work with the "
-            "real/imaginary part 2m-tuple"
-        )
-    return A
-
-
-def _finish(result, args, **extra) -> int:
+def _finish(result, args) -> int:
     """Write a handler's result to --out (or stdout) and return its exit
-    code.  A rejection document carries the extra fields; a best residual
-    that is not finite (an overflowed tuple, or none kept) is written as null."""
+    code.  A best residual that is not finite (an overflowed tuple, or none
+    kept) is written as null; a rejection's stage is written only when set."""
     if isinstance(result, int):  # compute numrange wrote its own files
         return result
     code = EXIT_OK
     if isinstance(result, Rejection):
-        best = float(result.best_residual)
+        best, stage = float(result.best_residual), result.stage
         code, result = EXIT_REJECTED, {
             "kind": "rejection", "best_residual": best if math.isfinite(best) else None,
-            "restarts": int(result.restarts), "message": result.message} | extra
+            "restarts": int(result.restarts), "message": result.message}
+        if stage is not None:
+            result["stage"] = stage
     elif isinstance(result, SuiteReport):
         if not result.passed(args.threshold):
             code = EXIT_THRESHOLD
@@ -211,7 +203,7 @@ def cmd_numrange(args) -> int:
 
 
 def cmd_sample_pq(args) -> dict:
-    A = _load_hermitian(args.input, args.embed)
+    A = load_tuple(args.input, embed=True)
     return cloud_doc(sample_range(A, args.p, args.q, args.count, _opts(args)))
 
 
@@ -220,7 +212,7 @@ def cmd_sample_pq(args) -> dict:
 
 
 def cmd_star_center(args):
-    A = _load_hermitian(args.input, args.embed)
+    A = load_tuple(args.input, embed=True)
     fn = star_center_matrix if args.matrix else star_center_scalar
     out = fn(A, args.p, args.q, _opts(args))
     if isinstance(out, Rejection):
@@ -237,7 +229,7 @@ def cmd_star_center(args):
 
 
 def cmd_segment(args):
-    A = _load_hermitian(args.input, args.embed)
+    A = load_tuple(args.input, embed=True)
     opts = _opts(args)
     first = solve_free(A, args.p, args.q, opts)
     if isinstance(first, Rejection):
@@ -255,11 +247,13 @@ def cmd_segment(args):
     }
 
 
-def cmd_tverberg(args) -> dict:
-    A = _load_hermitian(args.input, args.embed)
+def cmd_tverberg(args):
+    A = load_tuple(args.input, embed=True)
     # the blocks are certified as drawn: the lift has no restart budget
     lift = tverberg_lift(A, args.q, args.p,
                          SolverOptions(accept_tol=args.accept_tol, seed=args.seed))
+    if isinstance(lift, Rejection):
+        return lift
     return {
         "kind": "tverberg-lift",
         "p": args.p,
@@ -273,10 +267,12 @@ def cmd_tverberg(args) -> dict:
     }
 
 
-def cmd_essential(args) -> dict:
-    A = _load_hermitian(args.input, args.embed)
+def cmd_essential(args):
+    A = load_tuple(args.input, embed=True)
     est = essential_estimate(A, args.q, args.r_max, _opts(args),
                              n_dirs=args.n_dirs, n_free=args.n_free)
+    if isinstance(est, Rejection):
+        return est
     doc = {
         "kind": "essential-estimate",
         "q": args.q,
@@ -297,7 +293,7 @@ def cmd_essential(args) -> dict:
 
 
 def cmd_verify_star(args):
-    A = _load_hermitian(args.input, args.embed)
+    A = load_tuple(args.input, embed=True)
     return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=_opts(args))
 
 
@@ -318,7 +314,7 @@ def cmd_verify_inclusions(args) -> SuiteReport:
 
 
 def cmd_verify_convexity(args) -> SuiteReport:
-    A = _load_hermitian(args.input, args.embed)
+    A = load_tuple(args.input, embed=True)
     return check_convexity(A, args.p, args.q, pairs=args.pairs, opts=_opts(args))
 
 
@@ -345,7 +341,6 @@ SOLVER = (SEED, ACCEPT_TOL, ("--restarts", dict(type=positive_int, default=50)))
 INPUT = ("--input", dict(required=True))
 P = ("--p", dict(type=positive_int, required=True))
 Q = ("--q", dict(type=positive_int, required=True))
-EMBED = ("--embed", dict(action="store_true"))
 THRESHOLD = ("--threshold", dict(type=unit_interval, default=0.95))
 
 
@@ -362,29 +357,27 @@ COMMANDS = {
     },
     "sample": {
         "pq": (cmd_sample_pq, SOLVER + (
-            INPUT, P, Q, ("--count", dict(type=positive_int, default=16)), EMBED)),
+            INPUT, P, Q, ("--count", dict(type=positive_int, default=16)))),
     },
     "construct": {
         "star-center": (cmd_star_center, SOLVER + (
             INPUT, P, Q,
             ("--matrix", dict(action="store_true",
-                              help="matrix-valued center at deep level instead of scalar")),
-            EMBED)),
+                              help="matrix-valued center at deep level instead of scalar")))),
         "segment": (cmd_segment, SOLVER + (
-            INPUT, P, Q, ("--t", dict(type=unit_interval, default=0.5)), EMBED)),
-        "tverberg": (cmd_tverberg, (SEED, ACCEPT_TOL, INPUT, P, Q, EMBED)),
+            INPUT, P, Q, ("--t", dict(type=unit_interval, default=0.5)))),
+        "tverberg": (cmd_tverberg, (SEED, ACCEPT_TOL, INPUT, P, Q)),
         "essential": (cmd_essential, SOLVER + (
             INPUT, Q,
             ("--r-max", dict(type=positive_int, required=True)),
             ("--n-dirs", dict(type=positive_int, default=64)),
-            ("--n-free", dict(type=int_at_least(0), default=4)),
-            EMBED)),
+            ("--n-free", dict(type=int_at_least(0), default=4)))),
     },
     "verify": {
         "star": (cmd_verify_star, SOLVER + (
             INPUT, optional(P, 1), optional(Q, 1),
             ("--points", dict(type=positive_int, default=20)),
-            THRESHOLD, EMBED)),
+            THRESHOLD)),
         "star-planted": (cmd_verify_star_planted, (
             SEED, optional(P, 1), optional(Q, 1),
             ("--m", dict(type=positive_int, default=2)),
@@ -407,7 +400,7 @@ COMMANDS = {
         "convexity": (cmd_verify_convexity, SOLVER + (
             INPUT, optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
-            THRESHOLD, EMBED)),
+            THRESHOLD)),
         "pauli": (cmd_verify_pauli, SOLVER + (
             ("--floor", dict(type=finite_float, default=0.5)),
             THRESHOLD)),
@@ -459,10 +452,7 @@ def main(argv=None) -> int:
         # a tuple whose entries overflow is reported through its residuals
         # (written as null), not through numpy's floating-point warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                return _finish(args.func(args), args)
-            except DeflationError as e:  # from any command's construction
-                return _finish(e.rejection, args, stage=e.stage)
+            return _finish(args.func(args), args)
     except OSError as e:  # _emit reports its own failures as writes
         print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE

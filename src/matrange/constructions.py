@@ -64,20 +64,6 @@ from .linalg import (
 from .tverberg import PartitionResult, tverberg_partition
 
 
-class DeflationError(RuntimeError):
-    """A construction stage failed: stage s < d of a Tverberg lift is its
-    block s, stage d the assembly, and stage 1 of an essential estimate its
-    first level."""
-
-    def __init__(self, stage: int, rejection: Rejection):
-        self.stage = stage
-        self.rejection = rejection
-        super().__init__(
-            f"stage {stage} failed: best residual {rejection.best_residual:.3e} "
-            f"after {rejection.restarts} restarts"
-        )
-
-
 # the largest cross term ||X_b* X_c|| or ||X_b* A_j X_c|| segment_witness accepts
 CROSS_TOL = 1e-8
 
@@ -327,16 +313,15 @@ def measure_cross(A, witnesses) -> float:
     return float(np.max(blocks[:, ~np.eye(d, dtype=bool)]))
 
 
-def orthogonal_block_family(A, q: int, d: int,
-                            opts: SolverOptions = SolverOptions()) -> BlockFamily:
+def orthogonal_block_family(A, q: int, d: int, opts: SolverOptions = SolverOptions()):
     """Build d mutually A-orthogonal level-1 blocks, no solve needed.
 
     Y spans the corner still free, I_n at first.  Stage s certifies X = Y x
     on A itself, x the Haar isometry seeded opts.seed + 7919 s, then shrinks
     Y to Y _complement(Y* [X, A_1 X, ..., A_m X]), past X and each A_j X.
 
-    A block above opts.accept_tol (the rounding of a huge-norm tuple) raises
-    DeflationError with the stage index.
+    A block above opts.accept_tol (the rounding of a huge-norm tuple) is
+    returned as a Rejection carrying its stage s.
     """
     A = as_tuple(A)
     Y = np.eye(A.n, dtype=complex)
@@ -346,7 +331,7 @@ def orthogonal_block_family(A, q: int, d: int,
         X = Y @ random_isometry(Y.shape[1], q, opts.seed + 7919 * stage).mat
         out = certify(A, Isometry(X), 1)
         if not out.residual <= opts.accept_tol:
-            raise DeflationError(stage, Rejection(out.residual, 1, "block above accept_tol"))
+            return Rejection(out.residual, 1, "block above accept_tol", stage=stage)
         members.append(out)
         Y = Y @ _complement(np.conj(Y.T) @ _with_images(A, X))
     cross = measure_cross(A, [c.witness for c in members])
@@ -363,7 +348,7 @@ class TverbergLift:
     partition: PartitionResult
 
 
-def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> TverbergLift:
+def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()):
     """Certify a point of the (p, q) range out of level-1 data only.
 
     Builds d = (p - 1)(q^2 m + 1) + 1 A-orthogonal blocks, flattens them to
@@ -371,13 +356,16 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
     common hull point C, and assembles the witness whose ell-th column block
     is sum over the ell-th part of sqrt(weight) X_r.  Orthogonality of the
     family makes the assembled compression exactly block diagonal with every
-    diagonal block equal to C; a lift above accept_tol raises DeflationError(d).
+    diagonal block equal to C.  A failed stage is returned as a Rejection:
+    the family's at its block s < d, or stage d for a lift above accept_tol.
     The family alone decides the room: each block shields at most (m + 1)q
     dimensions from the next, so n >= (d - 1)(m + 1)q + q always suffices.
     """
     A = as_tuple(A)
     d = (p - 1) * (q * q * A.m + 1) + 1
     family = orthogonal_block_family(A, q, d, opts)
+    if isinstance(family, Rejection):
+        return family
     pts = np.array([c.point.flatten() for c in family.members])
     part = tverberg_partition(pts, p)
     C = MatPoint.unflatten(part.common_point, A.m, q)
@@ -387,7 +375,7 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()) -> T
                    for w, rs in zip(part.weights, part.parts)])
     cert = certify(A, Isometry(X, tol=max(ISO_TOL, d * family.cross_tol + 1e-12)), p, C)
     if not cert.residual <= opts.accept_tol:
-        raise DeflationError(d, Rejection(cert.residual, 1, "assembled lift above accept_tol"))
+        return Rejection(cert.residual, 1, "assembled lift above accept_tol", stage=d)
     return TverbergLift(certificate=cert, family=family, partition=part)
 
 
@@ -477,7 +465,7 @@ class EssentialEstimate:
 
 def essential_estimate(A, q: int, r_max: int,
                        opts: SolverOptions = SolverOptions(),
-                       n_dirs: int = 64, n_free: int = 4) -> EssentialEstimate:
+                       n_dirs: int = 64, n_free: int = 4):
     """Estimate the essential (p, q) range by truncated intersection.
 
     For r = 1..r_max, certify one support point of the (r, q) range per
@@ -486,10 +474,10 @@ def essential_estimate(A, q: int, r_max: int,
     support points are exact, built by interlacing from one eigensolve of
     A_1; at m >= 2, and for any direction whose construction misses
     accept_tol, each is a support-directed solve.  A support point is kept
-    only at residual <= accept_tol; a first level that keeps none raises
-    DeflationError(1).  The reported per-level summary is nonincreasing in r
-    by construction, which matches the shrinking-closure picture it
-    estimates.
+    only at residual <= accept_tol; a first level that keeps none is
+    returned as a Rejection at stage 1.  The reported per-level summary is
+    nonincreasing in r by construction, which matches the shrinking-closure
+    picture it estimates.
     """
     A = as_tuple(A)
     if n_dirs < 1:
@@ -522,8 +510,8 @@ def essential_estimate(A, q: int, r_max: int,
             break
         supports.append(np.max(pts @ dirs.T, axis=0))
     if not supports:
-        raise DeflationError(1, Rejection(np.inf, SUPPORT_RESTARTS,
-                                          "no point of level 1 passed accept_tol"))
+        return Rejection(np.inf, SUPPORT_RESTARTS, "no point of level 1 passed accept_tol",
+                         stage=1)
     S = np.array(supports)
     inter = np.minimum.accumulate(S, axis=0)
     return EssentialEstimate(q=q, directions=dirs, supports=S,

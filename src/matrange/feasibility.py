@@ -208,11 +208,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Rejection:
-    """A failed search: best residual over all restarts, never a proof."""
+    """A failed search: best residual over all restarts, never a proof.
+    stage names the failed stage of a multi-stage construction."""
 
     best_residual: float
     restarts: int
     message: str = ""
+    stage: int | None = None
 
 
 # what a caller chooses; the descent and penalty schedule are the constants above

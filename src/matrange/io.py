@@ -189,8 +189,9 @@ def load_tuple(path, embed: bool = False):
     Hermitian-flagged files come back as a HermitianTuple (Hermiticity is
     re-checked; violations name the offending matrix and its entry that
     differs most from its conjugate).
-    Unflagged files come back as a tuple of complex arrays, or as the
-    Hermitian 2m-tuple of real and imaginary parts when embed is set.
+    Unflagged files come back as a tuple of complex arrays, or, when embed
+    is set (as by every CLI command but numrange), as the Hermitian 2m-tuple
+    of the members' Hermitian and anti-Hermitian parts: the same range.
     """
     text = _read(path)
     doc = _loads(text)

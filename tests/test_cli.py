@@ -17,10 +17,17 @@ import pytest
 
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
-from matrange.feasibility import SolverOptions
+from matrange.constructions import annihilating_corner
+from matrange.feasibility import Rejection, SolverOptions, solve_free
 from matrange.io import canonical_dumps, report_doc, save_tuple
-from matrange.linalg import HermitianTuple
-from matrange.verify import SuiteReport, pauli_tuple, random_hermitian_tuple
+from matrange.linalg import HermitianTuple, compress
+from matrange.ranges import hermitian_embed
+from matrange.verify import (
+    SuiteReport,
+    pauli_tuple,
+    random_finite_rank_tuple,
+    random_hermitian_tuple,
+)
 
 
 def gue(m, n, seed):
@@ -139,14 +146,23 @@ class TestSamplePQ:
         T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         src = tmp_path / "t.json"
         save_tuple((T,), src)
-        args = ["sample", "pq", "--input", str(src), "--p", "1", "--q", "1",
-                "--count", "4", "--out", str(tmp_path / "c.json")]
-        assert main(args) == 3
-        rc = main(args + ["--embed"])
-        assert rc == 0
-        doc = json.loads((tmp_path / "c.json").read_text())
-        # the embedding splits T into two Hermitian members
-        assert all(len(pt) == 2 for pt in doc["points"])
+        flagged = tmp_path / "h.json"
+        save_tuple(hermitian_embed(T[None]), flagged)
+
+        def sample(path, out, *extra):
+            return main(["sample", "pq", "--input", str(path), "--p", "1", "--q", "1",
+                         "--count", "4", "--out", str(out), *extra])
+
+        # the file's flag decides: an unflagged tuple is read as its
+        # embedding, which splits T into two Hermitian members, so it writes
+        # the bytes of the embedded tuple saved flagged
+        out, ref = tmp_path / "c.json", tmp_path / "h.out"
+        assert sample(src, out) == 0 and sample(flagged, ref) == 0
+        assert all(len(pt) == 2 for pt in json.loads(out.read_text())["points"])
+        assert out.read_bytes() == ref.read_bytes()
+        out.unlink()
+        assert sample(src, out, "--embed") == 2
+        assert not out.exists()
 
     def test_structural_infeasibility(self, tmp_path, diag9):
         rc = main(["sample", "pq", "--input", diag9, "--p", "5", "--q", "2",
@@ -191,6 +207,26 @@ class TestConstruct:
         assert doc["kind"] == "rejection"
         assert doc["best_residual"] > 0.5
         assert doc["restarts"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        # the first of the segment's two solves
+        ["construct", "segment", "--p", "1", "--q", "1"],
+        ["construct", "star-center", "--matrix", "--p", "1", "--q", "1"],
+    ], ids=["segment", "star-center-matrix"])
+    def test_solve_rejection_has_no_stage(self, tmp_path, pair10, argv):
+        # no block certifies at accept-tol 1e-300; a plain solve's rejection
+        # names no construction stage
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            # pair10 is below the matrix-center guarantee
+            warnings.simplefilter("ignore", UserWarning)
+            rc = main(argv + ["--input", pair10, "--accept-tol", "1e-300",
+                              "--restarts", "1", "--out", str(out)])
+        assert rc == 4
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["best_residual", "kind", "message", "restarts"]
+        assert doc["kind"] == "rejection" and doc["restarts"] == 1
+        assert doc["best_residual"] > 1e-300
 
     def test_star_center_rejection_overflowing_tuple(self, tmp_path):
         # every restart overflows, so the best residual is not finite: it is
@@ -307,10 +343,24 @@ class TestVerify:
         (["verify", "convexity", "--input", "{missing}", "--floor", "0.1"], "--floor"),
         (["verify", "star-planted", "--accept-tol", "1e-300"], "--accept-tol"),
         (["verify", "star", "--input", "{missing}", "--blocks", "3"], "--blocks"),
+        *(([*command, "--embed"], "--embed") for command in (
+            ["compute", "numrange", "--input", "{missing}"],
+            ["sample", "pq", "--input", "{missing}", "--p", "1", "--q", "1"],
+            ["construct", "star-center", "--input", "{missing}", "--p", "1", "--q", "1"],
+            ["construct", "segment", "--input", "{missing}", "--p", "1", "--q", "1"],
+            ["construct", "tverberg", "--input", "{missing}", "--p", "1", "--q", "1"],
+            ["construct", "essential", "--input", "{missing}", "--q", "1", "--r-max", "1"],
+            ["verify", "star", "--input", "{missing}"],
+            ["verify", "bounds", "--m", "1", "--k", "1"],
+            ["verify", "inclusions"],
+            ["verify", "convexity", "--input", "{missing}"],
+            ["verify", "perturbation"],
+        )),
     ])
     def test_mode_refuses_input_flags(self, tmp_path, capsys, argv, flag):
         # a suite that builds its own tuple is a command of its own, so a flag
-        # that only another suite reads is refused before any work
+        # that only another suite reads is refused before any work; no
+        # command takes --embed, since the tuple file's flag decides
         out = tmp_path / "r.json"
         argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
         assert main(argv + ["--out", str(out)]) == 2
@@ -332,6 +382,49 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "rejection"
         assert doc["restarts"] == 2 and doc["best_residual"] > 1e-300
+
+    @pytest.mark.parametrize("argv, seeds, instance, message", [
+        (["bounds", "--m", "2", "--k", "2", "--trials", "2"], [1009, 2018],
+         lambda s: (random_hermitian_tuple(2, 9, s), 2),
+         "best residual {:.3e} after 1 restarts"),
+        (["inclusions", "--trials", "1", "--corners", "1"], [7717],
+         lambda s: (random_hermitian_tuple(2, 18, s), 3),
+         "base solve rejected, corner 0 skipped"),
+        (["perturbation", "--trials", "1"], [4409],
+         lambda s: (compress(random_hermitian_tuple(2, 16, s),
+                             annihilating_corner(random_finite_rank_tuple(2, 16, 2, s + 1))), 1),
+         "corner solve rejected: best {:.3e}"),
+    ], ids=["bounds", "inclusions", "perturbation"])
+    def test_suite_failures_keyed_by_replaying_seed(self, tmp_path, argv, seeds,
+                                                    instance, message):
+        # at accept-tol 1e-300 every solve rejects; each failure is keyed by
+        # the seed whose (tuple, p) instance and solve, rerun alone, reject
+        # with the same message
+        out = tmp_path / "r.json"
+        rc = main(["verify", *argv, "--accept-tol", "1e-300", "--restarts", "1",
+                   "--threshold", "0", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["passes"] == 0
+        expected = []
+        for seed in seeds:
+            A, p = instance(seed)
+            got = solve_free(A, p, 1, SolverOptions(accept_tol=1e-300, max_restarts=1,
+                                                    seed=seed))
+            assert isinstance(got, Rejection)
+            expected.append([seed, message.format(got.best_residual)])
+        assert doc["failures"] == expected
+
+    def test_pauli_failure_below_floor(self, tmp_path):
+        # the origin's best residual is its distance 1 from the sphere, so a
+        # floor of 100 fails trial 2, keyed by the membership solve's seed
+        out = tmp_path / "r.json"
+        rc = main(["verify", "pauli", "--restarts", "1", "--floor", "100",
+                   "--threshold", "0", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert (doc["trials"], doc["passes"]) == (2, 1)
+        assert doc["failures"] == [[0, "rejected but best residual 1.000e+00 < 100.0"]]
 
     def test_bounds(self, tmp_path):
         out = tmp_path / "r.json"
@@ -456,15 +549,23 @@ class TestErrors:
     @pytest.mark.parametrize("op", [["compute", "numrange"],
                                     ["sample", "pq", "--p", "1", "--q", "1"]])
     def test_malformed_tuple_file(self, tmp_path, capsys, op):
-        src = tmp_path / "t.json"
-        # a boolean among numbers would read as 0 or 1
-        for matrices in ("5", "[[[[true,0]]]]", "[[[[true,0.5]]]]"):
+        src, out = tmp_path / "t.json", tmp_path / "o.json"
+        for matrices, message in (
+                ("5", "matrices must be a list"),
+                # a boolean among numbers would read as 0 or 1
+                ("[[[[true,0]]]]", "entries must be [re, im] pairs"),
+                ("[[[[true,0.5]]]]", "entries must be [re, im] pairs"),
+                # m = n = 1 in the header
+                ("[[[[1,0]]],[[[2,0]]]]", "expected 1 matrices, found 2"),
+                ("[[[[1,0],[0,0]],[[0,0],[1,0]]]]", "shape (2, 2), expected (1, 1)")):
             src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
                            f'"hermitian":true,"matrices":{matrices}}}\n')
-            rc = main(op + ["--input", str(src), "--out", str(tmp_path / "o.json")])
+            rc = main(op + ["--input", str(src), "--out", str(out)])
             assert rc == 2, matrices
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+            assert not out.exists()
 
     def test_tverberg_assembled_lift_above_accept_tol(self, tmp_path):
         # at norm 1e8 every block passes but the assembled lift does not; the

@@ -445,6 +445,23 @@ def test_cloud_schema_errors(tmp_path):
             load_cloud(f)
 
 
+def test_cloud_row_refusals(tmp_path):
+    A = herm(7, seed=11)
+    f = tmp_path / "cl.json"
+    good = canonical_dumps(cloud_doc(sample_range(A, 1, 1, 2, SolverOptions(seed=0))))
+    doc = json.loads(good)
+    del doc["certificates"][1]["witness_tol"]
+    f.write_text(canonical_dumps(doc))
+    with pytest.raises(SchemaError, match="certificate 1: missing 'witness_tol'"):
+        load_cloud(f)
+    # JSON reads 1e999 as an overflowed float, not as a named constant
+    doc = json.loads(good)
+    doc["points"][0][0] = "coordinate"
+    f.write_text(canonical_dumps(doc).replace('"coordinate"', "1e999"))
+    with pytest.raises(SchemaError, match="non-finite coordinate"):
+        load_cloud(f)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
