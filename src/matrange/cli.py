@@ -18,7 +18,8 @@ output, or an invalid command-line argument (one-line message); 3
 structural impossibility (dimensions, preconditions); 4 solver rejection
 or a failed construction stage, written as a rejection document (advisory,
 not a proof of non-membership); 5 verify suite below its pass-rate
-threshold (report still written).
+threshold (report still written).  A warning is printed as one stderr
+line, `warning: <message>`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -102,7 +104,6 @@ def int_at_least(low: int):
 positive_int = int_at_least(1)
 positive_float = checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 unit_interval = checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-finite_float = checked(float, math.isfinite, "a finite number")
 
 
 def _emit(text: str, out_path) -> None:
@@ -319,7 +320,7 @@ def cmd_verify_convexity(args) -> SuiteReport:
 
 
 def cmd_verify_pauli(args) -> SuiteReport:
-    return check_pauli_nonconvexity(opts=_opts(args), floor=args.floor)
+    return check_pauli_nonconvexity(seed=args.seed)
 
 
 def cmd_verify_perturbation(args) -> SuiteReport:
@@ -401,9 +402,7 @@ COMMANDS = {
             INPUT, optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
             THRESHOLD)),
-        "pauli": (cmd_verify_pauli, SOLVER + (
-            ("--floor", dict(type=finite_float, default=0.5)),
-            THRESHOLD)),
+        "pauli": (cmd_verify_pauli, (SEED, THRESHOLD)),
         "perturbation": (cmd_verify_perturbation, SOLVER + (
             ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=16)),
@@ -447,6 +446,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    formatwarning = warnings.formatwarning  # restored on return
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         # a tuple whose entries overflow is reported through its residuals
@@ -462,6 +463,8 @@ def main(argv=None) -> int:
     except (DimensionError, StructuralInfeasibility, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -7,11 +7,8 @@ finite-rank perturbation equivalence.  The star and corner-inclusion suites
 build each witness they check by the paper's construction from solved ones,
 so a failure there is a defect.  The other suites are stochastic surrogates
 run through a heuristic certifying solver: thresholds are pass rates, and
-every failure records its seed.
-
-Expected-failure suites invert the reading: a demonstrated nonconvexity
-asserts a LOWER bound on the solver's best residual, so "the solver could
-not do it" becomes a positive, checkable outcome.
+every failure records its seed.  The Pauli suite proves its nonconvexity
+with one eigenvalue and calls no solver.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .feasibility import (
     SolverOptions,
     certify,
     compose_certificate,
-    membership,
     sample_range,
     solve_jobs,
 )
@@ -45,6 +41,9 @@ from .linalg import (
     coordinate_isometry,
 )
 from .ranges import joint_numrange_sample
+
+PAULI_SAMPLES = 10000  # range points sampled by trial 1 of the Pauli suite
+PAULI_MARGIN_TOL = 1e-12  # rounding bar on the Pauli suite's exclusion margin
 
 
 @dataclass(frozen=True)
@@ -269,33 +268,30 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
                                    "requested_pairs": pairs})
 
 
-def check_pauli_nonconvexity(opts: SolverOptions = SolverOptions(),
-                             n_samples: int = 10000,
-                             floor: float = 0.5) -> SuiteReport:
-    """The joint range of the Pauli triple is the unit sphere, so the
-    midpoint of antipodal points, the origin, must be rejected hard.
+def check_pauli_nonconvexity(seed: int = 0) -> SuiteReport:
+    """The Pauli triple's joint range is the unit sphere, so it omits the
+    origin, the midpoint of antipodal points.
 
-    Trial 1: every sampled range point has norm 1 to 1e-10.  Trial 2: origin
-    membership fails with best residual at least `floor` across the restart
-    budget opts.max_restarts.  Both are positive assertions about nonconvexity.
+    Trial 1: PAULI_SAMPLES sampled points have norm 1 to 1e-10.  Trial 2
+    proves the origin outside: a unit x with x*A_j x = 0 for all j gives
+    y = x (x) x in the symmetric square with y*My = 0, but M = sum_j
+    A_j (x) A_j is the identity there (margin 1).  A witness with residual
+    tau has y*My <= tau^2, so a margin mu excludes residuals below sqrt(mu).
     """
     A = pauli_tuple()
     failures = []
-    cloud = joint_numrange_sample(A, n_samples, seed=opts.seed)
+    cloud = joint_numrange_sample(A, PAULI_SAMPLES, seed=seed)
     dev = float(np.max(np.abs(np.linalg.norm(cloud.coords, axis=1) - 1.0)))
     if not dev <= 1e-10:
-        failures.append((opts.seed, f"sample norm deviates by {dev:.3e}"))
-    origin = MatPoint(np.zeros((3, 1, 1)))
-    got = membership(A, origin, 1, opts)
-    if not isinstance(got, Rejection):
-        failures.append((opts.seed, f"origin certified at residual "
-                                    f"{got.residual:.3e}; sphere is not convex"))
-    elif not got.best_residual >= floor:
-        failures.append((opts.seed, f"rejected but best residual "
-                                    f"{got.best_residual:.3e} < {floor}"))
+        failures.append((seed, f"sample norm deviates by {dev:.3e}"))
+    r = np.sqrt(0.5)  # e00, e11 and (e01 + e10)/sqrt2 span the symmetric square
+    S = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
+    margin = float(np.linalg.eigvalsh(S.T @ sum(np.kron(a, a) for a in A.mats) @ S)[0])
+    if not margin > PAULI_MARGIN_TOL:
+        failures.append((seed, f"origin not excluded: margin {margin:.3e}"))
     return SuiteReport(suite="pauli-nonconvexity", trials=2, failures=tuple(failures),
-                       tolerances={"norm_tol": 1e-10, "floor": floor,
-                                   "restarts": opts.max_restarts, "n_samples": n_samples})
+                       tolerances={"norm_tol": 1e-10, "margin_tol": PAULI_MARGIN_TOL,
+                                   "n_samples": PAULI_SAMPLES})
 
 
 def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,

@@ -17,8 +17,8 @@ import pytest
 
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
-from matrange.constructions import annihilating_corner
-from matrange.feasibility import Rejection, SolverOptions, solve_free
+from matrange.constructions import annihilating_corner, deflated_solve
+from matrange.feasibility import Certificate, Rejection, SolverOptions, solve_free
 from matrange.io import canonical_dumps, report_doc, save_tuple
 from matrange.linalg import HermitianTuple, compress
 from matrange.ranges import hermitian_embed
@@ -55,6 +55,19 @@ def pair10(tmp_path):
     path = tmp_path / "pair10.json"
     save_tuple(gue(2, 10, 5), path)
     return str(path)
+
+
+@pytest.fixture
+def shown_warnings():
+    """Show every warning on stderr through warnings.formatwarning, as
+    Python's default display does (pytest records them instead)."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield
 
 
 @pytest.fixture
@@ -228,6 +241,25 @@ class TestConstruct:
         assert doc["kind"] == "rejection" and doc["restarts"] == 1
         assert doc["best_residual"] > 1e-300
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_segment_second_solve_rejection(self, tmp_path, seed):
+        # the first solve certifies and the deflated second one rejects; its
+        # rejection is written as a plain solve's, without a stage
+        A = random_hermitian_tuple(2, 8, 0)
+        src, out = tmp_path / "g.json", tmp_path / "r.json"
+        save_tuple(A, src)
+        rc = main(["construct", "segment", "--input", str(src), "--p", "2", "--q", "1",
+                   "--restarts", "2", "--seed", str(seed), "--out", str(out)])
+        assert rc == 4
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["best_residual", "kind", "message", "restarts"]
+        opts = SolverOptions(max_restarts=2, seed=seed)
+        first = solve_free(A, 2, 1, opts)
+        assert isinstance(first, Certificate)
+        second = deflated_solve(A, [first], 2, 1, opts.replace(seed=seed + 1))
+        assert isinstance(second, Rejection)
+        assert (doc["best_residual"], doc["restarts"]) == (second.best_residual, 2)
+
     def test_star_center_rejection_overflowing_tuple(self, tmp_path):
         # every restart overflows, so the best residual is not finite: it is
         # written as null and the command still exits with the rejection code
@@ -244,28 +276,31 @@ class TestConstruct:
         assert doc["best_residual"] is None
         assert doc["restarts"] == 2
 
-    def test_overflowing_tuple_writes_no_numpy_warnings(self, tmp_path, capsys):
-        # warnings are shown on stderr as Python shows them by default; the
-        # overflow is reported through the residuals, and only the
+    def test_overflowing_tuple_writes_no_numpy_warnings(self, tmp_path, capsys,
+                                                       shown_warnings):
+        # the overflow is reported through the residuals, and only the
         # star-center guarantee warning reaches stderr
         src = tmp_path / "huge.json"
         save_tuple(np.full((1, 3, 3), 1e308), src)
-
-        def show(message, category, filename, lineno, file=None, line=None):
-            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.showwarning = show
-            rc_center = main(["construct", "star-center", "--input", str(src),
-                              "--p", "1", "--q", "1", "--restarts", "2",
-                              "--out", str(tmp_path / "sc.json")])
-            rc_sample = main(["sample", "pq", "--input", str(src), "--p", "1", "--q", "1",
-                              "--count", "2", "--out", str(tmp_path / "cloud.json")])
+        rc_center = main(["construct", "star-center", "--input", str(src),
+                          "--p", "1", "--q", "1", "--restarts", "2",
+                          "--out", str(tmp_path / "sc.json")])
+        rc_sample = main(["sample", "pq", "--input", str(src), "--p", "1", "--q", "1",
+                          "--count", "2", "--out", str(tmp_path / "cloud.json")])
         assert (rc_center, rc_sample) == (4, 0)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "below the star-center guarantee" in err[0]
+
+    def test_warning_is_one_line(self, tmp_path, capsys, shown_warnings, pair10):
+        # below the dimension guarantee the warning is one line of its own,
+        # without the library's or the command line's source
+        out = tmp_path / "sc.json"
+        rc = main(["construct", "star-center", "--matrix", "--input", pair10,
+                   "--p", "1", "--q", "1", "--out", str(out)])
+        assert rc == 0 and json.loads(out.read_text())["kind"] == "star-center"
         err = capsys.readouterr().err
-        assert "RuntimeWarning" not in err
-        assert err.count("Warning: ") == 1 and "below the star-center guarantee" in err
+        assert err.count("\n") == 1 and "cli.py" not in err
+        assert err.startswith("warning: dimension 10 is below the matrix-center guarantee 27;")
 
     def test_segment(self, tmp_path, pair10):
         out = tmp_path / "seg.json"
@@ -356,6 +391,12 @@ class TestVerify:
             ["verify", "convexity", "--input", "{missing}"],
             ["verify", "perturbation"],
         )),
+        # the Pauli suite proves its exclusion and runs no solver
+        (["verify", "pauli", "--accept-tol", "1e-8"], "--accept-tol"),
+        (["verify", "pauli", "--restarts", "3"], "--restarts"),
+        (["verify", "pauli", "--floor", "0.5"], "--floor"),
+        (["verify", "pauli", "--floor", "nan"], "--floor"),
+        (["verify", "pauli", "--floor", "inf"], "--floor"),
     ])
     def test_mode_refuses_input_flags(self, tmp_path, capsys, argv, flag):
         # a suite that builds its own tuple is a command of its own, so a flag
@@ -415,16 +456,23 @@ class TestVerify:
             expected.append([seed, message.format(got.best_residual)])
         assert doc["failures"] == expected
 
-    def test_pauli_failure_below_floor(self, tmp_path):
-        # the origin's best residual is its distance 1 from the sphere, so a
-        # floor of 100 fails trial 2, keyed by the membership solve's seed
+    def test_pauli_failure_when_origin_is_in_range(self, tmp_path, monkeypatch):
+        # (sx, sy, 0) has the unit disk as its range: its samples leave the
+        # sphere and the origin's margin is 0, so both trials fail, keyed by
+        # the seed
+        P = pauli_tuple().mats
+        monkeypatch.setattr("matrange.verify.pauli_tuple",
+                            lambda: HermitianTuple(np.stack([P[0], P[1], 0 * P[2]])))
         out = tmp_path / "r.json"
-        rc = main(["verify", "pauli", "--restarts", "1", "--floor", "100",
-                   "--threshold", "0", "--out", str(out)])
-        assert rc == 0
+        rc = main(["verify", "pauli", "--seed", "3", "--out", str(out)])
+        assert rc == 5
         doc = json.loads(out.read_text())
-        assert (doc["trials"], doc["passes"]) == (2, 1)
-        assert doc["failures"] == [[0, "rejected but best residual 1.000e+00 < 100.0"]]
+        assert (doc["trials"], doc["passes"]) == (2, 0)
+        (seed1, norm), (seed2, margin) = doc["failures"]
+        assert seed1 == seed2 == 3
+        assert norm.startswith("sample norm deviates by ")
+        assert margin.startswith("origin not excluded: margin ")
+        assert abs(float(margin.rsplit(" ", 1)[1])) <= 1e-12
 
     def test_bounds(self, tmp_path):
         out = tmp_path / "r.json"
@@ -451,17 +499,10 @@ class TestVerify:
 
     def test_convexity_pauli_ensemble(self, tmp_path):
         out = tmp_path / "r.json"
-        rc = main(["verify", "pauli", "--restarts", "10", "--out", str(out)])
+        rc = main(["verify", "pauli", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["passes"] == 2
-
-    def test_convexity_pauli_ensemble_records_restarts(self, tmp_path):
-        # --restarts is the budget of the origin's membership solve
-        out = tmp_path / "r.json"
-        rc = main(["verify", "pauli", "--restarts", "7", "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["tolerances"]["restarts"] == 7
 
     def test_convexity_failure_exit_code(self, tmp_path, pauli_file):
         # midpoints of sphere points are interior, so membership must fail
@@ -555,6 +596,8 @@ class TestErrors:
                 # a boolean among numbers would read as 0 or 1
                 ("[[[[true,0]]]]", "entries must be [re, im] pairs"),
                 ("[[[[true,0.5]]]]", "entries must be [re, im] pairs"),
+                # rows of different lengths
+                ("[[[[1,0]],[[1,0],[0,0]]]]", "entries must be [re, im] pairs"),
                 # m = n = 1 in the header
                 ("[[[[1,0]]],[[[2,0]]]]", "expected 1 matrices, found 2"),
                 ("[[[[1,0],[0,0]],[[0,0],[1,0]]]]", "shape (2, 2), expected (1, 1)")):
@@ -566,6 +609,15 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
             assert not out.exists()
+
+    def test_tuple_file_not_an_object(self, tmp_path, capsys):
+        src, out = tmp_path / "t.json", tmp_path / "o.json"
+        src.write_text("[1]\n")
+        rc = main(["sample", "pq", "--input", str(src), "--p", "1", "--q", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: expected a JSON object, got list\n"
+        assert not out.exists()
 
     def test_tverberg_assembled_lift_above_accept_tol(self, tmp_path):
         # at norm 1e8 every block passes but the assembled lift does not; the
@@ -638,8 +690,8 @@ class TestErrors:
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "nan"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "-1"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "inf"],
-        ["verify", "pauli", "--floor", "nan"],
-        ["verify", "pauli", "--floor", "inf"],
+        ["verify", "pauli", "--threshold", "nan"],
+        ["verify", "pauli", "--seed", "-1"],
         ["verify", "star-planted", "--m", "-1"],
         ["verify", "star-planted", "--m", "0"],
         ["verify", "inclusions", "--m", "-1", "--n", "8", "--trials", "1"],

@@ -485,6 +485,16 @@ def test_orthogonal_block_family_structural_error_names_requirement():
         orthogonal_block_family(A, 1, 5, SolverOptions(seed=0))
 
 
+def test_tverberg_lift_returns_the_family_rejection():
+    # at norm 1e12 the first block's rounding alone exceeds accept_tol, so
+    # the lift returns the family's Rejection, at stage 0
+    A = HermitianTuple(1e12 * random_hermitian_tuple(2, 40, 0).mats)
+    rej = tverberg_lift(A, 1, 2, SolverOptions(seed=0))
+    assert isinstance(rej, Rejection)
+    assert (rej.stage, rej.restarts) == (0, 1)
+    assert rej.best_residual > 1e-8
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e7, 3e7, 1e8])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tverberg_lift_never_returns_above_accept_tol(scale, seed):

@@ -223,6 +223,16 @@ def test_certificate_revalidation_detects_tampering():
         forged.revalidate(A)
 
 
+def test_certificate_revalidation_detects_a_mutated_witness():
+    # the witness array is shared with the certificate, so an in-place edit
+    # is caught by the defect check before any residual is recomputed
+    A = gue(1, 6, seed=4)
+    out = solve_free(A, 2, 1, SolverOptions(seed=0))
+    out.witness.mat[0, 0] += 1e-6
+    with pytest.raises(CertificateError, match="witness defect .* exceeds 1.0e-10"):
+        out.revalidate(A)
+
+
 # ---------------------------------------------------------------------------
 # membership
 

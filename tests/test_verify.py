@@ -196,11 +196,20 @@ def test_convexity_single_hermitian():
 
 
 def test_pauli_nonconvexity():
-    rep = check_pauli_nonconvexity(SolverOptions(seed=0, max_restarts=30),
-                                   n_samples=2000)
+    rep = check_pauli_nonconvexity(seed=0)
     assert rep.trials == 2
     assert rep.passes == 2
     assert rep.failures == ()
+
+
+def test_pauli_margin_is_one(monkeypatch):
+    # the symmetric-square compression of sum_j sigma_j (x) sigma_j is the
+    # identity, so the origin's margin is 1 to rounding
+    monkeypatch.setattr(verify, "PAULI_MARGIN_TOL", 1.0 - 1e-12)
+    assert check_pauli_nonconvexity(seed=0).failures == ()
+    monkeypatch.setattr(verify, "PAULI_MARGIN_TOL", 1.0 + 1e-12)
+    assert check_pauli_nonconvexity(seed=0).failures == (
+        (0, "origin not excluded: margin 1.000e+00"),)
 
 
 # ---------------------------------------------------------------------------
