@@ -37,6 +37,10 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 def _herm_defects(A) -> np.ndarray:
     """||M - M*|| / max(1, ||M||) for each matrix M of a stack (..., n, n).
 
+    One matrix (2-D input) is measured first by two BLAS dot products, which
+    raise no floating-point warning and so need no errstate: a finite ||M||^2
+    bounds every entry, so M - M* cannot overflow.  When either product is
+    not finite, and for every stack, the norms are taken under errstate.
     When a norm overflows, each matrix is scaled by a power of two that
     brings its largest real or imaginary part below 1, and the norms are
     taken again.  The scaling is exact, so the ratio is unchanged, but the
@@ -44,6 +48,10 @@ def _herm_defects(A) -> np.ndarray:
     A non-finite entry gives NaN, which fails every `defect <= tol` test.
     """
     A = np.asarray(A, dtype=complex)
+    if A.ndim == 2 and (den2 := np.vdot(A, A).real) < np.inf:
+        D = A - np.conj(A.T)
+        if (num2 := np.vdot(D, D).real) < np.inf:
+            return np.sqrt(num2) / np.maximum(1.0, np.sqrt(den2))
 
     def norms(M):
         flat = M.shape[:-2] + (M.shape[-2] * M.shape[-1],)
@@ -164,24 +172,41 @@ class Isometry:
         return frob(np.conj(self.mat.T) @ self.mat - np.eye(self.k))
 
 
+def _checked_herm(A) -> np.ndarray:
+    """A as a complex matrix or stack (..., n, n) of finite Hermitian
+    matrices (relative tolerance HERM_TOL); DimensionError otherwise, naming
+    the first bad slice and, when it has one, its first non-finite entry."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise DimensionError(f"expected square matrices, got shape {A.shape}")
+    d = _herm_defects(A)  # NaN for a matrix with a non-finite entry
+    if not (d <= HERM_TOL).all():
+        j = tuple(int(i) for i in np.argwhere(~(d <= HERM_TOL))[0])
+        at = f" (slice {j})" if j else ""
+        bad = ~np.isfinite(A[j])
+        if bad.any():
+            ij = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise DimensionError(f"matrix{at} has a non-finite entry at {ij}")
+        raise DimensionError(f"matrix is not Hermitian{at} (relative defect {d[j]:.3e})")
+    return A
+
+
 def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix or a stack (..., n, n).
 
     Returns (w, V) from LAPACK (numpy.linalg.eigh) with the eigenvalues of
     each matrix sorted descending along the last axis of w and the matching
     eigenvectors in the columns of V, so that A V = V diag(w).  Every slice
-    must be Hermitian to relative tolerance HERM_TOL.
+    must be finite and Hermitian to relative tolerance HERM_TOL.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
-        raise DimensionError(f"expected square matrices, got shape {A.shape}")
-    d = _herm_defects(A)
-    if not (d <= HERM_TOL).all():
-        bad = np.argwhere(~(d <= HERM_TOL))
-        at = f" (slice {tuple(int(i) for i in bad[0])})" if d.ndim else ""
-        raise DimensionError(f"matrix is not Hermitian{at} (relative defect {np.max(d):.3e})")
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(_checked_herm(A))
     return w[..., ::-1], V[..., ::-1]
+
+
+def herm_eigvals(A: np.ndarray) -> np.ndarray:
+    """herm_eig's eigenvalues alone, descending along the last axis, from
+    numpy.linalg.eigvalsh, behind the same shape and Hermitian check."""
+    return np.linalg.eigvalsh(_checked_herm(A))[..., ::-1]
 
 
 def _raise_qr_error(err, flag):

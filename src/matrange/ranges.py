@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, HermitianTuple, as_tuple, frob, herm_eig, hermitize
+from .linalg import (DimensionError, HermitianTuple, as_tuple, frob, herm_eig, herm_eigvals,
+                     hermitize)
 from .feasibility import PointCloud
 
 
@@ -57,16 +58,21 @@ def hermitian_embed(T) -> HermitianTuple:
 
 def rank_k_interval(A, k: int) -> Interval:
     """The rank-k range of one Hermitian matrix: [a_(n-k+1), a_k] in the
-    descending eigenvalue order, empty when that interval is inverted."""
+    descending eigenvalue order, empty when that interval is inverted.
+
+    A is an (n, n) matrix or a (1, n, n) stack, and only its eigenvalues
+    are computed (herm_eigvals).
+    """
     A = np.asarray(A, dtype=complex)
-    if A.ndim == 3:
-        if A.shape[0] != 1:
-            raise DimensionError("rank_k_interval takes a single Hermitian matrix")
+    if A.ndim == 3 and A.shape[0] == 1:
         A = A[0]
-    n = A.shape[0]
+    if A.ndim != 2:
+        raise DimensionError(
+            f"rank_k_interval takes a single Hermitian matrix, got shape {A.shape}")
+    w = herm_eigvals(A)
+    n = w.size
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= {n}, got k = {k}")
-    w, _ = herm_eig(A)
     lo, hi = float(w[n - k]), float(w[k - 1])
     return Interval(lo=lo, hi=hi, empty=lo > hi)
 
@@ -77,9 +83,15 @@ STACK_ENTRIES = 2**20  # complex entries (16 MiB) per stack of angle matrices
 def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
     """Boundary of W(A) for a complex square matrix by supporting lines.
 
-    For each angle the top eigenvector x of Re(exp(-i angle) A) contributes
-    the vertex x* A x and the support value (the top eigenvalue); the angle
-    matrices are diagonalized in stacks of at most STACK_ENTRIES entries.
+    For each angle the top eigenvector x of H_t = Re(exp(-i angle) A)
+    contributes the vertex x* A x and the support value (the top
+    eigenvalue); the angle matrices are diagonalized in stacks of at most
+    STACK_ENTRIES entries.  With an even n_angles, angle t + n_angles/2 is
+    t + pi, whose matrix is -H_t (Johnson's pairing of opposite supporting
+    lines): only the first half is diagonalized, and the opposite line reads
+    its support -lambda_min(H_t) and its vertex from the bottom eigenvector.
+    On a flat edge (a repeated top eigenvalue) the vertex is some point of
+    that edge, so which one can depend on the parity of n_angles.
     Degenerate ranges are tagged: "point" for scalar-like matrices,
     "segment" when the vertex polygon has vanishing area (normal matrices
     with collinear eigenvalues, e.g. Hermitian A).
@@ -95,14 +107,22 @@ def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
     verts = np.empty(n_angles, dtype=complex)
     supp = np.empty(n_angles)
     AH = np.conj(A.T)
+    half = n_angles // 2 if n_angles % 2 == 0 else n_angles  # angles diagonalized
+
+    def vertices(X):
+        return np.einsum("ti,ij,tj->t", np.conj(X), A, X)
+
     chunk = max(1, STACK_ENTRIES // A.size)
-    for lo in range(0, n_angles, chunk):
-        ph = np.exp(-1j * angles[lo:lo + chunk])[:, None, None]
+    for lo in range(0, half, chunk):
+        hi = min(lo + chunk, half)
+        ph = np.exp(-1j * angles[lo:hi])[:, None, None]
         # H_t = Re(exp(-i angle_t) A), built exactly Hermitian
         w, V = herm_eig(0.5 * (ph * A + np.conj(ph) * AH))
-        X = V[:, :, 0]
-        verts[lo:lo + chunk] = np.einsum("ti,ij,tj->t", np.conj(X), A, X)
-        supp[lo:lo + chunk] = w[:, 0]
+        verts[lo:hi] = vertices(V[:, :, 0])
+        supp[lo:hi] = w[:, 0]
+        if half < n_angles:  # angle_t + pi, from the bottom of -H_t's spectrum
+            verts[half + lo:half + hi] = vertices(V[:, :, -1])
+            supp[half + lo:half + hi] = -w[:, -1]
     scale = max(1.0, frob(A))
     # diagonal of the vertices' bounding box: within a factor sqrt(2) of
     # their diameter, in O(n_angles) memory

@@ -109,6 +109,29 @@ def test_corner_spec_validation():
         random_corner(4, 4, seed=0)
 
 
+def gue_cert(n, k, p, seed):
+    """A level-p certificate on gue(2, n, 1) at a Haar n-by-k isometry."""
+    return certify(gue(2, n, 1), random_isometry(n, k, seed), p)
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: segment_witness(gue(2, 8, 1), gue_cert(8, 2, 1, 0),
+                                         gue_cert(8, 2, 2, 1), 0.5),
+                 r"different \(p, q\) levels", id="segment-levels"),
+    pytest.param(lambda: segment_witness(gue(2, 8, 1), gue_cert(8, 1, 1, 0),
+                                         gue_cert(6, 1, 1, 1), 0.5),
+                 "different shapes", id="segment-shapes"),
+    pytest.param(lambda: deflation_corner(gue(2, 8, 1), [gue_cert(6, 1, 1, 0)]),
+                 "prior witness dimension", id="deflation-prior"),
+    pytest.param(lambda: interlacing_support(gue(2, 8, 1), 1, 1, [1.0]), "m = 1", id="support-m2"),
+    pytest.param(lambda: interlacing_support(gue(1, 5, 1), 1, 3, np.zeros(9)), "2 r q <= n",
+                 id="support-2rq-above-n"),
+])
+def test_construction_refusals(call, match):
+    with pytest.raises(DimensionError, match=match):
+        call()
+
+
 def test_annihilating_corner_refuses_empty_matrices():
     with pytest.raises(DimensionError):
         annihilating_corner(np.zeros((2, 0, 0), dtype=complex))
@@ -493,6 +516,19 @@ def test_tverberg_lift_returns_the_family_rejection():
     assert isinstance(rej, Rejection)
     assert (rej.stage, rej.restarts) == (0, 1)
     assert rej.best_residual > 1e-8
+
+
+def test_tverberg_lift_p1_is_the_single_block():
+    # d = 1: one block, no cross terms to measure, and a one-part partition
+    A = gue(2, 6, seed=4)
+    lift = tverberg_lift(A, 1, 1, SolverOptions(seed=0))
+    (block,) = lift.family.members
+    assert lift.family.cross_tol == 0.0
+    assert lift.partition.parts == ((0,),)
+    assert [w.tolist() for w in lift.partition.weights] == [[1.0]]
+    assert np.array_equal(lift.certificate.witness.mat, block.witness.mat)
+    assert np.allclose(lift.certificate.point.blocks, block.point.blocks, rtol=0, atol=1e-15)
+    lift.certificate.revalidate(A)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e7, 3e7, 1e8])

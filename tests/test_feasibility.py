@@ -661,6 +661,22 @@ def test_rejection_reaches_interlacing_optimum(n, p, q, delta):
     assert abs(got.best_residual / optimum - 1) <= 1e-10
 
 
+@pytest.mark.parametrize("n,p,q", [(8, 2, 1), (12, 1, 2)])
+def test_near_boundary_rejection_polishes_every_restart(monkeypatch, n, p, q):
+    # 1e-6 beyond the rank-pq window every restart stalls inside the polish
+    # gate; each polish ends when its line search finds no decrease, and no
+    # residual falls below the interlacing optimum
+    starts = count_polish(monkeypatch)
+    A = gue(1, n, seed=n + 10 * p + 100 * q)
+    lam = np.linalg.eigvalsh(A.mats[0])[::-1]
+    x = lam[p * q - 1] + 1e-6
+    optimum = np.sqrt(np.sum(np.maximum(0.0, x - lam[:p * q]) ** 2))
+    got = membership(A, MatPoint.scalar([x], q), p, SolverOptions(max_restarts=6, seed=n))
+    assert isinstance(got, Rejection)
+    assert len(starts) == 6
+    assert got.best_residual >= optimum * (1 - 1e-9)
+
+
 @pytest.mark.parametrize("kick,polished", [(1e-6, True), (1e-2, False)])
 def test_polish_runs_only_within_gate(monkeypatch, kick, polished):
     # the only start lies `kick` away from an exact witness and MAX_ITERS = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from matrange.linalg import (
     DimensionError,
+    HERM_TOL,
     HermitianTuple,
     Isometry,
     as_tuple,
@@ -13,6 +14,7 @@ from matrange.linalg import (
     coordinate_isometry,
     frob,
     herm_eig,
+    herm_eigvals,
     hermitian_stack as checked_stack,
     NotHermitianError,
     _herm_defects,
@@ -151,6 +153,61 @@ def test_eig_stack_properties(seed, shape, n, ties, scale):
     assert np.all(np.linalg.norm(VhV - np.eye(n), axis=(-2, -1)) <= 1e-10)
     ref = np.linalg.eigvalsh(A)[..., ::-1]
     assert np.all(np.abs(w - ref) <= 1e-12 * unit[..., None])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+def test_eigvals_match_eig(shape):
+    A = hermitian_stack(11, shape, 7, ties=True)
+    assert np.all(np.abs(herm_eigvals(A) - herm_eig(A)[0]) <= 1e-12 * max(1.0, frob(A)))
+
+
+# one matrix is measured by BLAS dot products, a stack under errstate; each
+# case must get the same verdict both ways
+DEFECT_CASES = NEAR_RANGE + [
+    np.array([[1e308, 1.7e308], [1.7e308, -1e308]]),
+    np.array([[0.0, 8e153], [-8e153, 0.0]]),  # ||M||^2 finite, ||M - M*||^2 not
+    np.array([[1e200, 0.0], [0.0, 1e200]]),
+    1e-200 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    random_hermitian(6, np.random.default_rng(3)),
+    random_hermitian(6, np.random.default_rng(3)) + 1e-13j,  # within HERM_TOL
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[np.nan]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("M", DEFECT_CASES)
+def test_herm_defect_same_verdict_for_matrix_and_stack(M):
+    one, stacked = _herm_defects(M), _herm_defects(M[None])[0]
+    assert (one <= HERM_TOL) == (stacked <= HERM_TOL)
+    assert np.isnan(one) == np.isnan(stacked)
+    if np.isfinite(stacked):
+        assert abs(one - stacked) <= 1e-15 * max(1.0, stacked)
+
+
+@pytest.mark.parametrize("A,match", [
+    pytest.param(np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                 r"matrix has a non-finite entry at \(0, 1\)", id="nan"),
+    pytest.param(np.stack([np.eye(2), np.diag([1.0, -np.inf])]),
+                 r"matrix \(slice \(1,\)\) has a non-finite entry at \(1, 1\)", id="inf-in-stack"),
+])
+def test_eig_names_non_finite_entry(A, match):
+    for f in (herm_eig, herm_eigvals):
+        with pytest.raises(DimensionError, match=match):
+            f(A)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Isometry(np.ones(3)), id="isometry-1d"),
+    pytest.param(lambda: Isometry(np.eye(3)[:2]), id="isometry-k-above-n"),
+    pytest.param(lambda: herm_eig(np.ones((2, 3))), id="eig-not-square"),
+    pytest.param(lambda: herm_eigvals(np.float64(1.0)), id="eigvals-scalar"),
+    pytest.param(lambda: compress(np.eye(3)[None], random_isometry(4, 2, seed=0)),
+                 id="compress-rows"),
+])
+def test_linalg_shape_refusals(call):
+    with pytest.raises(DimensionError):
+        call()
 
 
 # ---------------------------------------------------------------------------

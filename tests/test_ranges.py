@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrange.linalg import HermitianTuple, frob
+from matrange.linalg import DimensionError, HermitianTuple, frob
 from matrange.ranges import (
     STACK_ENTRIES,
     hermitian_embed,
@@ -144,6 +144,42 @@ def test_boundary_vertices_on_supporting_lines():
     assert np.allclose(attained, bd.support, atol=1e-9)
 
 
+def boundary_cases():
+    """{name: (matrix, expected tag)}: generic, Hermitian, normal with
+    collinear eigenvalues (flat edges at two opposite angles), scalar."""
+    rng = np.random.default_rng(18)
+    U = np.linalg.qr(random_complex(5, rng))[0]
+    line = (1.0 + 2.0j) + np.exp(0.7j) * np.array([-2.0, -2.0, 0.5, 3.0, 3.0])
+    H = random_complex(5, rng)
+    return {"generic": (random_complex(5, rng), "full"),
+            "hermitian": (H + np.conj(H.T), "segment"),
+            "normal-collinear": ((U * line) @ np.conj(U.T), "segment"),
+            "scalar": ((0.5 - 1.5j) * np.eye(4), "point")}
+
+
+BOUNDARY_CASES = boundary_cases()
+
+
+@pytest.mark.parametrize("n_angles", [3, 4, 7, 8, 64, 65])
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_paired_supporting_lines(case, n_angles):
+    # an even n_angles reads the line at t + pi off -H_t's eigendecomposition;
+    # on a flat edge its vertex may be another point of that edge, but every
+    # vertex stays on its own line and inside every half-plane
+    M, tag = BOUNDARY_CASES[case]
+    bd = numrange_boundary(M, n_angles=n_angles)
+    ref = np.array([
+        np.max(np.linalg.eigvalsh(0.5 * (np.exp(-1j * t) * M + np.exp(1j * t) * np.conj(M.T))))
+        for t in bd.angles
+    ])
+    tol = 1e-12 * max(1.0, frob(M))
+    assert np.max(np.abs(bd.support - ref)) <= tol
+    proj = np.real(np.exp(-1j * bd.angles)[:, None] * bd.vertices[None, :])
+    assert np.max(np.abs(np.diag(proj) - bd.support)) <= tol
+    assert np.max(proj - bd.support[:, None]) <= tol
+    assert bd.degenerate == tag
+
+
 # ---------------------------------------------------------------------------
 # rank_k_interval
 
@@ -180,6 +216,41 @@ def test_rank_k_interval_empty_case():
     assert iv.empty
 
 
+def test_rank_k_interval_matches_eigvalsh_to_rounding():
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 5, 12):
+        A = (lambda G: (G + np.conj(G.T)) / 2)(random_complex(n, rng))
+        lam = np.linalg.eigvalsh(A)[::-1]
+        tol = 4 * np.finfo(float).eps * max(1.0, frob(A))
+        for k in range(1, n + 1):
+            iv = rank_k_interval(A, k)
+            assert abs(iv.lo - lam[n - k]) <= tol and abs(iv.hi - lam[k - 1]) <= tol
+            assert iv.empty == (iv.lo > iv.hi)
+
+
+def test_rank_k_interval_accepts_one_matrix_stack():
+    A = np.diag([3.0, 1.0, 2.0]).astype(complex)
+    assert rank_k_interval(A[None], 2) == rank_k_interval(A, 2)
+
+
+@pytest.mark.parametrize("A,k,match", [
+    pytest.param(np.float64(2.0), 1, "single Hermitian matrix", id="scalar"),
+    pytest.param(np.eye(2)[None].repeat(2, axis=0), 1, "single Hermitian matrix",
+                 id="stack-of-two"),
+    pytest.param(np.eye(3), 0, "1 <= k <= 3", id="k-zero"),
+    pytest.param(np.eye(3), 4, "1 <= k <= 3", id="k-above-n"),
+    pytest.param(np.ones((2, 3)), 1, "square", id="not-square"),
+    pytest.param(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1,
+                 r"non-finite entry at \(0, 1\)", id="nan"),
+    pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1,
+                 r"non-finite entry at \(0, 0\)", id="inf"),
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, "not Hermitian", id="not-hermitian"),
+])
+def test_rank_k_interval_refusals(A, k, match):
+    with pytest.raises(DimensionError, match=match):
+        rank_k_interval(A, k)
+
+
 # ---------------------------------------------------------------------------
 # embeddings and transforms
 
@@ -196,6 +267,24 @@ def test_hermitian_embed_of_hermitian_has_zero_imag_part():
     A = np.diag([1.0, 2.0]).astype(complex)
     E = hermitian_embed(A[None])
     assert frob(E.mats[1]) <= 1e-14
+
+
+def test_hermitian_embed_accepts_one_matrix():
+    M = random_complex(3, np.random.default_rng(43))
+    assert np.array_equal(hermitian_embed(M).mats, hermitian_embed(M[None]).mats)
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: hermitian_embed(np.ones((1, 2, 3))), "expected", id="embed-not-square"),
+    pytest.param(lambda: hermitian_embed(np.array([[np.inf]])), "finite", id="embed-inf"),
+    pytest.param(lambda: numrange_boundary(np.ones((2, 3))), "square", id="boundary-not-square"),
+    pytest.param(lambda: numrange_boundary(np.array([[np.nan]])), "finite", id="boundary-nan"),
+    pytest.param(lambda: numrange_boundary(np.eye(2), n_angles=2), "3 angles",
+                 id="boundary-two-angles"),
+])
+def test_embed_and_boundary_refusals(call, match):
+    with pytest.raises(DimensionError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,16 @@ def test_below_guarantee_is_refused():
         tverberg_partition(np.zeros((6, 2)), 3)
 
 
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: tverberg_partition(np.zeros(4), 2), "point array", id="points-1d"),
+    pytest.param(lambda: lp_common_point(np.eye(3), [[0, 1], []]), "nonempty", id="empty-part"),
+    pytest.param(lambda: tverberg_partition(np.eye(3), 0), "p >= 1", id="p-zero"),
+])
+def test_partition_refusals(call, match):
+    with pytest.raises(DimensionError, match=match):
+        call()
+
+
 def test_exchange_cap_raises_a_value_error(monkeypatch):
     monkeypatch.setattr(tverberg, "EXCHANGE_CAP", 0)
     with pytest.raises(ExchangeError, match="cap of 0 exchanges") as got:
