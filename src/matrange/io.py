@@ -6,9 +6,10 @@ trailing newline.  save_tuple writes tuple files; certificate_doc,
 cloud_doc and report_doc build the documents the CLI writes through
 canonical_dumps.  load_tuple, load_certificate and load_cloud read their
 kinds back, so a certificate or cloud can be rechecked against its tuple;
-a report has no reader.  Reading a canonical file and serializing the
-result again gives the same bytes, which is what makes seeded CLI runs
-byte-reproducible.
+a report has no reader.  load_tuple parses each file content once per
+process and returns read-only arrays, shared by every load of those bytes.
+Reading a canonical file and serializing the result again gives the same
+bytes, which is what makes seeded CLI runs byte-reproducible.
 
 Schemas (shared fields: "schema_version": "1", "kind"):
 
@@ -25,6 +26,7 @@ Schemas (shared fields: "schema_version": "1", "kind"):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -67,10 +69,13 @@ def _loads(text: str):
         raise ParseError(e.msg, len(text[:e.pos].encode("utf-8"))) from None
 
 
-def _read(path) -> str:
-    """The file's text; ParseError at the offset of its first non-UTF-8 byte."""
+def _read(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _decode(data: bytes) -> str:
+    """The file's text; ParseError at the offset of its first non-UTF-8 byte."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -183,6 +188,12 @@ def save_tuple(A, path) -> None:
         fh.write(canonical_dumps(doc))
 
 
+TUPLE_CACHE_BYTES = 2**24  # array bytes (16 MiB) load_tuple keeps, as ranges.STACK_ENTRIES
+# (sha256 of a tuple file's bytes, embed) -> (its read-only load_tuple result,
+# the result's array bytes), least recently used first
+_tuples: dict = {}
+
+
 def load_tuple(path, embed: bool = False):
     """Read a tuple file.
 
@@ -192,8 +203,21 @@ def load_tuple(path, embed: bool = False):
     Unflagged files come back as a tuple of complex arrays, or, when embed
     is set (as by every CLI command but numrange), as the Hermitian 2m-tuple
     of the members' Hermitian and anti-Hermitian parts: the same range.
+
+    Every returned array is read-only, and a process parses each file
+    content once per embed value: a later load of the same bytes, from any
+    path, returns the same object.  The key is the content's SHA-256, not
+    the path, so a rewritten file is read anew.  Results are kept up to
+    TUPLE_CACHE_BYTES of arrays, the least recently used evicted first; a
+    larger one is returned but not kept.
     """
-    text = _read(path)
+    data = _read(path)
+    key = (hashlib.sha256(data).digest(), bool(embed))
+    if key in _tuples:
+        _tuples[key] = hit = _tuples.pop(key)
+        return hit[0]
+    text = _decode(data)
+    del data  # freed before the parse, as is text before the matrices are built
     doc = _loads(text)
     _require(doc, "tuple", ("m", "n", "hermitian", "matrices"))
     m, n = doc["m"], doc["n"]
@@ -218,7 +242,7 @@ def load_tuple(path, embed: bool = False):
         mats.append(M)
     if doc["hermitian"]:
         try:
-            return HermitianTuple(mats)
+            A = HermitianTuple(mats)
         except NotHermitianError as e:
             M = mats[e.item]
             with np.errstate(over="ignore"):
@@ -226,9 +250,17 @@ def load_tuple(path, embed: bool = False):
             i, i2 = np.unravel_index(np.argmax(D), D.shape)
             raise SchemaError(f"matrix {e.item} flagged hermitian but entry ({i}, {i2}) "
                               f"differs from its conjugate by {D[i, i2]:.3e}") from None
-    if embed:
-        return hermitian_embed(mats)
-    return tuple(mats)
+    else:
+        A = hermitian_embed(mats) if embed else tuple(mats)
+    arrays = (A.mats,) if isinstance(A, HermitianTuple) else A
+    for M in arrays:
+        M.flags.writeable = False
+    size = sum(M.nbytes for M in arrays)
+    if size <= TUPLE_CACHE_BYTES:
+        _tuples[key] = (A, size)
+        while sum(s for _, s in _tuples.values()) > TUPLE_CACHE_BYTES:
+            _tuples.pop(next(iter(_tuples)), None)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +302,7 @@ def certificate_doc(cert: Certificate) -> dict:
 def load_certificate(path, A=None) -> Certificate:
     """Read a certificate; when the generating tuple is supplied, recompute
     the residual and insist it matches the stored value to 1e-12."""
-    text = _read(path)
+    text = _decode(_read(path))
     doc = _loads(text)
     _require(doc, "certificate", ("m", "p", "q", "point", "residual",
                                   "witness", "witness_tol"))
@@ -314,7 +346,7 @@ def cloud_doc(cloud: PointCloud) -> dict:
 def load_cloud(path, A=None) -> PointCloud:
     """Read a cloud; certificates, if present, are revalidated against the
     supplied tuple (isometry defect and residual recomputation)."""
-    text = _read(path)
+    text = _decode(_read(path))
     doc = _loads(text)
     _require(doc, "cloud", ("m", "p", "q", "flattening", "points",
                             "certificates", "meta"))

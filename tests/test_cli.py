@@ -18,8 +18,14 @@ import pytest
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
 from matrange.constructions import annihilating_corner, deflated_solve
-from matrange.feasibility import Certificate, Rejection, SolverOptions, solve_free
-from matrange.io import canonical_dumps, report_doc, save_tuple
+from matrange.feasibility import (
+    Certificate,
+    CertificateError,
+    Rejection,
+    SolverOptions,
+    solve_free,
+)
+from matrange.io import canonical_dumps, load_certificate, report_doc, save_tuple
 from matrange.linalg import HermitianTuple, compress
 from matrange.ranges import hermitian_embed
 from matrange.verify import (
@@ -332,6 +338,21 @@ class TestConstruct:
         assert doc["certificate"]["p"] == 2
         value = doc["certificate"]["point"][0][0][0][0]
         assert 2.0 - 1e-6 <= value <= 11.0 + 1e-6
+
+    def test_tverberg_rereads_a_rewritten_input(self, tmp_path):
+        # one process, one path, two contents: the second lift answers for
+        # the second tuple, not for a remembered first one
+        src, out, cert = tmp_path / "pair.json", tmp_path / "tv.json", tmp_path / "cert.json"
+        old, new = gue(2, 10, 5), gue(2, 10, 6)
+        for A in (old, new):
+            save_tuple(A, src)
+            rc = main(["construct", "tverberg", "--input", str(src), "--p", "2", "--q", "1",
+                       "--out", str(out)])
+            assert rc == 0
+        cert.write_text(canonical_dumps(json.loads(out.read_text())["certificate"]))
+        load_certificate(cert, new)
+        with pytest.raises(CertificateError):
+            load_certificate(cert, old)
 
     def test_essential(self, tmp_path, diag12):
         out = tmp_path / "ess.json"

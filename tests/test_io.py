@@ -3,11 +3,13 @@
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrange.io as mio
 from matrange.feasibility import (
     Certificate,
     CertificateError,
@@ -31,6 +33,7 @@ from matrange.io import (
     save_tuple,
 )
 from matrange.linalg import DimensionError, HermitianTuple, Isometry
+from matrange.ranges import hermitian_embed
 from matrange.verify import SuiteReport, random_hermitian_tuple
 
 
@@ -278,6 +281,174 @@ def test_save_rejects_nonfinite_values(tmp_path):
     M = np.array([[np.nan]], dtype=complex)
     with pytest.raises(ValueError):
         save_tuple([M], tmp_path / "x.json")
+
+
+# ---------------------------------------------------------------------------
+# the tuple cache
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """A fresh, empty tuple cache for one test."""
+    monkeypatch.setattr(mio, "_tuples", {})
+    return mio._tuples
+
+
+def arrays(A):
+    return [A.mats] if isinstance(A, HermitianTuple) else list(A)
+
+
+def cached(cache):
+    """The results the cache holds, least recently used first."""
+    return [A for A, _ in cache.values()]
+
+
+def retained(cache):
+    return sum(M.nbytes for A in cached(cache) for M in arrays(A))
+
+
+def test_reload_is_the_same_object_for_the_same_bytes(tmp_path, cache):
+    f, g = tmp_path / "a.json", tmp_path / "copy.json"
+    save_tuple(herm(4, seed=1), f)
+    A = load_tuple(f)
+    assert load_tuple(f) is A
+    g.write_bytes(f.read_bytes())
+    assert load_tuple(g) is A
+    assert len(cache) == 1
+
+
+def test_same_length_rewrite_at_the_same_mtime_is_read_anew(tmp_path, cache):
+    f = tmp_path / "a.json"
+    save_tuple(HermitianTuple(np.diag([1.0, 3.0])[None]), f)
+    assert load_tuple(f).mats[0, 0, 0] == 1.0
+    before = os.stat(f)
+    raw = f.read_bytes()
+    f.write_bytes(raw.replace(b"[1.0,0.0]", b"[2.0,0.0]", 1))
+    os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(f)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_tuple(f).mats[0, 0, 0] == 2.0
+
+
+def test_embed_values_are_separate_entries(tmp_path, cache):
+    f = tmp_path / "t.json"
+    save_tuple([np.array([[1.0, 2.0j], [0.0, 1.0]])], f)
+    raw, emb = load_tuple(f), load_tuple(f, embed=True)
+    assert isinstance(raw, tuple) and isinstance(emb, HermitianTuple)
+    assert len(cache) == 2
+    assert load_tuple(f) is raw and load_tuple(f, embed=True) is emb
+
+
+@pytest.mark.parametrize("hermitian, embed", [(True, False), (True, True),
+                                              (False, False), (False, True)])
+def test_every_returned_array_is_read_only(tmp_path, cache, hermitian, embed):
+    f = tmp_path / "t.json"
+    save_tuple(herm(3, seed=5) if hermitian else [np.triu(np.ones((3, 3)))], f)
+    for _ in ("miss", "hit"):
+        for M in arrays(load_tuple(f, embed=embed)):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"schema_version":"1","kind":"tuple","m":1', ParseError),
+    ('{"schema_version":"1","kind":"cloud"}\n', SchemaError),
+    ('{"schema_version":"1","kind":"tuple","m":1,"n":1,"hermitian":true,'
+     '"matrices":[[[[1.0,1.0]]]]}\n', SchemaError),
+])
+def test_a_failed_load_fails_again_and_stores_nothing(tmp_path, cache, text, error):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    with pytest.raises(error) as first:
+        load_tuple(f)
+    with pytest.raises(error) as second:
+        load_tuple(f)
+    assert str(first.value) == str(second.value)
+    assert cache == {}
+
+
+def test_cache_keeps_least_recently_used_within_its_bound(tmp_path, cache, monkeypatch):
+    size = herm(4, seed=0).mats.nbytes  # 512 bytes: two fit, three do not
+    monkeypatch.setattr(mio, "TUPLE_CACHE_BYTES", 2 * size + 100)
+    paths = []
+    for seed in range(4):
+        paths.append(tmp_path / f"t{seed}.json")
+        save_tuple(herm(4, seed=seed), paths[-1])
+    a = load_tuple(paths[0])
+    b = load_tuple(paths[1])
+    assert load_tuple(paths[0]) is a  # a is now the most recently used
+    c = load_tuple(paths[2])  # evicts b, not a
+    assert retained(cache) <= mio.TUPLE_CACHE_BYTES
+    assert [id(A) for A in cached(cache)] == [id(a), id(c)]
+    assert load_tuple(paths[0]) is a
+    assert load_tuple(paths[1]) is not b  # read again; evicts c
+    assert retained(cache) <= mio.TUPLE_CACHE_BYTES and len(cache) == 2
+    assert all(A is not c for A in cached(cache))
+    # a result larger than the bound is returned but not kept
+    big = tmp_path / "big.json"
+    save_tuple(herm(9, seed=9), big)
+    kept = cached(cache)
+    B = load_tuple(big)
+    assert B.mats.nbytes > mio.TUPLE_CACHE_BYTES
+    assert cached(cache) == kept
+    assert load_tuple(big) is not B and np.array_equal(load_tuple(big).mats, B.mats)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 6), hermitian=st.booleans(), data=st.data())
+def test_reload_is_bitwise_the_first_load(m, n, hermitian, data):
+    # magnitudes to 1e300 so that the embedding's sums stay finite
+    entries = st.one_of(EDGE_FLOATS, st.floats(-1e300, 1e300))
+    size = 2 * m * n * n
+    vals = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+    base = np.empty((m, n, n), dtype=complex)
+    base.real, base.imag = vals[0::2].reshape(m, n, n), vals[1::2].reshape(m, n, n)
+    if hermitian:
+        # mirror the strict upper triangle; the diagonal keeps its real part
+        # and the sign of its zero imaginary part
+        low = np.tril_indices(n, -1)
+        for M in base:
+            M[low] = np.conj(M.T[low])
+            M.imag[np.diag_indices(n)] *= 0.0
+        saved = HermitianTuple(base)
+    else:
+        saved = list(base)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mio, "_tuples", {})
+        f = os.path.join(tmp, "t.json")
+        save_tuple(saved, f)
+        flagged = json.loads(open(f).read())["hermitian"]
+        for embed in (False, True):
+            want = hermitian_embed(base).mats if embed and not flagged else base
+            for _ in ("miss", "hit"):
+                A = load_tuple(f, embed=embed)
+                got = A.mats if isinstance(A, HermitianTuple) else np.stack(A)
+                assert np.array_equal(bits(got), bits(want))
+
+
+def test_cold_load_peak_stays_near_the_parse(tmp_path, cache):
+    # the bytes are freed before json.loads, and the text before the
+    # matrices are built; holding either adds a file size to the peak
+    f = tmp_path / "t.json"
+    save_tuple(random_hermitian_tuple(4, 64, 3), f)
+    text = f.read_text()
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        del text
+        load_tuple(f)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    file_size = os.path.getsize(f)
+    assert load_peak <= parse_peak + 2 * file_size, \
+        f"load peaked {(load_peak - parse_peak) / file_size:.2f} file sizes above json.loads"
 
 
 # ---------------------------------------------------------------------------
