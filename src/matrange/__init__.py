@@ -21,7 +21,6 @@ from .ranges import (
     Boundary2D,
     Interval,
     hermitian_embed,
-    joint_numrange_sample,
     numrange_boundary,
     rank_k_interval,
 )

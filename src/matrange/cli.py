@@ -320,7 +320,7 @@ def cmd_verify_convexity(args) -> SuiteReport:
 
 
 def cmd_verify_pauli(args) -> SuiteReport:
-    return check_pauli_nonconvexity(seed=args.seed)
+    return check_pauli_nonconvexity()
 
 
 def cmd_verify_perturbation(args) -> SuiteReport:
@@ -402,7 +402,7 @@ COMMANDS = {
             INPUT, optional(P, 1), optional(Q, 1),
             ("--pairs", dict(type=positive_int, default=10)),
             THRESHOLD)),
-        "pauli": (cmd_verify_pauli, (SEED, THRESHOLD)),
+        "pauli": (cmd_verify_pauli, (THRESHOLD,)),
         "perturbation": (cmd_verify_perturbation, SOLVER + (
             ("--m", dict(type=positive_int, default=2)),
             ("--n", dict(type=positive_int, default=16)),

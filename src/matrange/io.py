@@ -189,8 +189,9 @@ def save_tuple(A, path) -> None:
 
 
 TUPLE_CACHE_BYTES = 2**24  # array bytes (16 MiB) load_tuple keeps, as ranges.STACK_ENTRIES
-# (sha256 of a tuple file's bytes, embed) -> (its read-only load_tuple result,
-# the result's array bytes), least recently used first
+# (sha256 of a tuple file's bytes, embed; False for a flagged file) -> (its
+# read-only load_tuple result, the result's array bytes), least recently used
+# first
 _tuples: dict = {}
 
 
@@ -205,14 +206,19 @@ def load_tuple(path, embed: bool = False):
     of the members' Hermitian and anti-Hermitian parts: the same range.
 
     Every returned array is read-only, and a process parses each file
-    content once per embed value: a later load of the same bytes, from any
-    path, returns the same object.  The key is the content's SHA-256, not
-    the path, so a rewritten file is read anew.  Results are kept up to
+    content once (an unflagged one once per embed value): a later load of
+    the same bytes, from any path, returns the same object.  The key is the
+    content's SHA-256, not the path, so a rewritten file is read anew.  Results are kept up to
     TUPLE_CACHE_BYTES of arrays, the least recently used evicted first; a
     larger one is returned but not kept.
     """
     data = _read(path)
-    key = (hashlib.sha256(data).digest(), bool(embed))
+    digest = hashlib.sha256(data).digest()
+    flagged = _tuples.get((digest, False))
+    # embed changes nothing for a flagged file, so its one entry serves both
+    if flagged and isinstance(flagged[0], HermitianTuple):
+        embed = False
+    key = (digest, bool(embed))
     if key in _tuples:
         _tuples[key] = hit = _tuples.pop(key)
         return hit[0]
@@ -241,6 +247,7 @@ def load_tuple(path, embed: bool = False):
             raise SchemaError(f"matrix {j}: shape {M.shape}, expected ({n}, {n})")
         mats.append(M)
     if doc["hermitian"]:
+        key = (digest, False)
         try:
             A = HermitianTuple(mats)
         except NotHermitianError as e:

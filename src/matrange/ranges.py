@@ -2,9 +2,9 @@
 
 Covers the objects with closed-form or spectral descriptions: the planar
 numerical range W(A) of a single complex matrix via supporting lines, the
-rank-k range of a single Hermitian matrix (an eigenvalue interval), scalar
-joint-range sampling, and the Cartesian embedding A = H + iG that
-transports complex tuples to Hermitian ones.
+rank-k range of a single Hermitian matrix (an eigenvalue interval), and the
+Cartesian embedding A = H + iG that transports complex tuples to Hermitian
+ones.  Nothing here calls the solver.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DimensionError, HermitianTuple, as_tuple, frob, herm_eig, herm_eigvals,
-                     hermitize)
-from .feasibility import PointCloud
+from .linalg import DimensionError, HermitianTuple, frob, herm_eig, herm_eigvals, hermitize
 
 
 @dataclass(frozen=True)
@@ -134,22 +132,3 @@ def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
         area = 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
         tag = "segment" if area < 1e-12 * diam * diam else "full"
     return Boundary2D(angles=angles, vertices=verts, support=supp, degenerate=tag)
-
-
-def joint_numrange_sample(A, count: int, seed: int = 0) -> PointCloud:
-    """Sample W(A_1, ..., A_m) at Haar-random unit vectors.
-
-    Every emitted point is an exact element of the joint range (it is a
-    quadratic form value), so the cloud carries no certificates.
-    """
-    A = as_tuple(A)
-    if A.n < 1:
-        raise DimensionError("cannot sample a 0-dimensional tuple")
-    rng = np.random.default_rng(seed)
-    G = (rng.standard_normal((count, A.n)) + 1j * rng.standard_normal((count, A.n)))
-    G /= np.linalg.norm(G, axis=1, keepdims=True)
-    # values[i, j] = x_i* A_j x_i
-    AX = np.einsum("jkl,il->jik", A.mats, G)
-    vals = np.real(np.einsum("ik,jik->ij", np.conj(G), AX))
-    meta = {"generator": "joint_numrange_sample", "seed": seed, "count": count}
-    return PointCloud(coords=vals, m=A.m, p=1, q=1, meta=meta)

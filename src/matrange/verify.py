@@ -40,9 +40,7 @@ from .linalg import (
     compress,
     coordinate_isometry,
 )
-from .ranges import joint_numrange_sample
 
-PAULI_SAMPLES = 10000  # range points sampled by trial 1 of the Pauli suite
 PAULI_MARGIN_TOL = 1e-12  # rounding bar on the Pauli suite's exclusion margin
 
 
@@ -268,30 +266,25 @@ def check_convexity(A, p: int, q: int, pairs: int = 10,
                                    "requested_pairs": pairs})
 
 
-def check_pauli_nonconvexity(seed: int = 0) -> SuiteReport:
+def check_pauli_nonconvexity() -> SuiteReport:
     """The Pauli triple's joint range is the unit sphere, so it omits the
     origin, the midpoint of antipodal points.
 
-    Trial 1: PAULI_SAMPLES sampled points have norm 1 to 1e-10.  Trial 2
-    proves the origin outside: a unit x with x*A_j x = 0 for all j gives
-    y = x (x) x in the symmetric square with y*My = 0, but M = sum_j
-    A_j (x) A_j is the identity there (margin 1).  A witness with residual
-    tau has y*My <= tau^2, so a margin mu excludes residuals below sqrt(mu).
+    One trial, keyed 0, proves the origin outside: a unit x with x*A_j x = 0
+    for all j gives y = x (x) x in the symmetric square with y*My = 0, but
+    M = sum_j A_j (x) A_j is the identity there (margin 1).  A witness with
+    residual tau has y*My <= tau^2, so a margin mu excludes residuals below
+    sqrt(mu).
     """
     A = pauli_tuple()
     failures = []
-    cloud = joint_numrange_sample(A, PAULI_SAMPLES, seed=seed)
-    dev = float(np.max(np.abs(np.linalg.norm(cloud.coords, axis=1) - 1.0)))
-    if not dev <= 1e-10:
-        failures.append((seed, f"sample norm deviates by {dev:.3e}"))
     r = np.sqrt(0.5)  # e00, e11 and (e01 + e10)/sqrt2 span the symmetric square
     S = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
     margin = float(np.linalg.eigvalsh(S.T @ sum(np.kron(a, a) for a in A.mats) @ S)[0])
     if not margin > PAULI_MARGIN_TOL:
-        failures.append((seed, f"origin not excluded: margin {margin:.3e}"))
-    return SuiteReport(suite="pauli-nonconvexity", trials=2, failures=tuple(failures),
-                       tolerances={"norm_tol": 1e-10, "margin_tol": PAULI_MARGIN_TOL,
-                                   "n_samples": PAULI_SAMPLES})
+        failures.append((0, f"origin not excluded: margin {margin:.3e}"))
+    return SuiteReport(suite="pauli-nonconvexity", trials=1, failures=tuple(failures),
+                       tolerances={"margin_tol": PAULI_MARGIN_TOL})
 
 
 def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,

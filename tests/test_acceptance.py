@@ -172,14 +172,12 @@ def test_essential_estimate_converges_and_ignores_finite_rank():
 
 
 def test_pauli_midpoint_rejected_samples_on_sphere():
-    """The sphere ensemble: 10^4 sampled points have unit norm, and the
-    origin is proved outside the range by a positive margin."""
+    """The sphere ensemble: the origin, the midpoint of antipodal sphere
+    points, is proved outside the range by a positive margin."""
     start = time.perf_counter()
     report = check_pauli_nonconvexity()
-    assert report.trials == 2
-    assert report.passes == 2, report.failures
-    assert report.tolerances["norm_tol"] <= 1e-10
-    assert report.tolerances["n_samples"] == 10000
+    assert report.trials == 1
+    assert report.passes == 1, report.failures
     assert 0.0 < report.tolerances["margin_tol"] <= 1e-12
     assert time.perf_counter() - start < 60.0
 

@@ -412,12 +412,14 @@ class TestVerify:
             ["verify", "convexity", "--input", "{missing}"],
             ["verify", "perturbation"],
         )),
-        # the Pauli suite proves its exclusion and runs no solver
+        # the Pauli suite proves its exclusion, runs no solver and draws no
+        # random numbers
         (["verify", "pauli", "--accept-tol", "1e-8"], "--accept-tol"),
         (["verify", "pauli", "--restarts", "3"], "--restarts"),
         (["verify", "pauli", "--floor", "0.5"], "--floor"),
         (["verify", "pauli", "--floor", "nan"], "--floor"),
         (["verify", "pauli", "--floor", "inf"], "--floor"),
+        (["verify", "pauli", "--seed", "-1"], "--seed"),
     ])
     def test_mode_refuses_input_flags(self, tmp_path, capsys, argv, flag):
         # a suite that builds its own tuple is a command of its own, so a flag
@@ -478,20 +480,18 @@ class TestVerify:
         assert doc["failures"] == expected
 
     def test_pauli_failure_when_origin_is_in_range(self, tmp_path, monkeypatch):
-        # (sx, sy, 0) has the unit disk as its range: its samples leave the
-        # sphere and the origin's margin is 0, so both trials fail, keyed by
-        # the seed
+        # (sx, sy, 0) has the unit disk as its range, so the origin's margin
+        # is 0 and the one trial fails, keyed 0
         P = pauli_tuple().mats
         monkeypatch.setattr("matrange.verify.pauli_tuple",
                             lambda: HermitianTuple(np.stack([P[0], P[1], 0 * P[2]])))
         out = tmp_path / "r.json"
-        rc = main(["verify", "pauli", "--seed", "3", "--out", str(out)])
+        rc = main(["verify", "pauli", "--out", str(out)])
         assert rc == 5
         doc = json.loads(out.read_text())
-        assert (doc["trials"], doc["passes"]) == (2, 0)
-        (seed1, norm), (seed2, margin) = doc["failures"]
-        assert seed1 == seed2 == 3
-        assert norm.startswith("sample norm deviates by ")
+        assert (doc["trials"], doc["passes"]) == (1, 0)
+        ((key, margin),) = doc["failures"]
+        assert key == 0
         assert margin.startswith("origin not excluded: margin ")
         assert abs(float(margin.rsplit(" ", 1)[1])) <= 1e-12
 
@@ -523,7 +523,7 @@ class TestVerify:
         rc = main(["verify", "pauli", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["passes"] == 2
+        assert doc["passes"] == 1
 
     def test_convexity_failure_exit_code(self, tmp_path, pauli_file):
         # midpoints of sphere points are interior, so membership must fail
@@ -712,7 +712,6 @@ class TestErrors:
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "-1"],
         ["sample", "pq", "--input", "{pair}", "--p", "2", "--q", "1", "--accept-tol", "inf"],
         ["verify", "pauli", "--threshold", "nan"],
-        ["verify", "pauli", "--seed", "-1"],
         ["verify", "star-planted", "--m", "-1"],
         ["verify", "star-planted", "--m", "0"],
         ["verify", "inclusions", "--m", "-1", "--n", "8", "--trials", "1"],

@@ -1,6 +1,6 @@
 """Source hygiene: every module of the package and every test module uses
-each name it imports, and every function the benchmark's span tracer looks
-up by name exists.
+each name it imports, the spectral layer does not import the solver, and
+every function the benchmark's span tracer looks up by name exists.
 
 `__init__.py` is exempt, since its imports are the public re-exports.
 """
@@ -45,6 +45,26 @@ def test_checker_sees_an_unused_import():
                          ids=[p.stem for p in MODULES] + [f"tests.{p.stem}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The package modules a module imports from, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = (node.module or "").removeprefix("matrange.")
+            found |= {alias.name for alias in node.names} if not module else {module}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("matrange.") for alias in node.names}
+    return found
+
+
+def test_ranges_does_not_import_the_solver():
+    # the spectral layer answers from eigenvalues alone
+    assert imported_modules("from . import feasibility\nimport matrange.feasibility\n"
+                            "from .feasibility import x\n") == {"feasibility"}
+    source = (PACKAGE / "ranges.py").read_text(encoding="utf-8")
+    assert "feasibility" not in imported_modules(source)
 
 
 def test_traced_layer_functions_resolve():

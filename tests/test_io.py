@@ -339,6 +339,20 @@ def test_embed_values_are_separate_entries(tmp_path, cache):
     assert load_tuple(f) is raw and load_tuple(f, embed=True) is emb
 
 
+@pytest.mark.parametrize("order", [(False, True), (True, False)])
+def test_flagged_file_is_one_entry_whatever_embed(tmp_path, cache, monkeypatch, order):
+    # embed changes nothing for a Hermitian-flagged file, so the second load
+    # in either order is a hit: the same object, one entry, one parse
+    f = tmp_path / "h.json"
+    save_tuple(herm(4, seed=0), f)
+    parses, parse = [], mio._loads
+    monkeypatch.setattr(mio, "_loads", lambda text: parses.append(1) or parse(text))
+    first = load_tuple(f, embed=order[0])
+    assert load_tuple(f, embed=order[1]) is first
+    assert load_tuple(f, embed=order[0]) is first
+    assert len(cache) == 1 and len(parses) == 1
+
+
 @pytest.mark.parametrize("hermitian, embed", [(True, False), (True, True),
                                               (False, False), (False, True)])
 def test_every_returned_array_is_read_only(tmp_path, cache, hermitian, embed):

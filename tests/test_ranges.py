@@ -1,4 +1,4 @@
-"""Classical boundary, rank-k intervals, embeddings, joint sampling."""
+"""Classical boundary, rank-k intervals and embeddings."""
 
 import tracemalloc
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrange.linalg import DimensionError, HermitianTuple, frob
+from matrange.linalg import DimensionError, frob
 from matrange.ranges import (
     STACK_ENTRIES,
     hermitian_embed,
-    joint_numrange_sample,
     numrange_boundary,
     rank_k_interval,
 )
@@ -286,17 +285,3 @@ def test_embed_and_boundary_refusals(call, match):
     with pytest.raises(DimensionError, match=match):
         call()
 
-
-# ---------------------------------------------------------------------------
-# joint sampling
-
-
-def test_joint_sample_matches_direct_forms():
-    rng = np.random.default_rng(47)
-    mats = np.stack([(lambda G: (G + np.conj(G.T)) / 2)(random_complex(4, rng))
-                     for _ in range(3)])
-    A = HermitianTuple(mats)
-    cloud = joint_numrange_sample(A, 16, seed=5)
-    assert cloud.coords.shape == (16, 3)
-    redo = joint_numrange_sample(A, 16, seed=5)
-    assert np.array_equal(cloud.coords, redo.coords)
