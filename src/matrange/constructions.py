@@ -12,8 +12,10 @@ module makes each assembly executable.
   of any codimension-r corner with q r < p, witness by witness
   (corner_certificate); conversely deflation solves inside a corner chosen
   orthogonal to earlier witnesses and their images, so cross terms vanish
-  exactly; Haar level-1 blocks certified on A itself fill one shrinking
-  corner.  Every complement here takes one rank cut, _complement's.
+  exactly; the Tverberg blocks are level-1 Haar blocks checked on A itself,
+  each drawn off an orthonormal basis of the span the earlier ones protect.
+  Every complement here takes one rank cut, _rank's: _complement's full
+  SVD and the family's thin ones alike.
 * segment witnesses: two certificates whose witnesses are orthogonal in the
   A-weighted sense combine, with convex square-root weights, into a single
   witness for any point of the connecting segment.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +48,10 @@ from .feasibility import (
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
+    _residual,
     certify,
     compose_certificate,
+    flatten_blocks,
     sample_range,
     solve_free,
     unflatten_blocks,
@@ -55,10 +60,12 @@ from .linalg import (
     DimensionError,
     Isometry,
     ISO_TOL,
+    _qr_fix,
     as_tuple,
     compress,
     frob,
     herm_eig,
+    hermitian_stack,
     random_isometry,
 )
 from .tverberg import PartitionResult, tverberg_partition
@@ -82,15 +89,30 @@ def random_corner(n: int, r: int, seed: int) -> Isometry:
     return Isometry(U.mat[:, r:])
 
 
+def _rank(s: np.ndarray) -> int:
+    """The rank cut: how many singular values s count as nonzero, those
+    above 1e-10 max(1, s_0)."""
+    return int(np.sum(s > 1e-10 * np.max(s, initial=1.0)))
+
+
 def _complement(C: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of range(C); s <= 1e-10 max(1, s_0) counts as 0."""
+    """Orthonormal basis of the complement of range(C), past _rank's cut."""
     U, s, _ = np.linalg.svd(C, full_matrices=True)
-    return U[:, int(np.sum(s > 1e-10 * np.max(s, initial=1.0))):]
+    return U[:, _rank(s):]
 
 
-def _with_images(A, X: np.ndarray) -> np.ndarray:
-    """The columns of X, A_1 X, ..., A_m X side by side."""
-    return np.concatenate([X[None], A.mats @ X]).transpose(1, 0, 2).reshape(A.n, -1)
+def _with_images(X: np.ndarray, AX: np.ndarray) -> np.ndarray:
+    """The columns of X, A_1 X, ..., A_m X side by side, from AX = A.mats @ X."""
+    return np.concatenate([X[None], AX]).transpose(1, 0, 2).reshape(X.shape[0], -1)
+
+
+def _project_off(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M less its part in range(Z), Z with orthonormal columns.  Two passes:
+    cancellation can leave one pass's output far from orthogonal to Z, and
+    a second pass restores orthogonality to rounding ("twice is enough")."""
+    for _ in range(2):
+        M = M - Z @ (np.conj(Z.T) @ M)
+    return M
 
 
 def annihilating_corner(F) -> Isometry:
@@ -249,7 +271,8 @@ def deflation_corner(A, prior) -> Isometry:
         return Isometry(np.eye(A.n, dtype=complex))
     if any(c.witness.n != A.n for c in prior):
         raise DimensionError("prior witness dimension does not match the tuple")
-    return Isometry(_complement(np.hstack([_with_images(A, c.witness.mat) for c in prior])))
+    return Isometry(_complement(np.hstack([_with_images(X, A.mats @ X)
+                                           for X in (c.witness.mat for c in prior)])))
 
 
 def _check_room(n: int, left: int, need: int) -> None:
@@ -282,33 +305,43 @@ def deflated_solve(A, prior, p: int, q: int, opts: SolverOptions = SolverOptions
 class BlockFamily:
     """Mutually A-orthogonal level-1 blocks with their measured cross terms.
 
-    members[r] certifies B^(r) with witness X_r; cross_tol bounds every
+    Block r is stored in stacks: its witness X_r = witnesses[r] (n by q),
+    its point B^(r) = points[r] (m, q, q) and its residual residuals[r].
+    members[r] certifies B^(r) with X_r; the Certificates are built, and
+    validated, when members is first read.  cross_tol bounds every
     ||X_r* X_s|| and ||X_r* A_j X_s|| for r != s.  Any prefix of the family
     is a family with the same bound.
     """
 
     q: int
-    members: tuple
+    witnesses: np.ndarray
+    points: np.ndarray
+    residuals: np.ndarray
     cross_tol: float
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.residuals)
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(Certificate(point=MatPoint(B), p=1, witness=Isometry(X), residual=float(r))
+                     for X, B, r in zip(self.witnesses, self.points, self.residuals))
 
 
 def measure_cross(A, witnesses) -> float:
     """The largest ||X_r* X_s|| and ||X_r* A_j X_s|| over pairs r != s.
 
-    One stacked W = [X_1 ... X_d] gives every pair at once: the off-diagonal
-    q-by-q blocks of W* W and of each W* A_j W.
+    witnesses is a (d, n, q) stack or a sequence of Isometries.  One W =
+    [X_1 ... X_d] gives every pair at once: the off-diagonal q-by-q blocks
+    of W* W and of each W* A_j W.
     """
     A = as_tuple(A)
     if len(witnesses) < 2:
         return 0.0
-    q = witnesses[0].k
-    W = np.hstack([X.mat for X in witnesses])
-    Wc = np.conj(W.T)
-    G = Wc @ np.concatenate([W[None], A.mats @ W])
-    d = len(witnesses)
+    X = np.stack([getattr(w, "mat", w) for w in witnesses])
+    d, n, q = X.shape
+    W = X.transpose(1, 0, 2).reshape(n, d * q)
+    G = np.conj(W.T) @ np.concatenate([W[None], A.mats @ W])
     blocks = np.linalg.norm(G.reshape(A.m + 1, d, q, d, q), axis=(2, 4))
     return float(np.max(blocks[:, ~np.eye(d, dtype=bool)]))
 
@@ -316,26 +349,45 @@ def measure_cross(A, witnesses) -> float:
 def orthogonal_block_family(A, q: int, d: int, opts: SolverOptions = SolverOptions()):
     """Build d mutually A-orthogonal level-1 blocks, no solve needed.
 
-    Y spans the corner still free, I_n at first.  Stage s certifies X = Y x
-    on A itself, x the Haar isometry seeded opts.seed + 7919 s, then shrinks
-    Y to Y _complement(Y* [X, A_1 X, ..., A_m X]), past X and each A_j X.
+    Z is an orthonormal basis of the protected span, every earlier X_r and
+    A_j X_r, empty at first.  Stage s draws an n-by-q complex Gaussian from
+    one generator seeded opts.seed, projects it off Z and retracts it to X,
+    a Haar isometry into the complement of Z; it checks X at level 1 from
+    X* A X, then appends to Z the left singular vectors of [X, A_1 X, ...,
+    A_m X] projected off Z that pass _rank's cut.  Stage s draws after
+    stages 0..s-1 alone, so the first k blocks of any family are the size-k
+    family's, bit for bit.
 
     A block above opts.accept_tol (the rounding of a huge-norm tuple) is
-    returned as a Rejection carrying its stage s.
+    returned as a Rejection carrying its stage s.  The finished stacks are
+    checked in one pass: every witness an isometry to ISO_TOL, every point
+    Hermitian.
     """
     A = as_tuple(A)
-    Y = np.eye(A.n, dtype=complex)
-    members = []
-    for stage in range(d):
-        _check_room(A.n, Y.shape[1], q)
-        X = Y @ random_isometry(Y.shape[1], q, opts.seed + 7919 * stage).mat
-        out = certify(A, Isometry(X), 1)
-        if not out.residual <= opts.accept_tol:
-            return Rejection(out.residual, 1, "block above accept_tol", stage=stage)
-        members.append(out)
-        Y = Y @ _complement(np.conj(Y.T) @ _with_images(A, X))
-    cross = measure_cross(A, [c.witness for c in members])
-    return BlockFamily(q=q, members=tuple(members), cross_tol=cross)
+    if q < 1 or d < 1:
+        raise DimensionError(f"need q >= 1 and d >= 1, got q={q}, d={d}")
+    rng = np.random.default_rng(opts.seed)
+    X = np.empty((d, A.n, q), dtype=complex)
+    B = np.empty((d, A.m, q, q), dtype=complex)
+    res = np.empty(d)
+    Z = np.empty((A.n, 0), dtype=complex)
+    for s in range(d):
+        _check_room(A.n, A.n - Z.shape[1], q)
+        X[s] = _qr_fix(_project_off(Z, rng.standard_normal((A.n, 2 * q)).view(complex)))
+        AX = A.mats @ X[s]
+        res[s], B[s] = _residual(np.conj(X[s].T) @ AX, 1, q)
+        if not res[s] <= opts.accept_tol:
+            return Rejection(float(res[s]), 1, "block above accept_tol", stage=s)
+        if s < d - 1:  # the last block shields nothing after it
+            U, sv, _ = np.linalg.svd(_project_off(Z, _with_images(X[s], AX)),
+                                     full_matrices=False)
+            Z = np.hstack([Z, U[:, :_rank(sv)]])
+    defect = np.linalg.norm(np.conj(X.transpose(0, 2, 1)) @ X - np.eye(q), axis=(1, 2))
+    if not (defect <= ISO_TOL).all():
+        raise DimensionError(f"block isometry defect {np.max(defect):.3e} exceeds {ISO_TOL:.1e}")
+    hermitian_stack(B.reshape(-1, q, q), "block")
+    return BlockFamily(q=q, witnesses=X, points=B, residuals=res,
+                       cross_tol=measure_cross(A, X))
 
 
 @dataclass(frozen=True)
@@ -362,14 +414,15 @@ def tverberg_lift(A, q: int, p: int, opts: SolverOptions = SolverOptions()):
     dimensions from the next, so n >= (d - 1)(m + 1)q + q always suffices.
     """
     A = as_tuple(A)
+    if p < 1 or q < 1:
+        raise DimensionError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
     d = (p - 1) * (q * q * A.m + 1) + 1
     family = orthogonal_block_family(A, q, d, opts)
     if isinstance(family, Rejection):
         return family
-    pts = np.array([c.point.flatten() for c in family.members])
-    part = tverberg_partition(pts, p)
+    part = tverberg_partition(flatten_blocks(family.points.reshape(-1, q, q)).reshape(d, -1), p)
     C = MatPoint.unflatten(part.common_point, A.m, q)
-    wits = np.stack([c.witness.mat for c in family.members])
+    wits = family.witnesses
     # column block ell sums sqrt(w_r) X_r over part ell, in part order
     X = np.hstack([np.sum(np.sqrt(w)[:, None, None] * wits[list(rs)], axis=0, initial=0.0)
                    for w, rs in zip(part.weights, part.parts)])

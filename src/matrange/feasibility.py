@@ -288,13 +288,21 @@ def _misfit(S: np.ndarray, p: int, q: int, target=None):
     return S - _inflate(B, p), B
 
 
+def _residual(S: np.ndarray, p: int, q: int, target=None) -> tuple[float, np.ndarray]:
+    """(R, B): the Frobenius norm R of _misfit(S, p, q, target)'s E, and its B.
+
+    The one place a residual sqrt(sum_j ||X* A_j X - I_p (x) B_j||_F^2) is
+    computed: certify and the block family store it, and every
+    revalidation recomputes it through certify.
+    """
+    E, B = _misfit(S, p, q, target)
+    return float(np.sqrt(np.sum(np.abs(E) ** 2))), B
+
+
 def certify(A, X: Isometry, p: int, point: MatPoint | None = None) -> Certificate:
     """Wrap an explicit witness into a certificate for `point`, or for the
     best block (the average of the diagonal blocks) when point is None.
-
-    The one place a residual sqrt(sum_j ||X* A_j X - I_p (x) B_j||_F^2) is
-    computed: every certificate the library builds, and every revalidation,
-    comes through here.
+    The residual is _residual's.
     """
     A = as_tuple(A)
     if X.n != A.n:
@@ -307,10 +315,9 @@ def certify(A, X: Isometry, p: int, point: MatPoint | None = None) -> Certificat
             raise DimensionError(f"point length {point.m} does not match tuple length {A.m}")
         if point.q != q:
             raise DimensionError(f"witness has {X.k} columns, expected p*q = {p * point.q}")
-    E, B = _misfit(np.conj(X.mat.T) @ (A.mats @ X.mat), p, q,
-                   None if point is None else point.blocks)
-    return Certificate(point=MatPoint(B) if point is None else point, p=p, witness=X,
-                       residual=float(np.sqrt(np.sum(np.abs(E) ** 2))))
+    R, B = _residual(np.conj(X.mat.T) @ (A.mats @ X.mat), p, q,
+                     None if point is None else point.blocks)
+    return Certificate(point=MatPoint(B) if point is None else point, p=p, witness=X, residual=R)
 
 
 def compose_certificate(A, X0: Isometry, cert: Certificate) -> Certificate:

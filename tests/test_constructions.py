@@ -569,6 +569,49 @@ def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, scale, seed)
         assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
 
 
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(1, 3), q=st.integers(1, 2), k=st.integers(1, 3), more=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_block_family_prefix_is_the_smaller_family(m, q, k, more, seed):
+    # stage s draws after stages 0..s-1 alone, so a family's first k blocks
+    # are the size-k family's, bit for bit
+    d = k + more
+    A = gue(m, d * q * (m + 1) + q, seed)
+    opts = SolverOptions(seed=seed % 1000)
+    big, small = orthogonal_block_family(A, q, d, opts), orthogonal_block_family(A, q, k, opts)
+    assert np.array_equal(big.witnesses[:k], small.witnesses)
+    assert np.array_equal(big.points[:k], small.points)
+    assert np.array_equal(big.residuals[:k], small.residuals)
+
+
+def test_block_family_takes_only_thin_svds(monkeypatch):
+    # no stage factors an n-by-n matrix: each SVD is a thin one of the new
+    # block and its images, at most (m + 1) q columns
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(M, full_matrices=True, **kwargs):
+        calls.append((M.shape, full_matrices))
+        return svd(M, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    A, q = gue(2, 57, seed=8), 2
+    fam = orthogonal_block_family(A, q, 6, SolverOptions(seed=0))
+    assert len(fam) == 6 and len(calls) == 5
+    assert all(full is False and shape[1] <= (A.m + 1) * q for shape, full in calls)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda A: tverberg_lift(A, 0, 2), "need p >= 1 and q >= 1, got p=2, q=0"),
+    (lambda A: tverberg_lift(A, 1, 0), "need p >= 1 and q >= 1, got p=0, q=1"),
+    (lambda A: orthogonal_block_family(A, 1, -1), "need q >= 1 and d >= 1, got q=1, d=-1"),
+    (lambda A: orthogonal_block_family(A, 0, 2), "need q >= 1 and d >= 1, got q=0, d=2"),
+], ids=["lift-q0", "lift-p0", "family-d-1", "family-q0"])
+def test_degenerate_lift_arguments_are_refused(build, message):
+    with pytest.raises(DimensionError, match=message):
+        build(diag_tuple([1.0, 2.0, 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # Tverberg lift
 
@@ -641,6 +684,21 @@ def test_tverberg_lift_q2_p3_certifies():
     assert cert.p == 3 and cert.q == 2
     assert cert.residual <= 1e-10
     assert cert.revalidate(A) == cert.residual
+
+
+def test_tverberg_lift_beyond_the_bench_sizes():
+    # m = 2, q = 2, p = 3 at n = 300: d = 19 blocks, each inside the corner
+    # deflation_corner takes past the blocks before it
+    A = random_hermitian_tuple(2, 300, 0)
+    lift = tverberg_lift(A, 2, 3, SolverOptions(seed=0))
+    cert = lift.certificate
+    assert cert.residual <= 1e-8 and cert.revalidate(A) == cert.residual
+    assert lift.family.cross_tol <= 1e-12 * A.scale()
+    members = lift.family.members
+    for s in range(1, len(members)):
+        Y = deflation_corner(A, list(members[:s])).mat
+        X = members[s].witness.mat
+        assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
 
 
 def test_tverberg_lift_p2_beyond_scan_cap():
