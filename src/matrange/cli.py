@@ -270,7 +270,8 @@ def cmd_tverberg(args):
 
 def cmd_essential(args):
     A = load_tuple(args.input, embed=True)
-    est = essential_estimate(A, args.q, args.r_max, _opts(args),
+    est = essential_estimate(A, args.q, args.r_max,
+                             SolverOptions(accept_tol=args.accept_tol, seed=args.seed),
                              n_dirs=args.n_dirs, n_free=args.n_free)
     if isinstance(est, Rejection):
         return est
@@ -368,8 +369,8 @@ COMMANDS = {
         "segment": (cmd_segment, SOLVER + (
             INPUT, P, Q, ("--t", dict(type=unit_interval, default=0.5)))),
         "tverberg": (cmd_tverberg, (SEED, ACCEPT_TOL, INPUT, P, Q)),
-        "essential": (cmd_essential, SOLVER + (
-            INPUT, Q,
+        "essential": (cmd_essential, (
+            SEED, ACCEPT_TOL, INPUT, Q,
             ("--r-max", dict(type=positive_int, required=True)),
             ("--n-dirs", dict(type=positive_int, default=64)),
             ("--n-free", dict(type=int_at_least(0), default=4)))),

@@ -331,16 +331,15 @@ class BlockFamily:
 def measure_cross(A, witnesses) -> float:
     """The largest ||X_r* X_s|| and ||X_r* A_j X_s|| over pairs r != s.
 
-    witnesses is a (d, n, q) stack or a sequence of Isometries.  One W =
-    [X_1 ... X_d] gives every pair at once: the off-diagonal q-by-q blocks
-    of W* W and of each W* A_j W.
+    witnesses is the (d, n, q) stack of the X_r.  One W = [X_1 ... X_d]
+    gives every pair at once: the off-diagonal q-by-q blocks of W* W and of
+    each W* A_j W.
     """
     A = as_tuple(A)
-    if len(witnesses) < 2:
+    d, n, q = witnesses.shape
+    if d < 2:
         return 0.0
-    X = np.stack([getattr(w, "mat", w) for w in witnesses])
-    d, n, q = X.shape
-    W = X.transpose(1, 0, 2).reshape(n, d * q)
+    W = witnesses.transpose(1, 0, 2).reshape(n, d * q)
     G = np.conj(W.T) @ np.concatenate([W[None], A.mats @ W])
     blocks = np.linalg.norm(G.reshape(A.m + 1, d, q, d, q), axis=(2, 4))
     return float(np.max(blocks[:, ~np.eye(d, dtype=bool)]))
@@ -501,12 +500,15 @@ class EssentialEstimate:
     q: int
     directions: np.ndarray
     supports: np.ndarray
-    intersection: np.ndarray
     failed_r: int | None = None
 
     @property
     def r_max(self) -> int:
         return self.supports.shape[0]
+
+    @property
+    def intersection(self) -> np.ndarray:
+        return np.minimum.accumulate(self.supports, axis=0)
 
     def interval(self) -> tuple[float, float]:
         """The [lo, hi] reading when the flattened dimension is one."""
@@ -565,7 +567,5 @@ def essential_estimate(A, q: int, r_max: int,
     if not supports:
         return Rejection(np.inf, SUPPORT_RESTARTS, "no point of level 1 passed accept_tol",
                          stage=1)
-    S = np.array(supports)
-    inter = np.minimum.accumulate(S, axis=0)
-    return EssentialEstimate(q=q, directions=dirs, supports=S,
-                             intersection=inter, failed_r=failed_r)
+    return EssentialEstimate(q=q, directions=dirs, supports=np.array(supports),
+                             failed_r=failed_r)

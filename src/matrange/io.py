@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .feasibility import Certificate, MatPoint, PointCloud
-from .linalg import HERM_TOL, HermitianTuple, Isometry, NotHermitianError, _herm_defects
+from .linalg import HERM_TOL, DimensionError, HermitianTuple, Isometry, _herm_defects
 from .ranges import hermitian_embed
 from .verify import SuiteReport
 
@@ -155,8 +155,29 @@ def _matrix_parse(rows, what: str) -> np.ndarray:
     # a view keeps each part's bits, the sign of a zero included
     M = np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
     if not np.isfinite(M).all():
-        raise SchemaError(f"{what}: non-finite entry")
+        ik = tuple(map(int, np.argwhere(~np.isfinite(M))[0]))
+        raise SchemaError(f"{what}: non-finite entry at {ik}")
     return M
+
+
+def _matrix_list(doc, key: str, text: str, m: int, s: int, what: str) -> list:
+    """doc[key] as m s-by-s complex matrices of [re, im] pairs, or SchemaError
+    naming the first bad `what`.  Each item is dropped from doc[key] once
+    parsed, so the peak stays the parse's."""
+    items = doc[key]
+    if not isinstance(items, list) or len(items) != m:
+        found = len(items) if isinstance(items, list) else type(items).__name__
+        raise SchemaError(f"{key} must be a list of m = {m} matrices, found {found}")
+    j = _boolean_at(text, key, items)
+    if j is not None:
+        raise SchemaError(f"{what} {j}: entries must be [re, im] pairs")
+    mats = []
+    for j, rows in enumerate(items):
+        mats.append(M := _matrix_parse(rows, f"{what} {j}"))
+        items[j] = None
+        if M.shape != (s, s):
+            raise SchemaError(f"{what} {j}: shape {M.shape}, expected ({s}, {s})")
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -223,40 +244,19 @@ def load_tuple(path, embed: bool = False):
         _tuples[key] = hit = _tuples.pop(key)
         return hit[0]
     text = _decode(data)
-    del data  # freed before the parse, as is text before the matrices are built
+    del data  # freed before the parse
     doc = _loads(text)
     _require(doc, "tuple", ("m", "n", "hermitian", "matrices"))
-    m, n = doc["m"], doc["n"]
-    # type() and not isinstance(): JSON true would pass as the int 1
-    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1):
-        raise SchemaError(f"bad dimensions m={m!r}, n={n!r}")
+    m, n = _count(doc, "m", "tuple"), _count(doc, "n", "tuple")
     if not isinstance(doc["hermitian"], bool):
         raise SchemaError(f"hermitian flag must be true or false, got {doc['hermitian']!r}")
-    if not isinstance(doc["matrices"], list):
-        raise SchemaError(f"matrices must be a list, got {type(doc['matrices']).__name__}")
-    if len(doc["matrices"]) != m:
-        raise SchemaError(f"expected {m} matrices, found {len(doc['matrices'])}")
-    j = _boolean_at(text, "matrices", doc["matrices"])
-    if j is not None:
-        raise SchemaError(f"matrix {j}: entries must be [re, im] pairs")
-    del text  # freed before the matrices are built: the peak stays the parse's
-    mats = []
-    for j, rows in enumerate(doc["matrices"]):
-        M = _matrix_parse(rows, f"matrix {j}")
-        if M.shape != (n, n):
-            raise SchemaError(f"matrix {j}: shape {M.shape}, expected ({n}, {n})")
-        mats.append(M)
+    mats = _matrix_list(doc, "matrices", text, m, n, "matrix")
     if doc["hermitian"]:
         key = (digest, False)
         try:
             A = HermitianTuple(mats)
-        except NotHermitianError as e:
-            M = mats[e.item]
-            with np.errstate(over="ignore"):
-                D = np.abs(M - np.conj(M.T))
-            i, i2 = np.unravel_index(np.argmax(D), D.shape)
-            raise SchemaError(f"matrix {e.item} flagged hermitian but entry ({i}, {i2}) "
-                              f"differs from its conjugate by {D[i, i2]:.3e}") from None
+        except DimensionError as e:
+            raise SchemaError(f"flagged hermitian, but {e}") from None
     else:
         A = hermitian_embed(mats) if embed else tuple(mats)
     arrays = (A.mats,) if isinstance(A, HermitianTuple) else A
@@ -314,16 +314,8 @@ def load_certificate(path, A=None) -> Certificate:
     _require(doc, "certificate", ("m", "p", "q", "point", "residual",
                                   "witness", "witness_tol"))
     m, q = _count(doc, "m", "certificate"), _count(doc, "q", "certificate")
-    if not isinstance(doc["point"], list) or len(doc["point"]) != m:
-        raise SchemaError(f"point must be a list of m = {m} blocks")
-    j = _boolean_at(text, "point", doc["point"])
-    if j is not None:
-        raise SchemaError(f"point block {j}: entries must be [re, im] pairs")
-    blocks = np.stack([_matrix_parse(doc["point"][j], f"point block {j}")
-                       for j in range(m)])
-    if blocks.shape != (m, q, q):
-        raise SchemaError(f"point blocks shaped {blocks.shape}, expected ({m}, {q}, {q})")
-    cert = _cert_parse(doc, MatPoint(blocks), "certificate", text)
+    point = MatPoint(_matrix_list(doc, "point", text, m, q, "point block"))
+    cert = _cert_parse(doc, point, "certificate", text)
     if A is not None:
         cert.revalidate(A)
     return cert

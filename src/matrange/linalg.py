@@ -69,34 +69,37 @@ def _herm_defects(A) -> np.ndarray:
         return num / np.maximum(s, den)
 
 
-class NotHermitianError(DimensionError):
-    """A matrix of a stack fails the Hermitian check; `item` is its index."""
-
-    def __init__(self, message: str, item: int):
-        super().__init__(message)
-        self.item = item
+def _checked_herm(A, what: str = "matrix") -> np.ndarray:
+    """A as a complex matrix or stack (..., s, s) of finite Hermitian matrices
+    (relative tolerance HERM_TOL).  The one report of a failed check, a
+    DimensionError, names the first bad `what` by its stack index and, in it,
+    the first non-finite entry or else the entry farthest from its conjugate."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise DimensionError(f"expected square matrices, got shape {A.shape}")
+    d = _herm_defects(A)  # NaN for a matrix with a non-finite entry
+    if not (d <= HERM_TOL).all():
+        j = tuple(int(i) for i in np.argwhere(~(d <= HERM_TOL))[0])
+        name, M = f"{what} {', '.join(map(str, j))}".rstrip(), A[j]
+        bad = np.argwhere(~np.isfinite(M))
+        if len(bad):
+            raise DimensionError(f"{name} has a non-finite entry at {tuple(map(int, bad[0]))}")
+        with np.errstate(over="ignore"):  # inf where M - M* passes the double range
+            D = np.abs(M - np.conj(M.T))
+        ik = tuple(map(int, np.unravel_index(np.argmax(D), D.shape)))
+        raise DimensionError(f"{name} is not Hermitian: entry {ik} differs from its conjugate "
+                             f"by {D[ik]:.3e} (relative defect {d[j]:.3e})")
+    return A
 
 
 def hermitian_stack(A, what: str = "member") -> np.ndarray:
-    """A as a validated complex (m, s, s) stack of Hermitian matrices, m >= 1.
-
-    Every entry must be finite and every matrix Hermitian to relative
-    tolerance HERM_TOL.  A failure raises DimensionError naming the first
-    bad `what`; NotHermitianError when that matrix is finite but not
-    Hermitian.
-    """
+    """A as a complex (m, s, s) stack, m >= 1, checked by _checked_herm."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise DimensionError(f"expected an (m, s, s) stack of {what}s, got shape {A.shape}")
     if A.shape[0] < 1:
         raise DimensionError(f"need at least one {what}")
-    d = _herm_defects(A)  # NaN for a matrix with a non-finite entry
-    if not (d <= HERM_TOL).all():
-        j = int(np.argmin(d <= HERM_TOL))
-        if not np.isfinite(A[j]).all():
-            raise DimensionError(f"{what} {j} has a non-finite entry")
-        raise NotHermitianError(f"{what} {j} is not Hermitian (relative defect {d[j]:.3e})", j)
-    return A
+    return _checked_herm(A, what)
 
 
 @dataclass(frozen=True)
@@ -170,25 +173,6 @@ class Isometry:
 
     def defect(self) -> float:
         return frob(np.conj(self.mat.T) @ self.mat - np.eye(self.k))
-
-
-def _checked_herm(A) -> np.ndarray:
-    """A as a complex matrix or stack (..., n, n) of finite Hermitian
-    matrices (relative tolerance HERM_TOL); DimensionError otherwise, naming
-    the first bad slice and, when it has one, its first non-finite entry."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
-        raise DimensionError(f"expected square matrices, got shape {A.shape}")
-    d = _herm_defects(A)  # NaN for a matrix with a non-finite entry
-    if not (d <= HERM_TOL).all():
-        j = tuple(int(i) for i in np.argwhere(~(d <= HERM_TOL))[0])
-        at = f" (slice {j})" if j else ""
-        bad = ~np.isfinite(A[j])
-        if bad.any():
-            ij = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DimensionError(f"matrix{at} has a non-finite entry at {ij}")
-        raise DimensionError(f"matrix is not Hermitian{at} (relative defect {d[j]:.3e})")
-    return A
 
 
 def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -223,7 +223,7 @@ def test_cli_byte_determinism(tmp_path):
         ["construct", "tverberg", "--input", str(d12), "--p", "2", "--q", "1"],
         ["construct", "tverberg", "--input", str(d12), "--p", "3", "--q", "1"],
         ["construct", "essential", "--input", str(d12), "--q", "1",
-         "--r-max", "1", "--n-free", "2", "--restarts", "6"],
+         "--r-max", "1", "--n-free", "2"],
         ["verify", "star-planted", "--m", "2", "--blocks", "3"],
         ["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3",
          "--restarts", "8"],

@@ -357,7 +357,7 @@ class TestConstruct:
     def test_essential(self, tmp_path, diag12):
         out = tmp_path / "ess.json"
         rc = main(["construct", "essential", "--input", diag12, "--q", "1",
-                   "--r-max", "1", "--n-free", "2", "--restarts", "6",
+                   "--r-max", "1", "--n-free", "2",
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -620,7 +620,7 @@ class TestErrors:
                 # rows of different lengths
                 ("[[[[1,0]],[[1,0],[0,0]]]]", "entries must be [re, im] pairs"),
                 # m = n = 1 in the header
-                ("[[[[1,0]]],[[[2,0]]]]", "expected 1 matrices, found 2"),
+                ("[[[[1,0]]],[[[2,0]]]]", "list of m = 1 matrices, found 2"),
                 ("[[[[1,0],[0,0]],[[0,0],[1,0]]]]", "shape (2, 2), expected (1, 1)")):
             src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
                            f'"hermitian":true,"matrices":{matrices}}}\n')
@@ -658,7 +658,7 @@ class TestErrors:
         src, out = tmp_path / "big.json", tmp_path / "ess.json"
         save_tuple(HermitianTuple(1e13 * random_hermitian_tuple(2, 8, 0).mats), src)
         rc = main(["construct", "essential", "--input", str(src), "--q", "1",
-                   "--r-max", "1", "--n-free", "0", "--n-dirs", "4", "--restarts", "2",
+                   "--r-max", "1", "--n-free", "0", "--n-dirs", "4",
                    "--out", str(out)])
         assert rc == 4
         assert "Traceback" not in capsys.readouterr().err
@@ -728,6 +728,8 @@ class TestErrors:
         ["compute", "numrange", "--input", "{pair}", "--seed", "0"],
         ["construct", "tverberg", "--input", "{pair}", "--p", "2", "--q", "1",
          "--restarts", "8"],
+        ["construct", "essential", "--input", "{pair}", "--q", "1", "--r-max", "1",
+         "--restarts", "3"],
     ])
     def test_invalid_argument_exit_code(self, tmp_path, capsys, argv):
         path = tmp_path / "pair8.json"
@@ -877,7 +879,7 @@ class TestOutputs:
              "--restarts", "8"],
             ["construct", "tverberg", "--input", diag12, "--p", "2", "--q", "1"],
             ["construct", "essential", "--input", diag12, "--q", "1",
-             "--r-max", "1", "--n-free", "2", "--restarts", "6"],
+             "--r-max", "1", "--n-free", "2"],
             ["verify", "star-planted", "--m", "2", "--blocks", "3"],
             ["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3",
              "--restarts", "8"],

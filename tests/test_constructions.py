@@ -464,7 +464,7 @@ def test_orthogonal_block_family_free_mode():
     assert isinstance(fam, BlockFamily)
     assert len(fam) == 6
     assert fam.cross_tol <= 1e-9
-    assert measure_cross(A, [c.witness for c in fam.members]) == fam.cross_tol
+    assert measure_cross(A, np.stack([c.witness.mat for c in fam.members])) == fam.cross_tol
     for c in fam.members:
         v = c.point.scalar_values()[0]
         assert 1.0 - 1e-6 <= v <= 12.0 + 1e-6

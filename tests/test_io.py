@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -32,7 +33,7 @@ from matrange.io import (
     report_doc,
     save_tuple,
 )
-from matrange.linalg import DimensionError, HermitianTuple, Isometry
+from matrange.linalg import DimensionError, HermitianTuple, Isometry, herm_eig, herm_eigvals
 from matrange.ranges import hermitian_embed
 from matrange.verify import SuiteReport, random_hermitian_tuple
 
@@ -143,7 +144,7 @@ def test_load_tuple_refuses_near_range_skew_flagged_hermitian(tmp_path):
     doc = json.loads(f.read_text())
     doc["hermitian"] = True
     f.write_text(canonical_dumps(doc))
-    with pytest.raises(SchemaError, match=r"matrix 0 .* \(0, 1\)"):
+    with pytest.raises(SchemaError, match=r"member 0 is not Hermitian: entry \(0, 1\)"):
         load_tuple(f)
 
 
@@ -154,8 +155,53 @@ def test_tuple_hermitian_flag_violation_names_entry(tmp_path):
     doc = json.loads(f.read_text())
     doc["matrices"][1][0][2] = [99.0, 1.0]  # break Hermitian symmetry
     f.write_text(canonical_dumps(doc))
-    with pytest.raises(SchemaError, match=r"matrix 1 .* \(0, 2\)"):
+    with pytest.raises(SchemaError, match=r"member 1 is not Hermitian: entry \(0, 2\)"):
         load_tuple(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(2, 5),
+       kind=st.sampled_from(["nan", "inf", "-inf", "asym"]), imag=st.booleans(),
+       size=st.floats(1e-6, 1e3), data=st.data())
+def test_every_hermitian_check_names_the_same_entry(seed, m, n, kind, imag, size, data):
+    # one corrupted entry (i, k) of matrix j; an asymmetric change is measured
+    # against the conjugate entry too, so it is named by its upper-triangle twin
+    j = data.draw(st.integers(0, m - 1))
+    i, k = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                     .filter(lambda ik: kind != "asym" or ik[0] != ik[1]))
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    A = 0.5 * (G + np.conj(G.transpose(0, 2, 1)))
+    if kind == "asym":
+        A[j, i, k] += size * (1j if imag else 1.0)
+        want = (min(i, k), max(i, k))
+    else:
+        A[j, i, k] = complex(A[j, i, k].real, float(kind)) if imag else \
+            complex(float(kind), A[j, i, k].imag)
+        want = (i, k)
+
+    def named(err):
+        msg = str(err.value)
+        assert re.search(r"(?:member|block|matrix) (\d+)", msg).group(1) == str(j), msg
+        assert re.search(r"entry (?:at )?\((\d+), (\d+)\)", msg).groups() == \
+            tuple(map(str, want)), msg
+
+    for call in (HermitianTuple, MatPoint, herm_eig, herm_eigvals):
+        with pytest.raises(DimensionError) as err:
+            call(A)
+        named(err)
+    # JSON numbers cannot spell NaN, and a NaN constant is refused before any
+    # matrix is read, so the file carries a non-finite entry as an overflow
+    doc = {"schema_version": "1", "kind": "tuple", "m": m, "n": n, "hermitian": True,
+           "matrices": np.stack([A.real, A.imag], -1).tolist()}
+    text = json.dumps(doc).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "t.json")
+        with open(f, "w") as fh:
+            fh.write(text.replace("NaN", "1e999"))
+        with pytest.raises(SchemaError) as err:
+            load_tuple(f)
+        named(err)
 
 
 def test_tuple_schema_errors(tmp_path):
@@ -173,8 +219,8 @@ def test_tuple_schema_errors(tmp_path):
             "hermitian": True, "matrices": [[[[1.0, 0.0]]]]}
     for change, match in [({"matrices": 5}, "matrices must be a list"),
                           ({"matrices": None}, "matrices must be a list"),
-                          ({"m": True}, "bad dimensions"),
-                          ({"n": False}, "bad dimensions"),
+                          ({"m": True}, "m must be a positive integer"),
+                          ({"n": False}, "n must be a positive integer"),
                           ({"hermitian": "no"}, "hermitian flag"),
                           ({"hermitian": 1}, "hermitian flag"),
                           ({"matrices": [[[[1, 0, 7]]]]}, r"\[re, im\] pairs"),
@@ -540,10 +586,13 @@ def test_certificate_schema_errors(tmp_path):
     f = tmp_path / "c.json"
     f.write_text(canonical_dumps(certificate_doc(solve_free(A, 2, 1, SolverOptions(seed=0)))))
     good = json.loads(f.read_text())
-    for change, match in [({"m": 5}, "list of m = 5 blocks"),
+    for change, match in [({"m": 5}, "list of m = 5 matrices"),
                           ({"m": True}, "m must be a positive integer"),
                           ({"q": "1"}, "q must be a positive integer"),
-                          ({"point": 5}, "point must be a list of m = 2 blocks"),
+                          ({"point": 5}, "point must be a list of m = 2 matrices"),
+                          # blocks of two shapes once escaped as numpy's ValueError
+                          ({"point": [good["point"][0], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+                           r"point block 1: shape \(2, 2\), expected \(1, 1\)"),
                           ({"p": "x"}, "p must be a positive integer"),
                           ({"p": 0}, "p must be a positive integer"),
                           ({"witness_tol": None}, "witness_tol must be a finite number"),

@@ -16,7 +16,6 @@ from matrange.linalg import (
     herm_eig,
     herm_eigvals,
     hermitian_stack as checked_stack,
-    NotHermitianError,
     _herm_defects,
     _qr_fix,
     random_isometry,
@@ -79,7 +78,7 @@ def test_herm_defect_near_double_range(M):
 def test_eig_rejects_skew_matrix_near_double_range(M):
     with pytest.raises(DimensionError, match="not Hermitian"):
         herm_eig(M)
-    with pytest.raises(DimensionError, match="slice"):
+    with pytest.raises(DimensionError, match="matrix 1 is not Hermitian"):
         herm_eig(np.stack([np.eye(2, dtype=complex), M]))
 
 
@@ -94,13 +93,12 @@ def test_hermitian_stack_names_first_bad_item():
     assert np.array_equal(checked_stack(good), good)
     bad = good.copy()
     bad[1, 0, 1] = np.inf
-    with pytest.raises(DimensionError, match="member 1 has a non-finite entry"):
+    with pytest.raises(DimensionError, match=r"member 1 has a non-finite entry at \(0, 1\)"):
         HermitianTuple(bad)
     bad = np.concatenate([good, good])
     bad[2, 0, 1], bad[3, 1, 0] = 1.0, 1.0
-    with pytest.raises(NotHermitianError, match="block 2 is not Hermitian") as exc:
+    with pytest.raises(DimensionError, match=r"block 2 is not Hermitian: entry \(0, 1\)"):
         checked_stack(bad, "block")
-    assert exc.value.item == 2
     with pytest.raises(DimensionError, match="at least one member"):
         HermitianTuple(np.zeros((0, 2, 2)))
     with pytest.raises(DimensionError, match="got shape"):
@@ -119,7 +117,7 @@ def test_eig_agrees_with_lapack():
 
 def test_eig_rejects_non_hermitian_slice_of_stack():
     stack = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]).astype(complex)
-    with pytest.raises(DimensionError, match="slice"):
+    with pytest.raises(DimensionError, match=r"matrix 1 is not Hermitian: entry \(0, 1\)"):
         herm_eig(stack)
 
 
@@ -189,7 +187,7 @@ def test_herm_defect_same_verdict_for_matrix_and_stack(M):
     pytest.param(np.array([[1.0, np.nan], [np.nan, 1.0]]),
                  r"matrix has a non-finite entry at \(0, 1\)", id="nan"),
     pytest.param(np.stack([np.eye(2), np.diag([1.0, -np.inf])]),
-                 r"matrix \(slice \(1,\)\) has a non-finite entry at \(1, 1\)", id="inf-in-stack"),
+                 r"matrix 1 has a non-finite entry at \(1, 1\)", id="inf-in-stack"),
 ])
 def test_eig_names_non_finite_entry(A, match):
     for f in (herm_eig, herm_eigvals):
