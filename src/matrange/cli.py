@@ -50,6 +50,7 @@ from .feasibility import (
 from .io import (
     ParseError,
     SchemaError,
+    _matrix_doc,
     canonical_dumps,
     certificate_doc,
     cloud_doc,
@@ -183,9 +184,9 @@ def cmd_numrange(args) -> int:
     bd = numrange_boundary(mats[0], n_angles=args.angles)
     doc = {
         "kind": "numrange-boundary",
-        "angles": [float(t) for t in bd.angles],
-        "vertices": [[float(z.real), float(z.imag)] for z in bd.vertices],
-        "support": [float(s) for s in bd.support],
+        "angles": bd.angles.tolist(),
+        "vertices": _matrix_doc(bd.vertices),
+        "support": bd.support.tolist(),
         "degenerate": bd.degenerate,
     }
     _emit(canonical_dumps(doc), args.out)
@@ -261,7 +262,7 @@ def cmd_tverberg(args):
         "q": args.q,
         "d": len(lift.family),
         "parts": [list(part) for part in lift.partition.parts],
-        "weights": [[float(w) for w in ws] for ws in lift.partition.weights],
+        "weights": [ws.tolist() for ws in lift.partition.weights],
         "partitions_scanned": int(lift.partition.partitions_scanned),
         "family_cross_tol": float(lift.family.cross_tol),
         "certificate": certificate_doc(lift.certificate),
@@ -279,9 +280,9 @@ def cmd_essential(args):
         "kind": "essential-estimate",
         "q": args.q,
         "r_max": int(est.r_max),
-        "directions": [[float(v) for v in row] for row in est.directions],
-        "supports": [[float(v) for v in row] for row in est.supports],
-        "intersection": [[float(v) for v in row] for row in est.intersection],
+        "directions": est.directions.tolist(),
+        "supports": est.supports.tolist(),
+        "intersection": est.intersection.tolist(),
         "failed_r": est.failed_r,
     }
     if est.directions.shape[1] == 1:

@@ -404,6 +404,12 @@ def _lanes(a, sub):
     return a if a is None or a.ndim == 3 else a[sub]
 
 
+def _tol2(opts: SolverOptions) -> float:
+    """The squared residual a solve stops at; inf, not OverflowError, past the double range."""
+    t = 0.999 * opts.accept_tol
+    return t * t
+
+
 def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
     """_descend on one stack; Amats and target are shared (m, ., .) arrays
     or (L, m, ., .) stacks with one entry per lane.
@@ -434,7 +440,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
         return [X, AX, E], h.tolist(), R2.tolist()
 
     (X, AX, E), h, R2 = evaluate(X)
-    tol2 = (0.999 * opts.accept_tol) ** 2
+    tol2 = _tol2(opts)
     W = SUPPORT_WINDOW if support else STAGNATION_WINDOW
     ids = list(range(len(X)))
     C, Q = list(h), 1.0
@@ -559,7 +565,7 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
         return E, float(np.sum(np.abs(E) ** 2))
 
     E, R2 = evaluate(X)
-    tol2 = (0.999 * opts.accept_tol) ** 2
+    tol2 = _tol2(opts)
     for _ in range(POLISH_ITERS):
         if R2 <= tol2:
             break

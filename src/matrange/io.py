@@ -2,7 +2,9 @@
 
 canonical_dumps is the one serialization: fixed key order, no whitespace,
 shortest round-trip decimals, complex entries as [re, im] pairs, and a
-trailing newline.  save_tuple writes tuple files; certificate_doc,
+trailing newline.  save_tuple writes tuple files: canonical_dumps's bytes
+for the whole document, streamed one matrix row at a time, after refusing
+a non-finite entry before the path is touched.  certificate_doc,
 cloud_doc and report_doc build the documents the CLI writes through
 canonical_dumps.  load_tuple, load_certificate and load_cloud read their
 kinds back, so a certificate or cloud can be rechecked against its tuple;
@@ -53,9 +55,12 @@ class SchemaError(ValueError):
     """File is valid JSON but not a valid document of the expected kind."""
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(doc) -> str:
     """The one serialization every writer uses."""
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def _reject_constant(name):
@@ -154,10 +159,15 @@ def _matrix_parse(rows, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: not a matrix")
     # a view keeps each part's bits, the sign of a zero included
     M = np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
+    _finite(M, what, SchemaError)
+    return M
+
+
+def _finite(M, what: str, error) -> None:
+    """Raise `error` naming M's first non-finite entry, if it has one."""
     if not np.isfinite(M).all():
         ik = tuple(map(int, np.argwhere(~np.isfinite(M))[0]))
-        raise SchemaError(f"{what}: non-finite entry at {ik}")
-    return M
+        raise error(f"{what}: non-finite entry at {ik}")
 
 
 def _matrix_list(doc, key: str, text: str, m: int, s: int, what: str) -> list:
@@ -188,25 +198,36 @@ def save_tuple(A, path) -> None:
     """Write an m-tuple of square complex matrices.
 
     HermitianTuple inputs are flagged hermitian; plain sequences of square
-    arrays are flagged by measuring them.
+    arrays are flagged by measuring them.  The file holds canonical_dumps's
+    bytes for the whole document, but no more than one matrix row is
+    serialized in memory at a time.  A non-finite entry is refused, named,
+    before the path is opened.
     """
     if isinstance(A, HermitianTuple):
-        mats, hermitian = A.mats, True
+        mats = A.mats
     else:
         mats = np.asarray(A, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a sequence of square matrices, got shape {mats.shape}")
-        hermitian = (_herm_defects(mats) <= HERM_TOL).all()
-    doc = {
+    for j, M in enumerate(mats):
+        _finite(M, f"matrix {j}", ValueError)
+    hermitian = isinstance(A, HermitianTuple) or (_herm_defects(mats) <= HERM_TOL).all()
+    head = canonical_dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": "tuple",
         "m": len(mats),
         "n": int(mats.shape[1]),
         "hermitian": bool(hermitian),
-        "matrices": _matrix_doc(mats),
-    }
+        "matrices": [],
+    })
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(canonical_dumps(doc))
+        fh.write(head[:-len("[]}\n")])
+        for j, M in enumerate(mats):
+            fh.write("[[" if j == 0 else ",[")
+            for i, row in enumerate(M):
+                fh.write(("," if i else "") + _ENCODER.encode(_matrix_doc(row)))
+            fh.write("]")
+        fh.write("]}\n")
 
 
 TUPLE_CACHE_BYTES = 2**24  # array bytes (16 MiB) load_tuple keeps, as ranges.STACK_ENTRIES

@@ -666,6 +666,18 @@ class TestErrors:
         assert doc["kind"] == "rejection" and doc["stage"] == 1
         assert doc["best_residual"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "pq", "--input", "{pair}", "--p", "1", "--q", "1"],
+        ["construct", "segment", "--input", "{pair}", "--p", "1", "--q", "1"],
+        ["verify", "bounds", "--m", "1", "--k", "2", "--trials", "3"],
+    ], ids=["sample-pq", "segment", "bounds"])
+    def test_huge_accept_tol_ends_in_an_exit_code(self, tmp_path, capsys, pair10, argv):
+        # a finite --accept-tol whose square overflows is valid: the solver's
+        # stopping threshold saturates at inf instead of raising
+        rc = main([a.format(pair=pair10) for a in argv] + ["--accept-tol", "1e200"])
+        assert rc in (0, 3, 4, 5)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_tverberg_exchange_cap(self, tmp_path, capsys, monkeypatch, diag12):
         # a p = 3 lift needs at least one colorful exchange
         monkeypatch.setattr("matrange.tverberg.EXCHANGE_CAP", 0)

@@ -86,6 +86,18 @@ def test_solver_options_refuse_what_the_cli_refuses(field, value):
         SolverOptions().replace(**{field: value})
 
 
+def test_huge_finite_accept_tol_ends_in_a_result():
+    # (0.999 * 1e300)^2 is past the double range: the stopping threshold
+    # saturates at inf, in the descent and in the polish, instead of raising
+    opts = SolverOptions(accept_tol=1e300)
+    A = gue(2, 6, 3)
+    got = membership(A, random_matpoint(2, 1, seed=1), 1, opts)
+    assert isinstance(got, (Certificate, Rejection))
+    X0 = random_isometry(6, 1, seed=2).mat
+    X, R2 = _polish(A.mats, X0, 1, 1, opts)
+    assert X is X0 and np.isfinite(R2)
+
+
 # ---------------------------------------------------------------------------
 # flattening
 

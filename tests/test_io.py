@@ -327,6 +327,16 @@ def test_save_rejects_nonfinite_values(tmp_path):
     M = np.array([[np.nan]], dtype=complex)
     with pytest.raises(ValueError):
         save_tuple([M], tmp_path / "x.json")
+    # a refused save touches no file: an existing one keeps its bytes, and
+    # none appears where there was none
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    save_tuple([np.eye(2)], kept)
+    before = kept.read_bytes()
+    for path in (kept, absent):
+        with pytest.raises(ValueError, match=r"matrix 0: non-finite entry at \(1, 0\)"):
+            save_tuple([np.array([[0, 1], [np.nan, 0]])], path)
+    assert kept.read_bytes() == before
+    assert not absent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +519,19 @@ def test_cold_load_peak_stays_near_the_parse(tmp_path, cache):
     file_size = os.path.getsize(f)
     assert load_peak <= parse_peak + 2 * file_size, \
         f"load peaked {(load_peak - parse_peak) / file_size:.2f} file sizes above json.loads"
+
+
+def test_save_peak_stays_near_one_row(tmp_path):
+    # the file is written a row at a time, never built whole in memory
+    A = random_hermitian_tuple(2, 200, 0)
+    tracemalloc.start()
+    try:
+        save_tuple(A, tmp_path / "t.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * A.mats.nbytes, \
+        f"save peaked at {peak / A.mats.nbytes:.2f} times the arrays"
 
 
 # ---------------------------------------------------------------------------
