@@ -24,12 +24,14 @@ A lane keeps its own step, line search and stop test, leaves the stack
 when it stops, and computes bitwise the same whatever lanes share its
 stack.  Membership and free solves are jobs, each with its own tuple,
 target and seed; the jobs of one call run restart 0 alone, then the rest
-of the budget in waves of one stack's lanes.  After each wave a lane that
-stalled close to accept_tol (within POLISH_GATE times it) gets a
-Gauss-Newton polish, and in each job the lowest restart that reaches
-accept_tol wins, exactly as one restart at a time would choose.  Support
-solves run all their restarts, and sample_range all its directed solves
-and the waves of all its free samples, as lanes of shared stacks.
+of the budget in waves of one stack's lanes, or all of it in full stacks
+when Cauchy interlacing refutes every target; the results are the same.
+After each wave a lane that stalled close to accept_tol (within
+POLISH_GATE times it) gets a Gauss-Newton polish, and in each job the
+lowest restart that reaches accept_tol wins, exactly as one restart at a
+time would choose.  Support solves run all their restarts, and
+sample_range all its directed solves and the waves of all its free
+samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .linalg import (
     HermitianTuple,
     Isometry,
     as_tuple,
+    herm_eigvals,
     hermitian_stack,
     hermitize,
     _inflate,
@@ -410,9 +413,9 @@ def _tol2(opts: SolverOptions) -> float:
     return t * t
 
 
-def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
-    """_descend on one stack; Amats and target are shared (m, ., .) arrays
-    or (L, m, ., .) stacks with one entry per lane.
+def _descend_stack(Am, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
+    """_descend on one stack; Am and target are shared (m, ., .) arrays or
+    (L, m, ., .) stacks with one entry per lane.
 
     Steps alternate the two Barzilai-Borwein lengths; a trial point is
     accepted against the Zhang-Hager average C of past objectives, so h may
@@ -429,7 +432,6 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     support = U is not None
     IpU = _inflate(U, p) if support else None
     IpT = None if target is None else _inflate(target, p)
-    Am = Amats
 
     def evaluate(X, sub=slice(None)):
         AX = _lanes(Am, sub) @ X[:, None]
@@ -600,15 +602,22 @@ def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
 
 
 def _settle(Amats, X, R2, p, q, opts: SolverOptions, target=None):
-    """Polish one descended lane if it stalled above accept_tol but within
-    POLISH_GATE times it; a lane further out keeps its X and residual.
-
-    Fixed-target mode when target is given, free mode otherwise.
-    Returns (X, residual).
-    """
+    """Polish one descended lane (in target mode when target is given) if it
+    stalled above accept_tol but within POLISH_GATE times it; a lane further
+    out keeps its X and residual.  Returns (X, residual)."""
     if opts.accept_tol < np.sqrt(R2) <= POLISH_GATE * opts.accept_tol:
         X, R2 = _polish(Amats, X, p, q, opts, target=target)
     return X, float(np.sqrt(R2))
+
+
+def _interlacing_gap(Amats, blocks, p: int) -> np.ndarray:
+    """Per job, the most by which a descending eigenvalue mu_i of I_p (x) B_j
+    leaves [lambda_{n-pq+i}(A_j), lambda_i(A_j)]; Amats is one (m, n, n)
+    tuple or a (J, m, n, n) stack, blocks (J, m, q, q).  By Cauchy and Weyl
+    no witness has a smaller residual; at m = 1, <= 0 exactly on the range."""
+    lam, mu = herm_eigvals(Amats), np.repeat(herm_eigvals(blocks), p, axis=-1)
+    k = mu.shape[-1]
+    return np.maximum(mu - lam[..., :k], lam[..., -k:] - mu).max(axis=(-2, -1))
 
 
 def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
@@ -618,11 +627,12 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     None (free mode), one (m, q, q) point for every job, or one per job.
     All jobs share m, n, p and q.  Restart 0 runs alone, then the rest of
     the budget in waves of one stack's lanes (_stack_lanes); the waves of all
-    open jobs descend as one stack.  Then each job settles its lanes in
-    restart order (_settle) and stops at the first that reaches accept_tol,
-    so the lowest successful restart wins.  Returns per job (r, X, residual)
-    of that restart r, or (None, None, best residual) after max_restarts
-    failures; before any restart has run, the best residual is inf.
+    open jobs descend as one stack.  When every _interlacing_gap exceeds
+    accept_tol, no restart can succeed and the first wave is full too.
+    Each job settles its lanes in restart order (_settle) and stops at the
+    first that reaches accept_tol, so the lowest successful restart wins in
+    any waves.  Returns per job (r, X, residual) of that restart r, or
+    (None, None, best residual) after max_restarts failures, inf if none ran.
     """
     if not bases:
         return []
@@ -634,7 +644,9 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     k = _witness_columns(first, p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
-    start, width, cap = 0, 1, _stack_lanes(Amats, k)
+    start, cap = 0, _stack_lanes(Amats, k)
+    width = cap if target is not None and opts.max_restarts > 1 and (
+        _interlacing_gap(Amats, target, p) > opts.accept_tol).all() else 1
     while todo and start < opts.max_restarts:
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]

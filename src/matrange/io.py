@@ -211,7 +211,7 @@ def save_tuple(A, path) -> None:
             raise ValueError(f"expected a sequence of square matrices, got shape {mats.shape}")
     for j, M in enumerate(mats):
         _finite(M, f"matrix {j}", ValueError)
-    hermitian = isinstance(A, HermitianTuple) or (_herm_defects(mats) <= HERM_TOL).all()
+    hermitian = isinstance(A, HermitianTuple) or all(_herm_defects(M) <= HERM_TOL for M in mats)
     head = canonical_dumps({
         "schema_version": SCHEMA_VERSION,
         "kind": "tuple",

@@ -454,6 +454,39 @@ def test_tverberg_lift_respects_spectral_outer_bound(seed, extra, case):
         assert flatten_blocks(U) @ cert.point.flatten() <= spectral_bound(A, U, p) + tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), p=st.integers(1, 2),
+       q=st.integers(1, 2), extra=st.integers(0, 3))
+def test_interlacing_gap_is_sound(seed, m, p, q, extra):
+    # a witness of residual tau moves the eigenvalues of I_p (x) B by at most
+    # tau from those of a compression, which interlace: no planted point's
+    # gap exceeds its residual, on a shared tuple or a per-job stack
+    n = p * q + extra
+    A = gue(m, n, seed)
+    cert = certify(A, random_isometry(n, p * q, seed + 1), p)
+    tol = cert.residual + 1e-12 * max(1.0, frob(A.mats))
+    for Amats in (A.mats, A.mats[None]):
+        [gap] = feasibility._interlacing_gap(Amats, cert.point.blocks[None], p)
+        assert gap <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), extra=st.integers(0, 4),
+       t=st.floats(0.0, 1.0), beyond=st.floats(1e-9, 2.0), above=st.booleans())
+def test_interlacing_gap_is_exact_for_one_matrix(seed, p, extra, t, beyond, above):
+    # at m = 1, q = 1 the gap is <= 0 exactly on the rank-p interval
+    # (Fan-Pall): inside it by 1e-9 or more, and outside it by 1e-9 or more
+    A = gue(1, p + extra, seed)
+    iv = rank_k_interval(A.mats, p)
+    outside = iv.hi + beyond if above else iv.lo - beyond
+    xs = [(outside, True)]
+    if iv.hi - iv.lo >= 2e-9:
+        xs.append((iv.lo + 1e-9 + t * (iv.hi - iv.lo - 2e-9), False))
+    for x, out in xs:
+        [gap] = feasibility._interlacing_gap(A.mats, MatPoint.scalar([x], 1).blocks[None], p)
+        assert (gap > 0) == out
+
+
 # ---------------------------------------------------------------------------
 # descent gradient check
 

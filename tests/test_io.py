@@ -522,16 +522,17 @@ def test_cold_load_peak_stays_near_the_parse(tmp_path, cache):
 
 
 def test_save_peak_stays_near_one_row(tmp_path):
-    # the file is written a row at a time, never built whole in memory
-    A = random_hermitian_tuple(2, 200, 0)
-    tracemalloc.start()
-    try:
-        save_tuple(A, tmp_path / "t.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * A.mats.nbytes, \
-        f"save peaked at {peak / A.mats.nbytes:.2f} times the arrays"
+    # the file is written a row at a time, never built whole in memory, and
+    # an unflagged input is measured for the flag one member at a time
+    A, B = random_hermitian_tuple(2, 200, 0), random_hermitian_tuple(4, 150, 1).mats
+    for arg, nbytes in ((A, A.mats.nbytes), (B, B.nbytes), (list(B), B.nbytes)):
+        tracemalloc.start()
+        try:
+            save_tuple(arg, tmp_path / "t.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * nbytes, f"save peaked at {peak / nbytes:.2f} times the arrays"
 
 
 # ---------------------------------------------------------------------------

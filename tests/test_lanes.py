@@ -31,7 +31,7 @@ from matrange.feasibility import (
     solve_jobs,
 )
 from matrange.linalg import HermitianTuple, Isometry, _inflate, _qr_fix, frob, random_isometry
-from matrange.verify import random_hermitian_tuple
+from matrange.verify import pauli_tuple, random_hermitian_tuple
 
 
 def gue(m, n, seed):
@@ -315,10 +315,8 @@ def test_waves_after_restart_zero_fill_one_stack():
     assert np.array_equal(got.witness.mat, want.witness.mat) and got.residual == want.residual
 
 
-def test_rejecting_membership_descends_in_two_waves(monkeypatch):
-    # a point far outside the range fails all 6 restarts: restart 0 alone,
-    # then restarts 1-5 as one stack, not waves of 1, 2 and 3 lanes
-    A = gue(2, 6, 3)
+def spy_lanes(monkeypatch):
+    """The lane count of every _descend call, in call order."""
     lanes = []
     descend = feasibility._descend
 
@@ -327,9 +325,58 @@ def test_rejecting_membership_descends_in_two_waves(monkeypatch):
         return descend(Amats, X, *args, **kw)
 
     monkeypatch.setattr(feasibility, "_descend", spy)
-    got = membership(A, MatPoint(10.0 * np.ones((2, 1, 1))), 2, SolverOptions(max_restarts=6))
+    return lanes
+
+
+def test_rejecting_membership_descends_in_two_waves(monkeypatch):
+    # the Pauli origin lies inside every Cauchy window (gap -1), yet off the
+    # unit sphere, so all 6 restarts fail: restart 0 alone, then restarts 1-5
+    # as one stack, not waves of 1, 2 and 3 lanes
+    lanes = spy_lanes(monkeypatch)
+    point = MatPoint(np.zeros((3, 1, 1)))
+    assert feasibility._interlacing_gap(pauli_tuple().mats, point.blocks[None], 1) == [-1.0]
+    got = membership(pauli_tuple(), point, 1, SolverOptions(max_restarts=6))
     assert isinstance(got, Rejection) and got.restarts == 6
+    assert abs(got.best_residual - 1.0) <= 1e-6
     assert lanes == [1, 5]
+
+
+def test_refuted_membership_descends_in_one_wave(monkeypatch):
+    # 10 * 1 breaks interlacing by far more than accept_tol, so no restart can
+    # succeed and the whole budget descends as one stack of 6 lanes, with
+    # bitwise the rejection of the two-wave schedule
+    A = gue(2, 6, 3)
+    point, opts = MatPoint(10.0 * np.ones((2, 1, 1))), SolverOptions(max_restarts=6)
+    assert feasibility._interlacing_gap(A.mats, point.blocks[None], 2) > 1.0
+    lanes = spy_lanes(monkeypatch)
+    got = membership(A, point, 2, opts)
+    assert isinstance(got, Rejection) and got.restarts == 6
+    assert lanes == [6]
+    monkeypatch.setattr(feasibility, "_interlacing_gap", lambda *args: np.zeros(1))
+    assert membership(A, point, 2, opts) == got and lanes == [6, 1, 5]
+
+
+def test_refuted_jobs_match_the_two_wave_schedule(monkeypatch):
+    # jobs on their own tuples and refuted targets: one full first wave
+    # returns bitwise what restart 0 alone, then the rest, returns; a budget
+    # of 1 leaves the schedule, and the eigensolves, alone
+    tuples = [gue(2, 6, s) for s in (3, 4, 5)]
+    points = [MatPoint(c * np.ones((2, 1, 1))) for c in (10.0, -10.0, 5.0)]
+    opts = SolverOptions(max_restarts=4)
+    monkeypatch.setattr(feasibility, "MAX_ITERS", 60)
+    lanes = spy_lanes(monkeypatch)
+    got = solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts)
+    assert lanes == [12]
+    gap = feasibility._interlacing_gap
+    monkeypatch.setattr(feasibility, "_interlacing_gap", lambda *args: gap(*args) - 100.0)
+    assert solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts) == got and lanes == [12, 3, 9]
+    assert all(isinstance(r, Rejection) and r.restarts == 4 for r in got)
+
+    def refuse(*args):
+        raise AssertionError("a budget of 1 has no schedule to choose")
+
+    monkeypatch.setattr(feasibility, "_interlacing_gap", refuse)
+    solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts.replace(max_restarts=1))
 
 
 @settings(max_examples=15, deadline=None)
