@@ -334,7 +334,8 @@ def test_rejecting_membership_descends_in_two_waves(monkeypatch):
     # as one stack, not waves of 1, 2 and 3 lanes
     lanes = spy_lanes(monkeypatch)
     point = MatPoint(np.zeros((3, 1, 1)))
-    assert feasibility._interlacing_gap(pauli_tuple().mats, point.blocks[None], 1) == [-1.0]
+    [gap] = feasibility._interlacing_gap(pauli_tuple().mats, point.blocks[None], 1)
+    assert abs(gap + 1.0) <= 1e-12
     got = membership(pauli_tuple(), point, 1, SolverOptions(max_restarts=6))
     assert isinstance(got, Rejection) and got.restarts == 6
     assert abs(got.best_residual - 1.0) <= 1e-6
