@@ -24,14 +24,13 @@ A lane keeps its own step, line search and stop test, leaves the stack
 when it stops, and computes bitwise the same whatever lanes share its
 stack.  Membership and free solves are jobs, each with its own tuple,
 target and seed; the jobs of one call run restart 0 alone, then the rest
-of the budget in waves of one stack's lanes, or all of it in full stacks
-when Cauchy interlacing refutes every target; the results are the same.
-After each wave a lane that stalled close to accept_tol (within
-POLISH_GATE times it) gets a Gauss-Newton polish, and in each job the
-lowest restart that reaches accept_tol wins, exactly as one restart at a
-time would choose.  Support solves run all their restarts, and
-sample_range all its directed solves and the waves of all its free
-samples, as lanes of shared stacks.
+of the budget in waves of one stack's lanes (all of it at once when Cauchy
+interlacing refutes every target, with the same results).  After each wave
+a lane that stalled close to accept_tol (within POLISH_GATE times it) gets
+a Gauss-Newton polish, and in each job the lowest restart that reaches
+accept_tol wins, exactly as one restart at a time would choose.  Support
+solves run all their restarts, and sample_range all its directed solves
+and the waves of all its free samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
@@ -413,9 +412,9 @@ def _tol2(opts: SolverOptions) -> float:
     return t * t
 
 
-def _descend_stack(Am, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
-    """_descend on one stack; Am and target are shared (m, ., .) arrays or
-    (L, m, ., .) stacks with one entry per lane.
+def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
+    """_descend on one stack; Amats and target are shared (m, ., .) arrays
+    or (L, m, ., .) stacks with one entry per lane.
 
     Steps alternate the two Barzilai-Borwein lengths; a trial point is
     accepted against the Zhang-Hager average C of past objectives, so h may
@@ -432,6 +431,7 @@ def _descend_stack(Am, X, p, q, opts: SolverOptions, max_iters, target, U, mu):
     support = U is not None
     IpU = _inflate(U, p) if support else None
     IpT = None if target is None else _inflate(target, p)
+    Am = Amats
 
     def evaluate(X, sub=slice(None)):
         AX = _lanes(Am, sub) @ X[:, None]
@@ -602,20 +602,25 @@ def _witness_columns(A: HermitianTuple, p: int, q: int) -> int:
 
 
 def _settle(Amats, X, R2, p, q, opts: SolverOptions, target=None):
-    """Polish one descended lane (in target mode when target is given) if it
-    stalled above accept_tol but within POLISH_GATE times it; a lane further
-    out keeps its X and residual.  Returns (X, residual)."""
+    """Polish one descended lane if it stalled above accept_tol but within
+    POLISH_GATE times it; a lane further out keeps its X and residual.
+
+    Fixed-target mode when target is given, free mode otherwise.
+    Returns (X, residual).
+    """
     if opts.accept_tol < np.sqrt(R2) <= POLISH_GATE * opts.accept_tol:
         X, R2 = _polish(Amats, X, p, q, opts, target=target)
     return X, float(np.sqrt(R2))
 
 
-def _interlacing_gap(Amats, blocks, p: int) -> np.ndarray:
+def _interlacing_gap(lam, blocks, p: int) -> np.ndarray:
     """Per job, the most by which a descending eigenvalue mu_i of I_p (x) B_j
-    leaves [lambda_{n-pq+i}(A_j), lambda_i(A_j)]; Amats is one (m, n, n)
-    tuple or a (J, m, n, n) stack, blocks (J, m, q, q).  By Cauchy and Weyl
-    no witness has a smaller residual; at m = 1, <= 0 exactly on the range."""
-    lam, mu = herm_eigvals(Amats), np.repeat(herm_eigvals(blocks), p, axis=-1)
+    leaves [lambda_{n-pq+i}(A_j), lambda_i(A_j)]; lam holds the descending
+    eigenvalues of one tuple, (m, n) or (1, m, n), or of one tuple per job,
+    (J, m, n), and blocks is (J, m, q, q).  By Cauchy and Weyl no witness
+    has a smaller residual; at m = 1 the gap is <= 0 exactly on the range
+    (Fan-Pall)."""
+    mu = np.repeat(herm_eigvals(blocks), p, axis=-1)
     k = mu.shape[-1]
     return np.maximum(mu - lam[..., :k], lam[..., -k:] - mu).max(axis=(-2, -1))
 
@@ -627,26 +632,32 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
     None (free mode), one (m, q, q) point for every job, or one per job.
     All jobs share m, n, p and q.  Restart 0 runs alone, then the rest of
     the budget in waves of one stack's lanes (_stack_lanes); the waves of all
-    open jobs descend as one stack.  When every _interlacing_gap exceeds
-    accept_tol, no restart can succeed and the first wave is full too.
-    Each job settles its lanes in restart order (_settle) and stops at the
-    first that reaches accept_tol, so the lowest successful restart wins in
-    any waves.  Returns per job (r, X, residual) of that restart r, or
-    (None, None, best residual) after max_restarts failures, inf if none ran.
+    open jobs descend as one stack.  In target mode with max_restarts > 1,
+    a failed restart 0 makes the call's tuples keep their spectra
+    (HermitianTuple.eigvals); when every tuple has one and every
+    _interlacing_gap exceeds accept_tol, no restart can succeed and the
+    first wave is full too.  Then each job settles its lanes in
+    restart order (_settle) and stops at the first that reaches accept_tol,
+    so the lowest successful restart wins.  Returns per job (r, X, residual)
+    of that restart r, or (None, None, best residual) after max_restarts
+    failures; before any restart has run, the best residual is inf.
     """
     if not bases:
         return []
     shared = isinstance(A, HermitianTuple)
-    first = A if shared else A[0]
+    tuples = [A] if shared else A
+    first = tuples[0]
     Amats = A.mats if shared else np.stack([a.mats for a in A])
     target = None if target is None else np.broadcast_to(
         np.asarray(target, dtype=complex), (len(bases), first.m, q, q))
     k = _witness_columns(first, p, q)
     out = [(None, None, np.inf)] * len(bases)
     todo = list(range(len(bases)))
-    start, cap = 0, _stack_lanes(Amats, k)
-    width = cap if target is not None and opts.max_restarts > 1 and (
-        _interlacing_gap(Amats, target, p) > opts.accept_tol).all() else 1
+    start, width, cap = 0, 1, _stack_lanes(Amats, k)
+    learn = target is not None and opts.max_restarts > 1
+    if learn and all(a.spectrum is not None for a in tuples):
+        lam = np.stack([a.spectrum for a in tuples])  # (1 or J, m, n)
+        width = cap if (_interlacing_gap(lam, target, p) > opts.accept_tol).all() else 1
     while todo and start < opts.max_restarts:
         wave = [(i, r) for i in todo
                 for r in range(start, min(start + width, opts.max_restarts))]
@@ -660,6 +671,9 @@ def _first_success(A, p: int, q: int, opts: SolverOptions, bases, target=None):
             out[i] = (r, Xl, res) if res <= opts.accept_tol \
                 else (None, None, min(out[i][2], res))
         todo = [i for i in todo if out[i][0] is None]
+        if learn and todo and start == 0:
+            for a in tuples:
+                a.eigvals()
         start, width = start + width, cap
     return out
 

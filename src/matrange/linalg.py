@@ -7,7 +7,8 @@ operations (compression, block inflation) that the range computations
 are built from.
 
 All operations are pure: inputs are never mutated and randomness enters only
-through explicit integer seeds.
+through explicit integer seeds.  The one state an object gains after
+construction is a HermitianTuple's spectrum, kept by its first eigvals().
 """
 
 from __future__ import annotations
@@ -112,9 +113,19 @@ class HermitianTuple:
     """
 
     mats: np.ndarray
+    # the members' eigenvalues, descending along the last axis; None until
+    # the first eigvals() call
+    spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mats", hermitian_stack(self.mats))
+
+    def eigvals(self) -> np.ndarray:
+        """spectrum, computed by the first call (mats was checked at
+        construction) and kept for the later ones."""
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", np.linalg.eigvalsh(self.mats)[..., ::-1])
+        return self.spectrum
 
     @property
     def m(self) -> int:

@@ -90,7 +90,10 @@ def random_hermitian_tuple(m: int, n: int, seed: int) -> HermitianTuple:
 
 def pauli_tuple() -> HermitianTuple:
     """The three Pauli matrices; their joint range is the unit sphere."""
-    return HermitianTuple([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    return HermitianTuple(np.stack([sx, sy, sz]))
 
 
 def planted_star_instance(m: int, p: int, q: int, d: int, seed: int):

@@ -12,6 +12,7 @@ from matrange.feasibility import (
     ARMIJO_SLOPE,
     BB_MAX,
     BB_MIN,
+    Certificate,
     NONMONOTONE_ETA,
     POLISH_GATE,
     STAGNATION_REL,
@@ -30,7 +31,9 @@ from matrange.feasibility import (
     solve_free,
     solve_jobs,
 )
-from matrange.linalg import HermitianTuple, Isometry, _inflate, _qr_fix, frob, random_isometry
+from matrange.linalg import (
+    HermitianTuple, Isometry, _inflate, _qr_fix, frob, herm_eigvals, random_isometry,
+)
 from matrange.verify import pauli_tuple, random_hermitian_tuple
 
 
@@ -331,53 +334,66 @@ def spy_lanes(monkeypatch):
 def test_rejecting_membership_descends_in_two_waves(monkeypatch):
     # the Pauli origin lies inside every Cauchy window (gap -1), yet off the
     # unit sphere, so all 6 restarts fail: restart 0 alone, then restarts 1-5
-    # as one stack, not waves of 1, 2 and 3 lanes
+    # as one stack, not waves of 1, 2 and 3 lanes; the failed restart 0 makes
+    # the tuple keep its spectrum, and the gap keeps the second call's waves
     lanes = spy_lanes(monkeypatch)
-    point = MatPoint(np.zeros((3, 1, 1)))
-    [gap] = feasibility._interlacing_gap(pauli_tuple().mats, point.blocks[None], 1)
-    assert abs(gap + 1.0) <= 1e-12
-    got = membership(pauli_tuple(), point, 1, SolverOptions(max_restarts=6))
+    A, point = pauli_tuple(), MatPoint(np.zeros((3, 1, 1)))
+    opts = SolverOptions(max_restarts=6)
+    got = membership(A, point, 1, opts)
     assert isinstance(got, Rejection) and got.restarts == 6
     assert abs(got.best_residual - 1.0) <= 1e-6
-    assert lanes == [1, 5]
+    [gap] = feasibility._interlacing_gap(A.spectrum, point.blocks[None], 1)
+    assert abs(gap + 1.0) <= 1e-12
+    assert membership(A, point, 1, opts) == got and lanes == [1, 5, 1, 5]
 
 
 def test_refuted_membership_descends_in_one_wave(monkeypatch):
     # 10 * 1 breaks interlacing by far more than accept_tol, so no restart can
-    # succeed and the whole budget descends as one stack of 6 lanes, with
+    # succeed: once the first call's failed restart 0 has given the tuple its
+    # spectrum, the whole budget descends as one stack of 6 lanes, with
     # bitwise the rejection of the two-wave schedule
     A = gue(2, 6, 3)
     point, opts = MatPoint(10.0 * np.ones((2, 1, 1))), SolverOptions(max_restarts=6)
-    assert feasibility._interlacing_gap(A.mats, point.blocks[None], 2) > 1.0
     lanes = spy_lanes(monkeypatch)
     got = membership(A, point, 2, opts)
     assert isinstance(got, Rejection) and got.restarts == 6
-    assert lanes == [6]
+    assert lanes == [1, 5]
+    assert feasibility._interlacing_gap(A.spectrum, point.blocks[None], 2) > 1.0
+    assert membership(A, point, 2, opts) == got and lanes == [1, 5, 6]
     monkeypatch.setattr(feasibility, "_interlacing_gap", lambda *args: np.zeros(1))
-    assert membership(A, point, 2, opts) == got and lanes == [6, 1, 5]
+    assert membership(A, point, 2, opts) == got and lanes == [1, 5, 6, 1, 5]
 
 
 def test_refuted_jobs_match_the_two_wave_schedule(monkeypatch):
     # jobs on their own tuples and refuted targets: one full first wave
-    # returns bitwise what restart 0 alone, then the rest, returns; a budget
-    # of 1 leaves the schedule, and the eigensolves, alone
+    # returns bitwise what restart 0 alone, then the rest, returns
     tuples = [gue(2, 6, s) for s in (3, 4, 5)]
     points = [MatPoint(c * np.ones((2, 1, 1))) for c in (10.0, -10.0, 5.0)]
     opts = SolverOptions(max_restarts=4)
     monkeypatch.setattr(feasibility, "MAX_ITERS", 60)
     lanes = spy_lanes(monkeypatch)
     got = solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts)
-    assert lanes == [12]
+    assert all(isinstance(r, Rejection) and r.restarts == 4 for r in got)
+    assert solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts) == got
     gap = feasibility._interlacing_gap
     monkeypatch.setattr(feasibility, "_interlacing_gap", lambda *args: gap(*args) - 100.0)
-    assert solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts) == got and lanes == [12, 3, 9]
-    assert all(isinstance(r, Rejection) and r.restarts == 4 for r in got)
+    assert solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts) == got
+    assert lanes == [3, 9, 12, 3, 9]
 
-    def refuse(*args):
-        raise AssertionError("a budget of 1 has no schedule to choose")
 
-    monkeypatch.setattr(feasibility, "_interlacing_gap", refuse)
-    solve_jobs(tuples, 2, 1, [7, 8, 9], points, opts.replace(max_restarts=1))
+def test_only_a_failed_restart_zero_computes_a_spectrum(monkeypatch):
+    # a membership whose restart 0 succeeds, a budget of 1 and a free solve
+    # make no eigensolve; the spectrum, once kept, is the checked eigvalsh's
+    A = gue(2, 6, 3)
+    planted = feasibility.certify(A, random_isometry(6, 2, 4), 2).point
+    assert isinstance(membership(A, planted, 2), Certificate)
+    refuted = MatPoint(10.0 * np.ones((2, 1, 1)))
+    membership(A, refuted, 2, SolverOptions(max_restarts=1))
+    solve_jobs(A, 2, 1, [7, 8], opts=SolverOptions(max_restarts=3))
+    assert A.spectrum is None
+    membership(A, refuted, 2, SolverOptions(max_restarts=2))
+    assert np.array_equal(A.spectrum, herm_eigvals(A.mats)) and A.eigvals() is A.spectrum
+    assert repr(A) == repr(gue(2, 6, 3))
 
 
 @settings(max_examples=15, deadline=None)
