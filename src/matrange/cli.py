@@ -7,8 +7,9 @@ path and parses only the flags it reads, so a suite that builds its own
 tuple (`verify star-planted`, `verify pauli`) is a command of its own.
 All outputs are canonical JSON (stdout or --out), so identical flags and
 seed give byte-identical bytes; `compute numrange --svg` adds a flat
-polyline rendering.  Every command but `compute numrange` reads an
-unflagged tuple file as its Hermitian 2m-tuple (load_tuple's embed).
+polyline rendering.  The solver commands read an unflagged tuple file as
+its Hermitian 2m-tuple (hermitian_embed); `compute numrange` reads the
+file's one matrix T, or T = A_1 + i A_2 of a Hermitian-flagged pair.
 
 Each handler returns what it computed: a document, a Rejection or a
 SuiteReport (`compute numrange` writes its document and --svg file itself).
@@ -58,7 +59,7 @@ from .io import (
     report_doc,
 )
 from .linalg import DimensionError, HermitianTuple
-from .ranges import numrange_boundary
+from .ranges import hermitian_embed, numrange_boundary
 from .verify import (
     SuiteReport,
     check_convexity,
@@ -176,12 +177,19 @@ def boundary_svg(bd) -> str:
     return "\n".join(lines)
 
 
+def _hermitian(path) -> HermitianTuple:
+    """The tuple file at path as a HermitianTuple, an unflagged one embedded."""
+    A = load_tuple(path)
+    return A if isinstance(A, HermitianTuple) else hermitian_embed(A)
+
+
 def cmd_numrange(args) -> int:
     A = load_tuple(args.input)
-    mats = A.mats if isinstance(A, HermitianTuple) else A
-    if len(mats) != 1:
-        raise DimensionError("numrange needs exactly one matrix")
-    bd = numrange_boundary(mats[0], n_angles=args.angles)
+    if isinstance(A, HermitianTuple):  # a pair is T = A_1 + i A_2
+        A = [A.mats[0] + 1j * A.mats[1]] if A.m == 2 else A.mats
+    if len(A) != 1:
+        raise DimensionError("numrange needs one complex matrix or a Hermitian pair")
+    bd = numrange_boundary(A[0], n_angles=args.angles)
     doc = {
         "kind": "numrange-boundary",
         "angles": bd.angles.tolist(),
@@ -205,7 +213,7 @@ def cmd_numrange(args) -> int:
 
 
 def cmd_sample_pq(args) -> dict:
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     return cloud_doc(sample_range(A, args.p, args.q, args.count, _opts(args)))
 
 
@@ -214,7 +222,7 @@ def cmd_sample_pq(args) -> dict:
 
 
 def cmd_star_center(args):
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     fn = star_center_matrix if args.matrix else star_center_scalar
     out = fn(A, args.p, args.q, _opts(args))
     if isinstance(out, Rejection):
@@ -231,7 +239,7 @@ def cmd_star_center(args):
 
 
 def cmd_segment(args):
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     opts = _opts(args)
     first = solve_free(A, args.p, args.q, opts)
     if isinstance(first, Rejection):
@@ -250,7 +258,7 @@ def cmd_segment(args):
 
 
 def cmd_tverberg(args):
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     # the blocks are certified as drawn: the lift has no restart budget
     lift = tverberg_lift(A, args.q, args.p,
                          SolverOptions(accept_tol=args.accept_tol, seed=args.seed))
@@ -270,7 +278,7 @@ def cmd_tverberg(args):
 
 
 def cmd_essential(args):
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     est = essential_estimate(A, args.q, args.r_max,
                              SolverOptions(accept_tol=args.accept_tol, seed=args.seed),
                              n_dirs=args.n_dirs, n_free=args.n_free)
@@ -296,7 +304,7 @@ def cmd_essential(args):
 
 
 def cmd_verify_star(args):
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     return check_star_shaped(A, args.p, args.q, n_points=args.points, opts=_opts(args))
 
 
@@ -317,7 +325,7 @@ def cmd_verify_inclusions(args) -> SuiteReport:
 
 
 def cmd_verify_convexity(args) -> SuiteReport:
-    A = load_tuple(args.input, embed=True)
+    A = _hermitian(args.input)
     return check_convexity(A, args.p, args.q, pairs=args.pairs, opts=_opts(args))
 
 

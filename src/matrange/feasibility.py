@@ -388,9 +388,12 @@ def _descend(Amats, X, p, q, opts: SolverOptions, max_iters, target=None,
     """
     size = _stack_lanes(Amats, X.shape[2])
     job = np.zeros(len(X), dtype=int) if job is None else job
-    parts = [_descend_stack(_lanes(Amats, job[rows]), X[rows], p, q, opts, max_iters,
-                            _lanes(target, job[rows]), _lanes(direction, rows), mu)
-             for rows in (slice(lo, lo + size) for lo in range(0, len(X), size))]
+    # an overflowing tuple's lanes read an inf or NaN residual or gradient
+    # norm, which stops them; numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_descend_stack(_lanes(Amats, job[rows]), X[rows], p, q, opts, max_iters,
+                                _lanes(target, job[rows]), _lanes(direction, rows), mu)
+                 for rows in (slice(lo, lo + size) for lo in range(0, len(X), size))]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -422,11 +425,11 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     whole stack; each lane keeps its own step, backtracking t, C and
     stagnation history as Python floats.  The live lanes share the
     iteration count, and with it the BB parity and Q.  A lane that stops
-    (converged, vanishing gradient, backtracking exhausted, stagnated) is
-    stored and dropped from the stack.  Stagnated means the running best
-    objective fell by less than STAGNATION_REL times itself over the last
-    STAGNATION_WINDOW accepted steps, or in support mode by less than
-    1e-13 * max(1, |best|) over the last SUPPORT_WINDOW.
+    (converged, vanishing or NaN gradient norm, backtracking exhausted,
+    stagnated) is stored and dropped from the stack.  Stagnated means the
+    running best objective fell by less than STAGNATION_REL times itself
+    over the last STAGNATION_WINDOW accepted steps, or in support mode by
+    less than 1e-13 * max(1, |best|) over the last SUPPORT_WINDOW.
     """
     support = U is not None
     IpU = _inflate(U, p) if support else None
@@ -502,7 +505,7 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
                     t[i] *= ARMIJO_SHRINK
                     failed.append(i)
             pend = failed
-        stop = [g2[i] <= 1e-30 for i in range(n)]
+        stop = [not g2[i] > 1e-30 for i in range(n)]
         if trial is None:
             trial = [X, AX, E]
         for i in pend:  # backtracking exhausted: the lane keeps its point

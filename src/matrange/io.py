@@ -8,8 +8,10 @@ a non-finite entry before the path is touched.  certificate_doc,
 cloud_doc and report_doc build the documents the CLI writes through
 canonical_dumps.  load_tuple, load_certificate and load_cloud read their
 kinds back, so a certificate or cloud can be rechecked against its tuple;
-a report has no reader.  load_tuple parses each file content once per
-process and returns read-only arrays, shared by every load of those bytes.
+a report has no reader.  load_tuple returns a flagged file as a
+HermitianTuple and an unflagged one as its complex arrays, parses each file
+content once per process and returns read-only arrays, shared by every load
+of those bytes.  A NaN or Infinity constant fails its key's check, as 1e999.
 Reading a canonical file and serializing the result again gives the same
 bytes, which is what makes seeded CLI runs byte-reproducible.
 
@@ -36,7 +38,6 @@ import numpy as np
 
 from .feasibility import Certificate, MatPoint, PointCloud
 from .linalg import HERM_TOL, DimensionError, HermitianTuple, Isometry, _herm_defects
-from .ranges import hermitian_embed
 from .verify import SuiteReport
 
 SCHEMA_VERSION = "1"
@@ -63,13 +64,9 @@ def canonical_dumps(doc) -> str:
     return _ENCODER.encode(doc) + "\n"
 
 
-def _reject_constant(name):
-    raise SchemaError(f"non-finite constant {name!r} in file")
-
-
 def _loads(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text)
     except json.JSONDecodeError as e:  # e.pos counts characters, not bytes
         raise ParseError(e.msg, len(text[:e.pos].encode("utf-8"))) from None
 
@@ -231,36 +228,28 @@ def save_tuple(A, path) -> None:
 
 
 TUPLE_CACHE_BYTES = 2**24  # array bytes (16 MiB) load_tuple keeps, as ranges.STACK_ENTRIES
-# (sha256 of a tuple file's bytes, embed; False for a flagged file) -> (its
-# read-only load_tuple result, the result's array bytes), least recently used
-# first
+# sha256 of a tuple file's bytes -> (its read-only load_tuple result, the
+# result's array bytes), least recently used first
 _tuples: dict = {}
 
 
-def load_tuple(path, embed: bool = False):
+def load_tuple(path):
     """Read a tuple file.
 
     Hermitian-flagged files come back as a HermitianTuple (Hermiticity is
     re-checked; violations name the offending matrix and its entry that
-    differs most from its conjugate).
-    Unflagged files come back as a tuple of complex arrays, or, when embed
-    is set (as by every CLI command but numrange), as the Hermitian 2m-tuple
-    of the members' Hermitian and anti-Hermitian parts: the same range.
+    differs most from its conjugate), unflagged files as the tuple of
+    complex arrays they hold.
 
     Every returned array is read-only, and a process parses each file
-    content once (an unflagged one once per embed value): a later load of
-    the same bytes, from any path, returns the same object.  The key is the
-    content's SHA-256, not the path, so a rewritten file is read anew.  Results are kept up to
-    TUPLE_CACHE_BYTES of arrays, the least recently used evicted first; a
-    larger one is returned but not kept.
+    content once: a later load of the same bytes, from any path, returns
+    the same object.  The key is the content's SHA-256, not the path, so a
+    rewritten file is read anew.  Results are kept up to TUPLE_CACHE_BYTES
+    of arrays, the least recently used evicted first; a larger one is
+    returned but not kept.
     """
     data = _read(path)
-    digest = hashlib.sha256(data).digest()
-    flagged = _tuples.get((digest, False))
-    # embed changes nothing for a flagged file, so its one entry serves both
-    if flagged and isinstance(flagged[0], HermitianTuple):
-        embed = False
-    key = (digest, bool(embed))
+    key = hashlib.sha256(data).digest()
     if key in _tuples:
         _tuples[key] = hit = _tuples.pop(key)
         return hit[0]
@@ -273,13 +262,12 @@ def load_tuple(path, embed: bool = False):
         raise SchemaError(f"hermitian flag must be true or false, got {doc['hermitian']!r}")
     mats = _matrix_list(doc, "matrices", text, m, n, "matrix")
     if doc["hermitian"]:
-        key = (digest, False)
         try:
             A = HermitianTuple(mats)
         except DimensionError as e:
             raise SchemaError(f"flagged hermitian, but {e}") from None
     else:
-        A = hermitian_embed(mats) if embed else tuple(mats)
+        A = tuple(mats)
     arrays = (A.mats,) if isinstance(A, HermitianTuple) else A
     for M in arrays:
         M.flags.writeable = False
@@ -392,6 +380,10 @@ def load_cloud(path, A=None) -> PointCloud:
         )
     if not isinstance(doc["meta"], dict):
         raise SchemaError(f"meta must be a JSON object, got {type(doc['meta']).__name__}")
+    try:  # no other check reads meta, so its non-finite numbers are refused here
+        _ENCODER.encode(doc["meta"])
+    except ValueError:
+        raise SchemaError("meta: non-finite number") from None
     certs = None
     if doc["certificates"] is not None:
         if not isinstance(doc["certificates"], list):

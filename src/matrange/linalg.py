@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:  # numpy's private QR gufuncs, for _qr_fix; None where a release moved them
+    from numpy.linalg import _umath_linalg
+    _QR_GUFUNCS = (_umath_linalg.qr_r_raw, _umath_linalg.qr_reduced)
+except (ImportError, AttributeError):
+    _QR_GUFUNCS = None
 
 HERM_TOL = 1e-12
 ISO_TOL = 1e-10
@@ -220,13 +225,21 @@ def _qr_fix(M: np.ndarray) -> np.ndarray:
     so the bits, are the same.  R's diagonal is read from the factored copy.
     The one qr_r_raw, whose output length min(n, k) no input has, needs the
     gufunc core-dimension hook of numpy's 2.1 C API: hence numpy >= 2.1.
+    Where numpy no longer has those gufuncs, np.linalg.qr runs instead, at
+    about 10 us more per call.
     """
     a = np.array(M, dtype=complex)
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-        Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
-    phase = np.sign(a.diagonal(0, -2, -1))  # d / |d|, and 0 where d = 0
+    if _QR_GUFUNCS is None:
+        Q, R = np.linalg.qr(a)
+        d = R.diagonal(0, -2, -1)
+    else:
+        qr_r_raw, qr_reduced = _QR_GUFUNCS
+        with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            tau = qr_r_raw(a, signature="D->D")
+            Q = qr_reduced(a, tau, signature="DD->D")
+        d = a.diagonal(0, -2, -1)
+    phase = np.sign(d)  # d / |d|, and 0 where d = 0
     phase[phase == 0] = 1.0
     Q *= phase.conj()[..., None, :]
     return Q

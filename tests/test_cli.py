@@ -9,11 +9,13 @@ import ast
 import dataclasses
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matrange.cli as cli
 from matrange.cli import COMMANDS, build_parser, main, parse_args
@@ -134,10 +136,30 @@ class TestNumrange:
                    for x, y in doc["vertices"])
         assert "circle" in svg.read_text()
 
-    def test_rejects_tuple_of_two(self, tmp_path, pair10):
-        rc = main(["compute", "numrange", "--input", pair10,
-                   "--out", str(tmp_path / "bd.json")])
-        assert rc == 3
+    def test_flagged_pair_is_a1_plus_i_a2(self, tmp_path, pair10):
+        # W(T) of T = A_1 + i A_2 is the joint range of the pair (A_1, A_2):
+        # the pair's document is bit for bit that of T saved unflagged
+        A = gue(2, 10, 5).mats
+        T = tmp_path / "t.json"
+        save_tuple([A[0] + 1j * A[1]], T)
+        outs = [tmp_path / "pair.json", tmp_path / "t.out"]
+        for path, out in zip((pair10, T), outs):
+            assert main(["compute", "numrange", "--input", str(path), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_rejects_tuple_of_two(self, tmp_path, capsys):
+        # an unflagged pair holds two complex matrices, and a flagged triple
+        # is more than a pair: neither names one matrix T
+        rng = np.random.default_rng(2)
+        pair, triple = tmp_path / "pair.json", tmp_path / "triple.json"
+        save_tuple(list(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))),
+                   pair)
+        save_tuple(gue(3, 4, 1), triple)
+        for path in (pair, triple):
+            out = tmp_path / "bd.json"
+            assert main(["compute", "numrange", "--input", str(path), "--out", str(out)]) == 3
+            assert not out.exists()
+            assert "one complex matrix or a Hermitian pair" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +204,28 @@ class TestSamplePQ:
         out.unlink()
         assert sample(src, out, "--embed") == 2
         assert not out.exists()
+
+    @settings(max_examples=10, deadline=None)
+    @given(m=st.integers(1, 2), n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_unflagged_file_reads_as_its_flagged_embedding(self, m, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        T = scale * (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+        with tempfile.TemporaryDirectory() as tmp:
+            src, flagged = Path(tmp, "t.json"), Path(tmp, "h.json")
+            save_tuple(list(T), src)
+            save_tuple(hermitian_embed(T), flagged)
+            assert json.loads(src.read_text())["hermitian"] is False
+            for command in (["sample", "pq", "--count", "2"],
+                            ["construct", "segment", "--restarts", "4"]):
+                got = []
+                for path in (src, flagged):
+                    out = Path(tmp, "out.json")
+                    rc = main([*command, "--input", str(path), "--p", "1", "--q", "1",
+                               "--seed", str(seed % 1000), "--out", str(out)])
+                    got.append((rc, out.read_bytes() if out.exists() else None))
+                    out.unlink(missing_ok=True)
+                assert got[0] == got[1], command
 
     def test_structural_infeasibility(self, tmp_path, diag9):
         rc = main(["sample", "pq", "--input", diag9, "--p", "5", "--q", "2",

@@ -36,6 +36,7 @@ from matrange.linalg import (
     random_isometry,
 )
 from matrange.ranges import rank_k_interval
+from matrange.verify import random_hermitian_tuple
 
 
 def gue(m, n, seed):
@@ -96,6 +97,37 @@ def test_huge_finite_accept_tol_ends_in_a_result():
     X0 = random_isometry(6, 1, seed=2).mat
     X, R2 = _polish(A.mats, X0, 1, 1, opts)
     assert X is X0 and np.isfinite(R2)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_huge_norm_solves_reject_without_a_warning(scale):
+    # the products overflow; the residual says so, and the pytest filter
+    # would turn a numpy RuntimeWarning into an error
+    A = scale * random_hermitian_tuple(2, 5, 0).mats
+    opts = SolverOptions(max_restarts=3)
+    for got in (solve_free(A, 2, 1, opts),
+                membership(A, MatPoint(np.zeros((2, 1, 1))), 2, opts)):
+        assert isinstance(got, Rejection) and got.restarts == 3
+        assert got.best_residual == np.inf if scale > 1e150 else got.best_residual > 1e149
+
+
+def test_lane_with_a_nan_gradient_norm_stops_at_once(monkeypatch):
+    # at norm 1e160 the gradient's squared norm is NaN, which neither passes
+    # nor fails `> 1e-30`: such a lane once ran all MAX_ITERS iterations
+    calls = [0]
+    tangent = feasibility._tangent
+
+    def counted(X, G):
+        calls[0] += 1
+        return tangent(X, G)
+
+    monkeypatch.setattr(feasibility, "_tangent", counted)
+    A = 1e160 * random_hermitian_tuple(2, 5, 0).mats
+    with np.errstate(all="ignore"):
+        got = solve_free(A, 2, 1, SolverOptions(max_restarts=3))
+    assert isinstance(got, Rejection)
+    assert (got.best_residual, got.restarts) == (np.inf, 3)
+    assert calls[0] == 2  # restart 0, then restarts 1 and 2 as one stack
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Canonical JSON round-trips and schema policing."""
 
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -34,7 +36,6 @@ from matrange.io import (
     save_tuple,
 )
 from matrange.linalg import DimensionError, HermitianTuple, Isometry, herm_eig, herm_eigvals
-from matrange.ranges import hermitian_embed
 from matrange.verify import SuiteReport, random_hermitian_tuple
 
 
@@ -117,12 +118,9 @@ def test_tuple_nonhermitian_comes_back_raw(tmp_path):
     f = tmp_path / "t.json"
     save_tuple([T], f)
     out = load_tuple(f)
-    assert isinstance(out, tuple)
-    assert np.array_equal(out[0], T)
-    emb = load_tuple(f, embed=True)
-    assert isinstance(emb, HermitianTuple)
-    assert emb.m == 2
-    assert np.allclose(emb.mats[0], (T + T.conj().T) / 2)
+    # as written: embedding an unflagged tuple is the CLI's reading, not the file's
+    assert isinstance(out, tuple) and len(out) == 1
+    assert out[0].tobytes() == T.tobytes()
 
 
 # ||M|| overflows unless the Hermitian check scales M first, which once made
@@ -190,15 +188,13 @@ def test_every_hermitian_check_names_the_same_entry(seed, m, n, kind, imag, size
         with pytest.raises(DimensionError) as err:
             call(A)
         named(err)
-    # JSON numbers cannot spell NaN, and a NaN constant is refused before any
-    # matrix is read, so the file carries a non-finite entry as an overflow
+    # json.dumps spells a non-finite entry NaN, Infinity or -Infinity
     doc = {"schema_version": "1", "kind": "tuple", "m": m, "n": n, "hermitian": True,
            "matrices": np.stack([A.real, A.imag], -1).tolist()}
-    text = json.dumps(doc).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
     with tempfile.TemporaryDirectory() as tmp:
         f = os.path.join(tmp, "t.json")
         with open(f, "w") as fh:
-            fh.write(text.replace("NaN", "1e999"))
+            fh.write(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
             load_tuple(f)
         named(err)
@@ -302,17 +298,16 @@ def test_non_utf8_file_is_parse_error_at_its_byte(tmp_path, at):
 
 
 def test_nonfinite_rejection_both_paths(tmp_path):
+    # a JSON constant and an overflowing number (1e999 parses as inf) are
+    # refused alike, naming the entry
     f = tmp_path / "nan.json"
-    # the JSON constant path
-    f.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
-                 '"hermitian":true,"matrices":[[[[NaN,0.0]]]]}\n')
-    with pytest.raises(SchemaError, match="non-finite"):
-        load_tuple(f)
-    # the overflow-to-inf path: 1e999 parses as a float but is not finite
-    f.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
-                 '"hermitian":true,"matrices":[[[[1e999,0.0]]]]}\n')
-    with pytest.raises(SchemaError, match="non-finite"):
-        load_tuple(f)
+    for hermitian, spelling in itertools.product(
+            ("true", "false"), ("NaN", "Infinity", "-Infinity", "1e999")):
+        f.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":2,'
+                     f'"hermitian":{hermitian},"matrices":[[[[1,0],[0,0]],'
+                     f'[[0,0],[0,{spelling}]]]]}}\n')
+        with pytest.raises(SchemaError, match=r"^matrix 0: non-finite entry at \(1, 1\)$"):
+            load_tuple(f)
 
 
 def test_save_tuple_refuses_a_bare_matrix(tmp_path):
@@ -386,36 +381,30 @@ def test_same_length_rewrite_at_the_same_mtime_is_read_anew(tmp_path, cache):
     assert load_tuple(f).mats[0, 0, 0] == 2.0
 
 
-def test_embed_values_are_separate_entries(tmp_path, cache):
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_one_entry_per_file_content(tmp_path, cache, monkeypatch, hermitian):
+    # flagged or not, the content's digest is the whole key: every later
+    # load is a hit, the same object from one parse
     f = tmp_path / "t.json"
-    save_tuple([np.array([[1.0, 2.0j], [0.0, 1.0]])], f)
-    raw, emb = load_tuple(f), load_tuple(f, embed=True)
-    assert isinstance(raw, tuple) and isinstance(emb, HermitianTuple)
-    assert len(cache) == 2
-    assert load_tuple(f) is raw and load_tuple(f, embed=True) is emb
-
-
-@pytest.mark.parametrize("order", [(False, True), (True, False)])
-def test_flagged_file_is_one_entry_whatever_embed(tmp_path, cache, monkeypatch, order):
-    # embed changes nothing for a Hermitian-flagged file, so the second load
-    # in either order is a hit: the same object, one entry, one parse
-    f = tmp_path / "h.json"
-    save_tuple(herm(4, seed=0), f)
+    save_tuple(herm(4, seed=0) if hermitian else [np.array([[1.0, 2.0j], [0.0, 1.0]])], f)
     parses, parse = [], mio._loads
     monkeypatch.setattr(mio, "_loads", lambda text: parses.append(1) or parse(text))
-    first = load_tuple(f, embed=order[0])
-    assert load_tuple(f, embed=order[1]) is first
-    assert load_tuple(f, embed=order[0]) is first
-    assert len(cache) == 1 and len(parses) == 1
+    first = load_tuple(f)
+    assert isinstance(first, HermitianTuple if hermitian else tuple)
+    assert load_tuple(f) is first
+    assert list(cache) == [hashlib.sha256(f.read_bytes()).digest()]
+    assert len(parses) == 1
 
 
-@pytest.mark.parametrize("hermitian, embed", [(True, False), (True, True),
-                                              (False, False), (False, True)])
-def test_every_returned_array_is_read_only(tmp_path, cache, hermitian, embed):
-    f = tmp_path / "t.json"
+@pytest.mark.parametrize("hermitian, copy", [(True, False), (True, True),
+                                             (False, False), (False, True)])
+def test_every_returned_array_is_read_only(tmp_path, cache, hermitian, copy):
+    # a hit through a copy of the file, at another path, shares the arrays too
+    f, g = tmp_path / "t.json", tmp_path / "copy.json"
     save_tuple(herm(3, seed=5) if hermitian else [np.triu(np.ones((3, 3)))], f)
-    for _ in ("miss", "hit"):
-        for M in arrays(load_tuple(f, embed=embed)):
+    g.write_bytes(f.read_bytes())
+    for path in (f, g if copy else f):
+        for M in arrays(load_tuple(path)):
             with pytest.raises(ValueError, match="read-only"):
                 M[0, 0] = 7.0
 
@@ -471,8 +460,7 @@ def bits(a):
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 3), n=st.integers(1, 6), hermitian=st.booleans(), data=st.data())
 def test_reload_is_bitwise_the_first_load(m, n, hermitian, data):
-    # magnitudes to 1e300 so that the embedding's sums stay finite
-    entries = st.one_of(EDGE_FLOATS, st.floats(-1e300, 1e300))
+    entries = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
     size = 2 * m * n * n
     vals = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
     base = np.empty((m, n, n), dtype=complex)
@@ -491,13 +479,10 @@ def test_reload_is_bitwise_the_first_load(m, n, hermitian, data):
         mp.setattr(mio, "_tuples", {})
         f = os.path.join(tmp, "t.json")
         save_tuple(saved, f)
-        flagged = json.loads(open(f).read())["hermitian"]
-        for embed in (False, True):
-            want = hermitian_embed(base).mats if embed and not flagged else base
-            for _ in ("miss", "hit"):
-                A = load_tuple(f, embed=embed)
-                got = A.mats if isinstance(A, HermitianTuple) else np.stack(A)
-                assert np.array_equal(bits(got), bits(want))
+        for _ in ("miss", "hit"):
+            A = load_tuple(f)
+            got = A.mats if isinstance(A, HermitianTuple) else np.stack(A)
+            assert np.array_equal(bits(got), bits(base))
 
 
 def test_cold_load_peak_stays_near_the_parse(tmp_path, cache):
@@ -712,12 +697,18 @@ def test_cloud_row_refusals(tmp_path):
     f.write_text(canonical_dumps(doc))
     with pytest.raises(SchemaError, match="certificate 1: missing 'witness_tol'"):
         load_cloud(f)
-    # JSON reads 1e999 as an overflowed float, not as a named constant
+    # JSON reads 1e999 as an overflowed float, and NaN and Infinity as the
+    # floats they name; meta, which no other check reads, refuses them too
     doc = json.loads(good)
-    doc["points"][0][0] = "coordinate"
-    f.write_text(canonical_dumps(doc).replace('"coordinate"', "1e999"))
-    with pytest.raises(SchemaError, match="non-finite coordinate"):
-        load_cloud(f)
+    doc["points"][0][0] = doc["meta"]["seed"] = "placeholder"
+    text = canonical_dumps(doc)
+    for spelling in ("1e999", "NaN", "-Infinity"):
+        f.write_text(text.replace('"placeholder"', spelling, 1).replace('"placeholder"', "0"))
+        with pytest.raises(SchemaError, match="non-finite coordinate"):
+            load_cloud(f)
+        f.write_text(text.replace('"placeholder"', "0", 1).replace('"placeholder"', spelling))
+        with pytest.raises(SchemaError, match="meta: non-finite number"):
+            load_cloud(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Eigensolver, Haar sampling, compression and the container types."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrange.linalg as linalg
 from matrange.linalg import (
     DimensionError,
     HERM_TOL,
@@ -220,6 +225,13 @@ def qr_fix_reference(M):
     return Q * phase.conj()[..., None, :]
 
 
+def qr_fallback(M):
+    """_qr_fix as it runs where numpy has no private QR gufuncs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_QR_GUFUNCS", None)
+        return _qr_fix(M)
+
+
 def qr_outcome(f, M):
     """f(M) under errstate(all="raise"): the result's bits, or the error type.
 
@@ -250,7 +262,8 @@ def test_qr_fix_matches_numpy_qr_bit_for_bit(seed, L, n, kfrac, zero_col, real):
         M[..., int(rng.integers(k))] = 0.0
     Q = _qr_fix(M)
     assert Q.shape == shape and Q.dtype == complex
-    assert qr_outcome(_qr_fix, M) == qr_outcome(qr_fix_reference, M)
+    want = qr_outcome(qr_fix_reference, M)
+    assert qr_outcome(_qr_fix, M) == want and qr_outcome(qr_fallback, M) == want
 
 
 def _with(v, at):
@@ -270,7 +283,22 @@ def _with(v, at):
     np.full((3, 2), complex(np.nan, 1.0)),
 ], ids=["inf", "imag-inf", "nan", "one-1e308", "slice-1e308", "all-1e308", "2d-nan"])
 def test_qr_fix_non_finite_and_huge_inputs_match_numpy_qr(M):
-    assert qr_outcome(_qr_fix, M) == qr_outcome(qr_fix_reference, M)
+    want = qr_outcome(qr_fix_reference, M)
+    assert qr_outcome(_qr_fix, M) == want and qr_outcome(qr_fallback, M) == want
+
+
+def test_import_without_numpys_private_qr_gufuncs():
+    # numpy may move numpy.linalg._umath_linalg in any release; matrange
+    # still imports, and its retraction through np.linalg.qr gives the bits
+    code = ("import sys, numpy.linalg as la; del la._umath_linalg; "
+            "sys.modules['numpy.linalg._umath_linalg'] = None; "
+            "import matrange.linalg as L; assert L._QR_GUFUNCS is None; "
+            "print(L.random_isometry(7, 3, 11).mat.tobytes().hex())")
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == random_isometry(7, 3, 11).mat.tobytes().hex()
 
 
 # ---------------------------------------------------------------------------
