@@ -290,7 +290,7 @@ def cmd_essential(args):
         "r_max": int(est.r_max),
         "directions": est.directions.tolist(),
         "supports": est.supports.tolist(),
-        "intersection": est.intersection.tolist(),
+        "intersection": np.minimum.accumulate(est.supports, axis=0).tolist(),
         "failed_r": est.failed_r,
     }
     if est.directions.shape[1] == 1:
@@ -395,7 +395,7 @@ COMMANDS = {
             ("--blocks", dict(type=int_at_least(2), default=4)),
             THRESHOLD)),
         "bounds": (cmd_verify_bounds, SOLVER + (
-            ("--m", dict(type=int_at_least(0), required=True)),
+            ("--m", dict(type=positive_int, required=True)),
             ("--k", dict(type=positive_int, required=True)),
             ("--trials", dict(type=positive_int, default=50)),
             ("--bound", dict(choices=("general", "refined"), default="general")),

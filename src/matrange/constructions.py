@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -306,11 +305,10 @@ class BlockFamily:
     """Mutually A-orthogonal level-1 blocks with their measured cross terms.
 
     Block r is stored in stacks: its witness X_r = witnesses[r] (n by q),
-    its point B^(r) = points[r] (m, q, q) and its residual residuals[r].
-    members[r] certifies B^(r) with X_r; the Certificates are built, and
-    validated, when members is first read.  cross_tol bounds every
-    ||X_r* X_s|| and ||X_r* A_j X_s|| for r != s.  Any prefix of the family
-    is a family with the same bound.
+    its point B^(r) = points[r] (m, q, q) and its residual residuals[r],
+    so certify(A, Isometry(X_r), 1, MatPoint(B^(r))) is its certificate.
+    cross_tol bounds every ||X_r* X_s|| and ||X_r* A_j X_s|| for r != s.
+    Any prefix of the family is a family with the same bound.
     """
 
     q: int
@@ -321,11 +319,6 @@ class BlockFamily:
 
     def __len__(self) -> int:
         return len(self.residuals)
-
-    @cached_property
-    def members(self) -> tuple:
-        return tuple(Certificate(point=MatPoint(B), p=1, witness=Isometry(X), residual=float(r))
-                     for X, B, r in zip(self.witnesses, self.points, self.residuals))
 
 
 def measure_cross(A, witnesses) -> float:
@@ -491,9 +484,9 @@ class EssentialEstimate:
     certificates.  At m = 1 it is the exact level-r support, built by
     interlacing_support, unless a free sample sits up to its residual beyond
     it; at m >= 2, and for a direction whose construction misses accept_tol
-    by rounding at a huge norm, it is a sampled lower bound.
-    intersection[r-1, k] is the running minimum over levels up to r, the
-    support reading of the intersection of the ranges.  failed_r is the
+    by rounding at a huge norm, it is a sampled lower bound.  A level-(r+1)
+    witness restricts to a level-r one, so interval() reads the truncated
+    intersection as the least support over the levels.  failed_r is the
     first level that certified nothing; the summary stops below it.
     """
 
@@ -506,15 +499,11 @@ class EssentialEstimate:
     def r_max(self) -> int:
         return self.supports.shape[0]
 
-    @property
-    def intersection(self) -> np.ndarray:
-        return np.minimum.accumulate(self.supports, axis=0)
-
     def interval(self) -> tuple[float, float]:
         """The [lo, hi] reading when the flattened dimension is one."""
         if self.directions.shape[1] != 1:
             raise DimensionError("interval reading needs flattened dimension 1")
-        u, last = self.directions[:, 0], self.intersection[-1]
+        u, last = self.directions[:, 0], self.supports.min(axis=0)
         return float(-last[u <= 0][-1]), float(last[u > 0][-1])
 
 
@@ -525,14 +514,11 @@ def essential_estimate(A, q: int, r_max: int,
 
     For r = 1..r_max, certify one support point of the (r, q) range per
     fixed direction plus n_free free solves, then summarize each level by
-    its directional maxima and intersect by running minima.  At m = 1 the
-    support points are exact, built by interlacing from one eigensolve of
-    A_1; at m >= 2, and for any direction whose construction misses
-    accept_tol, each is a support-directed solve.  A support point is kept
-    only at residual <= accept_tol; a first level that keeps none is
-    returned as a Rejection at stage 1.  The reported per-level summary is
-    nonincreasing in r by construction, which matches the shrinking-closure
-    picture it estimates.
+    its directional maxima.  At m = 1 the support points are exact, built by
+    interlacing from one eigensolve of A_1; at m >= 2, and for any direction
+    whose construction misses accept_tol, each is a support-directed solve.
+    A support point is kept only at residual <= accept_tol; a first level
+    that keeps none is returned as a Rejection at stage 1.
     """
     A = as_tuple(A)
     if n_dirs < 1:

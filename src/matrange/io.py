@@ -65,10 +65,16 @@ def canonical_dumps(doc) -> str:
 
 
 def _loads(text: str):
+    """text parsed as JSON: ParseError where it is not JSON, SchemaError
+    where it is JSON that Python will not build."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:  # e.pos counts characters, not bytes
         raise ParseError(e.msg, len(text[:e.pos].encode("utf-8"))) from None
+    except RecursionError:
+        raise SchemaError("arrays or objects nested past Python's recursion limit") from None
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise SchemaError("an integer literal with more digits than Python converts") from None
 
 
 def _read(path) -> bytes:

@@ -39,31 +39,27 @@ class Boundary2D:
     degenerate: str = "full"  # "full" | "segment" | "point"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hermitian_embed(T) -> HermitianTuple:
     """Split complex matrices A_j = H_j + i G_j into the Hermitian 2m-tuple
-    (H_1, G_1, ..., H_m, G_m)."""
+    (H_1, G_1, ..., H_m, G_m).  HermitianTuple refuses a non-finite entry,
+    given or overflowed past the double range, and names it."""
     arr = np.asarray(T, dtype=complex)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionError(f"expected (m, n, n) complex array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError("matrix entries must be finite")
     G = (arr - np.conj(np.swapaxes(arr, 1, 2))) / 2j
     # interleaved as (H_1, G_1, ..., H_m, G_m)
     return HermitianTuple(np.stack([hermitize(arr), G], axis=1).reshape((-1,) + arr.shape[1:]))
 
 
 def rank_k_interval(A, k: int) -> Interval:
-    """The rank-k range of one Hermitian matrix: [a_(n-k+1), a_k] in the
-    descending eigenvalue order, empty when that interval is inverted.
-
-    A is an (n, n) matrix or a (1, n, n) stack, and only its eigenvalues
-    are computed (herm_eigvals).
+    """The rank-k range of one (n, n) Hermitian matrix: [a_(n-k+1), a_k] in
+    the descending eigenvalue order, empty when that interval is inverted.
+    Only its eigenvalues are computed (herm_eigvals).
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim == 3 and A.shape[0] == 1:
-        A = A[0]
     if A.ndim != 2:
         raise DimensionError(
             f"rank_k_interval takes a single Hermitian matrix, got shape {A.shape}")
@@ -78,6 +74,7 @@ def rank_k_interval(A, k: int) -> Interval:
 STACK_ENTRIES = 2**20  # complex entries (16 MiB) per stack of angle matrices
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def numrange_boundary(A, n_angles: int = 256) -> Boundary2D:
     """Boundary of W(A) for a complex square matrix by supporting lines.
 

@@ -115,13 +115,6 @@ def planted_star_instance(m: int, p: int, q: int, d: int, seed: int):
     return A, certs
 
 
-def add_tuples(A, F) -> HermitianTuple:
-    A, F = as_tuple(A), as_tuple(F)
-    if A.m != F.m or A.n != F.n:
-        raise ValueError("tuple shapes do not match")
-    return HermitianTuple(A.mats + F.mats)
-
-
 def random_finite_rank_tuple(m: int, n: int, rank: int, seed: int) -> HermitianTuple:
     """m Hermitian matrices of rank at most `rank`, moderate norm."""
     rng = np.random.default_rng(seed)
@@ -190,10 +183,7 @@ def check_nonempty_bounds(m: int, k: int, trials: int = 50,
                           opts: SolverOptions = SolverOptions(),
                           bound: str = "general") -> SuiteReport:
     """Random tuples at the guarantee dimension must yield a rank-k scalar
-    point within the restart budget.  m = 0 is vacuously true."""
-    if m == 0:
-        return SuiteReport(suite=f"nonempty-{bound}", trials=trials, failures=(),
-                           tolerances={"note": "empty tuple, vacuous"})
+    point within the restart budget.  m = 0 raises DimensionError."""
     n = bound_dimension(m, k, bound)
     failures = []
     seeds = [opts.seed + 1009 * (i + 1) for i in range(trials)]
@@ -309,7 +299,7 @@ def check_perturbation_equivalence(m: int = 2, n: int = 16, p: int = 1,
             failures.append((seed_i, f"corner solve rejected: best "
                                      f"{got.best_residual:.3e}"))
             continue
-        lifted = compose_certificate(add_tuples(A, F), corner, got)
+        lifted = compose_certificate(HermitianTuple(A.mats + F.mats), corner, got)
         if not lifted.residual <= opts.accept_tol:
             failures.append((seed_i, f"perturbed residual {lifted.residual:.3e}"))
     return SuiteReport(suite="perturbation-equivalence", trials=trials, failures=tuple(failures),

@@ -665,7 +665,10 @@ class TestErrors:
                 ("[[[[1,0]],[[1,0],[0,0]]]]", "entries must be [re, im] pairs"),
                 # m = n = 1 in the header
                 ("[[[[1,0]]],[[[2,0]]]]", "list of m = 1 matrices, found 2"),
-                ("[[[[1,0],[0,0]],[[0,0],[1,0]]]]", "shape (2, 2), expected (1, 1)")):
+                ("[[[[1,0],[0,0]],[[0,0],[1,0]]]]", "shape (2, 2), expected (1, 1)"),
+                # valid JSON that Python will not build
+                ("[" * 100_000 + "]" * 100_000, "nested past Python's recursion limit"),
+                ("1" + "0" * 5000, "integer literal with more digits")):
             src.write_text('{"schema_version":"1","kind":"tuple","m":1,"n":1,'
                            f'"hermitian":true,"matrices":{matrices}}}\n')
             rc = main(op + ["--input", str(src), "--out", str(out)])

@@ -78,6 +78,15 @@ def diag_tuple(values):
     return HermitianTuple(np.diag(np.asarray(values, dtype=float)).astype(complex)[None])
 
 
+def block_certificates(A, fam):
+    """Each block of fam certified by certify from its stacks; its stored
+    residual matches the recomputed one as revalidate's would."""
+    certs = [certify(A, Isometry(X), 1, MatPoint(B)) for X, B in zip(fam.witnesses, fam.points)]
+    for c, r in zip(certs, fam.residuals):
+        assert abs(c.residual - r) <= 1e-12 * max(1.0, c.residual)
+    return certs
+
+
 # ---------------------------------------------------------------------------
 # corners
 
@@ -464,8 +473,8 @@ def test_orthogonal_block_family_free_mode():
     assert isinstance(fam, BlockFamily)
     assert len(fam) == 6
     assert fam.cross_tol <= 1e-9
-    assert measure_cross(A, np.stack([c.witness.mat for c in fam.members])) == fam.cross_tol
-    for c in fam.members:
+    assert measure_cross(A, fam.witnesses) == fam.cross_tol
+    for c in block_certificates(A, fam):
         v = c.point.scalar_values()[0]
         assert 1.0 - 1e-6 <= v <= 12.0 + 1e-6
         c.revalidate(A)
@@ -522,12 +531,12 @@ def test_tverberg_lift_p1_is_the_single_block():
     # d = 1: one block, no cross terms to measure, and a one-part partition
     A = gue(2, 6, seed=4)
     lift = tverberg_lift(A, 1, 1, SolverOptions(seed=0))
-    (block,) = lift.family.members
+    (X,), (B,) = lift.family.witnesses, lift.family.points
     assert lift.family.cross_tol == 0.0
     assert lift.partition.parts == ((0,),)
     assert [w.tolist() for w in lift.partition.weights] == [[1.0]]
-    assert np.array_equal(lift.certificate.witness.mat, block.witness.mat)
-    assert np.allclose(lift.certificate.point.blocks, block.point.blocks, rtol=0, atol=1e-15)
+    assert np.array_equal(lift.certificate.witness.mat, X)
+    assert np.allclose(lift.certificate.point.blocks, B, rtol=0, atol=1e-15)
     lift.certificate.revalidate(A)
 
 
@@ -545,7 +554,7 @@ def test_tverberg_lift_never_returns_above_accept_tol(scale, seed):
         assert lift.best_residual > opts.accept_tol
         return
     assert lift.certificate.residual <= opts.accept_tol
-    assert all(c.residual <= opts.accept_tol for c in lift.family.members)
+    assert all(c.residual <= opts.accept_tol for c in block_certificates(A, lift.family))
 
 
 @settings(max_examples=12, deadline=None)
@@ -559,13 +568,14 @@ def test_in_corner_members_lie_in_the_global_corner(m, q, d, extra, scale, seed)
     # residual at rounding level
     A = HermitianTuple(scale * gue(m, d * q * (m + 1) + q + extra, seed).mats)
     fam = orthogonal_block_family(A, q, d, SolverOptions(seed=seed % 1000))
-    for c in fam.members:
+    members = block_certificates(A, fam)
+    for c in members:
         assert (c.p, c.q) == (1, q)
         c.revalidate(A)
         assert c.residual <= 1e-12 * A.scale()
     for s in range(1, d):
-        Y = deflation_corner(A, list(fam.members[:s])).mat
-        X = fam.members[s].witness.mat
+        Y = deflation_corner(A, members[:s]).mat
+        X = fam.witnesses[s]
         assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
 
 
@@ -694,10 +704,10 @@ def test_tverberg_lift_beyond_the_bench_sizes():
     cert = lift.certificate
     assert cert.residual <= 1e-8 and cert.revalidate(A) == cert.residual
     assert lift.family.cross_tol <= 1e-12 * A.scale()
-    members = lift.family.members
+    members = block_certificates(A, lift.family)
     for s in range(1, len(members)):
-        Y = deflation_corner(A, list(members[:s])).mat
-        X = members[s].witness.mat
+        Y = deflation_corner(A, members[:s]).mat
+        X = lift.family.witnesses[s]
         assert frob(X - Y @ (np.conj(Y.T) @ X)) <= 1e-12 * A.scale()
 
 
@@ -755,8 +765,27 @@ def test_essential_estimate_spiked_diagonal():
     assert abs(est.supports[0, up] - 5.0) <= 1e-6
     assert abs(hi - 1.0) <= 1e-6
     assert abs(lo - 0.0) <= 1e-6
-    # running minima are nonincreasing in r
-    assert np.all(np.diff(est.intersection, axis=0) <= 1e-12)
+    # at m = 1 the supports are exact and the levels nest, so they are
+    # nonincreasing in r
+    assert np.all(np.diff(est.supports, axis=0) <= 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(R=st.integers(1, 3), extra=st.integers(0, 4), seed=st.integers(0, 2**31 - 1),
+       data=st.data())
+def test_essential_levels_nest(R, extra, seed, data):
+    # the first r columns of a level-R witness are a level-r witness, so
+    # the ranges nest: a level-R support point lies inside level r's exact
+    # support along its direction, up to its residual
+    r = data.draw(st.integers(1, R))
+    A = gue(1, 2 * R + extra, seed)
+    est = essential_estimate(A, 1, R, SolverOptions(seed=0), n_free=0)
+    for u, support in zip(est.directions, est.supports[r - 1]):
+        cert = interlacing_support(A, R, 1, u)
+        low = _restrict_certificate(A, cert, r, cert.point)
+        assert low.p == r and low.residual <= cert.residual + 1e-12
+        low.revalidate(A)
+        assert u @ cert.point.flatten() <= support + cert.residual
 
 
 def test_essential_estimate_scalar_tuple():

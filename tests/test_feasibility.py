@@ -509,7 +509,7 @@ def test_interlacing_gap_is_exact_for_one_matrix(seed, p, extra, t, beyond, abov
     # at m = 1, q = 1 the gap is <= 0 exactly on the rank-p interval
     # (Fan-Pall): inside it by 1e-9 or more, and outside it by 1e-9 or more
     A = gue(1, p + extra, seed)
-    iv = rank_k_interval(A.mats, p)
+    iv = rank_k_interval(A.mats[0], p)
     outside = iv.hi + beyond if above else iv.lo - beyond
     xs = [(outside, True)]
     if iv.hi - iv.lo >= 2e-9:

@@ -414,6 +414,9 @@ def test_every_returned_array_is_read_only(tmp_path, cache, hermitian, copy):
     ('{"schema_version":"1","kind":"cloud"}\n', SchemaError),
     ('{"schema_version":"1","kind":"tuple","m":1,"n":1,"hermitian":true,'
      '"matrices":[[[[1.0,1.0]]]]}\n', SchemaError),
+    # valid JSON that Python will not build
+    pytest.param("[" * 100_000 + "]" * 100_000, SchemaError, id="nested-past-recursion-limit"),
+    pytest.param('{"m":1' + "0" * 5000 + "}", SchemaError, id="integer-past-digit-limit"),
 ])
 def test_a_failed_load_fails_again_and_stores_nothing(tmp_path, cache, text, error):
     f = tmp_path / "bad.json"

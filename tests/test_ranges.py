@@ -227,15 +227,11 @@ def test_rank_k_interval_matches_eigvalsh_to_rounding():
             assert iv.empty == (iv.lo > iv.hi)
 
 
-def test_rank_k_interval_accepts_one_matrix_stack():
-    A = np.diag([3.0, 1.0, 2.0]).astype(complex)
-    assert rank_k_interval(A[None], 2) == rank_k_interval(A, 2)
-
-
 @pytest.mark.parametrize("A,k,match", [
     pytest.param(np.float64(2.0), 1, "single Hermitian matrix", id="scalar"),
     pytest.param(np.eye(2)[None].repeat(2, axis=0), 1, "single Hermitian matrix",
                  id="stack-of-two"),
+    pytest.param(np.eye(2)[None], 1, "single Hermitian matrix", id="stack-of-one"),
     pytest.param(np.eye(3), 0, "1 <= k <= 3", id="k-zero"),
     pytest.param(np.eye(3), 4, "1 <= k <= 3", id="k-above-n"),
     pytest.param(np.ones((2, 3)), 1, "square", id="not-square"),
@@ -280,6 +276,12 @@ def test_hermitian_embed_accepts_one_matrix():
     pytest.param(lambda: numrange_boundary(np.array([[np.nan]])), "finite", id="boundary-nan"),
     pytest.param(lambda: numrange_boundary(np.eye(2), n_angles=2), "3 angles",
                  id="boundary-two-angles"),
+    # T - T* and the angle matrices pass the double range: the overflowed
+    # entry is named, and no numpy warning is raised
+    pytest.param(lambda: hermitian_embed(np.array([[0.0, 1e308], [-1e308, 0.0]])),
+                 r"member 1 has a non-finite entry at \(0, 1\)", id="embed-overflow"),
+    pytest.param(lambda: numrange_boundary(np.array([[0.0, 1e308], [-1e308, 0.0]])),
+                 r"non-finite entry at \(0, 1\)", id="boundary-overflow"),
 ])
 def test_embed_and_boundary_refusals(call, match):
     with pytest.raises(DimensionError, match=match):

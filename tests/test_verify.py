@@ -7,9 +7,9 @@ import pytest
 
 import matrange.verify as verify
 from matrange.feasibility import SolverOptions, solve_jobs
+from matrange.linalg import DimensionError
 from matrange.verify import (
     SuiteReport,
-    add_tuples,
     bound_dimension,
     check_convexity,
     check_corner_inclusions,
@@ -78,11 +78,6 @@ def test_planted_star_instance_exactness():
         assert np.max(np.abs(np.conj(X0.T) @ A.mats[j] @ X1)) == 0.0
 
 
-def test_add_tuples_shape_check():
-    with pytest.raises(ValueError):
-        add_tuples(random_hermitian_tuple(1, 4, 0), random_hermitian_tuple(2, 4, 0))
-
-
 def test_random_finite_rank_tuple_rank():
     F = random_finite_rank_tuple(2, 10, rank=2, seed=31)
     for j in range(2):
@@ -146,10 +141,10 @@ def test_bound_dimension_values():
         bound_dimension(1, 2, "sharpest")
 
 
-def test_nonempty_bounds_m0_vacuous():
-    rep = check_nonempty_bounds(0, 3, trials=7)
-    assert rep.passes == 7 and rep.trials == 7
-    assert rep.pass_rate == 1.0
+def test_nonempty_bounds_m0_refused():
+    # a tuple has at least one member, so m = 0 runs no trial to report
+    with pytest.raises(DimensionError, match="need at least one member"):
+        check_nonempty_bounds(0, 3, trials=7)
 
 
 def test_nonempty_bounds_refined_m1():
