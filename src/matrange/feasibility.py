@@ -27,10 +27,11 @@ target and seed; the jobs of one call run restart 0 alone, then the rest
 of the budget in waves of one stack's lanes (all of it at once when Cauchy
 interlacing refutes every target, with the same results).  After each wave
 a lane that stalled close to accept_tol (within POLISH_GATE times it) gets
-a Gauss-Newton polish, and in each job the lowest restart that reaches
-accept_tol wins, exactly as one restart at a time would choose.  Support
-solves run all their restarts, and sample_range all its directed solves
-and the waves of all its free samples, as lanes of shared stacks.
+a Gauss-Newton polish over the 2nk - k^2 real tangent coordinates of its
+n-by-k witness, and in each job the lowest restart that reaches accept_tol
+wins, exactly as one restart at a time would choose.  Support solves run
+all their restarts, and sample_range all its directed solves and the
+waves of all its free samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def _misfit(S: np.ndarray, p: int, q: int, target=None):
     """(E, B) with E = S - I_p (x) B, B the target or _block_average(S).
 
     S stacks compressions X* A_j X as (..., m, pq, pq), any leading batch
-    axes.  Free mode is linear in S, so it also projects Jacobian columns.
+    axes.  Free mode is linear in S, so it also projects _polish's columns.
     """
     B = _block_average(S, p, q) if target is None else target
     return S - _inflate(B, p), B
@@ -533,51 +534,45 @@ def _descend_stack(Amats, X, p, q, opts: SolverOptions, max_iters, target, U, mu
     return X, np.asarray(R2, dtype=float)
 
 
-def _jacobian(Amats, X, p, q, target=None):
-    """Real Gauss-Newton matrix of E = X* A_j X - I_p (x) B_j at X.
-
-    Column a*k + b (then nk + a*k + b) is the derivative of (Re E, Im E)
-    along the tangent projection of D = e_ab (then i e_ab).  With
-    P_j = X* A_j, S_j = P_j X and H = sym(X* D), D moves E_j by
-    P_j D + (P_j D)* - (S_j H + H S_j); the unit directions place P_j[:, a]
-    and conj(X[a, :]) in column b of P_j D and X* D.  In free mode _misfit
-    projects the columns too, so the optimal B stays eliminated.
-    """
-    n, k = X.shape
-    unit = np.array([1.0, 1j])                    # D = e_ab, then i e_ab
-    P = np.conj(X.T) @ Amats                      # (m, k, n)
-    S = P @ X
-    PD = np.einsum("r,jca,be->rabjce", unit, P, np.eye(k)).reshape(2 * n * k, -1, k, k)
-    XD = np.einsum("r,ac,be->rabce", unit, np.conj(X), np.eye(k)).reshape(2 * n * k, 1, k, k)
-    H = 0.5 * (XD + np.conj(np.swapaxes(XD, -1, -2)))
-    L = PD + np.conj(np.swapaxes(PD, -1, -2)) - (S @ H + H @ S)
-    if target is None:
-        L, _ = _misfit(L, p, q)
-    Lf = L.reshape(2 * n * k, -1).T
-    return np.concatenate([Lf.real, Lf.imag])
-
-
 def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
     """Damped Gauss-Newton tail for iterates the first-order loop left short.
 
-    Solves the real least-squares system of _jacobian for a step in the
-    tangent space at X, so that it survives the QR retraction to first
-    order, retracts, and keeps the step only when the residual drops.
-    Deterministic.  Returns (X, R_squared).
+    Each step solves a real least-squares system over orthonormal tangent
+    coordinates at X: D = Y K + X W, with Y completing X to a unitary, K
+    complex and W skew-Hermitian over i e_aa, (e_ab - e_ba)/sqrt2 and
+    i(e_ab + e_ba)/sqrt2 (Edelman-Arias-Smith).  D moves E_j by C_j K +
+    (C_j K)* + S_j W - W S_j, where C_j = X* A_j Y and S_j = X* A_j X; in
+    free mode _misfit projects the columns.  The step is retracted by QR and
+    kept only when the residual drops.  Deterministic.  Returns (X, R_squared).
     """
     def evaluate(X):
         E, _ = _misfit(np.conj(X.T) @ (Amats @ X), p, q, target)
         return E, float(np.sum(np.abs(E) ** 2))
 
+    n, k = X.shape
+    c = (n - k) * k
+    unit = np.array([1.0, 1j])                    # K = e_ab, then i e_ab
+    e = np.eye(k * k).reshape(k, k, k, k)         # e[a, b] = e_ab
+    a, b = np.triu_indices(k, 1)
+    W = np.concatenate([1j * e[range(k), range(k)], (e[a, b] - e[b, a]) / np.sqrt(2),
+                        1j * (e[a, b] + e[b, a]) / np.sqrt(2)])
     E, R2 = evaluate(X)
     tol2 = _tol2(opts)
     for _ in range(POLISH_ITERS):
         if R2 <= tol2:
             break
-        M = _jacobian(Amats, X, p, q, target)
+        Y = np.linalg.qr(X, mode="complete")[0][:, k:]
+        P = np.conj(X.T) @ Amats                  # (m, k, n)
+        S = P @ X
+        CK = np.einsum("r,jca,be->rabjce", unit, P @ Y, np.eye(k)).reshape(2 * c, *S.shape)
+        L = np.concatenate([CK + _adjoint(CK), S @ W[:, None] - W[:, None] @ S])
+        if target is None:
+            L, _ = _misfit(L, p, q)
+        Lf = L.reshape(len(L), -1).T
         rhs = -np.concatenate([E.ravel().real, E.ravel().imag])
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        step = _tangent(X, (sol[:X.size] + 1j * sol[X.size:]).reshape(X.shape))
+        sol = np.linalg.lstsq(np.concatenate([Lf.real, Lf.imag]), rhs, rcond=None)[0]
+        K = (sol[:c] + 1j * sol[c:2 * c]).reshape(n - k, k)
+        step = Y @ K + X @ np.tensordot(sol[2 * c:], W, 1)
         t = 1.0
         for _ in range(30):
             Xt = _qr_fix(X + t * step)

@@ -15,8 +15,9 @@ from matrange.feasibility import (
     Rejection,
     SolverOptions,
     StructuralInfeasibility,
-    _jacobian,
     _polish,
+    _tangent,
+    _tangent_kick,
     certify,
     compose_certificate,
     flatten_blocks,
@@ -27,6 +28,7 @@ from matrange.feasibility import (
     unflatten_blocks,
 )
 from matrange.linalg import (
+    ISO_TOL,
     DimensionError,
     HermitianTuple,
     Isometry,
@@ -641,35 +643,106 @@ def projected_basis_jacobian(Amats, X, p, q, free):
     return np.concatenate([Lf.real, Lf.imag])
 
 
+def planted(m, p, q, extra, seed):
+    """(A, X, B0): A = U* (I_p (x) B0 (+) C) U for seeded Hermitian m-tuples
+    B0 (q-by-q) and C (extra-by-extra) and a Haar unitary U, and the exact
+    witness X = U* [I_pq; 0] of B0 at level p."""
+    n = p * q + extra
+    B0 = random_hermitian_tuple(m, q, seed).mats
+    D = np.zeros((m, n, n), dtype=complex)
+    D[:, :p * q, :p * q] = np.kron(np.eye(p)[None], B0)
+    if extra:
+        D[:, p * q:, p * q:] = random_hermitian_tuple(m, extra, seed + 1).mats
+    U = random_isometry(n, n, seed + 2).mat
+    return np.conj(U.T) @ D @ U, np.conj(U.T)[:, :p * q], B0
+
+
+def full_coordinate_step(Amats, X, p, q, opts, target):
+    """One polish step solved over all 2nk real coordinates of an n-by-k
+    step: lstsq on projected_basis_jacobian, the solution projected to the
+    tangent space, then retracted by _polish's halving search.  Returns the
+    new X and the condition number of the singular values lstsq kept."""
+    def evaluate(X):
+        E, _ = feasibility._misfit(np.conj(X.T) @ (Amats @ X), p, q, target)
+        return E, float(np.sum(np.abs(E) ** 2))
+
+    E, R2 = evaluate(X)
+    M = projected_basis_jacobian(Amats, X, p, q, target is None)
+    rhs = -np.concatenate([E.ravel().real, E.ravel().imag])
+    sol, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
+    cond = sv[0] / sv[rank - 1] if rank else 1.0
+    step = _tangent(X, (sol[:X.size] + 1j * sol[X.size:]).reshape(X.shape))
+    t = 1.0
+    for _ in range(30):
+        Xt = _qr_fix(X + t * step)
+        R2t = evaluate(Xt)[1]
+        if R2t < R2 * (1.0 - 1e-6) or R2t <= feasibility._tol2(opts):
+            return Xt, cond
+        t *= 0.5
+    return X, cond
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), p=st.integers(1, 3),
        q=st.integers(1, 2), extra=st.integers(0, 3), free=st.booleans())
-def test_jacobian_matches_projected_basis(seed, m, p, q, extra, free):
+def test_polish_step_matches_full_coordinate_step(seed, m, p, q, extra, free):
+    # the tangent coordinates are orthonormal and the full system's
+    # minimum-norm solution is already tangent, so both solve for one step;
+    # extra = 0 puts X's complement at width 0.  lstsq's forward error grows
+    # with the system's condition number: 1e-12 relative up to cond 10, and
+    # in proportion beyond (seed=14762, m=2, p=3, q=2, extra=3 in target
+    # mode has cond 6.2e3, where even the full-coordinate solves built two
+    # ways differ by 2.2e-12 relative)
     n = p * q + extra
     A = gue(m, n, seed)
     X = random_isometry(n, p * q, seed + 1).mat
     target = None if free else random_matpoint(m, q, seed + 2).blocks
-    got = _jacobian(A.mats, X, p, q, target)
-    want = projected_basis_jacobian(A.mats, X, p, q, free)
-    assert got.shape == want.shape == (2 * m * (p * q) ** 2, 2 * n * p * q)
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, frob(A.mats))
+    opts = SolverOptions()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "POLISH_ITERS", 1)
+        got, _ = _polish(A.mats, X, p, q, opts, target)
+    want, cond = full_coordinate_step(A.mats, X, p, q, opts, target)
+    assert frob(got - want) <= 1e-13 * max(10.0, cond) * frob(want)
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["free", "target"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), p=st.integers(1, 3),
+       q=st.integers(1, 2), extra=st.integers(0, 3), exponent=st.integers(-7, -4))
+def test_polish_never_raises_the_residual(free, seed, m, p, q, extra, exponent):
+    # from a planted witness kicked 10^exponent along a tangent, the polish
+    # keeps a step only when it lowers R^2, and every retraction is an isometry
+    A, X, B0 = planted(m, p, q, extra, seed)
+    X0 = _tangent_kick(X[None], 10.0 ** exponent, [seed])[0]
+    target = None if free else B0
+    E, _ = feasibility._misfit(np.conj(X0.T) @ (A @ X0), p, q, target)
+    got, R2 = _polish(A, X0, p, q, SolverOptions(), target)
+    assert R2 <= np.sum(np.abs(E) ** 2)
+    assert Isometry(got).defect() <= ISO_TOL
 
 
 def test_polish_memory_bounded():
-    # n*k = 4000: a 2nk x nk identity tangent basis alone would take 488 MiB
-    n, k = 500, 8
-    A = gue(1, n, seed=41)
-    target = certify(A, random_isometry(n, k, seed=42), 1).point.blocks
-    X0 = random_isometry(n, k, seed=43).mat
-    tracemalloc.start()
-    try:
-        X, R2 = _polish(A.mats, X0, 1, k, SolverOptions(), target=target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 128 * 2**20, f"polish peaked at {peak / 2**20:.1f} MiB"
-    assert np.sqrt(R2) <= SolverOptions().accept_tol
-    assert certify(A, Isometry(X), 1, MatPoint(target)).residual <= 1e-8
+    # n*k = 4000: the tangent system alone has 2nk - k^2 = 7936 real columns
+    # and 2k^2 = 128 rows, whereas a 2nk x nk identity basis would take 488
+    # MiB.  The planted m = 2 matrix star center's free solve (n = 28,
+    # k = 26): over all 2nk real coordinates the polish peaked at 151 MiB,
+    # over the 2nk - k^2 tangent ones at 61 MiB
+    A = gue(1, 500, seed=41).mats
+    target = certify(A, random_isometry(500, 8, seed=42), 1).point.blocks
+    planted_A, planted_X, _ = planted(2, 13, 2, 2, seed=2)
+    cases = [(A, random_isometry(500, 8, seed=43).mat, 1, 8, target, 128),
+             (planted_A, _tangent_kick(planted_X[None], 1e-6, [7])[0], 13, 2, None, 100)]
+    for A, X0, p, q, target, mib in cases:
+        tracemalloc.start()
+        try:
+            X, R2 = _polish(A, X0, p, q, SolverOptions(), target=target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, f"polish peaked at {peak / 2**20:.1f} MiB"
+        assert np.sqrt(R2) <= SolverOptions().accept_tol
+        point = None if target is None else MatPoint(target)
+        assert certify(A, Isometry(X), p, point).residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------
