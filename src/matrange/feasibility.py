@@ -28,10 +28,11 @@ of the budget in waves of one stack's lanes (all of it at once when Cauchy
 interlacing refutes every target, with the same results).  After each wave
 a lane that stalled close to accept_tol (within POLISH_GATE times it) gets
 a Gauss-Newton polish over the 2nk - k^2 real tangent coordinates of its
-n-by-k witness, and in each job the lowest restart that reaches accept_tol
-wins, exactly as one restart at a time would choose.  Support solves run
-all their restarts, and sample_range all its directed solves and the
-waves of all its free samples, as lanes of shared stacks.
+n-by-k witness, on m k^2 flatten_blocks rows with a rank cut at 1e-12 of
+the largest singular value, and in each job the lowest restart that
+reaches accept_tol wins, exactly as one restart at a time would choose.
+Support solves run all their restarts, and sample_range all its directed
+solves and the waves of all its free samples, as lanes of shared stacks.
 """
 
 from __future__ import annotations
@@ -539,11 +540,12 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
 
     Each step solves a real least-squares system over orthonormal tangent
     coordinates at X: D = Y K + X W, with Y completing X to a unitary, K
-    complex and W skew-Hermitian over i e_aa, (e_ab - e_ba)/sqrt2 and
-    i(e_ab + e_ba)/sqrt2 (Edelman-Arias-Smith).  D moves E_j by C_j K +
-    (C_j K)* + S_j W - W S_j, where C_j = X* A_j Y and S_j = X* A_j X; in
-    free mode _misfit projects the columns.  The step is retracted by QR and
-    kept only when the residual drops.  Deterministic.  Returns (X, R_squared).
+    complex and W skew-Hermitian, over i times unflatten_blocks' basis
+    (Edelman-Arias-Smith).  D moves E_j by T_j + T_j*, T_j = X* A_j D, which
+    _misfit projects in free mode; the rows are their m k^2 flatten_blocks
+    coordinates.  The rank cut, 1e-12 of the largest singular value, sits
+    above rounding noise and below the gauge directions.  The QR-retracted
+    step is kept only if R^2 drops.  Deterministic.  Returns (X, R_squared).
     """
     def evaluate(X):
         E, _ = _misfit(np.conj(X.T) @ (Amats @ X), p, q, target)
@@ -551,11 +553,7 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
 
     n, k = X.shape
     c = (n - k) * k
-    unit = np.array([1.0, 1j])                    # K = e_ab, then i e_ab
-    e = np.eye(k * k).reshape(k, k, k, k)         # e[a, b] = e_ab
-    a, b = np.triu_indices(k, 1)
-    W = np.concatenate([1j * e[range(k), range(k)], (e[a, b] - e[b, a]) / np.sqrt(2),
-                        1j * (e[a, b] + e[b, a]) / np.sqrt(2)])
+    W = 1j * unflatten_blocks(np.eye(k * k).ravel(), k * k, k)
     E, R2 = evaluate(X)
     tol2 = _tol2(opts)
     for _ in range(POLISH_ITERS):
@@ -563,16 +561,17 @@ def _polish(Amats, X, p, q, opts: SolverOptions, target=None):
             break
         Y = np.linalg.qr(X, mode="complete")[0][:, k:]
         P = np.conj(X.T) @ Amats                  # (m, k, n)
-        S = P @ X
-        CK = np.einsum("r,jca,be->rabjce", unit, P @ Y, np.eye(k)).reshape(2 * c, *S.shape)
-        L = np.concatenate([CK + _adjoint(CK), S @ W[:, None] - W[:, None] @ S])
+        L = np.concatenate([np.einsum("r,jca,be->rabjce", [1.0, 1j], P @ Y, np.eye(k)).reshape(
+            2 * c, *E.shape), P @ X @ W[:, None]])    # T_j for K = e_ab, i e_ab, then W
+        L += _adjoint(L)
         if target is None:
             L, _ = _misfit(L, p, q)
-        Lf = L.reshape(len(L), -1).T
-        rhs = -np.concatenate([E.ravel().real, E.ravel().imag])
-        sol = np.linalg.lstsq(np.concatenate([Lf.real, Lf.imag]), rhs, rcond=None)[0]
+        # relative cut: rounding noise measured up to 2e-13, gauge directions from 9e-11
+        sol = np.linalg.lstsq(flatten_blocks(L.reshape(-1, k, k)).reshape(len(L), -1).T,
+                              -flatten_blocks(hermitize(E)), rcond=1e-12)[0]
+        del L
         K = (sol[:c] + 1j * sol[c:2 * c]).reshape(n - k, k)
-        step = Y @ K + X @ np.tensordot(sol[2 * c:], W, 1)
+        step = Y @ K + X @ (1j * unflatten_blocks(sol[2 * c:], 1, k)[0])
         t = 1.0
         for _ in range(30):
             Xt = _qr_fix(X + t * step)

@@ -253,6 +253,29 @@ class TestConstruct:
         assert 3.0 - 1e-6 <= center <= 7.0 + 1e-6
         assert doc["restricted"]["p"] == 1
 
+    def test_star_center_complex_planted(self, tmp_path):
+        # T = (1.5 - 0.5i) I_4 (+) J, written unflagged, is solved as its
+        # embedded pair; one restart certifies only because the polish's rank
+        # cut drops its degenerate system's rounding noise, and numpy alone
+        # rechecks the witness against ((T + T*)/2, (T - T*)/2i)
+        rng = np.random.default_rng(57)
+        T = np.zeros((8, 8), dtype=complex)
+        T[:4, :4] = (1.5 - 0.5j) * np.eye(4)
+        T[4:, 4:] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        src, out = tmp_path / "T.json", tmp_path / "sc.json"
+        save_tuple(T[None], src)
+        with pytest.warns(UserWarning, match="below the star-center guarantee"):
+            rc = main(["construct", "star-center", "--input", str(src), "--p", "1",
+                       "--q", "1", "--restarts", "1", "--out", str(out)])
+        assert rc == 0
+        cert = json.loads(out.read_text())["certificate"]
+        X = np.array(cert["witness"]) @ [1, 1j]
+        B = np.array(cert["point"]) @ [1, 1j]
+        A = np.array([T + np.conj(T.T), (T - np.conj(T.T)) / 1j]) / 2
+        E = np.conj(X.T) @ A @ X - [np.kron(np.eye(cert["p"]), b) for b in B]
+        assert np.linalg.norm(E) <= 1e-8
+        assert np.linalg.norm(np.conj(X.T) @ X - np.eye(X.shape[1])) <= cert["witness_tol"]
+
     def test_star_center_rejection(self, tmp_path, pauli_file):
         # sigma_j (x) I_3 admits no scalar compression at level 5
         P = pauli_tuple()

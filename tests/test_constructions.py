@@ -259,6 +259,13 @@ def test_star_center_complex_planted():
     assert cc.shape == (1,)
     assert abs(cc[0] - c0) <= 1e-6
     assert np.isclose(cc[0], vals[0] + 1j * vals[1])
+    # restart 0 stalls near 3.6e-8, where the polish's system is degenerate:
+    # the rank cut drops its rounding-noise singular values, and the polish
+    # certifies in three steps (fifteen under lstsq's default cut)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "POLISH_ITERS", 5)
+        got = solve_free(hermitian_embed(T[None]), 4, 1, SolverOptions(seed=0, max_restarts=1))
+    assert isinstance(got, Certificate)
 
 
 # ---------------------------------------------------------------------------

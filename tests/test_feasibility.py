@@ -200,6 +200,50 @@ def test_flatten_matches_entrywise_reference_bit_for_bit(seed, m, q):
     assert unflatten_blocks(v, m, q).tobytes() == unflatten_reference(v, m, q).tobytes()
 
 
+def test_unflattened_identity_is_an_orthonormal_hermitian_basis():
+    # i times these matrices is _polish's skew-Hermitian basis: k^2 of them,
+    # exactly Hermitian and orthonormal under Re tr(A* B).  _polish builds its
+    # columns over the basis and reads its step's W back with one
+    # unflatten_blocks call, so that call must sum the basis with the
+    # solution's coefficients
+    rng = np.random.default_rng(5)
+    for k in range(1, 6):
+        H = unflatten_blocks(np.eye(k * k).ravel(), k * k, k)
+        assert np.array_equal(H, np.conj(np.swapaxes(H, 1, 2)))
+        gram = np.einsum("iab,jab->ij", np.conj(H), H)
+        assert np.allclose(gram, np.eye(k * k), rtol=0, atol=1e-15)
+        c = rng.standard_normal(k * k)
+        assert np.allclose(unflatten_blocks(c, 1, k)[0], np.tensordot(c, H, 1),
+                           rtol=0, atol=1e-15 * np.linalg.norm(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), k=st.integers(1, 4),
+       cols=st.integers(1, 12), rank=st.integers(1, 12))
+def test_flattened_rows_keep_singular_values(seed, m, k, cols, rank):
+    # _polish's least-squares rows: the flatten_blocks coordinates of
+    # Hermitian columns have the singular values of all their real and
+    # imaginary parts, in half the rows, and so the same minimum-norm
+    # solution; columns past `rank` repeat earlier ones, so some are null
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((cols, m, k, k)) + 1j * rng.standard_normal((cols, m, k, k))
+    G[rank:] = G[np.arange(rank, max(rank, cols)) % rank]
+    L = G + np.conj(np.swapaxes(G, -1, -2))
+    half = flatten_blocks(L.reshape(-1, k, k)).reshape(cols, -1).T
+    Lf = L.reshape(cols, -1).T
+    full = np.concatenate([Lf.real, Lf.imag])
+    assert 2 * len(half) == len(full)
+    sv_half, sv_full = (np.linalg.svd(M, compute_uv=False) for M in (half, full))
+    assert np.allclose(sv_half, sv_full[:len(sv_half)], rtol=0, atol=1e-13 * sv_full[0])
+    assert np.all(sv_full[len(sv_half):] <= 1e-13 * sv_full[0])
+    E = rng.standard_normal((m, k, k)) + 1j * rng.standard_normal((m, k, k))
+    E += np.conj(np.swapaxes(E, -1, -2))
+    x_half = np.linalg.lstsq(half, flatten_blocks(E), rcond=1e-12)[0]
+    x_full = np.linalg.lstsq(full, np.concatenate([E.ravel().real, E.ravel().imag]),
+                             rcond=1e-12)[0]
+    assert np.allclose(x_half, x_full, rtol=0, atol=1e-10 * max(1.0, np.linalg.norm(x_full)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), q=st.integers(1, 4),
        scale=st.floats(1e-3, 1e3))
@@ -669,7 +713,7 @@ def full_coordinate_step(Amats, X, p, q, opts, target):
     E, R2 = evaluate(X)
     M = projected_basis_jacobian(Amats, X, p, q, target is None)
     rhs = -np.concatenate([E.ravel().real, E.ravel().imag])
-    sol, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
+    sol, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=1e-12)  # _polish's cut
     cond = sv[0] / sv[rank - 1] if rank else 1.0
     step = _tangent(X, (sol[:X.size] + 1j * sol[X.size:]).reshape(X.shape))
     t = 1.0
@@ -723,15 +767,23 @@ def test_polish_never_raises_the_residual(free, seed, m, p, q, extra, exponent):
 
 def test_polish_memory_bounded():
     # n*k = 4000: the tangent system alone has 2nk - k^2 = 7936 real columns
-    # and 2k^2 = 128 rows, whereas a 2nk x nk identity basis would take 488
-    # MiB.  The planted m = 2 matrix star center's free solve (n = 28,
-    # k = 26): over all 2nk real coordinates the polish peaked at 151 MiB,
-    # over the 2nk - k^2 tangent ones at 61 MiB
+    # and k^2 = 64 flatten_blocks rows, whereas a 2nk x nk identity basis
+    # would take 488 MiB.  The planted matrix star centers' free solves, from
+    # 1e-4 tangent kicks that take two steps each: at m = 2 (n = 28, k = 26)
+    # the full complex rows peaked at 77 MiB and the flatten_blocks rows at
+    # 55 MiB; at m = 3 (n = 36, k = 34) at 312 MiB and 226 MiB.  Each step's
+    # system must be freed before the next is built: in target mode, where
+    # no projection sets the peak, m = 2 peaks at 39 MiB, and at 55 MiB when
+    # the first step's system outlives it
     A = gue(1, 500, seed=41).mats
     target = certify(A, random_isometry(500, 8, seed=42), 1).point.blocks
-    planted_A, planted_X, _ = planted(2, 13, 2, 2, seed=2)
+    planted_A, planted_X, planted_B0 = planted(2, 13, 2, 2, seed=2)
+    triple_A, triple_X, _ = planted(3, 17, 2, 2, seed=1)
     cases = [(A, random_isometry(500, 8, seed=43).mat, 1, 8, target, 128),
-             (planted_A, _tangent_kick(planted_X[None], 1e-6, [7])[0], 13, 2, None, 100)]
+             (planted_A, _tangent_kick(planted_X[None], 1e-6, [7])[0], 13, 2, None, 100),
+             (planted_A, _tangent_kick(planted_X[None], 1e-4, [7])[0], 13, 2, None, 66),
+             (triple_A, _tangent_kick(triple_X[None], 1e-4, [7])[0], 17, 2, None, 270),
+             (planted_A, _tangent_kick(planted_X[None], 1e-4, [7])[0], 13, 2, planted_B0, 48)]
     for A, X0, p, q, target, mib in cases:
         tracemalloc.start()
         try:
